@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import tempfile
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -146,7 +147,9 @@ def cached_reference(problem: ErmProblem, tol: float = 1e-10,
         # vropt-reference key=<hash> tol=<tol> f_star=<f*> grad_norm=<gn> dim=<d>
     followed by one x* component per line, all floats as shortest
     round-trip decimals. A cached solution is reused only when its key,
-    dimension, and achieved gradient norm satisfy the current request.
+    dimension, and achieved gradient norm satisfy the current request. The
+    file is written under a temporary name and renamed into place, so an
+    interrupted write leaves no partial file.
     """
     key = problem_key(problem)
     path = _cache_path(key, cache_dir)
@@ -158,8 +161,22 @@ def cached_reference(problem: ErmProblem, tol: float = 1e-10,
     lines = [f"# vropt-reference key={key} tol={tol!r} f_star={ref.f_star!r} "
              f"grad_norm={ref.grad_norm!r} dim={problem.d}"]
     lines.extend(repr(float(v)) for v in ref.x_star)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_atomic(path, "\n".join(lines) + "\n")
     return ref
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write text to a temporary file next to path, then rename it over
+    path, so readers see the old file or the whole new one, never a part."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.",
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _derived_seed(config: SolverConfig) -> int:

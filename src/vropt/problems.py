@@ -6,6 +6,11 @@ ridge regression on dense rows (admits an exact minimizer). Component
 gradients optionally charge a caller-owned IfoCounter: one unit per component
 gradient, n units per full gradient. Evaluation code passes no counter, so
 measurement never pollutes the work accounting.
+
+Both instances are linear models, f_i(x) = phi_i(<a_i, x>) + (mu/2)||x||^2,
+and expose the pieces the solvers' fused inner loop works on: the rows a_i as
+CSR arrays (indptr, indices, data) and the loss derivative phi_i'(t), per
+component (loss_deriv) and for all components at once (loss_derivs).
 """
 
 from __future__ import annotations
@@ -54,11 +59,20 @@ def _log1p_exp(t: float) -> float:
 
 class ErmProblem(abc.ABC):
     """Abstract finite-sum problem: n components over R^d, mu-strongly convex
-    with L-Lipschitz component gradients (kappa = L/mu)."""
+    with L-Lipschitz component gradients (kappa = L/mu).
+
+    Components are f_i(x) = phi_i(<a_i, x>) + (mu/2)||x||^2. Row a_i is
+    data[indptr[i]:indptr[i+1]] at columns indices[indptr[i]:indptr[i+1]];
+    indptr is a Python list so that slicing it costs no numpy scalar, and
+    indices are np.intp, the index type numpy gathers and scatters fastest.
+    """
 
     n: int
     d: int
     mu: float
+    indptr: list[int]
+    indices: np.ndarray
+    data: np.ndarray
 
     @property
     @abc.abstractmethod
@@ -102,6 +116,15 @@ class ErmProblem(abc.ABC):
                   counter: IfoCounter | None = None) -> np.ndarray:
         """grad f(x); charges n IFO to counter when one is supplied."""
 
+    @abc.abstractmethod
+    def loss_deriv(self, i: int, t: float) -> float:
+        """phi_i'(t) at margin t = <a_i, x>; no checks, no charge."""
+
+    @abc.abstractmethod
+    def loss_derivs(self, x: np.ndarray) -> np.ndarray:
+        """phi_i'(<a_i, x>) for every i, the vector full_grad is built on;
+        no charge."""
+
 
 class LogisticProblem(ErmProblem):
     """Regularized logistic regression on a sparse dataset.
@@ -127,8 +150,9 @@ class LogisticProblem(ErmProblem):
         self.d = dataset.dim
         self.mu = float(mu)
         self._labels = dataset.labels.astype(np.float64)
+        self._b = self._labels.tolist()
         self._L = float(np.max(dataset.row_sq_norms) / 4.0 + self.mu)
-        # CSR copy of the rows for the vectorized value/full-gradient paths
+        # CSR copy of the rows for every gradient and value path
         indptr = np.zeros(self.n + 1, dtype=np.int64)
         indptr[1:] = np.cumsum([r.nnz for r in dataset.rows])
         indices = np.concatenate([r.indices for r in dataset.rows]) \
@@ -136,6 +160,8 @@ class LogisticProblem(ErmProblem):
         data = np.concatenate([r.values for r in dataset.rows]) \
             if indptr[-1] else np.zeros(0)
         self._csr = sp.csr_matrix((data, indices, indptr), shape=(self.n, self.d))
+        # scipy may narrow its own copy to int32, which numpy indexes slowly
+        self.indptr, self.indices, self.data = indptr.tolist(), indices, data
 
     @property
     def smoothness(self) -> float:
@@ -150,10 +176,15 @@ class LogisticProblem(ErmProblem):
         loss = float(np.mean(np.logaddexp(0.0, -z)))
         return loss + 0.5 * self.mu * float(x @ x)
 
+    def _row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        return self.indices[lo:hi], self.data[lo:hi]
+
     def component_value(self, i: int, x: np.ndarray) -> float:
         i = self._check_i(i)
         x = self._check_x(x)
-        t = self._labels[i] * self.dataset.rows[i].dot(x)
+        cols, vals = self._row(i)
+        t = self._b[i] * float(vals @ x[cols])
         return _log1p_exp(-t) + 0.5 * self.mu * float(x @ x)
 
     def grad_component(self, i: int, x: np.ndarray,
@@ -162,20 +193,24 @@ class LogisticProblem(ErmProblem):
         x = self._check_x(x)
         if counter is not None:
             counter.add(1)
-        row = self.dataset.rows[i]
-        b = self._labels[i]
-        coeff = -b * _sigmoid(-b * row.dot(x))
+        cols, vals = self._row(i)
         g = self.mu * x
-        row.add_scaled_into(coeff, g)
+        g[cols] += self.loss_deriv(i, float(vals @ x[cols])) * vals
         return g
+
+    def loss_deriv(self, i: int, t: float) -> float:
+        b = self._b[i]
+        return -b * _sigmoid(-b * t)
+
+    def loss_derivs(self, x: np.ndarray) -> np.ndarray:
+        return -self._labels * expit(-self._margins(x))
 
     def full_grad(self, x: np.ndarray,
                   counter: IfoCounter | None = None) -> np.ndarray:
         x = self._check_x(x)
         if counter is not None:
             counter.add(self.n)
-        z = self._margins(x)
-        coeff = (-self._labels * expit(-z)) / self.n
+        coeff = self.loss_derivs(x) / self.n
         return np.asarray(self._csr.T @ coeff) + self.mu * x
 
 
@@ -198,9 +233,14 @@ class RidgeProblem(ErmProblem):
             raise ValueError(f"mu must be >= 0, got {mu}")
         self._A = rows
         self._y = targets
+        self._y_list = targets.tolist()
         self.n, self.d = rows.shape
         self.mu = float(mu)
         self._L = float(np.max(np.einsum("ij,ij->i", rows, rows)) + self.mu)
+        csr = sp.csr_matrix(rows)
+        self.indptr = csr.indptr.tolist()
+        self.indices = csr.indices.astype(np.intp)
+        self.data = csr.data
 
     @property
     def smoothness(self) -> float:
@@ -226,13 +266,18 @@ class RidgeProblem(ErmProblem):
         r = float(self._A[i] @ x - self._y[i])
         return r * self._A[i] + self.mu * x
 
+    def loss_deriv(self, i: int, t: float) -> float:
+        return t - self._y_list[i]
+
+    def loss_derivs(self, x: np.ndarray) -> np.ndarray:
+        return self._A @ x - self._y
+
     def full_grad(self, x: np.ndarray,
                   counter: IfoCounter | None = None) -> np.ndarray:
         x = self._check_x(x)
         if counter is not None:
             counter.add(self.n)
-        r = self._A @ x - self._y
-        return (self._A.T @ r) / self.n + self.mu * x
+        return (self._A.T @ self.loss_derivs(x)) / self.n + self.mu * x
 
     def solve_normal_equations(self) -> np.ndarray:
         """Exact minimizer from (A^T A / n + mu I) x = A^T y / n."""

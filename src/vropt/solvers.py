@@ -8,8 +8,18 @@ evaluations cost nothing.
 RNG discipline: each run consumes a single numpy Generator stream in a fixed
 documented order: per outer loop, first ONE uniform draw for the snapshot
 index M^s (inverse CDF), then one integer draw per inner step. SGD draws one
-integer per step. Identical config + seed therefore reproduces the iterate
+integer per step. The per-step integers are drawn in blocks of at most 4096
+(rng.integers(n, size=k)), which yields exactly the stream of one scalar
+draw per step. Identical config + seed therefore reproduces the iterate
 sequence bit for bit.
+
+One kernel, _inner_steps, runs every corrected (svrg) and recursive (sarah)
+inner loop, for run() as well as for svrg_inner and sarah_inner. It works on
+the problem's CSR rows and scalar loss derivative instead of calling
+grad_component, so a step costs one or two sparse dot products and a few
+dense vector updates while still being charged 2 IFO. Every step, in the
+kernel and in SGD, ends with a finiteness check (x.x finite), so a
+DivergenceError names the first step whose iterate left the floats.
 """
 
 from __future__ import annotations
@@ -173,13 +183,19 @@ class InnerResult:
     snapshot_index: int  # the sampled M^s
 
 
+_EPS2 = float(np.finfo(np.float64).eps) ** 2
+
+
 def bb_step(state: OuterState, theta_kappa: float,
             constants: tuple[float, float] | None = None) -> float | None:
     """Barzilai-Borwein outer step from the stored secant pair.
 
     Returns eta_s = ||dx||^2 / (theta_kappa * <dx, dg>), or None when the
-    snapshots coincide (caller should reuse the previous step). When problem
-    constants (L, mu) are given, the result is asserted to lie inside
+    snapshots coincide to working precision, ||dx|| <= eps * ||x_tilde_prev||
+    with eps the float64 machine epsilon (caller should reuse the previous
+    step): such a displacement, and the sign of <dx, dg> with it, is the
+    rounding noise of a converged run, not curvature. When problem constants
+    (L, mu) are given, the result is asserted to lie inside
     [1/(theta_kappa*L), 1/(theta_kappa*mu)], which strong convexity and
     smoothness guarantee.
 
@@ -191,7 +207,7 @@ def bb_step(state: OuterState, theta_kappa: float,
         raise ValueError("bb_step needs two snapshots with stored gradients")
     dx = state.x_tilde_prev - state.x_tilde_prev2
     sq = float(dx @ dx)
-    if sq == 0.0:
+    if sq <= _EPS2 * float(state.x_tilde_prev @ state.x_tilde_prev):
         return None
     dg = state.g_prev - state.g_prev2
     den = float(dx @ dg)
@@ -211,13 +227,19 @@ def bb_step(state: OuterState, theta_kappa: float,
     return eta
 
 
-def _check_finite(x: np.ndarray, steps: int, config_id: str | None) -> None:
-    # ||x||^2 enters every regularized objective, so its overflow already
-    # makes f(x) non-finite even while the components stay representable
+def _diverged(x: np.ndarray, steps: int,
+              config_id: str | None) -> DivergenceError:
     with np.errstate(over="ignore", invalid="ignore"):
-        sq = float(x @ x)
-    if not math.isfinite(sq) or not np.all(np.isfinite(x)):
-        raise DivergenceError(float(np.linalg.norm(x)), steps, config_id)
+        return DivergenceError(float(np.linalg.norm(x)), steps, config_id)
+
+
+def _check_finite(x: np.ndarray, steps: int, config_id: str | None) -> None:
+    # any inf or NaN component makes x.x non-finite, and so does an overflow
+    # of ||x||^2, which already makes every regularized objective non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = math.isfinite(x.dot(x))
+    if not finite:
+        raise _diverged(x, steps, config_id)
 
 
 def _resolve_scheme(algorithm: str, averaging: AveragingScheme) -> None:
@@ -228,39 +250,89 @@ def _resolve_scheme(algorithm: str, averaging: AveragingScheme) -> None:
             f"choose one of {[a.name for a in allowed]}")
 
 
-def _svrg_steps(problem: ErmProblem, x0: np.ndarray, g: np.ndarray, eta: float,
-                steps: int, rng: np.random.Generator, counter: IfoCounter,
-                config_id: str | None = None) -> np.ndarray:
-    """Run `steps` corrected-gradient updates anchored at snapshot x0."""
-    x = x0.copy()
-    for k in range(steps):
-        i = int(rng.integers(problem.n))
-        v = problem.grad_component(i, x, counter) \
-            - problem.grad_component(i, x0, counter) + g
-        x -= eta * v
-        _check_finite(x, k + 1, config_id)
-    return x
+_DRAW_BLOCK = 4096
 
 
-def _sarah_steps(problem: ErmProblem, x0: np.ndarray, g: np.ndarray, eta: float,
-                 upto: int, rng: np.random.Generator, counter: IfoCounter,
+def _picks(rng: np.random.Generator, n: int, steps: int):
+    """Component indices for `steps` single-sample steps, drawn in blocks of
+    at most _DRAW_BLOCK: the same stream as one rng.integers(n) per step, in
+    O(1) memory."""
+    while steps > 0:
+        k = min(steps, _DRAW_BLOCK)
+        yield from rng.integers(n, size=k).tolist()
+        steps -= k
+
+
+def _inner_steps(problem: ErmProblem, algorithm: str, x0: np.ndarray,
+                 g: np.ndarray, eta: float, upto: int,
+                 rng: np.random.Generator, counter: IfoCounter,
                  config_id: str | None = None) -> np.ndarray:
-    """Run the recursive-estimator chain up to iterate x_upto (0 = snapshot;
-    1 = the deterministic full-gradient step; each further step costs 2 IFO)."""
-    if upto == 0:
-        return x0.copy()
-    x_prev = x0
-    v = g.copy()
-    x = x0 - eta * v
-    _check_finite(x, 1, config_id)
-    for k in range(1, upto):
-        i = int(rng.integers(problem.n))
-        v += problem.grad_component(i, x, counter) \
-            - problem.grad_component(i, x_prev, counter)
-        x_prev = x
-        x = x - eta * v
-        _check_finite(x, k + 1, config_id)
+    """Run one inner loop from snapshot x0 (full gradient g) to iterate
+    x_upto and return it; x0 and g are left untouched.
+
+    With f_i(x) = phi_i(<a_i, x>) + (mu/2)||x||^2 both estimators reduce to
+    O(nnz(a_i)) sparse work plus O(d) dense vector updates per step:
+
+    * svrg: x_{k+1} = (1 - eta*mu)*x_k - eta*(g - mu*x0)
+      - eta*(phi_i'(a_i.x_k) - c0_i)*a_i, with c0 = phi'(A x0) computed once
+      per snapshot, so each step takes one sparse dot product;
+    * sarah: v_k = (1 - eta*mu)*v_{k-1} + dphi*a_i with
+      dphi = phi_i'(a_i.x_k) - phi_i'(a_i.x_{k-1}), where
+      a_i.x_{k-1} = a_i.(x_k + eta*v_{k-1}) needs only the row's columns;
+      the kernel keeps eta*v_k, the displacement x_k - x_{k+1}. x_1 =
+      x0 - eta*g is the free deterministic step, so upto >= 1 runs upto-1
+      recursive steps.
+
+    Every stochastic step is charged 2 IFO (two component gradients) and is
+    followed by a finiteness check, so DivergenceError.steps counts the
+    steps up to and including the first non-finite iterate.
+    """
+    indptr, indices, data = problem.indptr, problem.indices, problem.data
+    deriv = problem.loss_deriv
+    shrink = 1.0 - eta * problem.mu
+    svrg = algorithm == "svrg"
+    x = x0.copy()
+    if svrg:
+        first = 1
+        c0 = problem.loss_derivs(x0).tolist()
+        drift = eta * (g - problem.mu * x0)
+    elif upto == 0:
+        return x
+    else:
+        first = 2
+        step = eta * g  # eta * v_k, the displacement x_k - x_{k+1}
+        x -= step
+        _check_finite(x, 1, config_id)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for done, i in enumerate(_picks(rng, problem.n, upto - first + 1),
+                                 start=first):
+            counter.count += 2
+            lo, hi = indptr[i], indptr[i + 1]
+            cols, vals = indices[lo:hi], data[lo:hi]
+            t = float(vals.dot(x[cols]))
+            if svrg:
+                x *= shrink
+                x -= drift
+                x[cols] -= (eta * (deriv(i, t) - c0[i])) * vals
+            else:
+                t_prev = t + float(vals.dot(step[cols]))
+                step *= shrink
+                step[cols] += (eta * (deriv(i, t) - deriv(i, t_prev))) * vals
+                x -= step
+            if not math.isfinite(x.dot(x)):
+                raise _diverged(x, done, config_id)
     return x
+
+
+def _one_loop(algorithm: str, problem: ErmProblem, x0: np.ndarray, eta: float,
+              m: int, averaging: AveragingScheme, rng: np.random.Generator,
+              counter: IfoCounter) -> InnerResult:
+    _resolve_scheme(algorithm, averaging)
+    g = problem.full_grad(x0, counter)
+    w = weights(averaging, m, problem.mu, eta)
+    snap = sample_snapshot_index(w, rng)
+    x = _inner_steps(problem, algorithm, x0, g, eta, snap, rng, counter)
+    return InnerResult(x, g, snap)
 
 
 def svrg_inner(problem: ErmProblem, x0: np.ndarray, eta: float, m: int,
@@ -276,12 +348,7 @@ def svrg_inner(problem: ErmProblem, x0: np.ndarray, eta: float, m: int,
     Raises:
         DivergenceError: a non-finite iterate appeared.
     """
-    _resolve_scheme("svrg", averaging)
-    g = problem.full_grad(x0, counter)
-    w = weights(averaging, m, problem.mu, eta)
-    snap = sample_snapshot_index(w, rng)
-    x = _svrg_steps(problem, x0, g, eta, snap, rng, counter)
-    return InnerResult(x, g, snap)
+    return _one_loop("svrg", problem, x0, eta, m, averaging, rng, counter)
 
 
 def sarah_inner(problem: ErmProblem, x0: np.ndarray, eta: float, m: int,
@@ -297,12 +364,7 @@ def sarah_inner(problem: ErmProblem, x0: np.ndarray, eta: float, m: int,
     Raises:
         DivergenceError: a non-finite iterate appeared.
     """
-    _resolve_scheme("sarah", averaging)
-    g = problem.full_grad(x0, counter)
-    w = weights(averaging, m, problem.mu, eta)
-    snap = sample_snapshot_index(w, rng)
-    x = _sarah_steps(problem, x0, g, eta, snap, rng, counter)
-    return InnerResult(x, g, snap)
+    return _one_loop("sarah", problem, x0, eta, m, averaging, rng, counter)
 
 
 def _validate(problem: ErmProblem, config: SolverConfig) -> None:
@@ -384,7 +446,7 @@ def run(problem: ErmProblem, config: SolverConfig, f_star: float | None = None,
                 value = problem.value(x) if f_star is not None else None
             if not math.isfinite(grad_sq) or \
                     (value is not None and not math.isfinite(value)):
-                raise DivergenceError(float(np.linalg.norm(x)), s, cid)
+                raise _diverged(x, s, cid)
             if value is not None:
                 gap = value - f_star
         points.append(TracePoint(s, eta_s, m_s, snap, counter.count, gap, grad_sq))
@@ -408,10 +470,11 @@ def run(problem: ErmProblem, config: SolverConfig, f_star: float | None = None,
                 continue
             if config.algorithm == "sgd":
                 eta_s = 0.05 / (big_l * s)  # epoch index n_e = s - 1
-                for k in range(n):
-                    i = int(rng.integers(n))
-                    x -= eta_s * problem.grad_component(i, x, counter)
-                    _check_finite(x, k + 1, cid)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for k, i in enumerate(_picks(rng, n, n), start=1):
+                        x -= eta_s * problem.grad_component(i, x, counter)
+                        if not math.isfinite(x.dot(x)):
+                            raise _diverged(x, k, cid)
                 record(s, eta_s, n, n)
                 continue
 
@@ -427,7 +490,7 @@ def run(problem: ErmProblem, config: SolverConfig, f_star: float | None = None,
                     eta_s = _resolve_eta0(config.step, config.inner, big_l, mu)
                 else:
                     eta_s = bb_step(state, config.step.theta_kappa, (big_l, mu))
-                    if eta_s is None:  # snapshot did not move; keep the old step
+                    if eta_s is None:  # snapshot moved by rounding only; keep the step
                         eta_s = eta_prev if eta_prev is not None else \
                             _resolve_eta0(config.step, config.inner, big_l, mu)
             eta_prev = eta_s
@@ -437,10 +500,8 @@ def run(problem: ErmProblem, config: SolverConfig, f_star: float | None = None,
                 m_s = max(2, math.ceil(config.inner.c / (mu * eta_s)))
             w = weights(config.averaging, m_s, mu, eta_s)
             snap = sample_snapshot_index(w, rng)
-            if config.algorithm == "svrg":
-                x = _svrg_steps(problem, x, g, eta_s, snap, rng, counter, cid)
-            else:
-                x = _sarah_steps(problem, x, g, eta_s, snap, rng, counter, cid)
+            x = _inner_steps(problem, config.algorithm, x, g, eta_s, snap,
+                             rng, counter, cid)
             record(s, eta_s, m_s, snap)
         except DivergenceError as err:
             if err.config_id is None:

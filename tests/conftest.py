@@ -30,7 +30,8 @@ def make_ridge(n=4, d=3, seed=0, mu=0.3):
 class ScriptedRng:
     """Stand-in generator that replays a fixed draw sequence, used to pin
     solver paths in enumeration tests. random() feeds the snapshot-index
-    draw; integers() feeds the per-step component picks."""
+    draw; integers() feeds the per-step component picks, one per call or
+    `size` of them as an array, like numpy's Generator."""
 
     def __init__(self, uniform=(), ints=()):
         self.uniform = list(uniform)
@@ -39,7 +40,9 @@ class ScriptedRng:
     def random(self):
         return self.uniform.pop(0)
 
-    def integers(self, n):
+    def integers(self, n, size=None):
+        if size is not None:
+            return np.array([self.integers(n) for _ in range(size)])
         i = self.ints.pop(0)
         assert 0 <= i < int(n)
         return i

@@ -82,6 +82,18 @@ def test_cache_round_trip_is_exact(tmp_path, monkeypatch):
     assert ref2.grad_norm == ref1.grad_norm
 
 
+def test_cache_write_interrupted_leaves_nothing(tmp_path, monkeypatch):
+    problem = make_logistic(12, 3, seed=46, kappa=8.0)
+
+    def interrupted(src, dst):
+        raise OSError("interrupted")
+
+    monkeypatch.setattr(vropt.harness.os, "replace", interrupted)
+    with pytest.raises(OSError, match="interrupted"):
+        cached_reference(problem, cache_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cache_file_format(tmp_path):
     problem = make_logistic(10, 4, seed=47, kappa=6.0)
     ref = cached_reference(problem, cache_dir=tmp_path)

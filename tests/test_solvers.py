@@ -7,10 +7,11 @@ import pytest
 from conftest import ScriptedRng, make_logistic, make_ridge
 from vropt import (AdaptiveLength, AveragingScheme, BarzilaiBorweinStep,
                    ConfigError, DivergenceError, FixedLength, FixedStep,
-                   IfoCounter, OuterState, RidgeProblem, SolverConfig,
-                   bb_step, cached_reference, compute_reference,
-                   default_theta_kappa, run, sarah_inner, svrg_inner,
-                   with_budget)
+                   IfoCounter, LogisticProblem, OuterState, RidgeProblem,
+                   SolverConfig, bb_step, bench_configs, cached_reference,
+                   compute_reference, default_theta_kappa,
+                   generate_synthetic, normalize_rows, run, run_experiment,
+                   sarah_inner, svrg_inner, with_budget)
 
 U = AveragingScheme.UNIFORM
 
@@ -106,6 +107,30 @@ def test_bb_step_constant_curvature():
 def test_bb_step_zero_displacement_returns_none():
     state = constant_curvature_state(2.0, [1.0, 1.0], [1.0, 1.0])
     assert bb_step(state, 4.0) is None
+
+
+def test_bb_step_one_ulp_displacement_returns_none():
+    # snapshots one ulp apart: dx and the sign of <dx, dg> are rounding
+    # noise, so the rule reuses the previous step instead of raising
+    x = np.array([6.0, -2.5, 0.75])
+    state = OuterState()
+    state.push(x, np.array([1e-16, 0.0, 0.0]))
+    state.push(np.nextafter(x, np.inf), np.array([-1e-16, 0.0, 0.0]))
+    assert bb_step(state, 4.0, constants=(1.0, 0.5)) is None
+
+
+def test_bb_sarah_converged_to_rounding_noise_completes():
+    # kappa = 100 reaches machine precision well inside 60 passes; the last
+    # secant pairs are ulp-sized, and seed 104 used to fail the interval
+    # assertion with eta = 5.12 outside [0.0396, 3.96]
+    problem = LogisticProblem(
+        normalize_rows(generate_synthetic(2000, 20, 1, 3.0)), 0.25 / 99.0)
+    for seed in (104, 141):
+        config, = [c for c in bench_configs(problem, seed=seed)
+                   if c.config_id == "bb_sarah_w"]
+        trace, = run_experiment(problem, [config], 60)
+        assert trace.final.ifo_total >= 60 * problem.n
+        assert trace.final.grad_sq < 1e-28
 
 
 def test_bb_step_errors():
