@@ -9,9 +9,9 @@ CSV and SVG emission.
 
 from .averaging import (AveragingScheme, WeightVector, sample_snapshot_index,
                         weights)
-from .dataset import (Dataset, LibsvmParseError, SparseVector,
-                      add_bias_column, generate_synthetic, normalize_rows,
-                      parse_libsvm, serialize_libsvm, write_libsvm)
+from .dataset import (Dataset, LibsvmParseError, add_bias_column,
+                      generate_synthetic, normalize_rows, parse_libsvm,
+                      serialize_libsvm, write_libsvm)
 from .harness import (RATE_HEADER, TRACE_HEADER, ReferenceOptimum,
                       bench_configs, cached_reference, compute_reference,
                       format_rate_csv, format_trace_csv, load_trace_csv,
@@ -24,15 +24,15 @@ from .rates import (FIGURE_IDS, GridRow, RateQuery, figure_grid, rate_grid,
                     svrg_weighted_within_guarantee)
 from .solvers import (AdaptiveLength, BarzilaiBorweinStep, ConfigError,
                       DivergenceError, FixedLength, FixedStep, InnerResult,
-                      OuterState, SolverConfig, bb_step, default_theta_kappa,
-                      run, sarah_inner, svrg_inner, with_budget)
+                      SolverConfig, bb_step, default_theta_kappa, run,
+                      sarah_inner, svrg_inner)
 from .trace import Trace, TracePoint
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AveragingScheme", "WeightVector", "weights", "sample_snapshot_index",
-    "Dataset", "SparseVector", "LibsvmParseError", "parse_libsvm",
+    "Dataset", "LibsvmParseError", "parse_libsvm",
     "serialize_libsvm", "write_libsvm", "generate_synthetic",
     "normalize_rows", "add_bias_column",
     "ErmProblem", "IfoCounter", "LogisticProblem", "RidgeProblem",
@@ -41,9 +41,9 @@ __all__ = [
     "rate_sarah_last", "svrg_weighted_within_guarantee", "rate_grid",
     "figure_grid",
     "SolverConfig", "FixedStep", "BarzilaiBorweinStep", "FixedLength",
-    "AdaptiveLength", "OuterState", "InnerResult", "ConfigError",
+    "AdaptiveLength", "InnerResult", "ConfigError",
     "DivergenceError", "bb_step", "default_theta_kappa", "svrg_inner",
-    "sarah_inner", "run", "with_budget",
+    "sarah_inner", "run",
     "Trace", "TracePoint",
     "ReferenceOptimum", "compute_reference", "cached_reference",
     "problem_key", "run_experiment", "bench_configs", "format_trace_csv",

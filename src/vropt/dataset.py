@@ -2,19 +2,18 @@
 row normalization.
 
 Conventions: feature indices are 1-based on disk (LIBSVM) and 0-based in memory;
-labels are strictly -1/+1; rows are stored in canonical sparse form (strictly
-increasing indices, no explicit zeros). Datasets are immutable after
-construction and safe to share across threads.
+labels are strictly -1/+1; rows are stored in canonical CSR form (strictly
+increasing indices within a row, no explicit zeros). Datasets are immutable
+after construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 __all__ = [
-    "SparseVector",
     "Dataset",
     "LibsvmParseError",
     "parse_libsvm",
@@ -30,128 +29,99 @@ class LibsvmParseError(ValueError):
     """Malformed LIBSVM input; the message carries the 1-based line number."""
 
 
-class SparseVector:
-    """One feature row: parallel (indices, values) arrays plus the row dimension.
+_MAX_INDEX = int(np.iinfo(np.intp).max)  # largest 1-based index np.intp holds
 
-    Invariants: indices strictly increasing, all < dim; no stored zero values.
-    Arrays are read-only views; instances are immutable.
-    """
 
-    __slots__ = ("indices", "values", "dim")
-
-    def __init__(self, indices: Sequence[int], values: Sequence[float], dim: int):
-        idx = np.asarray(indices, dtype=np.int64)
-        val = np.asarray(values, dtype=np.float64)
-        if idx.ndim != 1 or val.ndim != 1 or idx.shape != val.shape:
-            raise ValueError("indices and values must be 1-D arrays of equal length")
-        if int(dim) < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
-        if idx.size:
-            if np.any(np.diff(idx) <= 0):
-                raise ValueError("indices must be strictly increasing")
-            if idx[0] < 0 or idx[-1] >= dim:
-                raise ValueError(f"indices must lie in [0, {dim}), got range "
-                                 f"[{idx[0]}, {idx[-1]}]")
-            if np.any(val == 0.0):
-                raise ValueError("canonical sparse form stores no zero values")
-        idx = idx.copy()
-        val = val.copy()
-        idx.setflags(write=False)
-        val.setflags(write=False)
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "values", val)
-        object.__setattr__(self, "dim", int(dim))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SparseVector is immutable")
-
-    @property
-    def nnz(self) -> int:
-        return int(self.indices.size)
-
-    def sq_norm(self) -> float:
-        return float(self.values @ self.values)
-
-    def dot(self, x: np.ndarray) -> float:
-        """Inner product with a dense vector of matching dimension."""
-        return float(self.values @ x[self.indices])
-
-    def add_scaled_into(self, coeff: float, out: np.ndarray) -> None:
-        """out[indices] += coeff * values (scatter-add, in place)."""
-        out[self.indices] += coeff * self.values
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.dim)
-        out[self.indices] = self.values
-        return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SparseVector):
-            return NotImplemented
-        return (self.dim == other.dim
-                and np.array_equal(self.indices, other.indices)
-                and np.array_equal(self.values, other.values))
-
-    def __hash__(self):
-        return hash((self.dim, self.indices.tobytes(), self.values.tobytes()))
-
-    def __repr__(self):
-        return f"SparseVector(nnz={self.nnz}, dim={self.dim})"
+def _frozen(values, dtype) -> np.ndarray:
+    a = np.array(values, dtype=dtype)
+    if a.ndim != 1:
+        raise ValueError("dataset arrays must be 1-D")
+    a.setflags(write=False)
+    return a
 
 
 class Dataset:
-    """Immutable collection of (row, label) pairs with precomputed row norms.
+    """Immutable CSR collection of (row, label) pairs with precomputed row norms.
+
+    Row i has the values data[indptr[i]:indptr[i+1]] at the 0-based columns
+    indices[indptr[i]:indptr[i+1]]. Every array is a read-only copy of the
+    constructor's input.
 
     Attributes:
-        rows: tuple of SparseVector, length n.
+        indptr: np.intp array of row offsets, length n + 1.
+        indices: np.intp array of column indices, strictly increasing within
+            each row and inside [0, dim).
+        data: float64 array of the stored values, none of them zero.
         labels: int8 array of -1/+1, length n.
         dim: feature dimension shared by every row.
         row_sq_norms: float array, exact sum of squared stored values per row.
     """
 
-    __slots__ = ("rows", "labels", "dim", "row_sq_norms")
+    __slots__ = ("indptr", "indices", "data", "labels", "dim", "row_sq_norms")
 
-    def __init__(self, rows: Sequence[SparseVector], labels: Sequence[int], dim: int):
-        rows = tuple(rows)
-        lab = np.asarray(labels, dtype=np.int8)
-        if len(rows) < 1:
+    def __init__(self, indptr, indices, data, labels, dim: int):
+        indptr = _frozen(indptr, np.intp)
+        indices = _frozen(indices, np.intp)
+        data = _frozen(data, np.float64)
+        lab = _frozen(labels, np.int8)
+        dim = int(dim)
+        n = indptr.size - 1
+        if n < 1:
             raise ValueError("dataset needs at least one row")
-        if lab.shape != (len(rows),):
-            raise ValueError(f"{len(rows)} rows but {lab.size} labels")
+        if dim < 1:
+            raise ValueError(f"dim must be >= 1, got {dim}")
+        if lab.size != n:
+            raise ValueError(f"{n} rows but {lab.size} labels")
         if not np.all(np.isin(lab, (-1, 1))):
             bad = lab[~np.isin(lab, (-1, 1))][0]
             raise ValueError(f"labels must be -1 or +1, got {bad}")
-        for i, r in enumerate(rows):
-            if r.dim != dim:
-                raise ValueError(f"row {i} has dim {r.dim}, dataset dim is {dim}")
-        norms = np.array([r.sq_norm() for r in rows])
-        lab = lab.copy()
-        lab.setflags(write=False)
+        nnz = indices.size
+        if data.size != nnz:
+            raise ValueError(f"{nnz} indices but {data.size} values")
+        if indptr[0] != 0 or indptr[-1] != nnz or np.any(np.diff(indptr) < 0):
+            raise ValueError(f"indptr must rise from 0 to nnz = {nnz}")
+        if nnz:
+            if indices.min() < 0 or indices.max() >= dim:
+                raise ValueError(f"indices must lie in [0, {dim}), got range "
+                                 f"[{indices.min()}, {indices.max()}]")
+            # a step that starts a row may go down; any other must go up
+            within = np.ones(nnz, dtype=bool)
+            within[indptr[:-1][indptr[:-1] < nnz]] = False
+            if np.any(np.diff(indices)[within[1:]] <= 0):
+                raise ValueError("indices must be strictly increasing in a row")
+            if np.any(data == 0.0):
+                raise ValueError("canonical sparse form stores no zero values")
+        # one dot product per row, the rounding the rows' norms always had
+        norms = np.array([float(v @ v) for v in np.split(data, indptr[1:-1])])
         norms.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "labels", lab)
-        object.__setattr__(self, "dim", int(dim))
-        object.__setattr__(self, "row_sq_norms", norms)
+        for name, value in (("indptr", indptr), ("indices", indices),
+                            ("data", data), ("labels", lab), ("dim", dim),
+                            ("row_sq_norms", norms)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Dataset is immutable")
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return self.labels.size
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
         return (self.dim == other.dim
                 and np.array_equal(self.labels, other.labels)
-                and self.rows == other.rows)
+                and np.array_equal(self.indptr, other.indptr)
+                and np.array_equal(self.indices, other.indices)
+                and np.array_equal(self.data, other.data))
 
     def __repr__(self):
         return f"Dataset(n={self.n}, dim={self.dim})"
 
 
-def _parse_line(line: str, line_no: int) -> tuple[int, list[int], list[float]]:
+def _parse_line(line: str, line_no: int, indices: list[int],
+                values: list[float]) -> int:
+    """Append one line's entries to the flat lists; returns its label."""
     tokens = line.split()
     label_tok = tokens[0]
     if label_tok in ("+1", "1"):
@@ -160,8 +130,6 @@ def _parse_line(line: str, line_no: int) -> tuple[int, list[int], list[float]]:
         label = -1
     else:
         raise LibsvmParseError(f"line {line_no}: unrecognized label {label_tok!r}")
-    indices: list[int] = []
-    values: list[float] = []
     prev = 0  # file indices are 1-based, so 0 floors the increasing check
     for tok in tokens[1:]:
         idx_s, sep, val_s = tok.partition(":")
@@ -175,6 +143,8 @@ def _parse_line(line: str, line_no: int) -> tuple[int, list[int], list[float]]:
                 f"line {line_no}: malformed token {tok!r}") from None
         if idx < 1:
             raise LibsvmParseError(f"line {line_no}: index {idx} is not positive")
+        if idx > _MAX_INDEX:
+            raise LibsvmParseError(f"line {line_no}: index {idx} is too large")
         if idx <= prev:
             raise LibsvmParseError(
                 f"line {line_no}: index {idx} not increasing (after {prev})")
@@ -183,7 +153,7 @@ def _parse_line(line: str, line_no: int) -> tuple[int, list[int], list[float]]:
             continue
         indices.append(idx - 1)
         values.append(val)
-    return label, indices, values
+    return label
 
 
 def parse_libsvm(source: str | Iterable[str], dim: int | None = None) -> Dataset:
@@ -204,36 +174,36 @@ def parse_libsvm(source: str | Iterable[str], dim: int | None = None) -> Dataset
     """
     lines = source.splitlines() if isinstance(source, str) else source
     labels: list[int] = []
-    parsed: list[tuple[list[int], list[float]]] = []
-    max_idx = 0  # 0-based; stays 0 if every row is empty
+    indptr = [0]
+    indices: list[int] = []
+    values: list[float] = []
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        label, idx, val = _parse_line(line, line_no)
-        labels.append(label)
-        parsed.append((idx, val))
-        if idx:
-            max_idx = max(max_idx, idx[-1])
+        labels.append(_parse_line(line, line_no, indices, values))
+        indptr.append(len(indices))
     if not labels:
         raise LibsvmParseError("no data rows found")
-    inferred = max_idx + 1
+    inferred = max(indices, default=0) + 1  # dim 1 if every row is empty
     if dim is None:
         dim = inferred
     elif dim < inferred:
         raise LibsvmParseError(
             f"dim override {dim} is smaller than observed dimension {inferred}")
-    rows = [SparseVector(i, v, dim) for i, v in parsed]
-    return Dataset(rows, labels, dim)
+    return Dataset(indptr, indices, values, labels, dim)
 
 
 def serialize_libsvm(ds: Dataset) -> str:
     """Canonical writer: "label idx:val ...", 1-based indices, shortest
     round-trip decimals, one trailing newline."""
+    indptr = ds.indptr.tolist()
+    cols = (ds.indices + 1).tolist()
+    vals = ds.data.tolist()
     out = []
-    for row, label in zip(ds.rows, ds.labels):
+    for i, label in enumerate(ds.labels.tolist()):
+        lo, hi = indptr[i], indptr[i + 1]
         parts = ["+1" if label == 1 else "-1"]
-        parts.extend(f"{int(i) + 1}:{float(v)!r}"
-                     for i, v in zip(row.indices, row.values))
+        parts.extend(f"{c}:{v!r}" for c, v in zip(cols[lo:hi], vals[lo:hi]))
         out.append(" ".join(parts))
     return "\n".join(out) + "\n"
 
@@ -270,15 +240,14 @@ def generate_synthetic(n: int, d: int, seed: int, separation: float) -> Dataset:
     labels = np.where(np.arange(n) < (n + 1) // 2, 1, -1)[rng.permutation(n)]
     dense = labels[:, None] * (separation / 2.0) * direction + rng.standard_normal((n, d))
     keep = rng.random((n, d)) < 0.5
-    rows = []
-    for i in range(n):
-        mask = keep[i]
-        if not mask.any():
-            mask = np.zeros(d, dtype=bool)
-            mask[int(np.argmax(np.abs(dense[i])))] = True
-        idx = np.flatnonzero(mask & (dense[i] != 0.0))
-        rows.append(SparseVector(idx, dense[i, idx], d))
-    return Dataset(rows, labels, d)
+    # a row that kept nothing keeps its largest-magnitude entry instead
+    empty = np.flatnonzero(~keep.any(axis=1))
+    keep[empty, np.argmax(np.abs(dense[empty]), axis=1)] = True
+    keep &= dense != 0.0
+    rows, cols = np.nonzero(keep)
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    return Dataset(indptr, cols, dense[rows, cols], labels, d)
 
 
 def normalize_rows(ds: Dataset) -> Dataset:
@@ -287,20 +256,17 @@ def normalize_rows(ds: Dataset) -> Dataset:
     Raises:
         ValueError: some row has zero norm (names the row index).
     """
-    rows = []
-    for i, row in enumerate(ds.rows):
-        norm = np.sqrt(row.sq_norm())
-        if norm == 0.0:
-            raise ValueError(f"row {i} has zero norm and cannot be normalized")
-        rows.append(SparseVector(row.indices, row.values / norm, ds.dim))
-    return Dataset(rows, ds.labels, ds.dim)
+    norms = np.sqrt(ds.row_sq_norms)
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise ValueError(f"row {zero[0]} has zero norm and cannot be normalized")
+    data = ds.data / np.repeat(norms, np.diff(ds.indptr))
+    return Dataset(ds.indptr, ds.indices, data, ds.labels, ds.dim)
 
 
 def add_bias_column(ds: Dataset) -> Dataset:
     """Append a constant-1 feature as the last column (dim grows by one)."""
-    dim = ds.dim + 1
-    rows = [
-        SparseVector(np.append(r.indices, ds.dim), np.append(r.values, 1.0), dim)
-        for r in ds.rows
-    ]
-    return Dataset(rows, ds.labels, dim)
+    ends = ds.indptr[1:]
+    return Dataset(ds.indptr + np.arange(ds.n + 1),
+                   np.insert(ds.indices, ends, ds.dim),
+                   np.insert(ds.data, ends, 1.0), ds.labels, ds.dim + 1)

@@ -22,7 +22,8 @@ import numpy as np
 
 from .averaging import AveragingScheme
 from .problems import ErmProblem, LogisticProblem, RidgeProblem
-from .dataset import serialize_libsvm
+# not used here; perfbench/tracing.py patches vropt.harness.serialize_libsvm
+from .dataset import serialize_libsvm  # noqa: F401
 from .rates import GridRow
 from .solvers import (AdaptiveLength, BarzilaiBorweinStep, ConfigError,
                       FixedLength, FixedStep, SolverConfig, run)
@@ -89,11 +90,17 @@ def compute_reference(problem: ErmProblem, tol: float = 1e-10) -> ReferenceOptim
 
 
 def problem_key(problem: ErmProblem) -> str:
-    """Content hash of the dataset and mu; keys the reference cache."""
+    """Content hash of the data, its dimension and mu; keys the reference
+    cache. Arrays are hashed in fixed little-endian dtypes, so the key does
+    not depend on the platform's integer width."""
     h = hashlib.sha256()
     if isinstance(problem, LogisticProblem):
-        h.update(b"logistic\n")
-        h.update(serialize_libsvm(problem.dataset).encode("utf-8"))
+        ds = problem.dataset
+        h.update(f"logistic n={ds.n} nnz={ds.indices.size} "
+                 f"dim={ds.dim}\n".encode("utf-8"))
+        for array, dtype in ((ds.indptr, "<i8"), (ds.indices, "<i8"),
+                             (ds.data, "<f8"), (ds.labels, "i1")):
+            h.update(array.astype(dtype, copy=False).tobytes())
     elif isinstance(problem, RidgeProblem):
         h.update(b"ridge\n")
         h.update(np.ascontiguousarray(problem._A).tobytes())

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from .dataset import Dataset
+from .dataset import Dataset, add_bias_column
 
 __all__ = ["IfoCounter", "ErmProblem", "LogisticProblem", "RidgeProblem"]
 
@@ -143,7 +143,6 @@ class LogisticProblem(ErmProblem):
         if mu < 0:
             raise ValueError(f"mu must be >= 0, got {mu}")
         if add_bias:
-            from .dataset import add_bias_column
             dataset = add_bias_column(dataset)
         self.dataset = dataset
         self.n = dataset.n
@@ -152,16 +151,14 @@ class LogisticProblem(ErmProblem):
         self._labels = dataset.labels.astype(np.float64)
         self._b = self._labels.tolist()
         self._L = float(np.max(dataset.row_sq_norms) / 4.0 + self.mu)
-        # CSR copy of the rows for every gradient and value path
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        indptr[1:] = np.cumsum([r.nnz for r in dataset.rows])
-        indices = np.concatenate([r.indices for r in dataset.rows]) \
-            if indptr[-1] else np.zeros(0, dtype=np.int64)
-        data = np.concatenate([r.values for r in dataset.rows]) \
-            if indptr[-1] else np.zeros(0)
-        self._csr = sp.csr_matrix((data, indices, indptr), shape=(self.n, self.d))
-        # scipy may narrow its own copy to int32, which numpy indexes slowly
-        self.indptr, self.indices, self.data = indptr.tolist(), indices, data
+        # the dataset's own read-only arrays serve every gradient and value
+        # path; scipy may narrow its index copy to int32, which numpy
+        # indexes slowly, so the kernel reads the dataset's np.intp indices
+        self._csr = sp.csr_matrix(
+            (dataset.data, dataset.indices, dataset.indptr),
+            shape=(self.n, self.d))
+        self.indptr = dataset.indptr.tolist()
+        self.indices, self.data = dataset.indices, dataset.data
 
     @property
     def smoothness(self) -> float:

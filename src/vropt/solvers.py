@@ -25,7 +25,7 @@ DivergenceError names the first step whose iterate left the floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .trace import Trace, TracePoint
 
 __all__ = [
     "FixedStep", "BarzilaiBorweinStep", "FixedLength", "AdaptiveLength",
-    "SolverConfig", "OuterState", "ConfigError", "DivergenceError",
+    "SolverConfig", "ConfigError", "DivergenceError",
     "InnerResult", "svrg_inner", "sarah_inner", "bb_step", "run",
     "default_theta_kappa",
 ]
@@ -155,27 +155,6 @@ class SolverConfig:
         return self.name if self.name is not None else self.algorithm
 
 
-@dataclass
-class OuterState:
-    """Sliding window of the two most recent snapshots and their full
-    gradients, consumed by bb_step."""
-
-    x_tilde_prev: np.ndarray | None = None
-    x_tilde_prev2: np.ndarray | None = None
-    g_prev: np.ndarray | None = None
-    g_prev2: np.ndarray | None = None
-
-    def push(self, x_tilde: np.ndarray, g: np.ndarray) -> None:
-        self.x_tilde_prev2 = self.x_tilde_prev
-        self.g_prev2 = self.g_prev
-        self.x_tilde_prev = x_tilde
-        self.g_prev = g
-
-    @property
-    def ready(self) -> bool:
-        return self.x_tilde_prev2 is not None
-
-
 @dataclass(frozen=True)
 class InnerResult:
     x_next: np.ndarray
@@ -186,12 +165,15 @@ class InnerResult:
 _EPS2 = float(np.finfo(np.float64).eps) ** 2
 
 
-def bb_step(state: OuterState, theta_kappa: float,
+def bb_step(prev: tuple[np.ndarray, np.ndarray],
+            cur: tuple[np.ndarray, np.ndarray], theta_kappa: float,
             constants: tuple[float, float] | None = None) -> float | None:
-    """Barzilai-Borwein outer step from the stored secant pair.
+    """Barzilai-Borwein outer step from the secant pair of two snapshots.
 
-    Returns eta_s = ||dx||^2 / (theta_kappa * <dx, dg>), or None when the
-    snapshots coincide to working precision, ||dx|| <= eps * ||x_tilde_prev||
+    prev and cur are (snapshot, full gradient) of the previous and the
+    current outer loop; dx and dg are their differences. Returns
+    eta_s = ||dx||^2 / (theta_kappa * <dx, dg>), or None when the
+    snapshots coincide to working precision, ||dx|| <= eps * ||x_cur||
     with eps the float64 machine epsilon (caller should reuse the previous
     step): such a displacement, and the sign of <dx, dg> with it, is the
     rounding noise of a converged run, not curvature. When problem constants
@@ -200,16 +182,15 @@ def bb_step(state: OuterState, theta_kappa: float,
     smoothness guarantee.
 
     Raises:
-        ValueError: missing snapshots, or a non-positive secant product
-            (impossible for a strongly convex objective with finite state).
+        ValueError: a non-positive secant product (impossible for a strongly
+            convex objective with finite state).
     """
-    if not state.ready or state.g_prev2 is None:
-        raise ValueError("bb_step needs two snapshots with stored gradients")
-    dx = state.x_tilde_prev - state.x_tilde_prev2
+    (x_prev, g_prev), (x_cur, g_cur) = prev, cur
+    dx = x_cur - x_prev
     sq = float(dx @ dx)
-    if sq <= _EPS2 * float(state.x_tilde_prev @ state.x_tilde_prev):
+    if sq <= _EPS2 * float(x_cur @ x_cur):
         return None
-    dg = state.g_prev - state.g_prev2
+    dg = g_cur - g_prev
     den = float(dx @ dg)
     if not den > 0.0:
         raise ValueError(
@@ -452,7 +433,8 @@ def run(problem: ErmProblem, config: SolverConfig, f_star: float | None = None,
         points.append(TracePoint(s, eta_s, m_s, snap, counter.count, gap, grad_sq))
 
     record(0, None, None, None)
-    state = OuterState()
+    # the previous loop's snapshot and full gradient, for the BB secant
+    x_prev = g_prev = None
     eta_prev: float | None = None
     s = 0
     while True:
@@ -482,18 +464,16 @@ def run(problem: ErmProblem, config: SolverConfig, f_star: float | None = None,
             # secant for loop s uses grad f at the two latest snapshots
             g = problem.full_grad(x, counter)
             _check_finite(g, s, cid)
-            state.push(x, g)
             if isinstance(config.step, FixedStep):
                 eta_s = config.step.eta
+            elif s <= 2:
+                eta_s = _resolve_eta0(config.step, config.inner, big_l, mu)
             else:
-                if s <= 2 or not state.ready:
-                    eta_s = _resolve_eta0(config.step, config.inner, big_l, mu)
-                else:
-                    eta_s = bb_step(state, config.step.theta_kappa, (big_l, mu))
-                    if eta_s is None:  # snapshot moved by rounding only; keep the step
-                        eta_s = eta_prev if eta_prev is not None else \
-                            _resolve_eta0(config.step, config.inner, big_l, mu)
-            eta_prev = eta_s
+                eta_s = bb_step((x_prev, g_prev), (x, g),
+                                config.step.theta_kappa, (big_l, mu))
+                if eta_s is None:  # snapshot moved by rounding only; keep the step
+                    eta_s = eta_prev
+            x_prev, g_prev, eta_prev = x, g, eta_s
             if isinstance(config.inner, FixedLength):
                 m_s = config.inner.m
             else:
@@ -509,11 +489,3 @@ def run(problem: ErmProblem, config: SolverConfig, f_star: float | None = None,
             raise
     return Trace(cid, n, tuple(points))
 
-
-def with_budget(config: SolverConfig, ifo_budget: int,
-                seed: int | None = None) -> SolverConfig:
-    """Copy a config with a new IFO budget (and optionally a new seed)."""
-    kwargs = {"ifo_budget": ifo_budget}
-    if seed is not None:
-        kwargs["seed"] = seed
-    return replace(config, **kwargs)

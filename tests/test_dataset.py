@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from vropt import (Dataset, LibsvmParseError, SparseVector, add_bias_column,
+from vropt import (Dataset, LibsvmParseError, add_bias_column,
                    compute_reference, generate_synthetic, normalize_rows,
                    parse_libsvm, serialize_libsvm, write_libsvm,
                    LogisticProblem)
+
+
+def to_dense(ds):
+    return sp.csr_matrix((ds.data, ds.indices, ds.indptr),
+                         shape=(ds.n, ds.dim)).toarray()
 
 
 def test_parse_basic_and_label_aliases():
@@ -12,15 +20,16 @@ def test_parse_basic_and_label_aliases():
     ds = parse_libsvm(text)
     assert ds.n == 4 and ds.dim == 3
     assert list(ds.labels) == [1, 1, -1, -1]
-    assert ds.rows[0].to_dense().tolist() == [0.5, 0.0, -2.0]
-    assert ds.rows[1].to_dense().tolist() == [0.0, 1.5, 0.0]
+    dense = to_dense(ds)
+    assert dense[0].tolist() == [0.5, 0.0, -2.0]
+    assert dense[1].tolist() == [0.0, 1.5, 0.0]
 
 
 def test_parse_skips_blank_lines_and_drops_zeros():
     ds = parse_libsvm("+1 1:0.0 2:3.0\n\n-1 1:1.0\n")
     assert ds.n == 2
-    assert ds.rows[0].nnz == 1
-    assert ds.rows[0].to_dense().tolist() == [0.0, 3.0]
+    assert ds.indptr[1] == 1
+    assert to_dense(ds)[0].tolist() == [0.0, 3.0]
 
 
 @pytest.mark.parametrize("bad,line", [
@@ -30,6 +39,7 @@ def test_parse_skips_blank_lines_and_drops_zeros():
     ("+1 3:0.5 2:1.0\n", 1),
     ("+2 1:0.5\n", 1),
     ("+1 1:abc\n", 1),
+    ("+1 1:0.5\n-1 99999999999999999999:1.0\n", 2),
 ])
 def test_parse_errors_carry_line_numbers(bad, line):
     with pytest.raises(LibsvmParseError, match=f"line {line}"):
@@ -70,7 +80,7 @@ def test_synthetic_shapes_and_determinism():
     assert a != c
     assert a.n == 31 and a.dim == 6
     assert sorted(np.bincount((a.labels + 1) // 2, minlength=2)) == [15, 16]
-    assert all(r.nnz >= 1 for r in a.rows)
+    assert np.all(np.diff(a.indptr) >= 1)
 
 
 def test_synthetic_validation():
@@ -84,7 +94,7 @@ def test_synthetic_is_separable_enough():
     # well-separated classes must be nearly linearly classifiable
     ds = generate_synthetic(50, 5, seed=3, separation=5.0)
     ref = compute_reference(LogisticProblem(ds, 0.01))
-    preds = np.sign([row.dot(ref.x_star) for row in ds.rows])
+    preds = np.sign(to_dense(ds) @ ref.x_star)
     assert float(np.mean(preds == ds.labels)) > 0.9
 
 
@@ -94,14 +104,12 @@ def test_normalize_rows():
     assert np.allclose(nds.row_sq_norms, 1.0, atol=1e-12)
     # labels and sparsity pattern untouched
     assert list(nds.labels) == list(ds.labels)
-    assert all(a.nnz == b.nnz for a, b in zip(nds.rows, ds.rows))
+    assert np.array_equal(nds.indptr, ds.indptr)
+    assert np.array_equal(nds.indices, ds.indices)
 
 
 def test_normalize_rejects_zero_row():
-    ds = Dataset((SparseVector(np.array([0]), np.array([1.0]), 2),
-                  SparseVector(np.array([], dtype=np.int64),
-                               np.array([]), 2)),
-                 np.array([1, -1], dtype=np.int8), 2)
+    ds = Dataset([0, 1, 1], [0], [1.0], [1, -1], 2)
     with pytest.raises(ValueError, match="row 1"):
         normalize_rows(ds)
 
@@ -110,33 +118,137 @@ def test_add_bias_column():
     ds = generate_synthetic(12, 3, seed=5, separation=2.0)
     bds = add_bias_column(ds)
     assert bds.dim == ds.dim + 1
-    dense = np.array([r.to_dense() for r in bds.rows])
+    dense = to_dense(bds)
     assert np.all(dense[:, -1] == 1.0)
-    assert np.array_equal(dense[:, :-1],
-                          np.array([r.to_dense() for r in ds.rows]))
+    assert np.array_equal(dense[:, :-1], to_dense(ds))
 
 
-def test_sparse_vector_ops_match_dense():
-    rng = np.random.default_rng(7)
-    idx = np.array([1, 4, 6])
-    val = rng.standard_normal(3)
-    sv = SparseVector(idx, val, 8)
-    dense = sv.to_dense()
-    x = rng.standard_normal(8)
-    assert sv.dot(x) == pytest.approx(float(dense @ x), rel=1e-15)
-    assert sv.sq_norm() == pytest.approx(float(dense @ dense), rel=1e-15)
-    out = rng.standard_normal(8)
-    expect = out + 2.5 * dense
-    sv.add_scaled_into(2.5, out)
-    assert np.allclose(out, expect, atol=1e-15)
+def test_row_sq_norms_match_dense():
+    ds = generate_synthetic(30, 8, seed=7, separation=2.0)
+    dense = to_dense(ds)
+    assert ds.row_sq_norms == pytest.approx(
+        np.einsum("ij,ij->i", dense, dense), rel=1e-15)
 
 
-def test_sparse_vector_validation():
+def row_loop_synthetic(n, d, seed, separation):
+    """generate_synthetic built one row at a time, as before it worked on
+    the whole keep mask at once."""
+    rng = np.random.default_rng(seed)
+    direction = rng.standard_normal(d)
+    direction /= np.linalg.norm(direction)
+    labels = np.where(np.arange(n) < (n + 1) // 2, 1, -1)[rng.permutation(n)]
+    dense = labels[:, None] * (separation / 2.0) * direction \
+        + rng.standard_normal((n, d))
+    keep = rng.random((n, d)) < 0.5
+    indptr, indices, data = [0], [], []
+    for i in range(n):
+        mask = keep[i]
+        if not mask.any():
+            mask = np.zeros(d, dtype=bool)
+            mask[int(np.argmax(np.abs(dense[i])))] = True
+        idx = np.flatnonzero(mask & (dense[i] != 0.0))
+        indices += idx.tolist()
+        data += dense[i, idx].tolist()
+        indptr.append(len(indices))
+    return Dataset(indptr, indices, data, labels, d)
+
+
+@pytest.mark.parametrize("n,d,seed", [(20, 1, 0), (25, 2, 1), (40, 3, 2),
+                                      (31, 6, 9), (60, 20, 101)])
+def test_array_transforms_match_row_loops(n, d, seed):
+    # d <= 3 leaves some rows with an empty keep mask
+    ds = generate_synthetic(n, d, seed, 2.0)
+    assert ds == row_loop_synthetic(n, d, seed, 2.0)
+    rows = np.split(ds.data, ds.indptr[1:-1])
+    assert ds.row_sq_norms.tolist() == [float(v @ v) for v in rows]
+    nds = normalize_rows(ds)
+    assert nds.data.tolist() == \
+        np.concatenate([v / np.sqrt(v @ v) for v in rows]).tolist()
+
+
+def test_arrays_are_read_only_copies():
+    indptr, indices, data = [0, 2, 3], np.array([0, 2]), np.array([1.0, -2.0])
+    ds = Dataset(indptr, np.append(indices, 1), np.append(data, 3.0),
+                 [1, -1], 3)
+    for a in (ds.indptr, ds.indices, ds.data, ds.labels, ds.row_sq_norms):
+        assert not a.flags.writeable
+    assert ds.indices.dtype == np.intp and ds.indptr.dtype == np.intp
+    with pytest.raises(AttributeError):
+        ds.dim = 4
+
+
+@pytest.mark.parametrize("indptr,indices,data,labels,dim", [
+    ([0], [], [], [], 3),  # no rows
+    ([0, 1], [0], [1.0], [1], 0),  # dim < 1
+    ([0, 1], [0], [1.0], [1, 1], 3),  # label count
+    ([0, 2], [0], [1.0], [1], 3),  # indptr does not end at nnz
+    ([1, 1], [0], [1.0], [1], 3),  # indptr does not start at 0
+    ([0, 1], [0, 1], [1.0], [1], 3),  # indices and values differ in length
+])
+def test_dataset_rejects_malformed_layout(indptr, indices, data, labels, dim):
     with pytest.raises(ValueError):
-        SparseVector(np.array([3, 1]), np.array([1.0, 2.0]), 5)
+        Dataset(indptr, indices, data, labels, dim)
+
+
+# ------------------------------------------------------------ properties
+
+@st.composite
+def canonical_csr(draw):
+    """(indptr, indices, data, labels, dim) of a canonical dataset; rows may
+    be empty and dim may exceed the largest stored column."""
+    dim = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 6))
+    values = st.floats(allow_nan=False, allow_infinity=False).filter(bool)
+    indptr, indices, data = [0], [], []
+    for _ in range(n):
+        cols = sorted(draw(st.sets(st.integers(0, dim - 1), max_size=dim)))
+        indices += cols
+        data += draw(st.lists(values, min_size=len(cols), max_size=len(cols)))
+        indptr.append(len(indices))
+    labels = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+    return indptr, indices, data, labels, dim
+
+
+# values span every finite float, so some squared row norms overflow to inf
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(parts=canonical_csr())
+def test_serialize_parse_is_identity(parts):
+    ds = Dataset(*parts)
+    text = serialize_libsvm(ds)
+    again = parse_libsvm(text, dim=ds.dim)
+    assert again == ds
+    assert serialize_libsvm(again) == text
+    inferred = parse_libsvm(text)
+    assert inferred.dim == max(parts[1], default=0) + 1
+    assert np.array_equal(inferred.data, ds.data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(parts=canonical_csr(), kind=st.sampled_from(
+    ["decreasing", "duplicate", "below", "above", "zero", "label"]),
+    data=st.data())
+def test_non_canonical_arrays_rejected(parts, kind, data):
+    indptr, indices, values, labels, dim = parts
+    indices, values, labels = list(indices), list(values), list(labels)
+    if kind in ("decreasing", "duplicate"):
+        pairs = [k for k in range(len(indices) - 1)
+                 if k + 1 not in indptr]  # k and k + 1 share a row
+        assume(pairs)
+        k = data.draw(st.sampled_from(pairs))
+        if kind == "decreasing":
+            indices[k], indices[k + 1] = indices[k + 1], indices[k]
+        else:
+            indices[k + 1] = indices[k]
+    elif kind == "label":
+        i = data.draw(st.integers(0, len(labels) - 1))
+        labels[i] = data.draw(st.sampled_from([0, 2, -2]))
+    else:
+        assume(indices)
+        k = data.draw(st.integers(0, len(indices) - 1))
+        if kind == "zero":
+            values[k] = 0.0
+        else:
+            indices[k] = -1 if kind == "below" else dim
     with pytest.raises(ValueError):
-        SparseVector(np.array([1, 1]), np.array([1.0, 2.0]), 5)
-    with pytest.raises(ValueError):
-        SparseVector(np.array([5]), np.array([1.0]), 5)
-    with pytest.raises(ValueError):
-        SparseVector(np.array([2]), np.array([0.0]), 5)
+        Dataset(indptr, indices, values, labels, dim)

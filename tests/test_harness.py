@@ -4,11 +4,12 @@ import pytest
 import vropt.harness
 from conftest import make_logistic, make_ridge
 from vropt import (AveragingScheme, ConfigError, FixedLength, FixedStep,
-                   GridRow, RATE_HEADER, SolverConfig, TRACE_HEADER, Trace,
-                   TracePoint, bench_configs, cached_reference,
-                   compute_reference, format_rate_csv, format_trace_csv,
-                   load_trace_csv, problem_key, run_experiment,
-                   write_trace_csv)
+                   GridRow, LogisticProblem, RATE_HEADER, SolverConfig,
+                   TRACE_HEADER, Trace, TracePoint, bench_configs,
+                   cached_reference, compute_reference, format_rate_csv,
+                   format_trace_csv, generate_synthetic, load_trace_csv,
+                   normalize_rows, parse_libsvm, problem_key, run_experiment,
+                   serialize_libsvm, write_trace_csv)
 
 
 # ----------------------------------------------------------- reference
@@ -61,6 +62,24 @@ def test_problem_key_tracks_content():
     assert problem_key(r) != problem_key(p1)
     assert len(problem_key(p1)) == 16
     assert set(problem_key(p1)) <= set("0123456789abcdef")
+    # same rows, one with unused columns: different problems, different keys
+    text = "+1 1:1.0\n-1 2:2.0\n"
+    assert problem_key(LogisticProblem(parse_libsvm(text), 0.1)) != \
+        problem_key(LogisticProblem(parse_libsvm(text, dim=5), 0.1))
+
+
+def test_problem_key_survives_libsvm_round_trip():
+    # a warm start reads the cache filled for the generated dataset
+    ds = normalize_rows(generate_synthetic(30, 6, seed=48, separation=2.0))
+    again = parse_libsvm(serialize_libsvm(ds))
+    assert problem_key(LogisticProblem(again, 0.01)) == \
+        problem_key(LogisticProblem(ds, 0.01))
+
+
+def test_problem_key_golden():
+    # pins the hashed byte layout: a change here silently misses every cache
+    ds = parse_libsvm("+1 1:1.0\n-1 2:2.0\n")
+    assert problem_key(LogisticProblem(ds, 0.5)) == "8a6fff8c3324256e"
 
 
 # --------------------------------------------------------------- cache

@@ -110,3 +110,11 @@ def test_shape_and_index_validation():
         problem.grad_component(-1, np.zeros(4))
     with pytest.raises(ValueError):
         LogisticProblem(parse_libsvm("+1 1:1.0\n"), -0.1)
+
+
+def test_logistic_reads_the_dataset_arrays_in_place():
+    problem = make_logistic(15, 4, seed=60, kappa=10.0)
+    ds = problem.dataset
+    assert np.shares_memory(problem.data, ds.data)
+    assert np.shares_memory(problem.indices, ds.indices)
+    assert problem.indptr == ds.indptr.tolist()

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,11 +8,11 @@ import pytest
 from conftest import ScriptedRng, make_logistic, make_ridge
 from vropt import (AdaptiveLength, AveragingScheme, BarzilaiBorweinStep,
                    ConfigError, DivergenceError, FixedLength, FixedStep,
-                   IfoCounter, LogisticProblem, OuterState, RidgeProblem,
+                   IfoCounter, LogisticProblem, RidgeProblem,
                    SolverConfig, bb_step, bench_configs, cached_reference,
                    compute_reference, default_theta_kappa,
                    generate_synthetic, normalize_rows, run, run_experiment,
-                   sarah_inner, svrg_inner, with_budget)
+                   sarah_inner, svrg_inner)
 
 U = AveragingScheme.UNIFORM
 
@@ -87,36 +88,34 @@ def test_default_theta_kappa():
 
 # ---------------------------------------------------------------- bb_step
 
-def constant_curvature_state(h, x_a, x_b):
-    state = OuterState()
-    state.push(np.asarray(x_a, dtype=float), h * np.asarray(x_a, dtype=float))
-    state.push(np.asarray(x_b, dtype=float), h * np.asarray(x_b, dtype=float))
-    return state
+def constant_curvature_pairs(h, x_a, x_b):
+    """(x, grad) of two snapshots of the quadratic (h/2)||x||^2."""
+    x_a, x_b = np.asarray(x_a, dtype=float), np.asarray(x_b, dtype=float)
+    return (x_a, h * x_a), (x_b, h * x_b)
 
 
 def test_bb_step_constant_curvature():
-    state = constant_curvature_state(1.0, [0.0, 0.0], [1.0, 2.0])
-    assert bb_step(state, 4.0) == pytest.approx(0.25, rel=1e-15)
-    state = constant_curvature_state(3.0, [1.0], [-2.0])
-    assert bb_step(state, 2.0) == pytest.approx(1.0 / 6.0, rel=1e-15)
+    pairs = constant_curvature_pairs(1.0, [0.0, 0.0], [1.0, 2.0])
+    assert bb_step(*pairs, 4.0) == pytest.approx(0.25, rel=1e-15)
+    pairs = constant_curvature_pairs(3.0, [1.0], [-2.0])
+    assert bb_step(*pairs, 2.0) == pytest.approx(1.0 / 6.0, rel=1e-15)
     # the identity-Hessian value sits exactly on the interval for L = mu = 1
-    state = constant_curvature_state(1.0, [0.0], [5.0])
-    assert bb_step(state, 4.0, constants=(1.0, 1.0)) == pytest.approx(0.25)
+    pairs = constant_curvature_pairs(1.0, [0.0], [5.0])
+    assert bb_step(*pairs, 4.0, constants=(1.0, 1.0)) == pytest.approx(0.25)
 
 
 def test_bb_step_zero_displacement_returns_none():
-    state = constant_curvature_state(2.0, [1.0, 1.0], [1.0, 1.0])
-    assert bb_step(state, 4.0) is None
+    pairs = constant_curvature_pairs(2.0, [1.0, 1.0], [1.0, 1.0])
+    assert bb_step(*pairs, 4.0) is None
 
 
 def test_bb_step_one_ulp_displacement_returns_none():
     # snapshots one ulp apart: dx and the sign of <dx, dg> are rounding
     # noise, so the rule reuses the previous step instead of raising
     x = np.array([6.0, -2.5, 0.75])
-    state = OuterState()
-    state.push(x, np.array([1e-16, 0.0, 0.0]))
-    state.push(np.nextafter(x, np.inf), np.array([-1e-16, 0.0, 0.0]))
-    assert bb_step(state, 4.0, constants=(1.0, 0.5)) is None
+    assert bb_step((x, np.array([1e-16, 0.0, 0.0])),
+                   (np.nextafter(x, np.inf), np.array([-1e-16, 0.0, 0.0])),
+                   4.0, constants=(1.0, 0.5)) is None
 
 
 def test_bb_sarah_converged_to_rounding_noise_completes():
@@ -134,38 +133,30 @@ def test_bb_sarah_converged_to_rounding_noise_completes():
 
 
 def test_bb_step_errors():
-    with pytest.raises(ValueError):
-        bb_step(OuterState(), 4.0)
-    state = OuterState()
-    state.push(np.array([0.0]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        bb_step(state, 4.0)  # only one snapshot
-    state.push(np.array([1.0]), np.array([0.5]))  # gradient decreased: den < 0
+    # the gradient decreased along the displacement: <dx, dg> < 0
     with pytest.raises(ValueError, match="secant"):
-        bb_step(state, 4.0)
+        bb_step((np.array([0.0]), np.array([1.0])),
+                (np.array([1.0]), np.array([0.5])), 4.0)
 
 
 def test_bb_step_interval_assertion_fires():
     # fabricated near-zero curvature puts eta above 1/(theta*mu)
-    state = OuterState()
-    state.push(np.array([0.0]), np.array([0.0]))
-    state.push(np.array([1.0]), np.array([1e-9]))
     with pytest.raises(AssertionError):
-        bb_step(state, 4.0, constants=(1.0, 0.5))
+        bb_step((np.array([0.0]), np.array([0.0])),
+                (np.array([1.0]), np.array([1e-9])), 4.0,
+                constants=(1.0, 0.5))
 
 
 def test_bb_step_on_logistic_secant_stays_in_interval():
     problem = make_logistic(40, 6, seed=9, kappa=30.0)
     big_l, mu, _ = problem.constants()
     rng = np.random.default_rng(3)
-    state = OuterState()
     x = rng.standard_normal(problem.d)
-    for _ in range(2):
-        g = problem.full_grad(x)
-        state.push(x, g)
-        x = x - (1.0 / big_l) * g
+    g = problem.full_grad(x)
+    x_next = x - (1.0 / big_l) * g
+    pairs = (x, g), (x_next, problem.full_grad(x_next))
     for theta in (1.0, 4.0, 120.0):
-        eta = bb_step(state, theta, constants=(big_l, mu))
+        eta = bb_step(*pairs, theta, constants=(big_l, mu))
         assert 1.0 / (theta * big_l) <= eta <= 1.0 / (theta * mu)
 
 
@@ -438,11 +429,11 @@ def test_budget_stops_between_loops():
     base = SolverConfig("gd", ifo_budget=0)
     trace = run(problem, base)
     assert len(trace.points) == 1 and trace.points[0].s == 0
-    trace = run(problem, with_budget(base, 3 * problem.n))
+    trace = run(problem, replace(base, ifo_budget=3 * problem.n))
     assert trace.final.s == 3
-    trace = run(problem, with_budget(base, 3 * problem.n - 1))
+    trace = run(problem, replace(base, ifo_budget=3 * problem.n - 1))
     assert trace.final.s == 3  # hits the limit mid-check, stops after loop 3
-    trace = run(problem, with_budget(base, 3 * problem.n + 1))
+    trace = run(problem, replace(base, ifo_budget=3 * problem.n + 1))
     assert trace.final.s == 4
 
 
