@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .averaging import AveragingScheme
-from .problems import ErmProblem, LogisticProblem, RidgeProblem
+from .problems import ErmProblem, RidgeProblem
 # not used here; perfbench/tracing.py patches vropt.harness.serialize_libsvm
 from .dataset import serialize_libsvm  # noqa: F401
 from .rates import GridRow
@@ -90,23 +90,18 @@ def compute_reference(problem: ErmProblem, tol: float = 1e-10) -> ReferenceOptim
 
 
 def problem_key(problem: ErmProblem) -> str:
-    """Content hash of the data, its dimension and mu; keys the reference
-    cache. Arrays are hashed in fixed little-endian dtypes, so the key does
-    not depend on the platform's integer width."""
+    """Content hash of the loss kind, the rows, their dimension, the targets
+    and mu; keys the reference cache. Arrays are hashed in fixed
+    little-endian dtypes, so the key does not depend on the platform's
+    integer width."""
     h = hashlib.sha256()
-    if isinstance(problem, LogisticProblem):
-        ds = problem.dataset
-        h.update(f"logistic n={ds.n} nnz={ds.indices.size} "
-                 f"dim={ds.dim}\n".encode("utf-8"))
-        for array, dtype in ((ds.indptr, "<i8"), (ds.indices, "<i8"),
-                             (ds.data, "<f8"), (ds.labels, "i1")):
-            h.update(array.astype(dtype, copy=False).tobytes())
-    elif isinstance(problem, RidgeProblem):
-        h.update(b"ridge\n")
-        h.update(np.ascontiguousarray(problem._A).tobytes())
-        h.update(np.ascontiguousarray(problem._y).tobytes())
-    else:
-        raise TypeError(f"no content hash for {type(problem).__name__}")
+    h.update(f"{problem.kind} n={problem.n} nnz={problem.indices.size} "
+             f"dim={problem.d}\n".encode("utf-8"))
+    targets = problem.targets
+    for array, dtype in ((problem._csr.indptr, "<i8"), (problem.indices, "<i8"),
+                         (problem.data, "<f8"),
+                         (targets, targets.dtype.newbyteorder("<"))):
+        h.update(array.astype(dtype, copy=False).tobytes())
     h.update(f"\nmu={problem.mu!r}".encode("utf-8"))
     return h.hexdigest()[:16]
 

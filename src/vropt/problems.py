@@ -1,16 +1,17 @@
 """Finite-sum objectives f(x) = (1/n) sum_i f_i(x) with smoothness and
 strong-convexity constants.
 
-Two instances: L2-regularized logistic regression on a sparse Dataset, and
-ridge regression on dense rows (admits an exact minimizer). Component
-gradients optionally charge a caller-owned IfoCounter: one unit per component
-gradient, n units per full gradient. Evaluation code passes no counter, so
-measurement never pollutes the work accounting.
-
-Both instances are linear models, f_i(x) = phi_i(<a_i, x>) + (mu/2)||x||^2,
-and expose the pieces the solvers' fused inner loop works on: the rows a_i as
-CSR arrays (indptr, indices, data) and the loss derivative phi_i'(t), per
-component (loss_deriv) and for all components at once (loss_derivs).
+Every problem is a linear model over CSR rows, f_i(x) = phi_i(<a_i, x>) +
+(mu/2)||x||^2. ErmProblem holds the rows a_i (indptr, indices, data), the
+per-component targets and mu, and implements every oracle once; a subclass
+supplies only L and its loss phi_i, per component (loss, loss_deriv) and for
+all margins t = A x at once (_losses, _derivs). Two instances: L2-regularized
+logistic regression on a sparse Dataset, and ridge regression (admits an
+exact minimizer). Component gradients optionally charge a caller-owned
+IfoCounter: one unit per component gradient, n units per full gradient.
+Evaluation code passes no counter, so measurement never pollutes the work
+accounting. The solvers' fused inner loop reads the CSR rows and loss_deriv
+directly.
 """
 
 from __future__ import annotations
@@ -28,15 +29,13 @@ __all__ = ["IfoCounter", "ErmProblem", "LogisticProblem", "RidgeProblem"]
 
 
 class IfoCounter:
-    """Mutable incremental-first-order-oracle tally (1 per component gradient)."""
+    """Mutable incremental-first-order-oracle tally (1 per component gradient);
+    callers charge k units with counter.count += k."""
 
     __slots__ = ("count",)
 
     def __init__(self, count: int = 0):
         self.count = int(count)
-
-    def add(self, k: int) -> None:
-        self.count += k
 
     def __repr__(self):
         return f"IfoCounter({self.count})"
@@ -58,26 +57,40 @@ def _log1p_exp(t: float) -> float:
 
 
 class ErmProblem(abc.ABC):
-    """Abstract finite-sum problem: n components over R^d, mu-strongly convex
+    """Finite-sum linear model: n components over R^d, mu-strongly convex
     with L-Lipschitz component gradients (kappa = L/mu).
 
     Components are f_i(x) = phi_i(<a_i, x>) + (mu/2)||x||^2. Row a_i is
     data[indptr[i]:indptr[i+1]] at columns indices[indptr[i]:indptr[i+1]];
     indptr is a Python list so that slicing it costs no numpy scalar, and
     indices are np.intp, the index type numpy gathers and scatters fastest.
+    The arrays are used in place; `_csr`, a scipy matrix over the same rows,
+    serves the all-component products.
     """
 
-    n: int
-    d: int
-    mu: float
-    indptr: list[int]
-    indices: np.ndarray
-    data: np.ndarray
+    kind: str  # short tag naming the loss in cache keys
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray,
+                 data: np.ndarray, d: int, targets: np.ndarray, mu: float,
+                 smoothness: float):
+        if mu < 0:
+            raise ValueError(f"mu must be >= 0, got {mu}")
+        self.n = len(indptr) - 1
+        self.d = int(d)
+        self.mu = float(mu)
+        self._L = smoothness
+        # scipy may narrow its index copy to int32, which numpy indexes
+        # slowly, so the per-row paths read the np.intp indices
+        self._csr = sp.csr_matrix((data, indices, indptr),
+                                  shape=(self.n, self.d))
+        self.indptr = indptr.tolist()
+        self.indices, self.data = indices, data
+        self.targets = targets
 
     @property
-    @abc.abstractmethod
     def smoothness(self) -> float:
         """The uniform component-gradient Lipschitz constant L."""
+        return self._L
 
     @property
     def kappa(self) -> float:
@@ -98,32 +111,64 @@ class ErmProblem(abc.ABC):
             raise IndexError(f"component index {i} out of range [0, {self.n})")
         return i
 
-    @abc.abstractmethod
-    def value(self, x: np.ndarray) -> float:
-        """f(x) = (1/n) sum_i f_i(x)."""
+    def _row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        return self.indices[lo:hi], self.data[lo:hi]
 
     @abc.abstractmethod
-    def component_value(self, i: int, x: np.ndarray) -> float:
-        """f_i(x)."""
-
-    @abc.abstractmethod
-    def grad_component(self, i: int, x: np.ndarray,
-                       counter: IfoCounter | None = None) -> np.ndarray:
-        """grad f_i(x); charges 1 IFO to counter when one is supplied."""
-
-    @abc.abstractmethod
-    def full_grad(self, x: np.ndarray,
-                  counter: IfoCounter | None = None) -> np.ndarray:
-        """grad f(x); charges n IFO to counter when one is supplied."""
+    def loss(self, i: int, t: float) -> float:
+        """phi_i(t) at margin t = <a_i, x>."""
 
     @abc.abstractmethod
     def loss_deriv(self, i: int, t: float) -> float:
         """phi_i'(t) at margin t = <a_i, x>; no checks, no charge."""
 
     @abc.abstractmethod
+    def _losses(self, t: np.ndarray) -> np.ndarray:
+        """phi_i(t_i) for every i, given all margins t = A x."""
+
+    @abc.abstractmethod
+    def _derivs(self, t: np.ndarray) -> np.ndarray:
+        """phi_i'(t_i) for every i, given all margins t = A x."""
+
+    def value(self, x: np.ndarray) -> float:
+        """f(x) = (1/n) sum_i f_i(x)."""
+        x = self._check_x(x)
+        loss = float(np.mean(self._losses(self._csr @ x)))
+        return loss + 0.5 * self.mu * float(x @ x)
+
+    def component_value(self, i: int, x: np.ndarray) -> float:
+        """f_i(x)."""
+        i = self._check_i(i)
+        x = self._check_x(x)
+        cols, vals = self._row(i)
+        return self.loss(i, float(vals @ x[cols])) + 0.5 * self.mu * float(x @ x)
+
+    def grad_component(self, i: int, x: np.ndarray,
+                       counter: IfoCounter | None = None) -> np.ndarray:
+        """grad f_i(x); charges 1 IFO to counter when one is supplied."""
+        i = self._check_i(i)
+        x = self._check_x(x)
+        if counter is not None:
+            counter.count += 1
+        cols, vals = self._row(i)
+        g = self.mu * x
+        g[cols] += self.loss_deriv(i, float(vals @ x[cols])) * vals
+        return g
+
     def loss_derivs(self, x: np.ndarray) -> np.ndarray:
         """phi_i'(<a_i, x>) for every i, the vector full_grad is built on;
         no charge."""
+        return self._derivs(self._csr @ x)
+
+    def full_grad(self, x: np.ndarray,
+                  counter: IfoCounter | None = None) -> np.ndarray:
+        """grad f(x); charges n IFO to counter when one is supplied."""
+        x = self._check_x(x)
+        if counter is not None:
+            counter.count += self.n
+        coeff = self.loss_derivs(x) / self.n
+        return np.asarray(self._csr.T @ coeff) + self.mu * x
 
 
 class LogisticProblem(ErmProblem):
@@ -131,7 +176,8 @@ class LogisticProblem(ErmProblem):
 
     f_i(x) = log(1 + exp(-b_i <a_i, x>)) + (mu/2) ||x||^2, b_i in {-1, +1}.
     L = max_i ||a_i||^2 / 4 + mu (the logistic curvature bound), and every
-    component is mu-strongly convex by construction.
+    component is mu-strongly convex by construction. The rows and labels are
+    the dataset's own read-only arrays, not copies.
 
     Args:
         dataset: rows and labels.
@@ -139,85 +185,41 @@ class LogisticProblem(ErmProblem):
         add_bias: append a constant-1 column before fitting.
     """
 
+    kind = "logistic"
+
     def __init__(self, dataset: Dataset, mu: float, add_bias: bool = False):
-        if mu < 0:
-            raise ValueError(f"mu must be >= 0, got {mu}")
         if add_bias:
             dataset = add_bias_column(dataset)
         self.dataset = dataset
-        self.n = dataset.n
-        self.d = dataset.dim
-        self.mu = float(mu)
         self._labels = dataset.labels.astype(np.float64)
         self._b = self._labels.tolist()
-        self._L = float(np.max(dataset.row_sq_norms) / 4.0 + self.mu)
-        # the dataset's own read-only arrays serve every gradient and value
-        # path; scipy may narrow its index copy to int32, which numpy
-        # indexes slowly, so the kernel reads the dataset's np.intp indices
-        self._csr = sp.csr_matrix(
-            (dataset.data, dataset.indices, dataset.indptr),
-            shape=(self.n, self.d))
-        self.indptr = dataset.indptr.tolist()
-        self.indices, self.data = dataset.indices, dataset.data
+        super().__init__(dataset.indptr, dataset.indices, dataset.data,
+                         dataset.dim, dataset.labels, mu,
+                         float(np.max(dataset.row_sq_norms) / 4.0 + mu))
 
-    @property
-    def smoothness(self) -> float:
-        return self._L
-
-    def _margins(self, x: np.ndarray) -> np.ndarray:
-        return self._labels * (self._csr @ x)
-
-    def value(self, x: np.ndarray) -> float:
-        x = self._check_x(x)
-        z = self._margins(x)
-        loss = float(np.mean(np.logaddexp(0.0, -z)))
-        return loss + 0.5 * self.mu * float(x @ x)
-
-    def _row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        return self.indices[lo:hi], self.data[lo:hi]
-
-    def component_value(self, i: int, x: np.ndarray) -> float:
-        i = self._check_i(i)
-        x = self._check_x(x)
-        cols, vals = self._row(i)
-        t = self._b[i] * float(vals @ x[cols])
-        return _log1p_exp(-t) + 0.5 * self.mu * float(x @ x)
-
-    def grad_component(self, i: int, x: np.ndarray,
-                       counter: IfoCounter | None = None) -> np.ndarray:
-        i = self._check_i(i)
-        x = self._check_x(x)
-        if counter is not None:
-            counter.add(1)
-        cols, vals = self._row(i)
-        g = self.mu * x
-        g[cols] += self.loss_deriv(i, float(vals @ x[cols])) * vals
-        return g
+    def loss(self, i: int, t: float) -> float:
+        return _log1p_exp(-self._b[i] * t)
 
     def loss_deriv(self, i: int, t: float) -> float:
         b = self._b[i]
         return -b * _sigmoid(-b * t)
 
-    def loss_derivs(self, x: np.ndarray) -> np.ndarray:
-        return -self._labels * expit(-self._margins(x))
+    def _losses(self, t: np.ndarray) -> np.ndarray:
+        return np.logaddexp(0.0, -self._labels * t)
 
-    def full_grad(self, x: np.ndarray,
-                  counter: IfoCounter | None = None) -> np.ndarray:
-        x = self._check_x(x)
-        if counter is not None:
-            counter.add(self.n)
-        coeff = self.loss_derivs(x) / self.n
-        return np.asarray(self._csr.T @ coeff) + self.mu * x
+    def _derivs(self, t: np.ndarray) -> np.ndarray:
+        return -self._labels * expit(-self._labels * t)
 
 
 class RidgeProblem(ErmProblem):
-    """Ridge regression on dense rows: f_i(x) = (1/2)(<a_i,x> - y_i)^2
-    + (mu/2)||x||^2, with L = max_i ||a_i||^2 + mu.
+    """Ridge regression: f_i(x) = (1/2)(<a_i,x> - y_i)^2 + (mu/2)||x||^2,
+    with L = max_i ||a_i||^2 + mu. Rows are given dense and kept only as CSR.
 
     mu = 0 is accepted (kappa becomes inf); solvers that need strong
     convexity validate mu > 0 themselves.
     """
+
+    kind = "ridge"
 
     def __init__(self, rows: np.ndarray, targets: np.ndarray, mu: float):
         rows = np.asarray(rows, dtype=np.float64)
@@ -226,58 +228,28 @@ class RidgeProblem(ErmProblem):
             raise ValueError("rows must be a 2-D array (n, d)")
         if targets.shape != (rows.shape[0],):
             raise ValueError(f"{rows.shape[0]} rows but {targets.size} targets")
-        if mu < 0:
-            raise ValueError(f"mu must be >= 0, got {mu}")
-        self._A = rows
-        self._y = targets
-        self._y_list = targets.tolist()
-        self.n, self.d = rows.shape
-        self.mu = float(mu)
-        self._L = float(np.max(np.einsum("ij,ij->i", rows, rows)) + self.mu)
         csr = sp.csr_matrix(rows)
-        self.indptr = csr.indptr.tolist()
-        self.indices = csr.indices.astype(np.intp)
-        self.data = csr.data
+        self._y = targets.tolist()
+        super().__init__(csr.indptr, csr.indices.astype(np.intp), csr.data,
+                         rows.shape[1], targets, mu,
+                         float(np.max(np.einsum("ij,ij->i", rows, rows)) + mu))
 
-    @property
-    def smoothness(self) -> float:
-        return self._L
-
-    def value(self, x: np.ndarray) -> float:
-        x = self._check_x(x)
-        r = self._A @ x - self._y
-        return 0.5 * float(r @ r) / self.n + 0.5 * self.mu * float(x @ x)
-
-    def component_value(self, i: int, x: np.ndarray) -> float:
-        i = self._check_i(i)
-        x = self._check_x(x)
-        r = float(self._A[i] @ x - self._y[i])
-        return 0.5 * r * r + 0.5 * self.mu * float(x @ x)
-
-    def grad_component(self, i: int, x: np.ndarray,
-                       counter: IfoCounter | None = None) -> np.ndarray:
-        i = self._check_i(i)
-        x = self._check_x(x)
-        if counter is not None:
-            counter.add(1)
-        r = float(self._A[i] @ x - self._y[i])
-        return r * self._A[i] + self.mu * x
+    def loss(self, i: int, t: float) -> float:
+        return 0.5 * (t - self._y[i]) ** 2
 
     def loss_deriv(self, i: int, t: float) -> float:
-        return t - self._y_list[i]
+        return t - self._y[i]
 
-    def loss_derivs(self, x: np.ndarray) -> np.ndarray:
-        return self._A @ x - self._y
+    def _losses(self, t: np.ndarray) -> np.ndarray:
+        return 0.5 * (t - self.targets) ** 2
 
-    def full_grad(self, x: np.ndarray,
-                  counter: IfoCounter | None = None) -> np.ndarray:
-        x = self._check_x(x)
-        if counter is not None:
-            counter.add(self.n)
-        return (self._A.T @ self.loss_derivs(x)) / self.n + self.mu * x
+    def _derivs(self, t: np.ndarray) -> np.ndarray:
+        return t - self.targets
 
     def solve_normal_equations(self) -> np.ndarray:
         """Exact minimizer from (A^T A / n + mu I) x = A^T y / n."""
-        h = self._A.T @ self._A / self.n + self.mu * np.eye(self.d)
-        rhs = self._A.T @ self._y / self.n
-        return np.linalg.solve(h, rhs)
+        # a transient dense copy: BLAS forms A^T A some 70x faster than a
+        # sparse-sparse product of the (dense) ridge rows
+        a = self._csr.toarray()
+        h = a.T @ a / self.n + self.mu * np.eye(self.d)
+        return np.linalg.solve(h, a.T @ self.targets / self.n)

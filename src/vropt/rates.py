@@ -9,8 +9,10 @@ points as gaps, never as silent NaNs. The formulas are upper bounds: measured
 contraction may be much smaller, never meaningfully larger.
 
 Powers (1-delta)^m are evaluated as exp(m*log1p(-delta)); the weighted-
-recursive normalizer switches to a summed series when delta*(m-1) < 1e-3,
-where the closed form loses accuracy to cancellation.
+recursive normalizer switches to its binomial series in delta when
+delta*(m-1) < 1e-3, where the closed form loses accuracy to cancellation.
+The series converges in a few terms there, so every calculator takes O(1)
+time and memory whatever m is.
 """
 
 from __future__ import annotations
@@ -99,9 +101,17 @@ def _sarah_weighted_normalizer(d: float, m: int) -> float:
     """c = m - 1/d + (1-d)^m/d = sum_{j=1}^{m-1} (1 - (1-d)^j), positive for
     every m >= 2 and d in (0, 1)."""
     if d * (m - 1) < 1e-3:
-        # closed form cancels catastrophically here; sum the series instead
-        j = np.arange(1, m)
-        return float(np.sum(-np.expm1(j * math.log1p(-d))))
+        # the closed form cancels catastrophically here; expanding each
+        # (1-d)^j binomially and summing over j gives the alternating series
+        # c = sum_{r>=1} (-1)^(r+1) C(m, r+1) d^r, whose terms shrink by
+        # d*(m-r-1)/(r+2) < 1e-3 per step, so a few reach full precision
+        c, term = 0.0, m * (m - 1) / 2 * d
+        for r in range(1, m):
+            if c + term == c:
+                break
+            c += term
+            term *= -d * (m - r - 1) / (r + 2)
+        return c
     return (m - 1) - (1.0 - d) * _one_minus_pow1m(d, m - 1) / d
 
 

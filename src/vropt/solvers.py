@@ -443,49 +443,44 @@ def run(problem: ErmProblem, config: SolverConfig, f_star: float | None = None,
         if config.ifo_budget is not None and counter.count >= config.ifo_budget:
             break
         s += 1
-        try:
-            if config.algorithm == "gd":
-                eta_s = 1.0 / big_l
-                x = x - eta_s * problem.full_grad(x, counter)
-                _check_finite(x, s, cid)
-                record(s, eta_s, 1, 1)
-                continue
-            if config.algorithm == "sgd":
-                eta_s = 0.05 / (big_l * s)  # epoch index n_e = s - 1
-                with np.errstate(over="ignore", invalid="ignore"):
-                    for k, i in enumerate(_picks(rng, n, n), start=1):
-                        x -= eta_s * problem.grad_component(i, x, counter)
-                        if not math.isfinite(x.dot(x)):
-                            raise _diverged(x, k, cid)
-                record(s, eta_s, n, n)
-                continue
+        if config.algorithm == "gd":
+            eta_s = 1.0 / big_l
+            x = x - eta_s * problem.full_grad(x, counter)
+            _check_finite(x, s, cid)
+            record(s, eta_s, 1, 1)
+            continue
+        if config.algorithm == "sgd":
+            eta_s = 0.05 / (big_l * s)  # epoch index n_e = s - 1
+            with np.errstate(over="ignore", invalid="ignore"):
+                for k, i in enumerate(_picks(rng, n, n), start=1):
+                    x -= eta_s * problem.grad_component(i, x, counter)
+                    if not math.isfinite(x.dot(x)):
+                        raise _diverged(x, k, cid)
+            record(s, eta_s, n, n)
+            continue
 
-            # variance-reduced path: snapshot gradient first, since the BB
-            # secant for loop s uses grad f at the two latest snapshots
-            g = problem.full_grad(x, counter)
-            _check_finite(g, s, cid)
-            if isinstance(config.step, FixedStep):
-                eta_s = config.step.eta
-            elif s <= 2:
-                eta_s = _resolve_eta0(config.step, config.inner, big_l, mu)
-            else:
-                eta_s = bb_step((x_prev, g_prev), (x, g),
-                                config.step.theta_kappa, (big_l, mu))
-                if eta_s is None:  # snapshot moved by rounding only; keep the step
-                    eta_s = eta_prev
-            x_prev, g_prev, eta_prev = x, g, eta_s
-            if isinstance(config.inner, FixedLength):
-                m_s = config.inner.m
-            else:
-                m_s = max(2, math.ceil(config.inner.c / (mu * eta_s)))
-            w = weights(config.averaging, m_s, mu, eta_s)
-            snap = sample_snapshot_index(w, rng)
-            x = _inner_steps(problem, config.algorithm, x, g, eta_s, snap,
-                             rng, counter, cid)
-            record(s, eta_s, m_s, snap)
-        except DivergenceError as err:
-            if err.config_id is None:
-                raise DivergenceError(err.iterate_norm, err.steps, cid) from None
-            raise
+        # variance-reduced path: snapshot gradient first, since the BB
+        # secant for loop s uses grad f at the two latest snapshots
+        g = problem.full_grad(x, counter)
+        _check_finite(g, s, cid)
+        if isinstance(config.step, FixedStep):
+            eta_s = config.step.eta
+        elif s <= 2:
+            eta_s = _resolve_eta0(config.step, config.inner, big_l, mu)
+        else:
+            eta_s = bb_step((x_prev, g_prev), (x, g),
+                            config.step.theta_kappa, (big_l, mu))
+            if eta_s is None:  # snapshot moved by rounding only; keep the step
+                eta_s = eta_prev
+        x_prev, g_prev, eta_prev = x, g, eta_s
+        if isinstance(config.inner, FixedLength):
+            m_s = config.inner.m
+        else:
+            m_s = max(2, math.ceil(config.inner.c / (mu * eta_s)))
+        w = weights(config.averaging, m_s, mu, eta_s)
+        snap = sample_snapshot_index(w, rng)
+        x = _inner_steps(problem, config.algorithm, x, g, eta_s, snap,
+                         rng, counter, cid)
+        record(s, eta_s, m_s, snap)
     return Trace(cid, n, tuple(points))
 

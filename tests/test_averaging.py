@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import ScriptedRng
@@ -9,6 +11,16 @@ from vropt import AveragingScheme, WeightVector, sample_snapshot_index, weights
 
 W_SVRG = AveragingScheme.WEIGHTED_SVRG
 W_SARAH = AveragingScheme.WEIGHTED_SARAH
+
+# documented support of each scheme's pmf over 0..m, and one index in it that
+# always keeps positive mass (the heaviest)
+SUPPORT = {
+    AveragingScheme.UNIFORM: (lambda m: range(0, m), lambda m: 0),
+    AveragingScheme.LAST_SVRG: (lambda m: range(m, m + 1), lambda m: m),
+    AveragingScheme.LAST_SARAH: (lambda m: range(m - 1, m), lambda m: m - 1),
+    W_SVRG: (lambda m: range(1, m), lambda m: m - 1),
+    W_SARAH: (lambda m: range(0, m - 1), lambda m: 0),
+}
 
 
 def exact_svrg_weights(m, delta):
@@ -73,6 +85,50 @@ def test_weights_are_a_distribution(scheme, m):
     assert np.all(w.weights >= 0)
     assert abs(float(np.sum(w.weights)) - 1.0) <= 1e-12
     assert w.m == m
+
+
+def weights_or_documented_error(scheme, m, delta):
+    """weights(), or None when it raises the one ValueError documented for
+    m >= 2 and 0 < mu*eta < 1: a degenerate WEIGHTED_SARAH normalizer."""
+    try:
+        return weights(scheme, m, mu=delta, eta=1.0)
+    except ValueError as err:
+        assert scheme is W_SARAH and "degenerate" in str(err), err
+        return None
+
+
+pmf_cases = dict(
+    scheme=st.sampled_from(list(AveragingScheme)),
+    m=st.integers(2, 3000),
+    delta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(**pmf_cases)
+def test_weights_pmf_has_documented_support(scheme, m, delta):
+    w = weights_or_documented_error(scheme, m, delta)
+    if w is None:
+        return
+    support, heaviest = SUPPORT[scheme]
+    assert w.weights.shape == (m + 1,) and w.m == m
+    assert np.all(w.weights >= 0)
+    assert abs(float(np.sum(w.weights)) - 1.0) <= 1e-9
+    assert set(np.flatnonzero(w.weights).tolist()) <= set(support(m))
+    assert w.weights[heaviest(m)] > 0
+    if scheme in (AveragingScheme.UNIFORM, AveragingScheme.LAST_SVRG,
+                  AveragingScheme.LAST_SARAH):
+        assert set(np.flatnonzero(w.weights).tolist()) == set(support(m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(u=st.floats(0.0, 1.0, exclude_max=True), **pmf_cases)
+def test_sampled_index_lies_in_support(scheme, m, delta, u):
+    w = weights_or_documented_error(scheme, m, delta)
+    if w is None:
+        return
+    k = sample_snapshot_index(w, ScriptedRng(uniform=[u]))
+    assert k in SUPPORT[scheme][0](m)
+    assert w.weights[k] > 0
 
 
 def test_weighted_svrg_weights_increase_toward_snapshot():

@@ -162,6 +162,19 @@ def test_rates_custom_grid(tmp_path):
     assert {line.split(",")[0] for line in lines[1:]} == {"svrg_u", "sarah_l"}
 
 
+def test_rates_weighted_recursive_at_huge_m(tmp_path):
+    # mu*eta*(m-1) = 1e-9 takes the normalizer's series branch at m = 1e9
+    out = tmp_path / "rates.csv"
+    assert main(["rates", "--custom", "--schemes", "sarah_w", "--L", "1",
+                 "--mu", "1e-12", "--sweep", "m", "--points", "1000000000",
+                 "--eta", "1e-6", "--out", str(out)]) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 2
+    scheme, x, value, defined = lines[1].split(",")
+    assert (scheme, float(x), defined) == ("sarah_w", 1e9, "true")
+    assert float(value) == pytest.approx(2.9999995020007503e18, rel=1e-12)
+
+
 def test_rates_flag_errors(tmp_path, capsys):
     out = str(tmp_path / "r.csv")
     assert main(["rates", "--out", out]) == 2

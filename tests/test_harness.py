@@ -4,12 +4,12 @@ import pytest
 import vropt.harness
 from conftest import make_logistic, make_ridge
 from vropt import (AveragingScheme, ConfigError, FixedLength, FixedStep,
-                   GridRow, LogisticProblem, RATE_HEADER, SolverConfig,
-                   TRACE_HEADER, Trace, TracePoint, bench_configs,
-                   cached_reference, compute_reference, format_rate_csv,
-                   format_trace_csv, generate_synthetic, load_trace_csv,
-                   normalize_rows, parse_libsvm, problem_key, run_experiment,
-                   serialize_libsvm, write_trace_csv)
+                   GridRow, LogisticProblem, RATE_HEADER, RidgeProblem,
+                   SolverConfig, TRACE_HEADER, Trace, TracePoint,
+                   bench_configs, cached_reference, compute_reference,
+                   format_rate_csv, format_trace_csv, generate_synthetic,
+                   load_trace_csv, normalize_rows, parse_libsvm, problem_key,
+                   run_experiment, serialize_libsvm, write_trace_csv)
 
 
 # ----------------------------------------------------------- reference
@@ -60,6 +60,9 @@ def test_problem_key_tracks_content():
     assert problem_key(p1) != problem_key(p3)
     r = make_ridge(10, 3, seed=44)
     assert problem_key(r) != problem_key(p1)
+    rows = np.array([[1.0, 0.0], [0.0, 2.0]])
+    assert problem_key(RidgeProblem(rows, np.array([1.0, -1.0]), 0.5)) != \
+        problem_key(RidgeProblem(rows, np.array([1.0, 1.0]), 0.5))
     assert len(problem_key(p1)) == 16
     assert set(problem_key(p1)) <= set("0123456789abcdef")
     # same rows, one with unused columns: different problems, different keys
@@ -80,6 +83,9 @@ def test_problem_key_golden():
     # pins the hashed byte layout: a change here silently misses every cache
     ds = parse_libsvm("+1 1:1.0\n-1 2:2.0\n")
     assert problem_key(LogisticProblem(ds, 0.5)) == "8a6fff8c3324256e"
+    ridge = RidgeProblem(np.array([[1.0, 0.0], [0.0, 2.0]]),
+                         np.array([1.0, -1.0]), 0.5)
+    assert problem_key(ridge) == "2666a7c2b139a8f1"
 
 
 # --------------------------------------------------------------- cache

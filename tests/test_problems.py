@@ -29,21 +29,47 @@ def test_component_gradients_match_finite_differences(maker):
         assert np.linalg.norm(g - fd) <= 1e-5 * max(1.0, np.linalg.norm(fd))
 
 
+BOTH_KINDS = (lambda: make_logistic(15, 6, seed=3, kappa=40.0),
+              lambda: make_ridge(5, 3, seed=4, mu=0.1))
+
+
 def test_full_gradient_is_mean_of_components():
-    problem = make_logistic(15, 6, seed=3, kappa=40.0)
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(problem.d)
-    mean_g = np.mean([problem.grad_component(i, x)
-                      for i in range(problem.n)], axis=0)
-    assert np.allclose(problem.full_grad(x), mean_g, atol=1e-12)
+    for maker in BOTH_KINDS:
+        problem = maker()
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal(problem.d)
+        mean_g = np.mean([problem.grad_component(i, x)
+                          for i in range(problem.n)], axis=0)
+        assert np.allclose(problem.full_grad(x), mean_g, atol=1e-12)
 
 
 def test_value_is_mean_of_component_values():
-    problem = make_ridge(5, 3, seed=4, mu=0.1)
-    x = np.random.default_rng(1).standard_normal(problem.d)
-    mean_v = np.mean([problem.component_value(i, x)
-                      for i in range(problem.n)])
-    assert problem.value(x) == pytest.approx(mean_v, rel=1e-12)
+    for maker in BOTH_KINDS:
+        problem = maker()
+        x = np.random.default_rng(1).standard_normal(problem.d)
+        mean_v = np.mean([problem.component_value(i, x)
+                          for i in range(problem.n)])
+        assert problem.value(x) == pytest.approx(mean_v, rel=1e-12)
+
+
+def test_ridge_oracles_match_dense_formulas():
+    rng = np.random.default_rng(9)
+    a = rng.standard_normal((7, 4))
+    a[a < -0.5] = 0.0  # some stored zeros are dropped from the CSR rows
+    y, mu = rng.standard_normal(7), 0.3
+    problem = RidgeProblem(a, y, mu)
+    for _ in range(4):
+        x = rng.standard_normal(4)
+        r = a @ x - y
+        assert problem.value(x) == pytest.approx(
+            0.5 * r @ r / 7 + 0.5 * mu * x @ x, rel=1e-12)
+        assert np.allclose(problem.full_grad(x), a.T @ r / 7 + mu * x,
+                           rtol=1e-12, atol=0)
+        for i in range(7):
+            assert np.allclose(problem.grad_component(i, x),
+                               r[i] * a[i] + mu * x, rtol=1e-12, atol=0)
+            assert problem.component_value(i, x) == pytest.approx(
+                0.5 * r[i] ** 2 + 0.5 * mu * x @ x, rel=1e-12)
 
 
 def test_ifo_accounting():

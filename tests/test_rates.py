@@ -1,13 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from vropt import (FIGURE_IDS, GridRow, RateQuery, figure_grid, rate_grid,
                    rate_sarah_last, rate_sarah_uniform, rate_sarah_weighted,
                    rate_svrg_uniform, rate_svrg_weighted,
                    svrg_weighted_within_guarantee)
+from vropt.rates import SCHEME_RATES
 
 mp.dps = 50
 
@@ -117,6 +121,37 @@ def test_sarah_weighted_tiny_delta_stress():
     # closed form would lose ~all digits here; the series path must not
     assert_matches_oracle("sarah_w", 1e-7, 50, 1.0, 1e-5)
     assert_matches_oracle("sarah_w", 1e-9, 2000, 1.0, 1e-6)
+
+
+def test_sarah_weighted_series_at_huge_m():
+    # mu*eta*(m-1) = 1e-9: the series branch, with m far past any array
+    assert_matches_oracle("sarah_w", 1e-6, 10 ** 9, 1.0, 1e-12)
+    assert_matches_oracle("sarah_w", 1e-6, 10 ** 12, 1.0, 1e-16)
+
+
+def test_sarah_weighted_series_memory_does_not_grow_with_m():
+    q = RateQuery(eta=1e-6, m=10 ** 7, L=1.0, mu=1e-12)
+    tracemalloc.start()
+    try:
+        rate_sarah_weighted(q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+@settings(max_examples=400, deadline=None)
+@given(scheme=st.sampled_from(sorted(SCHEME_RATES)),
+       log_l=st.floats(-3.0, 3.0),
+       log_kappa=st.floats(0.0, 12.0),
+       log_eta_l=st.floats(-8.0, math.log10(3.0)),
+       m=st.integers(2, 10 ** 12))
+def test_rates_are_finite_or_undefined(scheme, log_l, log_kappa, log_eta_l, m):
+    L = 10.0 ** log_l
+    q = RateQuery(eta=10.0 ** log_eta_l / L, m=m, L=L,
+                  mu=L / 10.0 ** log_kappa)
+    value = SCHEME_RATES[scheme](q)
+    assert value is None or (type(value) is float and math.isfinite(value))
 
 
 def test_hand_frozen_values():

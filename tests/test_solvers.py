@@ -519,14 +519,17 @@ def test_bb_eta0_override():
 def test_divergence_error_carries_context():
     problem = make_logistic(20, 4, seed=27, kappa=2.0)  # mu = 0.25: unstable
     big_l = problem.smoothness
-    config = SolverConfig("svrg", step=FixedStep(50.0 / big_l),
-                          inner=FixedLength(50), averaging=U,
-                          ifo_budget=10 ** 6, seed=1, name="boom")
-    with pytest.raises(DivergenceError, match="boom") as info:
-        run(problem, config)
-    assert info.value.steps > 0
-    assert info.value.iterate_norm > 1e100 or not \
-        math.isfinite(info.value.iterate_norm)
+    for algorithm, x0 in (("svrg", None), ("sarah", None),
+                          ("svrg", np.full(4, np.inf))):  # inf: s = 0 check
+        config = SolverConfig(algorithm, step=FixedStep(50.0 / big_l),
+                              inner=FixedLength(50), averaging=U,
+                              ifo_budget=10 ** 6, seed=1, name="boom", x0=x0)
+        with pytest.raises(DivergenceError, match="boom") as info:
+            run(problem, config)
+        assert info.value.config_id == "boom"
+        assert (info.value.steps == 0) == (x0 is not None)
+        assert info.value.iterate_norm > 1e100 or not \
+            math.isfinite(info.value.iterate_norm)
 
 
 def test_trace_shape_and_final():
