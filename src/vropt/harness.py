@@ -14,6 +14,7 @@ import math
 import os
 import tempfile
 import zlib
+from collections import deque
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -55,12 +56,17 @@ def compute_reference(problem: ErmProblem, tol: float = 1e-10) -> ReferenceOptim
     """Solve the problem to high accuracy with deterministic full gradients.
 
     Ridge problems of moderate dimension are solved by normal equations and
-    polished by descent only if the direct solve misses tol. Everything else
-    runs gradient descent with step 1/L from the origin until the gradient
-    norm drops below tol.
+    returned when the direct solve meets tol. Every other problem, and a
+    direct solve that misses tol, goes to a limited-memory BFGS (L-BFGS)
+    from the origin or the direct solution, then to gradient descent with
+    step 1/L as the polish, until the gradient norm is at most tol. The
+    L-BFGS iterations and the polish steps share one iteration cap. The
+    solve calls only value and full_grad without a counter, so it charges
+    no IFO and draws no random numbers.
 
     Raises:
-        ValueError: mu = 0 (descent path needs strong convexity), bad tol.
+        ValueError: mu = 0 (the iterative path needs strong convexity),
+            bad tol.
         RuntimeError: iteration cap reached before tol.
     """
     if not tol > 0:
@@ -72,21 +78,84 @@ def compute_reference(problem: ErmProblem, tol: float = 1e-10) -> ReferenceOptim
         gn = float(np.linalg.norm(g))
         if gn <= tol:
             return ReferenceOptimum(x, problem.value(x), gn)
-        # fall through: polish by descent from the direct solution
+        # fall through: L-BFGS and polish from the direct solution
     if not problem.mu > 0:
         raise ValueError("reference solver needs mu > 0")
-    big_l = problem.smoothness
     cap = max(10_000, math.ceil(60.0 * problem.kappa))
-    step = 1.0 / big_l
-    for _ in range(cap + 1):
+    x, g, steps = _lbfgs(problem, x, tol, cap)
+    step = 1.0 / problem.smoothness
+    gn = float(np.linalg.norm(g))
+    while gn > tol:
+        if steps >= cap:
+            raise RuntimeError(
+                f"reference solver hit the {cap}-iteration cap with "
+                f"gradient norm {gn:.3e} > tol {tol:.3e}")
+        x = x - step * g
         g = problem.full_grad(x)
         gn = float(np.linalg.norm(g))
-        if gn <= tol:
-            return ReferenceOptimum(x, problem.value(x), gn)
-        x = x - step * g
-    raise RuntimeError(
-        f"reference solver hit the {cap}-iteration cap with "
-        f"gradient norm {gn:.3e} > tol {tol:.3e}")
+        steps += 1
+    return ReferenceOptimum(x, problem.value(x), gn)
+
+
+_LBFGS_PAIRS = 3  # (s, y) pairs kept; each pair costs 2d floats of memory
+_ARMIJO_C = 1e-4
+_MIN_STEP = 2.0 ** -40  # the line search gives up below this t
+_FLAT_RTOL = 1e-14  # trial values this close to f differ by rounding only
+
+
+def _lbfgs(problem: ErmProblem, x: np.ndarray, tol: float,
+           cap: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """L-BFGS (Liu and Nocedal, Math. Prog. 1989) from x until the gradient
+    norm is at most tol, `cap` iterations pass, or the line search finds no
+    decrease. Returns the last iterate, its gradient and the number of
+    iterations taken.
+
+    The direction is the two-loop recursion over the newest pairs, scaled
+    by H0 = s.y / y.y, or by 1/L before the first pair. A pair with
+    s.y <= 0 is not stored. The Armijo backtracking halves t from 1; a
+    trial value that is not finite fails like one that decreases too
+    little. The search finds no decrease when t falls below 2^-40 or when
+    a failed trial value equals f up to rounding, where halving t cannot
+    tell a decrease from rounding any more.
+    """
+    pairs: deque[tuple[np.ndarray, np.ndarray, float]] = \
+        deque(maxlen=_LBFGS_PAIRS)
+    f = problem.value(x)
+    g = problem.full_grad(x)
+    steps = 0
+    while steps < cap and float(np.linalg.norm(g)) > tol:
+        d = -g
+        alphas = []
+        for s, y, sy in reversed(pairs):
+            alphas.append(float(s @ d) / sy)
+            d -= alphas[-1] * y
+        if pairs:
+            s, y, sy = pairs[-1]
+            d *= sy / float(y @ y)
+        else:
+            d /= problem.smoothness
+        for (s, y, sy), alpha in zip(pairs, reversed(alphas)):
+            d += (alpha - float(y @ d) / sy) * s
+        slope = float(g @ d)
+        if not slope < 0:  # a direction lost to rounding; polish instead
+            break
+        t = 1.0
+        while True:
+            x_new = x + t * d
+            f_new = problem.value(x_new)
+            if math.isfinite(f_new) and f_new <= f + _ARMIJO_C * t * slope:
+                break
+            if t < _MIN_STEP or abs(f_new - f) <= _FLAT_RTOL * abs(f):
+                return x, g, steps
+            t *= 0.5
+        g_new = problem.full_grad(x_new)
+        s, y = x_new - x, g_new - g
+        sy = float(s @ y)
+        if sy > 0:
+            pairs.append((s, y, sy))
+        x, f, g = x_new, f_new, g_new
+        steps += 1
+    return x, g, steps
 
 
 def problem_key(problem: ErmProblem) -> str:

@@ -1,11 +1,17 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.special import expit
 
 import vropt.harness
 from conftest import make_logistic, make_ridge
-from vropt import (AveragingScheme, ConfigError, FixedLength, FixedStep,
-                   GridRow, LogisticProblem, RATE_HEADER, RidgeProblem,
-                   SolverConfig, TRACE_HEADER, Trace, TracePoint,
+from vropt import (AveragingScheme, ConfigError, Dataset, FixedLength,
+                   FixedStep, GridRow, LogisticProblem, RATE_HEADER,
+                   RidgeProblem, SolverConfig, TRACE_HEADER, Trace, TracePoint,
                    bench_configs, cached_reference, compute_reference,
                    format_rate_csv, format_trace_csv, generate_synthetic,
                    load_trace_csv, normalize_rows, parse_libsvm, problem_key,
@@ -48,6 +54,128 @@ def test_reference_cap_reported():
     problem = make_ridge(4, 3, seed=43, mu=0.5)
     with pytest.raises(RuntimeError, match="cap"):
         compute_reference(problem, tol=1e-200)  # below float resolution
+
+
+def plain_descent(problem, tol):
+    """Gradient descent with step 1/L from the origin on dense copies of the
+    logistic rows, until the gradient norm is at most tol."""
+    ds = problem.dataset
+    a = csr_matrix((ds.data, ds.indices, ds.indptr),
+                   shape=(ds.n, ds.dim)).toarray()
+    b = ds.labels.astype(np.float64)
+    x = np.zeros(problem.d)
+    while True:
+        g = a.T @ (-b * expit(-b * (a @ x))) / problem.n + problem.mu * x
+        if np.linalg.norm(g) <= tol:
+            return x
+        x = x - g / problem.smoothness
+
+
+@st.composite
+def small_logistic(draw):
+    """A logistic problem of at most 8 rows over at most 5 columns (rows may
+    be empty) with kappa in [1, 1e4], and a tolerance in [1e-12, 1e-6]."""
+    d = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 8))
+    values = st.floats(-10.0, 10.0).filter(lambda v: abs(v) >= 1e-3)
+    indptr, indices, data = [0], [], []
+    for _ in range(n):
+        cols = sorted(draw(st.sets(st.integers(0, d - 1))))
+        indices += cols
+        data += draw(st.lists(values, min_size=len(cols), max_size=len(cols)))
+        indptr.append(len(indices))
+    labels = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+    ds = Dataset(indptr, indices, data, labels, d)
+    kappa = 10.0 ** draw(st.floats(0.0, 4.0))
+    tol = 10.0 ** draw(st.floats(-12.0, -6.0))
+    curvature = float(np.max(ds.row_sq_norms)) / 4.0  # L - mu
+    mu = curvature / (kappa - 1.0) if curvature > 0 and kappa > 1 else 1.0
+    return LogisticProblem(ds, mu), tol
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=small_logistic())
+def test_reference_meets_tol_and_matches_descent(case):
+    problem, tol = case
+    ref = compute_reference(problem, tol=tol)
+    assert ref.grad_norm <= tol
+    g = problem.full_grad(ref.x_star)
+    assert ref.grad_norm == float(np.linalg.norm(g))
+    assert ref.f_star == problem.value(ref.x_star)
+    # both points have gradient norm <= tol, so each lies within tol/mu of
+    # the minimizer of the mu-strongly convex objective
+    x_gd = plain_descent(problem, tol)
+    assert np.linalg.norm(ref.x_star - x_gd) <= 2.0 * tol / problem.mu
+
+
+def test_reference_needs_few_uncharged_gradients():
+    # the dense-lineup benchmark data; 1/L descent took 1405 gradients here
+    problem = LogisticProblem(
+        normalize_rows(generate_synthetic(1000, 20, 101, 3.0)), 0.25 / 999)
+    counters = []
+    full_grad = problem.full_grad
+
+    def counted(x, counter=None):
+        counters.append(counter)
+        return full_grad(x, counter)
+
+    problem.full_grad = counted
+    ref = compute_reference(problem)
+    assert ref.grad_norm <= 1e-10
+    assert 0 < len(counters) <= 100
+    assert all(counter is None for counter in counters)
+
+
+def test_reference_wide_ridge_goes_through_lbfgs():
+    # too wide for the normal equations; n = 8 rows make a small dual system
+    n, mu = 8, 1.0
+    rng = np.random.default_rng(49)
+    a, y = rng.standard_normal((n, 5000)), rng.standard_normal(n)
+    ref = compute_reference(RidgeProblem(a, y, mu))
+    assert ref.grad_norm <= 1e-10
+    dual = np.linalg.solve(a @ a.T / n + mu * np.eye(n), y / n)
+    assert np.linalg.norm(ref.x_star - a.T @ dual) <= 2e-10 / mu
+
+
+def test_reference_line_search_shrinks_non_finite_trials():
+    base = make_logistic(30, 4, seed=1, kappa=1000.0, sep=3.0)
+    x_star = compute_reference(base).x_star
+    radius = 1.001 * float(np.linalg.norm(x_star))
+    walled, accepted = [], []
+
+    class Walled(LogisticProblem):
+        """The same objective, with value inf beyond `radius`."""
+
+        def value(self, x):
+            if np.linalg.norm(x) > radius:
+                walled.append(x)
+                return math.inf
+            return super().value(x)
+
+        def full_grad(self, x, counter=None):
+            accepted.append(float(np.linalg.norm(x)))
+            return super().full_grad(x, counter)
+
+    problem = Walled(base.dataset, base.mu)
+    ref = compute_reference(problem)
+    assert walled  # some trial step crossed the wall
+    assert max(accepted) <= radius  # and was shrunk, never taken
+    assert ref.grad_norm <= 1e-10
+    assert math.isfinite(ref.f_star)
+    assert np.linalg.norm(ref.x_star - x_star) <= 2e-10 / problem.mu
+
+
+def test_reference_gives_up_line_search_where_rounding_decides():
+    # f stops resolving a decrease while the gradient norm is still above
+    # tol; accepting trials that pass the Armijo test by rounding alone
+    # stalled L-BFGS here until the iteration cap
+    ds = Dataset([0, 1, 1, 2, 3, 3, 4, 4, 5], [0] * 5,
+                 [-12.136171105831217, -11.575238811145066, -6.080448236823193,
+                  -4.034295896026006, 9.965939729017983],
+                 [-1, 1, 1, 1, -1, -1, 1, 1], 1)
+    problem = LogisticProblem(ds, 36.07234908141233)
+    ref = compute_reference(problem, tol=5.236862054879553e-10)
+    assert ref.grad_norm <= 5.236862054879553e-10
 
 
 def test_problem_key_tracks_content():
