@@ -23,9 +23,8 @@ from .rates import (FIGURE_IDS, GridRow, RateQuery, figure_grid, rate_grid,
                     rate_svrg_uniform, rate_svrg_weighted,
                     svrg_weighted_within_guarantee)
 from .solvers import (AdaptiveLength, BarzilaiBorweinStep, ConfigError,
-                      DivergenceError, FixedLength, FixedStep, InnerResult,
-                      SolverConfig, bb_step, default_theta_kappa, run,
-                      sarah_inner, svrg_inner)
+                      DivergenceError, FixedLength, FixedStep, SolverConfig,
+                      bb_step, default_theta_kappa, run)
 from .trace import Trace, TracePoint
 
 __version__ = "0.1.0"
@@ -41,9 +40,8 @@ __all__ = [
     "rate_sarah_last", "svrg_weighted_within_guarantee", "rate_grid",
     "figure_grid",
     "SolverConfig", "FixedStep", "BarzilaiBorweinStep", "FixedLength",
-    "AdaptiveLength", "InnerResult", "ConfigError",
-    "DivergenceError", "bb_step", "default_theta_kappa", "svrg_inner",
-    "sarah_inner", "run",
+    "AdaptiveLength", "ConfigError", "DivergenceError", "bb_step",
+    "default_theta_kappa", "run",
     "Trace", "TracePoint",
     "ReferenceOptimum", "compute_reference", "cached_reference",
     "problem_key", "run_experiment", "bench_configs", "format_trace_csv",

@@ -10,8 +10,8 @@ logistic regression on a sparse Dataset, and ridge regression (admits an
 exact minimizer). Component gradients optionally charge a caller-owned
 IfoCounter: one unit per component gradient, n units per full gradient.
 Evaluation code passes no counter, so measurement never pollutes the work
-accounting. The solvers' fused inner loop reads the CSR rows and loss_deriv
-directly.
+accounting. The solvers' fused inner loop reads the CSR rows, loss_deriv and
+max_abs_entry directly.
 """
 
 from __future__ import annotations
@@ -86,6 +86,8 @@ class ErmProblem(abc.ABC):
         self.indptr = indptr.tolist()
         self.indices, self.data = indices, data
         self.targets = targets
+        # max |a_ij|, which bounds how far one sparse step moves any entry
+        self.max_abs_entry = float(np.abs(data).max(initial=0.0))
 
     @property
     def smoothness(self) -> float:
@@ -156,10 +158,14 @@ class ErmProblem(abc.ABC):
         g[cols] += self.loss_deriv(i, float(vals @ x[cols])) * vals
         return g
 
+    def margins(self, x: np.ndarray) -> np.ndarray:
+        """<a_i, x> for every i; no charge."""
+        return self._csr @ x
+
     def loss_derivs(self, x: np.ndarray) -> np.ndarray:
         """phi_i'(<a_i, x>) for every i, the vector full_grad is built on;
         no charge."""
-        return self._derivs(self._csr @ x)
+        return self._derivs(self.margins(x))
 
     def full_grad(self, x: np.ndarray,
                   counter: IfoCounter | None = None) -> np.ndarray:

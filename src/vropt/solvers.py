@@ -14,12 +14,16 @@ draw per step. Identical config + seed therefore reproduces the iterate
 sequence bit for bit.
 
 One kernel, _inner_steps, runs every corrected (svrg) and recursive (sarah)
-inner loop, for run() as well as for svrg_inner and sarah_inner. It works on
-the problem's CSR rows and scalar loss derivative instead of calling
-grad_component, so a step costs one or two sparse dot products and a few
-dense vector updates while still being charged 2 IFO. Every step, in the
-kernel and in SGD, ends with a finiteness check (x.x finite), so a
-DivergenceError names the first step whose iterate left the floats.
+inner loop of run(). It works on the problem's CSR rows and scalar loss
+derivative instead of calling grad_component, and keeps each estimator's
+dense terms in a lazily scaled form (svrg: x = a*z + b*h; sarah:
+eta*v = sigma*w, x = y - tau*w), so a step touches only the picked row's
+columns: O(nnz(a_i)) work while still being charged 2 IFO. The scalars are
+folded back into the vectors when a or sigma leaves a safe range, after an
+exact finiteness check, and at loop end. Every step, in the kernel and in
+SGD, ends with a finiteness check, so a DivergenceError names the first step
+whose iterate left the floats: SGD tests x.x, and the kernel tests a scalar
+bound on max|x_j|, in O(nnz), and x.x exactly once that bound reaches 1e100.
 """
 
 from __future__ import annotations
@@ -35,8 +39,7 @@ from .trace import Trace, TracePoint
 
 __all__ = [
     "FixedStep", "BarzilaiBorweinStep", "FixedLength", "AdaptiveLength",
-    "SolverConfig", "ConfigError", "DivergenceError",
-    "InnerResult", "svrg_inner", "sarah_inner", "bb_step", "run",
+    "SolverConfig", "ConfigError", "DivergenceError", "bb_step", "run",
     "default_theta_kappa",
 ]
 
@@ -155,13 +158,6 @@ class SolverConfig:
         return self.name if self.name is not None else self.algorithm
 
 
-@dataclass(frozen=True)
-class InnerResult:
-    x_next: np.ndarray
-    snapshot_grad: np.ndarray
-    snapshot_index: int  # the sampled M^s
-
-
 _EPS2 = float(np.finfo(np.float64).eps) ** 2
 
 
@@ -244,6 +240,28 @@ def _picks(rng: np.random.Generator, n: int, steps: int):
         steps -= k
 
 
+# Above this bound on max|x_j| the kernel materializes x and checks x.x
+# exactly; below it x.x <= d * 1e200 is finite for any d < 1e108.
+_EXACT_LIMIT = 1e100
+# The lazy scale (a for svrg, sigma for sarah) is folded into the vectors
+# once it leaves this range. The lower end bounds by how much sarah's
+# cancellation in y - tau*w can amplify rounding, and also keeps a zero
+# scale (eta*mu = 1) away from the division.
+_SCALE_LO, _SCALE_HI = 1e-3, 1e3
+
+
+def _fold(u: np.ndarray, v: np.ndarray, a: float, b: float, sig: float,
+          ub: float, vb: float) -> tuple[float, float]:
+    """Fold the scalars of x = a*u + b*v into u, and sarah's displacement
+    scale sig into v, in place, so that afterwards a = sig = 1 and b = 0.
+    ub and vb bound max|u_j| and max|v_j|; returns the bounds after the
+    fold."""
+    u *= a
+    u += b * v
+    v *= sig
+    return abs(a) * ub + abs(b) * vb, abs(sig) * vb
+
+
 def _inner_steps(problem: ErmProblem, algorithm: str, x0: np.ndarray,
                  g: np.ndarray, eta: float, upto: int,
                  rng: np.random.Generator, counter: IfoCounter,
@@ -251,101 +269,104 @@ def _inner_steps(problem: ErmProblem, algorithm: str, x0: np.ndarray,
     """Run one inner loop from snapshot x0 (full gradient g) to iterate
     x_upto and return it; x0 and g are left untouched.
 
-    With f_i(x) = phi_i(<a_i, x>) + (mu/2)||x||^2 both estimators reduce to
-    O(nnz(a_i)) sparse work plus O(d) dense vector updates per step:
+    With f_i(x) = phi_i(<a_i, x>) + (mu/2)||x||^2 and s = 1 - eta*mu both
+    estimators' dense terms are affine with scalar coefficients, so the
+    kernel keeps them as scalars (the just-in-time update of sparse SAG,
+    Schmidt, Le Roux and Bach, Math. Prog. 2017, section 4) and a step
+    touches only the picked row's columns:
 
-    * svrg: x_{k+1} = (1 - eta*mu)*x_k - eta*(g - mu*x0)
-      - eta*(phi_i'(a_i.x_k) - c0_i)*a_i, with c0 = phi'(A x0) computed once
-      per snapshot, so each step takes one sparse dot product;
-    * sarah: v_k = (1 - eta*mu)*v_{k-1} + dphi*a_i with
-      dphi = phi_i'(a_i.x_k) - phi_i'(a_i.x_{k-1}), where
-      a_i.x_{k-1} = a_i.(x_k + eta*v_{k-1}) needs only the row's columns;
-      the kernel keeps eta*v_k, the displacement x_k - x_{k+1}. x_1 =
-      x0 - eta*g is the free deterministic step, so upto >= 1 runs upto-1
-      recursive steps.
+    * svrg: x_{k+1} = s*x_k - eta*h - eta*(phi_i'(a_i.x_k) - c0_i)*a_i with
+      h = g - mu*x0 and c0 = phi'(A x0). The kernel keeps x = a*z + b*h,
+      so with A h computed once per loop (uncharged, like c0) the margin
+      is a*(a_i.z) + b*(A h)_i, and a step does a <- s*a, b <- s*b - eta,
+      z[cols] -= (eta*delta/a)*vals.
+    * sarah: eta*v_k = s*eta*v_{k-1} + eta*dphi*a_i with
+      dphi = phi_i'(a_i.x_k) - phi_i'(a_i.x_{k-1}), and x_{k+1} =
+      x_k - eta*v_k. The kernel keeps eta*v = sigma*w and x = y - tau*w;
+      both margins come from the row's entries of y and w, and a step does
+      sigma <- s*sigma, w[cols] += D, y[cols] += tau*D, tau += sigma with
+      D = (eta*dphi/sigma)*vals. x_1 = x0 - eta*g is the free deterministic
+      step, so upto >= 1 runs upto-1 recursive steps.
+
+    Both forms are written x = a*u + b*v (svrg: u = z, v = h; sarah: a = 1,
+    u = y, v = w, b = -tau). The scalars are folded back into the vectors,
+    an O(d) pass, whenever a or sigma leaves [_SCALE_LO, _SCALE_HI], after
+    every exact check below, and once at loop end.
 
     Every stochastic step is charged 2 IFO (two component gradients) and is
-    followed by a finiteness check, so DivergenceError.steps counts the
+    followed by a finiteness check in O(nnz): the kernel keeps upper bounds
+    on max|u_j| and max|v_j|, grown by |coef|*max|a_ij| per step, and so
+    one on max|x_j|. While that stays below _EXACT_LIMIT, x.x is finite;
+    once it reaches the limit the kernel materializes x and tests
+    isfinite(x.x) exactly. DivergenceError.steps therefore counts the
     steps up to and including the first non-finite iterate.
     """
     indptr, indices, data = problem.indptr, problem.indices, problem.data
-    deriv = problem.loss_deriv
-    shrink = 1.0 - eta * problem.mu
+    deriv, amax = problem.loss_deriv, problem.max_abs_entry
+    s = 1.0 - eta * problem.mu
     svrg = algorithm == "svrg"
-    x = x0.copy()
-    if svrg:
-        first = 1
-        c0 = problem.loss_derivs(x0).tolist()
-        drift = eta * (g - problem.mu * x0)
-    elif upto == 0:
-        return x
-    else:
-        first = 2
-        step = eta * g  # eta * v_k, the displacement x_k - x_{k+1}
-        x -= step
-        _check_finite(x, 1, config_id)
+    if upto == 0:
+        return x0.copy()
+    a, b, sig = 1.0, 0.0, 1.0
     with np.errstate(over="ignore", invalid="ignore"):
+        if svrg:
+            first = 1
+            c0 = problem.loss_derivs(x0).tolist()
+            u, v = x0.copy(), g - problem.mu * x0
+            ah = problem.margins(v).tolist()
+            ub = math.sqrt(u.dot(u))
+        else:
+            first = 2
+            u, v = x0 - eta * g, eta * g  # x_1 and eta*v_0
+            sq = u.dot(u)
+            if not math.isfinite(sq):
+                raise _diverged(u, 1, config_id)
+            ub = math.sqrt(sq)
+        vb = math.sqrt(v.dot(v))
         for done, i in enumerate(_picks(rng, problem.n, upto - first + 1),
                                  start=first):
             counter.count += 2
             lo, hi = indptr[i], indptr[i + 1]
             cols, vals = indices[lo:hi], data[lo:hi]
-            t = float(vals.dot(x[cols]))
+            uc = u[cols]
             if svrg:
-                x *= shrink
-                x -= drift
-                x[cols] -= (eta * (deriv(i, t) - c0[i])) * vals
+                t = a * float(vals.dot(uc)) + b * ah[i]
+                coef = -eta * (deriv(i, t) - c0[i])
+                a *= s
+                b = s * b - eta
+                if not _SCALE_LO <= abs(a) <= _SCALE_HI:
+                    ub, vb = _fold(u, v, a, b, sig, ub, vb)
+                    a, b = 1.0, 0.0
+                    uc = u[cols]
+                coef /= a
+                u[cols] = uc + coef * vals
+                ub += abs(coef) * amax
             else:
-                t_prev = t + float(vals.dot(step[cols]))
-                step *= shrink
-                step[cols] += (eta * (deriv(i, t) - deriv(i, t_prev))) * vals
-                x -= step
-            if not math.isfinite(x.dot(x)):
-                raise _diverged(x, done, config_id)
-    return x
-
-
-def _one_loop(algorithm: str, problem: ErmProblem, x0: np.ndarray, eta: float,
-              m: int, averaging: AveragingScheme, rng: np.random.Generator,
-              counter: IfoCounter) -> InnerResult:
-    _resolve_scheme(algorithm, averaging)
-    g = problem.full_grad(x0, counter)
-    w = weights(averaging, m, problem.mu, eta)
-    snap = sample_snapshot_index(w, rng)
-    x = _inner_steps(problem, algorithm, x0, g, eta, snap, rng, counter)
-    return InnerResult(x, g, snap)
-
-
-def svrg_inner(problem: ErmProblem, x0: np.ndarray, eta: float, m: int,
-               averaging: AveragingScheme, rng: np.random.Generator,
-               counter: IfoCounter) -> InnerResult:
-    """One corrected-gradient outer loop with lazy snapshot selection.
-
-    Computes the anchor gradient g = grad f(x0) (n IFO), draws the snapshot
-    index M from the averaging pmf over {0..m}, runs exactly M inner updates
-    x <- x - eta * (grad f_i(x) - grad f_i(x0) + g) (2 IFO each), and returns
-    x_M with g and M. Deterministic given the generator state.
-
-    Raises:
-        DivergenceError: a non-finite iterate appeared.
-    """
-    return _one_loop("svrg", problem, x0, eta, m, averaging, rng, counter)
-
-
-def sarah_inner(problem: ErmProblem, x0: np.ndarray, eta: float, m: int,
-                averaging: AveragingScheme, rng: np.random.Generator,
-                counter: IfoCounter) -> InnerResult:
-    """One recursive-estimator outer loop with lazy snapshot selection.
-
-    v_0 = grad f(x0) (n IFO) and x_1 = x0 - eta*v_0 cost no extra IFO; each
-    recursive update v <- v + grad f_i(x_k) - grad f_i(x_{k-1}) costs 2. With
-    sampled index M, the loop runs max(M-1, 0) recursive updates and returns
-    x_M.
-
-    Raises:
-        DivergenceError: a non-finite iterate appeared.
-    """
-    return _one_loop("sarah", problem, x0, eta, m, averaging, rng, counter)
+                vc = v[cols]
+                tv = float(vals.dot(vc))
+                t = float(vals.dot(uc)) + b * tv
+                coef = eta * (deriv(i, t) - deriv(i, t + sig * tv))
+                sig *= s
+                if not _SCALE_LO <= abs(sig) <= _SCALE_HI:
+                    ub, vb = _fold(u, v, a, b, sig, ub, vb)
+                    b, sig = 0.0, 1.0
+                    uc, vc = u[cols], v[cols]
+                coef /= sig
+                v[cols] = vc + coef * vals
+                vb += abs(coef) * amax
+                coef *= -b  # y += tau*D
+                u[cols] = uc + coef * vals
+                ub += abs(coef) * amax
+                b -= sig
+            if not abs(a) * ub + abs(b) * vb < _EXACT_LIMIT:
+                _, vb = _fold(u, v, a, b, sig, ub, vb)
+                a, b, sig = 1.0, 0.0, 1.0
+                sq = u.dot(u)
+                if not math.isfinite(sq):
+                    raise _diverged(u, done, config_id)
+                ub = math.sqrt(sq)
+        _fold(u, v, a, b, sig, ub, vb)
+    return u
 
 
 def _validate(problem: ErmProblem, config: SolverConfig) -> None:

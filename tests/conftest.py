@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from vropt import (LogisticProblem, RidgeProblem, generate_synthetic,
-                   normalize_rows)
+from vropt import (AveragingScheme, LogisticProblem, RidgeProblem,
+                   generate_synthetic, normalize_rows, sample_snapshot_index,
+                   weights)
+from vropt.solvers import _inner_steps
 
 
 @pytest.fixture(autouse=True)
@@ -46,3 +48,14 @@ class ScriptedRng:
         i = self.ints.pop(0)
         assert 0 <= i < int(n)
         return i
+
+
+def inner_loop(problem, algorithm, x0, eta, m, rng, counter):
+    """One outer loop in run()'s order: the snapshot gradient g (n IFO),
+    the snapshot index M drawn from the uniform pmf over {0..m-1}, then the
+    inner-loop kernel up to x_M. Returns (x_M, g, M)."""
+    g = problem.full_grad(x0, counter)
+    snap = sample_snapshot_index(
+        weights(AveragingScheme.UNIFORM, m, problem.mu, eta), rng)
+    x = _inner_steps(problem, algorithm, x0, g, eta, snap, rng, counter)
+    return x, g, snap

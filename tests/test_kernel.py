@@ -1,7 +1,8 @@
 """The fused inner loop against a plain loop built from grad_component.
 
-svrg_inner, sarah_inner and run() share one kernel that works on CSR rows
-and scalar loss derivatives. These tests pin it to the textbook updates,
+run() takes every svrg and sarah inner loop through one kernel that works on
+CSR rows and scalar loss derivatives, with its dense terms kept as lazily
+scaled scalars. These tests pin it to the textbook updates,
 x <- x - eta*(grad f_i(x) - grad f_i(x0) + g) and
 v <- v + grad f_i(x_k) - grad f_i(x_{k-1}), x <- x - eta*v,
 on the same component picks.
@@ -15,19 +16,47 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ScriptedRng, make_logistic, make_ridge
-from vropt import (AveragingScheme, DivergenceError, FixedLength, FixedStep,
-                   IfoCounter, SolverConfig, run, sarah_inner, svrg_inner)
+from conftest import ScriptedRng, inner_loop, make_logistic, make_ridge
+from vropt import (AveragingScheme, Dataset, DivergenceError, FixedLength,
+                   FixedStep, IfoCounter, LogisticProblem, RidgeProblem,
+                   SolverConfig, normalize_rows, run, solvers)
 from vropt.averaging import sample_snapshot_index, weights
 
 U = AveragingScheme.UNIFORM
 MAX_M = 12
+
+
+def wide_rows(n, d, seed):
+    """(n, d) dense array with 1 to 3 nonzeros per row, so a short run of
+    picks leaves most columns untouched."""
+    rng = np.random.default_rng(seed)
+    rows = np.zeros((n, d))
+    for row in rows:
+        cols = rng.choice(d, rng.integers(1, 4), replace=False)
+        row[cols] = rng.standard_normal(cols.size)
+    return rows
+
+
+def make_wide_logistic(n, d, seed, kappa):
+    """Logistic problem on wide_rows scaled to unit norm, so L = 1/4 + mu
+    and mu = 0.25/(kappa - 1) pins L/mu = kappa."""
+    rows = wide_rows(n, d, seed)
+    nz = rows != 0.0
+    counts = nz.sum(axis=1)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    labels = np.where(np.arange(n) % 2 == 0, 1, -1)
+    ds = Dataset(indptr, np.nonzero(nz)[1], rows[nz], labels, d)
+    return LogisticProblem(normalize_rows(ds), 0.25 / (kappa - 1.0))
+
 
 PROBLEMS = [
     make_logistic(9, 4, seed=90, kappa=15.0),
     make_logistic(6, 7, seed=91, kappa=400.0),
     make_ridge(8, 3, seed=92, mu=0.4),
     make_ridge(5, 6, seed=93, mu=0.05),
+    make_wide_logistic(10, 240, seed=94, kappa=30.0),
+    RidgeProblem(wide_rows(9, 300, seed=95),
+                 np.random.default_rng(96).standard_normal(9), 0.2),
 ]
 
 
@@ -86,22 +115,87 @@ def test_inner_loops_match_grad_component_loop(which, x_seed, eta_scale, m,
 
     counter = IfoCounter()
     rng = ScriptedRng(uniform=[u], ints=picks[:snap])
-    res = svrg_inner(problem, x0, eta, m, U, rng, counter)
+    x, _, got = inner_loop(problem, "svrg", x0, eta, m, rng, counter)
     ref, _ = oracle_svrg(problem, x0, g, eta, picks[:snap])
-    assert res.snapshot_index == snap
+    assert got == snap
     assert rng.ints == [] and rng.uniform == []
     assert counter.count == n + 2 * snap
-    assert np.linalg.norm(res.x_next - ref) <= 1e-10 * scale
+    assert np.linalg.norm(x - ref) <= 1e-10 * scale
 
     counter = IfoCounter()
     steps = max(snap - 1, 0)
     rng = ScriptedRng(uniform=[u], ints=picks[:steps])
-    res = sarah_inner(problem, x0, eta, m, U, rng, counter)
+    x, _, got = inner_loop(problem, "sarah", x0, eta, m, rng, counter)
     ref, _ = oracle_sarah(problem, x0, g, eta, snap, picks[:steps])
-    assert res.snapshot_index == snap
+    assert got == snap
     assert rng.ints == [] and rng.uniform == []
     assert counter.count == n + 2 * steps
-    assert np.linalg.norm(res.x_next - ref) <= 1e-10 * scale
+    assert np.linalg.norm(x - ref) <= 1e-10 * scale
+
+
+def counted_folds(monkeypatch):
+    """Record the scalars (a, b, sigma) of every fold the kernel makes."""
+    calls = []
+    fold = solvers._fold
+
+    def counting(u, v, a, b, sig, ub, vb):
+        calls.append((a, b, sig))
+        return fold(u, v, a, b, sig, ub, vb)
+
+    monkeypatch.setattr(solvers, "_fold", counting)
+    return calls
+
+
+def kernel_against_oracle(problem, algorithm, x0, eta, picks):
+    """Run the kernel over the given picks and the matching oracle; return
+    the distance between their iterates relative to max(1, ||x0||)."""
+    g = problem.full_grad(x0)
+    if algorithm == "svrg":
+        upto = len(picks)
+        ref, bad = oracle_svrg(problem, x0, g, eta, picks)
+    else:
+        upto = len(picks) + 1
+        ref, bad = oracle_sarah(problem, x0, g, eta, upto, picks)
+    assert bad is None
+    counter = IfoCounter()
+    x = solvers._inner_steps(problem, algorithm, x0, g, eta, upto,
+                             ScriptedRng(ints=picks), counter)
+    assert counter.count == 2 * len(picks)
+    scale = max(1.0, float(np.linalg.norm(x0)))
+    return float(np.linalg.norm(x - ref)) / scale
+
+
+FOLD_PROBLEM = make_wide_logistic(10, 240, seed=97, kappa=1.5)  # mu = 0.5
+
+
+@pytest.mark.parametrize("algorithm", ["svrg", "sarah"])
+@pytest.mark.parametrize("eta", [1.0 / 0.75, 2.0])  # s = 1/3 and s = 0
+def test_scale_fold_matches_grad_component_loop(monkeypatch, algorithm, eta):
+    # a large step shrinks a (svrg) or sigma (sarah) below _SCALE_LO within
+    # a few steps; eta = 1/mu makes it exactly 0 at the first step
+    problem = FOLD_PROBLEM
+    picks = np.random.default_rng(98).integers(problem.n, size=40).tolist()
+    x0 = np.random.default_rng(99).standard_normal(problem.d)
+    folds = counted_folds(monkeypatch)
+    assert kernel_against_oracle(problem, algorithm, x0, eta, picks) <= 1e-10
+    assert any(abs(sig if algorithm == "sarah" else a) < solvers._SCALE_LO
+               for a, _, sig in folds)
+
+
+@pytest.mark.parametrize("algorithm", ["svrg", "sarah"])
+@pytest.mark.parametrize("which", [0, 2, 4, 5])
+def test_exact_check_on_a_large_finite_iterate(monkeypatch, algorithm,
+                                               which):
+    # ||x|| ~ 1e102 keeps the bound past _EXACT_LIMIT at every step, so each
+    # step materializes x, finds x.x finite, and folds
+    problem = PROBLEMS[which]
+    picks = np.random.default_rng(which).integers(problem.n,
+                                                  size=10).tolist()
+    x0 = 1e101 * np.random.default_rng(100).standard_normal(problem.d)
+    eta = 0.5 / problem.smoothness
+    folds = counted_folds(monkeypatch)
+    assert kernel_against_oracle(problem, algorithm, x0, eta, picks) <= 1e-10
+    assert len(folds) == len(picks) + 1  # one per step, one at loop end
 
 
 def oracle_run_divergence(problem, config):
@@ -129,10 +223,21 @@ def oracle_run_divergence(problem, config):
     return None
 
 
-@pytest.mark.parametrize("algorithm,eta_over_l", [
-    ("svrg", 50.0), ("sarah", 50.0), ("sarah", 8.0)])
-def test_divergence_steps_match_grad_component_loop(algorithm, eta_over_l):
-    problem = make_logistic(20, 4, seed=27, kappa=2.0)
+@pytest.mark.parametrize("kind,algorithm,eta_over_l", [
+    pytest.param("logistic", "svrg", 50.0, id="svrg-50.0"),
+    pytest.param("logistic", "sarah", 50.0, id="sarah-50.0"),
+    pytest.param("logistic", "sarah", 8.0, id="sarah-8.0"),
+    # ridge's loss derivative is unbounded, so the iterate grows for tens
+    # of steps before x.x overflows
+    pytest.param("ridge", "svrg", 8.0, id="ridge-svrg-8.0"),
+    pytest.param("ridge", "sarah", 8.0, id="ridge-sarah-8.0"),
+])
+def test_divergence_steps_match_grad_component_loop(kind, algorithm,
+                                                    eta_over_l):
+    if kind == "logistic":
+        problem = make_logistic(20, 4, seed=27, kappa=2.0)
+    else:
+        problem = make_ridge(20, 4, seed=28, mu=0.05)
     config = SolverConfig(algorithm,
                           step=FixedStep(eta_over_l / problem.smoothness),
                           inner=FixedLength(50), averaging=U,
@@ -146,10 +251,12 @@ def test_divergence_steps_match_grad_component_loop(algorithm, eta_over_l):
 
 def test_divergence_raises_no_numpy_warning():
     problem = make_logistic(20, 4, seed=27, kappa=2.0)  # mu = 0.25: unstable
-    config = SolverConfig("svrg", step=FixedStep(50.0 / problem.smoothness),
-                          inner=FixedLength(50), averaging=U,
-                          ifo_budget=10 ** 6, seed=1, name="boom")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DivergenceError, match="boom"):
-            run(problem, config)
+    for algorithm in ("svrg", "sarah"):
+        config = SolverConfig(algorithm,
+                              step=FixedStep(50.0 / problem.smoothness),
+                              inner=FixedLength(50), averaging=U,
+                              ifo_budget=10 ** 6, seed=1, name="boom")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match="boom"):
+                run(problem, config)

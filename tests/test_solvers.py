@@ -5,14 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import ScriptedRng, make_logistic, make_ridge
+from conftest import ScriptedRng, inner_loop, make_logistic, make_ridge
 from vropt import (AdaptiveLength, AveragingScheme, BarzilaiBorweinStep,
                    ConfigError, DivergenceError, FixedLength, FixedStep,
                    IfoCounter, LogisticProblem, RidgeProblem,
                    SolverConfig, bb_step, bench_configs, cached_reference,
                    compute_reference, default_theta_kappa,
-                   generate_synthetic, normalize_rows, run, run_experiment,
-                   sarah_inner, svrg_inner)
+                   generate_synthetic, normalize_rows, run, run_experiment)
 
 U = AveragingScheme.UNIFORM
 
@@ -169,12 +168,12 @@ def test_svrg_inner_equals_gd_when_components_identical():
     x0 = np.array([1.0, -0.5, 2.0])
     # uniform over 0..5, want index 4: u in [4/6, 5/6)
     rng = ScriptedRng(uniform=[0.70], ints=[0, 1, 2, 3])
-    res = svrg_inner(problem, x0, eta, m, U, rng, counter)
-    assert res.snapshot_index == M
+    x_next, _, snap = inner_loop(problem, "svrg", x0, eta, m, rng, counter)
+    assert snap == M
     x = x0.copy()
     for _ in range(M):
         x = x - eta * problem.full_grad(x)
-    assert np.allclose(res.x_next, x, atol=1e-12)
+    assert np.allclose(x_next, x, atol=1e-12)
 
 
 def test_sarah_inner_equals_gd_when_components_identical():
@@ -183,25 +182,30 @@ def test_sarah_inner_equals_gd_when_components_identical():
     counter = IfoCounter()
     x0 = np.array([1.0, -0.5, 2.0])
     rng = ScriptedRng(uniform=[0.70], ints=[1, 4, 2])
-    res = sarah_inner(problem, x0, eta, m, U, rng, counter)
-    assert res.snapshot_index == M
+    x_next, _, snap = inner_loop(problem, "sarah", x0, eta, m, rng, counter)
+    assert snap == M
     x = x0.copy()
     for _ in range(M):
         x = x - eta * problem.full_grad(x)
-    assert np.allclose(res.x_next, x, atol=1e-12)
+    assert np.allclose(x_next, x, atol=1e-12)
 
 
-def test_inner_rng_order_snapshot_draw_first():
+def test_inner_rng_order_snapshot_draw_first(monkeypatch):
     problem = identical_component_problem()
-    x0 = np.zeros(3)
+
+    def one_loop(algorithm, rng):
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: rng)
+        config = SolverConfig(algorithm, step=FixedStep(0.01),
+                              inner=FixedLength(4), averaging=U,
+                              outer_loops=1)
+        return run(problem, config, evaluate=False).points[-1].snapshot_index
+
     # script exactly one uniform then M component picks; leftovers = bug
     rng = ScriptedRng(uniform=[0.3], ints=[0])  # uniform m=4 -> index 1
-    res = svrg_inner(problem, x0, 0.01, 4, U, rng, IfoCounter())
-    assert res.snapshot_index == 1
+    assert one_loop("svrg", rng) == 1
     assert rng.uniform == [] and rng.ints == []
     rng = ScriptedRng(uniform=[0.99], ints=[0, 0])  # index 3 -> 2 recursive
-    res = sarah_inner(problem, x0, 0.01, 4, U, rng, IfoCounter())
-    assert res.snapshot_index == 3
+    assert one_loop("sarah", rng) == 3
     assert rng.uniform == [] and rng.ints == []
 
 
@@ -210,13 +214,13 @@ def test_inner_ifo_costs_exact():
     x0 = np.zeros(problem.d)
     counter = IfoCounter()
     rng = ScriptedRng(uniform=[0.7], ints=[0, 1, 2])  # M = 3 (uniform m=5 over 0..4: wait)
-    res = svrg_inner(problem, x0, 0.05, 5, U, rng, counter)
-    assert res.snapshot_index == 3
+    _, _, snap = inner_loop(problem, "svrg", x0, 0.05, 5, rng, counter)
+    assert snap == 3
     assert counter.count == problem.n + 2 * 3
     counter = IfoCounter()
     rng = ScriptedRng(uniform=[0.7], ints=[0, 1])
-    res = sarah_inner(problem, x0, 0.05, 5, U, rng, counter)
-    assert res.snapshot_index == 3
+    _, _, snap = inner_loop(problem, "sarah", x0, 0.05, 5, rng, counter)
+    assert snap == 3
     assert counter.count == problem.n + 2 * (3 - 1)
 
 
@@ -224,16 +228,16 @@ def test_sarah_inner_snapshot_zero_and_one():
     problem = make_logistic(7, 3, seed=5, kappa=12.0)
     x0 = np.full(problem.d, 0.3)
     counter = IfoCounter()
-    res = sarah_inner(problem, x0, 0.1, 4, U, ScriptedRng(uniform=[0.0]),
-                      counter)
-    assert res.snapshot_index == 0
-    assert np.array_equal(res.x_next, x0)
+    x, _, snap = inner_loop(problem, "sarah", x0, 0.1, 4,
+                            ScriptedRng(uniform=[0.0]), counter)
+    assert snap == 0
+    assert np.array_equal(x, x0)
     assert counter.count == problem.n  # only the anchor gradient
     counter = IfoCounter()
-    res = sarah_inner(problem, x0, 0.1, 4, U, ScriptedRng(uniform=[0.3]),
-                      counter)
-    assert res.snapshot_index == 1
-    assert np.allclose(res.x_next, x0 - 0.1 * res.snapshot_grad, atol=0)
+    x, g, snap = inner_loop(problem, "sarah", x0, 0.1, 4,
+                            ScriptedRng(uniform=[0.3]), counter)
+    assert snap == 1
+    assert np.allclose(x, x0 - 0.1 * g, atol=0)
     assert counter.count == problem.n  # the deterministic step is free
 
 
@@ -241,10 +245,10 @@ def test_svrg_inner_snapshot_zero_returns_anchor():
     problem = make_logistic(7, 3, seed=6, kappa=12.0)
     x0 = np.full(problem.d, -0.2)
     counter = IfoCounter()
-    res = svrg_inner(problem, x0, 0.1, 4, U, ScriptedRng(uniform=[0.0]),
-                     counter)
-    assert res.snapshot_index == 0
-    assert np.array_equal(res.x_next, x0)
+    x, _, snap = inner_loop(problem, "svrg", x0, 0.1, 4,
+                            ScriptedRng(uniform=[0.0]), counter)
+    assert snap == 0
+    assert np.array_equal(x, x0)
     assert counter.count == problem.n
 
 
@@ -252,11 +256,11 @@ def test_inner_does_not_mutate_inputs():
     problem = make_logistic(9, 4, seed=7, kappa=18.0)
     x0 = np.linspace(-1, 1, problem.d)
     keep = x0.copy()
-    svrg_inner(problem, x0, 0.05, 4, U,
+    inner_loop(problem, "svrg", x0, 0.05, 4,
                ScriptedRng(uniform=[0.9], ints=[0, 1, 2]), IfoCounter())
     assert np.array_equal(x0, keep)
-    sarah_inner(problem, x0, 0.05, 4, U,
-                ScriptedRng(uniform=[0.9], ints=[0, 1]), IfoCounter())
+    inner_loop(problem, "sarah", x0, 0.05, 4,
+               ScriptedRng(uniform=[0.9], ints=[0, 1]), IfoCounter())
     assert np.array_equal(x0, keep)
 
 
@@ -333,10 +337,10 @@ def test_recursive_identity_paths_match_solver_iterates():
     paths = enumerate_sarah_paths(problem, x0, eta, k_max=1)
     i1 = 2
     # uniform m=3 over {0,1,2}: u=0.9 -> index 2; then one pick i1
-    res = sarah_inner(problem, x0, eta, 3, U,
-                      ScriptedRng(uniform=[0.9], ints=[i1]), IfoCounter())
+    x, _, _ = inner_loop(problem, "sarah", x0, eta, 3,
+                         ScriptedRng(uniform=[0.9], ints=[i1]), IfoCounter())
     xs, _ = paths[i1]
-    assert np.allclose(res.x_next, xs[2], atol=1e-14)
+    assert np.allclose(x, xs[2], atol=1e-14)
 
 
 def test_recursive_estimator_norm_decay_enumerated():
