@@ -13,10 +13,10 @@ from .dataset import (Dataset, LibsvmParseError, add_bias_column,
                       generate_synthetic, normalize_rows, parse_libsvm,
                       serialize_libsvm, write_libsvm)
 from .harness import (RATE_HEADER, TRACE_HEADER, ReferenceOptimum,
-                      bench_configs, cached_reference, compute_reference,
-                      format_rate_csv, format_trace_csv, load_trace_csv,
-                      problem_key, run_experiment, write_rate_csv,
-                      write_trace_csv)
+                      bench_configs, cached_dataset, cached_reference,
+                      compute_reference, format_rate_csv, format_trace_csv,
+                      load_trace_csv, problem_key, run_experiment,
+                      write_rate_csv, write_trace_csv)
 from .problems import (ErmProblem, IfoCounter, LogisticProblem, RidgeProblem)
 from .rates import (FIGURE_IDS, GridRow, RateQuery, figure_grid, rate_grid,
                     rate_sarah_last, rate_sarah_uniform, rate_sarah_weighted,
@@ -44,8 +44,9 @@ __all__ = [
     "default_theta_kappa", "run",
     "Trace", "TracePoint",
     "ReferenceOptimum", "compute_reference", "cached_reference",
-    "problem_key", "run_experiment", "bench_configs", "format_trace_csv",
-    "write_trace_csv", "load_trace_csv", "format_rate_csv", "write_rate_csv",
+    "cached_dataset", "problem_key", "run_experiment", "bench_configs",
+    "format_trace_csv", "write_trace_csv", "load_trace_csv",
+    "format_rate_csv", "write_rate_csv",
     "TRACE_HEADER", "RATE_HEADER",
     "__version__",
 ]

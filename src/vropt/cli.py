@@ -16,8 +16,8 @@ from pathlib import Path
 from .averaging import AveragingScheme
 from .dataset import (LibsvmParseError, generate_synthetic, normalize_rows,
                       parse_libsvm, write_libsvm)
-from .harness import (bench_configs, cached_reference, run_experiment,
-                      write_rate_csv, write_trace_csv)
+from .harness import (bench_configs, cached_dataset, cached_reference,
+                      run_experiment, write_rate_csv, write_trace_csv)
 from .problems import LogisticProblem
 from .rates import FIGURE_IDS, figure_grid, rate_grid
 from .solvers import (AdaptiveLength, BarzilaiBorweinStep, DivergenceError,
@@ -128,8 +128,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_problem(args) -> LogisticProblem:
-    text = Path(args.data).read_text(encoding="utf-8")
-    ds = parse_libsvm(text)
+    # only reference has --cache-dir; run and bench use the default place
+    ds = cached_dataset(Path(args.data).read_bytes(), parse_libsvm,
+                        getattr(args, "cache_dir", None))
     if args.normalize:
         ds = normalize_rows(ds)
     return LogisticProblem(ds, args.mu, add_bias=args.bias)

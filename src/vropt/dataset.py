@@ -54,7 +54,8 @@ class Dataset:
         data: float64 array of the stored values, none of them zero.
         labels: int8 array of -1/+1, length n.
         dim: feature dimension shared by every row.
-        row_sq_norms: float array, exact sum of squared stored values per row.
+        row_sq_norms: float64 array, per row the dot product of its stored
+            values with themselves (rounded, not an exact sum of squares).
     """
 
     __slots__ = ("indptr", "indices", "data", "labels", "dim", "row_sq_norms")
@@ -91,8 +92,11 @@ class Dataset:
                 raise ValueError("indices must be strictly increasing in a row")
             if np.any(data == 0.0):
                 raise ValueError("canonical sparse form stores no zero values")
-        # one dot product per row, the rounding the rows' norms always had
-        norms = np.array([float(v @ v) for v in np.split(data, indptr[1:-1])])
+        # one dot product per row, the rounding the rows' norms always had;
+        # slices at Python int bounds cost less than np.split's
+        bounds = indptr.tolist()
+        rows = (data[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
+        norms = np.array([float(v @ v) for v in rows])
         norms.setflags(write=False)
         for name, value in (("indptr", indptr), ("indices", indices),
                             ("data", data), ("labels", lab), ("dim", dim),

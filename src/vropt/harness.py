@@ -1,6 +1,6 @@
-"""Experiment orchestration: reference optima (computed once, cached on
-disk), equal-budget multi-config runs, and the CSV emission used by the
-command-line tools and plots.
+"""Experiment orchestration: reference optima and parsed datasets (computed
+once, cached on disk), equal-budget multi-config runs, and the CSV emission
+used by the command-line tools and plots.
 
 Budgets are expressed in sample passes (IFO / n). Evaluation work never
 touches the budget; all configs in a comparison stop within one outer loop
@@ -10,28 +10,32 @@ of the same IFO total.
 from __future__ import annotations
 
 import hashlib
+import io
 import math
 import os
 import tempfile
+import zipfile
 import zlib
 from collections import deque
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .averaging import AveragingScheme
 from .problems import ErmProblem, RidgeProblem
-# not used here; perfbench/tracing.py patches vropt.harness.serialize_libsvm
-from .dataset import serialize_libsvm  # noqa: F401
+# serialize_libsvm is not used here; perfbench/tracing.py patches
+# vropt.harness.serialize_libsvm
+from .dataset import Dataset, serialize_libsvm  # noqa: F401
 from .rates import GridRow
 from .solvers import (AdaptiveLength, BarzilaiBorweinStep, ConfigError,
                       FixedLength, FixedStep, SolverConfig, run)
 from .trace import Trace, TracePoint
 
 __all__ = [
-    "ReferenceOptimum", "compute_reference", "cached_reference", "problem_key",
+    "ReferenceOptimum", "compute_reference", "cached_reference",
+    "cached_dataset", "problem_key",
     "run_experiment", "bench_configs",
     "TRACE_HEADER", "RATE_HEADER",
     "format_trace_csv", "write_trace_csv", "load_trace_csv",
@@ -175,37 +179,68 @@ def problem_key(problem: ErmProblem) -> str:
     return h.hexdigest()[:16]
 
 
-def _cache_path(key: str, cache_dir: str | os.PathLike | None) -> Path:
+def _cache_path(name: str, cache_dir: str | os.PathLike | None) -> Path:
     if cache_dir is None:
         cache_dir = os.environ.get(_CACHE_ENV) \
             or Path.home() / ".cache" / "vropt"
-    return Path(cache_dir) / f"ref-{key}.csv"
+    return Path(cache_dir) / f"{name}.npz"
+
+
+# (dtype, ndim) of every array in a cache entry. An entry's scalars share
+# one record, "meta": np.load pays about 0.1 ms per array it reads.
+_REFERENCE_FIELDS = {
+    "meta": (np.dtype([("key", "<U16"), ("dim", "<i8"), ("tol", "<f8"),
+                       ("f_star", "<f8"), ("grad_norm", "<f8")]), 0),
+    "x_star": ("<f8", 1)}
+_DATASET_FIELDS = {
+    "meta": (np.dtype([("sha256", "<U64"), ("dim", "<i8")]), 0),
+    "indptr": ("<i8", 1), "indices": ("<i8", 1), "data": ("<f8", 1),
+    "labels": ("i1", 1)}
+
+
+def _read_entry(path: Path, fields: dict) -> dict[str, np.ndarray] | None:
+    """The arrays of an .npz cache entry; None when the file is absent or
+    unreadable, holds pickled objects, or lacks a field or gives one
+    another dtype or rank. A cache file is input from outside the
+    program, so every failure to read it is a miss."""
+    try:
+        npz = np.load(path, allow_pickle=False)
+        if not isinstance(npz, np.lib.npyio.NpzFile):  # a bare .npy array
+            return None
+        with npz:
+            entry = {name: npz[name] for name in fields}
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
+        return None
+    for name, (dtype, ndim) in fields.items():
+        a = entry[name]  # a member that is not .npy data loads as bytes
+        if not isinstance(a, np.ndarray) or a.dtype != dtype or a.ndim != ndim:
+            return None
+    return entry
+
+
+def _write_entry(path: Path, fields: dict, arrays: dict) -> None:
+    """Write the arrays, cast to the fields' dtypes, as an .npz entry."""
+    buf = io.BytesIO()
+    np.savez(buf, **{name: np.asarray(arrays[name], dtype=fields[name][0])
+                     for name in fields})
+    _write_atomic(path, buf.getvalue())
 
 
 def _load_cached(path: Path, key: str, dim: int,
                  tol: float) -> ReferenceOptimum | None:
-    """Parse a cache file; None when absent, stale, or not tight enough."""
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError:
+    """Read a cache entry; None when absent, unreadable, stale, or not
+    tight enough."""
+    entry = _read_entry(path, _REFERENCE_FIELDS)
+    if entry is None:
         return None
-    if not lines or not lines[0].startswith("# vropt-reference "):
+    meta, x_star = entry["meta"], entry["x_star"]
+    if str(meta["key"]) != key or int(meta["dim"]) != dim \
+            or x_star.size != dim:
         return None
-    meta = {}
-    for token in lines[0][len("# vropt-reference "):].split():
-        name, _, value = token.partition("=")
-        meta[name] = value
-    try:
-        if meta["key"] != key or int(meta["dim"]) != dim:
-            return None
-        grad_norm = float(meta["grad_norm"])
-        f_star = float(meta["f_star"])
-        xs = [float(v) for v in lines[1:]]
-    except (KeyError, ValueError):
+    grad_norm = float(meta["grad_norm"])
+    if not grad_norm <= tol:
         return None
-    if len(xs) != dim or grad_norm > tol:
-        return None
-    return ReferenceOptimum(np.array(xs), f_star, grad_norm)
+    return ReferenceOptimum(x_star, float(meta["f_star"]), grad_norm)
 
 
 def cached_reference(problem: ErmProblem, tol: float = 1e-10,
@@ -213,37 +248,70 @@ def cached_reference(problem: ErmProblem, tol: float = 1e-10,
     """compute_reference with a disk cache.
 
     The cache directory is the cache_dir argument, else $VROPT_CACHE_DIR,
-    else ~/.cache/vropt. Files are single-column CSV named ref-<key>.csv:
-    a metadata line
-        # vropt-reference key=<hash> tol=<tol> f_star=<f*> grad_norm=<gn> dim=<d>
-    followed by one x* component per line, all floats as shortest
-    round-trip decimals. A cached solution is reused only when its key,
-    dimension, and achieved gradient norm satisfy the current request. The
-    file is written under a temporary name and renamed into place, so an
-    interrupted write leaves no partial file.
+    else ~/.cache/vropt. Entries are NumPy .npz archives named
+    ref-<key>.npz, key = problem_key(problem). Each holds x_star (float64,
+    so it reads back bit for bit) and a record "meta" of the key and dim it
+    belongs to, f_star, grad_norm and the tol it was solved for. A cached
+    solution is reused only when its key, dimension, and achieved gradient
+    norm satisfy the current request; any other entry, or one that cannot
+    be read, is recomputed and replaced. The file is written under a
+    temporary name and renamed into place, so an interrupted write leaves
+    no partial file.
     """
     key = problem_key(problem)
-    path = _cache_path(key, cache_dir)
+    path = _cache_path(f"ref-{key}", cache_dir)
     hit = _load_cached(path, key, problem.d, tol)
     if hit is not None:
         return hit
     ref = compute_reference(problem, tol=tol)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [f"# vropt-reference key={key} tol={tol!r} f_star={ref.f_star!r} "
-             f"grad_norm={ref.grad_norm!r} dim={problem.d}"]
-    lines.extend(repr(float(v)) for v in ref.x_star)
-    _write_atomic(path, "\n".join(lines) + "\n")
+    _write_entry(path, _REFERENCE_FIELDS, {
+        "meta": (key, problem.d, tol, ref.f_star, ref.grad_norm),
+        "x_star": ref.x_star})
     return ref
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write text to a temporary file next to path, then rename it over
-    path, so readers see the old file or the whole new one, never a part."""
+def cached_dataset(raw: bytes, parse: Callable[[str], Dataset],
+                   cache_dir: str | os.PathLike | None = None) -> Dataset:
+    """parse(raw decoded as UTF-8), with a disk cache keyed by the bytes.
+
+    The entry is data-<first 16 hex digits of sha256(raw)>.npz in the
+    cached_reference directory. It holds the CSR arrays, the labels and a
+    record "meta" of the full digest and dim. A hit must carry the full
+    digest and passes through Dataset's checks again; an entry that is
+    missing, unreadable, carries another digest or is not canonical is a
+    miss. A miss parses and writes the entry atomically; a decode or parse
+    error propagates and writes nothing. A failed write is ignored, so a
+    command that needs no reference also runs without a writable cache.
+    """
+    digest = hashlib.sha256(raw).hexdigest()
+    path = _cache_path(f"data-{digest[:16]}", cache_dir)
+    entry = _read_entry(path, _DATASET_FIELDS)
+    if entry is not None and str(entry["meta"]["sha256"]) == digest:
+        try:
+            return Dataset(entry["indptr"], entry["indices"], entry["data"],
+                           entry["labels"], int(entry["meta"]["dim"]))
+        except ValueError:
+            pass  # not canonical: parse again and replace it
+    ds = parse(raw.decode("utf-8"))
+    try:
+        _write_entry(path, _DATASET_FIELDS, {
+            "meta": (digest, ds.dim), "indptr": ds.indptr,
+            "indices": ds.indices, "data": ds.data, "labels": ds.labels})
+    except OSError:
+        pass  # an unwritable cache costs the next start a parse, no more
+    return ds
+
+
+def _write_atomic(path: Path, content: bytes) -> None:
+    """Write content to a temporary file next to path (making the directory
+    if needed), then rename it over path, so readers see the old file or
+    the whole new one, never a part."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.",
                                suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(content)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

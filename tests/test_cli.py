@@ -1,8 +1,10 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import vropt.cli
 from vropt import load_trace_csv
 from vropt.cli import main
 
@@ -227,7 +229,93 @@ def test_reference_command(tmp_path, capsys):
                  "--cache-dir", str(cache)]) == 0
     out = capsys.readouterr().out
     assert "f_star=" in out and "grad_norm=" in out
-    assert len(list(cache.glob("ref-*.csv"))) == 1
+    assert len(list(cache.glob("ref-*.npz"))) == 1
+    assert len(list(cache.glob("data-*.npz"))) == 1
+    assert len(list(cache.iterdir())) == 2
+
+
+# -------------------------------------------------------- dataset cache
+
+def count_parses(monkeypatch):
+    """Record every text the CLI hands to parse_libsvm."""
+    calls = []
+    real = vropt.cli.parse_libsvm
+
+    def parse(text):
+        calls.append(text)
+        return real(text)
+
+    monkeypatch.setattr(vropt.cli, "parse_libsvm", parse)
+    return calls
+
+
+def command_argv(command, data, out):
+    if command == "reference":
+        return ["reference", "--data", data, "--mu", "0.05", "--normalize"]
+    if command == "run":
+        return run_flags(data, out / "trace.csv", "--algo", "svrg",
+                         "--step", "bb", "--passes", "4")
+    return ["bench", "--data", data, "--mu", "0.05", "--normalize",
+            "--passes", "3", "--out-dir", str(out), "--plot"]
+
+
+@pytest.mark.parametrize("command", ["reference", "run", "bench"])
+def test_warm_start_repeats_cold_start(tmp_path, capsys, monkeypatch,
+                                       command):
+    data = gen_data(tmp_path)
+    capsys.readouterr()
+    parses = count_parses(monkeypatch)
+    results = []
+    for start in ("cold", "warm"):
+        out = tmp_path / start
+        out.mkdir()
+        assert main(command_argv(command, data, out)) == 0
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        results.append((capsys.readouterr().out, files))
+    assert results[0] == results[1]
+    assert len(parses) == 1  # the warm start read the parsed-dataset cache
+    cache = tmp_path / "refcache"  # VROPT_CACHE_DIR, set in conftest
+    assert len(list(cache.glob("data-*.npz"))) == 1
+    assert len(list(cache.glob("ref-*.npz"))) == 1
+
+
+def test_edited_data_file_misses_cache(tmp_path, capsys, monkeypatch):
+    data = gen_data(tmp_path)
+    parses = count_parses(monkeypatch)
+    argv = command_argv("reference", data, tmp_path)
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    path = Path(data)
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace("-1 ", "+1 ", 1), encoding="utf-8")
+    assert main(argv) == 0
+    assert capsys.readouterr().out != first
+    assert len(parses) == 2
+    assert len(list((tmp_path / "refcache").glob("data-*.npz"))) == 2
+
+
+def test_run_without_reference_needs_no_writable_cache(tmp_path,
+                                                       monkeypatch):
+    data = gen_data(tmp_path)
+    blocked = tmp_path / "a-file"
+    blocked.write_text("", encoding="utf-8")
+    monkeypatch.setenv("VROPT_CACHE_DIR", str(blocked))
+    out = tmp_path / "trace.csv"
+    assert main(run_flags(data, out, "--algo", "sgd", "--passes", "2",
+                          "--no-reference")) == 0
+    assert main(command_argv("reference", data, tmp_path)) == 1
+
+
+@pytest.mark.parametrize("content", [b"+1 1:0.5\n-1 2:x\n",
+                                     b"+1 1:0.5\n-1 2:\xff\n"],
+                         ids=["parse-error", "non-utf8"])
+def test_bad_data_exits_2_and_caches_nothing(tmp_path, capsys, content):
+    data = tmp_path / "bad.libsvm"
+    data.write_bytes(content)
+    assert main(command_argv("reference", str(data), tmp_path)) == 2
+    assert "error:" in capsys.readouterr().err
+    cache = tmp_path / "refcache"
+    assert not cache.exists() or not list(cache.glob("data-*"))
 
 
 # ------------------------------------------------------- installed entry

@@ -224,6 +224,17 @@ def test_serialize_parse_is_identity(parts):
     assert np.array_equal(inferred.data, ds.data)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(parts=canonical_csr())
+def test_row_sq_norms_match_split_rows_bit_for_bit(parts):
+    ds = Dataset(*parts)
+    rows = np.split(ds.data, ds.indptr[1:-1])
+    want = np.array([float(v @ v) for v in rows])
+    assert ds.row_sq_norms.dtype == np.float64
+    assert ds.row_sq_norms.tobytes() == want.tobytes()
+
+
 @settings(max_examples=200, deadline=None)
 @given(parts=canonical_csr(), kind=st.sampled_from(
     ["decreasing", "duplicate", "below", "above", "zero", "label"]),

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -12,10 +13,11 @@ from conftest import make_logistic, make_ridge
 from vropt import (AveragingScheme, ConfigError, Dataset, FixedLength,
                    FixedStep, GridRow, LogisticProblem, RATE_HEADER,
                    RidgeProblem, SolverConfig, TRACE_HEADER, Trace, TracePoint,
-                   bench_configs, cached_reference, compute_reference,
-                   format_rate_csv, format_trace_csv, generate_synthetic,
-                   load_trace_csv, normalize_rows, parse_libsvm, problem_key,
-                   run_experiment, serialize_libsvm, write_trace_csv)
+                   bench_configs, cached_dataset, cached_reference,
+                   compute_reference, format_rate_csv, format_trace_csv,
+                   generate_synthetic, load_trace_csv, normalize_rows,
+                   parse_libsvm, problem_key, run_experiment,
+                   serialize_libsvm, write_trace_csv)
 
 
 # ----------------------------------------------------------- reference
@@ -221,16 +223,16 @@ def test_problem_key_golden():
 def test_cache_round_trip_is_exact(tmp_path, monkeypatch):
     problem = make_logistic(12, 3, seed=46, kappa=8.0)
     ref1 = cached_reference(problem, cache_dir=tmp_path)
-    files = list(tmp_path.glob("ref-*.csv"))
+    files = list(tmp_path.glob("ref-*"))
     assert len(files) == 1
-    assert files[0].name == f"ref-{problem_key(problem)}.csv"
+    assert files[0].name == f"ref-{problem_key(problem)}.npz"
 
     def boom(*args, **kwargs):
         raise AssertionError("cache should have been hit")
 
     monkeypatch.setattr(vropt.harness, "compute_reference", boom)
     ref2 = cached_reference(problem, cache_dir=tmp_path)
-    assert np.array_equal(ref1.x_star, ref2.x_star)
+    assert ref2.x_star.tobytes() == ref1.x_star.tobytes()
     assert ref2.f_star == ref1.f_star
     assert ref2.grad_norm == ref1.grad_norm
 
@@ -249,17 +251,20 @@ def test_cache_write_interrupted_leaves_nothing(tmp_path, monkeypatch):
 
 def test_cache_file_format(tmp_path):
     problem = make_logistic(10, 4, seed=47, kappa=6.0)
-    ref = cached_reference(problem, cache_dir=tmp_path)
-    path = tmp_path / f"ref-{problem_key(problem)}.csv"
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0].startswith("# vropt-reference ")
-    meta = dict(tok.split("=", 1) for tok in lines[0][2:].split()[1:])
-    assert meta["key"] == problem_key(problem)
-    assert int(meta["dim"]) == problem.d
+    ref = cached_reference(problem, tol=1e-9, cache_dir=tmp_path)
+    path = tmp_path / f"ref-{problem_key(problem)}.npz"
+    with np.load(path, allow_pickle=False) as entry:
+        fields = {name: entry[name] for name in entry.files}
+    assert set(fields) == {"meta", "x_star"}
+    meta = fields["meta"]
+    assert meta.dtype.names == ("key", "dim", "tol", "f_star", "grad_norm")
+    assert str(meta["key"]) == problem_key(problem)
+    assert meta.dtype["dim"] == "<i8" and int(meta["dim"]) == problem.d
+    assert float(meta["tol"]) == 1e-9
     assert float(meta["f_star"]) == ref.f_star
     assert float(meta["grad_norm"]) == ref.grad_norm
-    assert len(lines) == 1 + problem.d
-    assert [float(v) for v in lines[1:]] == list(ref.x_star)
+    assert fields["x_star"].dtype == "<f8"
+    assert fields["x_star"].tobytes() == ref.x_star.tobytes()
 
 
 def test_cache_rejected_when_not_tight_enough(tmp_path, monkeypatch):
@@ -288,9 +293,10 @@ def test_cache_rejected_on_key_or_shape_mismatch(tmp_path, monkeypatch):
     p1 = make_logistic(12, 3, seed=49, kappa=8.0)
     p2 = make_logistic(12, 3, seed=50, kappa=8.0)
     cached_reference(p1, cache_dir=tmp_path)
-    src = tmp_path / f"ref-{problem_key(p1)}.csv"
-    dst = tmp_path / f"ref-{problem_key(p2)}.csv"
-    dst.write_text(src.read_text(encoding="utf-8"), encoding="utf-8")
+    src = tmp_path / f"ref-{problem_key(p1)}.npz"
+    dst = tmp_path / f"ref-{problem_key(p2)}.npz"
+    good = src.read_bytes()
+    dst.write_bytes(good)
     calls = []
     true_compute = vropt.harness.compute_reference
 
@@ -302,20 +308,25 @@ def test_cache_rejected_on_key_or_shape_mismatch(tmp_path, monkeypatch):
     cached_reference(p2, cache_dir=tmp_path)  # stale key inside the file
     assert calls == [problem_key(p2)]
 
-    # drop one component: dim check must force a recompute
-    lines = src.read_text(encoding="utf-8").splitlines()
-    src.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
+    # drop one component: the shape check must force a recompute
+    with np.load(src, allow_pickle=False) as entry:
+        fields = {name: entry[name] for name in entry.files}
+    np.savez(src, **dict(fields, x_star=fields["x_star"][:-1]))
     calls.clear()
     cached_reference(p1, cache_dir=tmp_path)
     assert calls == [problem_key(p1)]
 
-    # garbage header: ignored, recomputed, rewritten
-    src.write_text("not a cache file\n", encoding="utf-8")
+    # truncated or garbage: ignored, recomputed, rewritten
+    for bad in (good[:len(good) // 2], b"not a cache file\n"):
+        src.write_bytes(bad)
+        calls.clear()
+        ref = cached_reference(p1, cache_dir=tmp_path)
+        assert calls == [problem_key(p1)]
+        assert src.read_bytes()[:2] == b"PK"  # an .npz archive again
+        assert ref.grad_norm <= 1e-10
     calls.clear()
-    ref = cached_reference(p1, cache_dir=tmp_path)
-    assert calls == [problem_key(p1)]
-    assert src.read_text(encoding="utf-8").startswith("# vropt-reference ")
-    assert ref.grad_norm <= 1e-10
+    cached_reference(p1, cache_dir=tmp_path)
+    assert calls == []
 
 
 def test_cache_env_dir_used(tmp_path, monkeypatch):
@@ -323,7 +334,79 @@ def test_cache_env_dir_used(tmp_path, monkeypatch):
     monkeypatch.setenv("VROPT_CACHE_DIR", str(tmp_path / "via-env"))
     cached_reference(problem)
     assert (tmp_path / "via-env" /
-            f"ref-{problem_key(problem)}.csv").is_file()
+            f"ref-{problem_key(problem)}.npz").is_file()
+
+
+def counting_parse(calls):
+    def parse(text):
+        calls.append(text)
+        return parse_libsvm(text)
+    return parse
+
+
+def test_dataset_cache_crlf_and_lf_parse_equal(tmp_path):
+    text = serialize_libsvm(generate_synthetic(20, 5, seed=52,
+                                               separation=2.0))
+    calls = []
+    parse = counting_parse(calls)
+    datasets = [cached_dataset(raw, parse, tmp_path)
+                for raw in (text.encode(), text.replace("\n", "\r\n").encode())
+                for _ in range(2)]
+    assert len(calls) == 2  # one miss per distinct content
+    assert len(list(tmp_path.glob("data-*.npz"))) == 2
+    assert all(ds == datasets[0] for ds in datasets)
+
+
+def dataset_entry(raw, tmp_path):
+    """The cached_dataset entry path for raw and its arrays."""
+    digest = hashlib.sha256(raw).hexdigest()
+    path = tmp_path / f"data-{digest[:16]}.npz"
+    with np.load(path, allow_pickle=False) as entry:
+        return path, {name: entry[name] for name in entry.files}
+
+
+@pytest.mark.parametrize("damage", ["corrupted", "truncated", "non-canonical",
+                                    "dtype", "other file"])
+def test_dataset_cache_bad_entry_ignored_and_rewritten(tmp_path, damage):
+    raw = b"+1 1:0.5 3:-2.0\n-1 2:1.5\n"
+    calls = []
+    parse = counting_parse(calls)
+    want = cached_dataset(raw, parse, tmp_path)
+    path, fields = dataset_entry(raw, tmp_path)
+    assert set(fields) == {"meta", "indptr", "indices", "data", "labels"}
+    assert str(fields["meta"]["sha256"]) == hashlib.sha256(raw).hexdigest()
+    assert int(fields["meta"]["dim"]) == want.dim
+    good = path.read_bytes()
+    if damage == "corrupted":  # a flipped bit in the stored values
+        bad = bytearray(good)
+        bad[good.index(fields["data"].tobytes())] ^= 1
+        path.write_bytes(bytes(bad))
+    elif damage == "truncated":
+        path.write_bytes(good[:len(good) // 2])
+    elif damage == "non-canonical":  # columns swapped within row 0
+        np.savez(path, **dict(fields, indices=fields["indices"][[1, 0, 2]]))
+    elif damage == "dtype":
+        np.savez(path, **dict(fields, data=fields["data"].astype(np.float32)))
+    else:
+        other = b"-1 1:4.0\n+1 1:2.5\n"
+        cached_dataset(other, parse, tmp_path)
+        path.write_bytes(dataset_entry(other, tmp_path)[0].read_bytes())
+    calls.clear()
+    assert cached_dataset(raw, parse, tmp_path) == want
+    assert len(calls) == 1
+    calls.clear()
+    assert cached_dataset(raw, parse, tmp_path) == want
+    assert calls == []  # the entry was rewritten
+
+
+def test_dataset_cache_write_interrupted_leaves_nothing(tmp_path, monkeypatch):
+    def interrupted(src, dst):
+        raise OSError("interrupted")
+
+    monkeypatch.setattr(vropt.harness.os, "replace", interrupted)
+    ds = cached_dataset(b"+1 1:1.0\n", parse_libsvm, tmp_path)
+    assert ds == parse_libsvm("+1 1:1.0\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 # ------------------------------------------------------ run_experiment
