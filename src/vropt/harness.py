@@ -171,10 +171,10 @@ def problem_key(problem: ErmProblem) -> str:
     h.update(f"{problem.kind} n={problem.n} nnz={problem.indices.size} "
              f"dim={problem.d}\n".encode("utf-8"))
     targets = problem.targets
-    for array, dtype in ((problem._csr.indptr, "<i8"), (problem.indices, "<i8"),
+    for array, dtype in ((problem.indptr, "<i8"), (problem.indices, "<i8"),
                          (problem.data, "<f8"),
                          (targets, targets.dtype.newbyteorder("<"))):
-        h.update(array.astype(dtype, copy=False).tobytes())
+        h.update(np.asarray(array, dtype=dtype).tobytes())
     h.update(f"\nmu={problem.mu!r}".encode("utf-8"))
     return h.hexdigest()[:16]
 

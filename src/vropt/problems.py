@@ -20,8 +20,6 @@ import abc
 import math
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import expit
 
 from .dataset import Dataset, add_bias_column
 
@@ -56,6 +54,25 @@ def _log1p_exp(t: float) -> float:
     return math.log1p(math.exp(t))
 
 
+# stored entries per pass of _accumulate: few enough that its temporaries
+# stay in cache, enough that its Python loop costs nothing
+_CHUNK = 1 << 14
+
+
+def _accumulate(out: np.ndarray, dest: np.ndarray, src: np.ndarray,
+                pick: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """out[dest[k]] += data[k] * src[pick[k]] for every stored entry k, in
+    storage order, so each output is the sequential sum a CSR product
+    forms; returns out. Like a compiled CSR product, it does not warn on
+    entries that overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(data), _CHUNK):
+            w = src[pick[lo:lo + _CHUNK]]
+            w *= data[lo:lo + _CHUNK]
+            np.add.at(out, dest[lo:lo + _CHUNK], w)
+    return out
+
+
 class ErmProblem(abc.ABC):
     """Finite-sum linear model: n components over R^d, mu-strongly convex
     with L-Lipschitz component gradients (kappa = L/mu).
@@ -64,8 +81,8 @@ class ErmProblem(abc.ABC):
     data[indptr[i]:indptr[i+1]] at columns indices[indptr[i]:indptr[i+1]];
     indptr is a Python list so that slicing it costs no numpy scalar, and
     indices are np.intp, the index type numpy gathers and scatters fastest.
-    The arrays are used in place; `_csr`, a scipy matrix over the same rows,
-    serves the all-component products.
+    The arrays are used in place; `_rows`, the row of each stored entry,
+    is the one extra array, and the all-component products sum over it.
     """
 
     kind: str  # short tag naming the loss in cache keys
@@ -79,12 +96,9 @@ class ErmProblem(abc.ABC):
         self.d = int(d)
         self.mu = float(mu)
         self._L = smoothness
-        # scipy may narrow its index copy to int32, which numpy indexes
-        # slowly, so the per-row paths read the np.intp indices
-        self._csr = sp.csr_matrix((data, indices, indptr),
-                                  shape=(self.n, self.d))
         self.indptr = indptr.tolist()
         self.indices, self.data = indices, data
+        self._rows = np.repeat(np.arange(self.n), np.diff(indptr))
         self.targets = targets
         # max |a_ij|, which bounds how far one sparse step moves any entry
         self.max_abs_entry = float(np.abs(data).max(initial=0.0))
@@ -136,7 +150,7 @@ class ErmProblem(abc.ABC):
     def value(self, x: np.ndarray) -> float:
         """f(x) = (1/n) sum_i f_i(x)."""
         x = self._check_x(x)
-        loss = float(np.mean(self._losses(self._csr @ x)))
+        loss = float(np.mean(self._losses(self.margins(x))))
         return loss + 0.5 * self.mu * float(x @ x)
 
     def component_value(self, i: int, x: np.ndarray) -> float:
@@ -160,7 +174,9 @@ class ErmProblem(abc.ABC):
 
     def margins(self, x: np.ndarray) -> np.ndarray:
         """<a_i, x> for every i; no charge."""
-        return self._csr @ x
+        x = self._check_x(x)
+        return _accumulate(np.zeros(self.n), self._rows, x, self.indices,
+                           self.data)
 
     def loss_derivs(self, x: np.ndarray) -> np.ndarray:
         """phi_i'(<a_i, x>) for every i, the vector full_grad is built on;
@@ -174,7 +190,8 @@ class ErmProblem(abc.ABC):
         if counter is not None:
             counter.count += self.n
         coeff = self.loss_derivs(x) / self.n
-        return np.asarray(self._csr.T @ coeff) + self.mu * x
+        return _accumulate(np.zeros(self.d), self.indices, coeff, self._rows,
+                           self.data) + self.mu * x
 
 
 class LogisticProblem(ErmProblem):
@@ -214,7 +231,11 @@ class LogisticProblem(ErmProblem):
         return np.logaddexp(0.0, -self._labels * t)
 
     def _derivs(self, t: np.ndarray) -> np.ndarray:
-        return -self._labels * expit(-self._labels * t)
+        b = self._labels
+        # exp(b t) overflows to inf only where the limit is -b*0, a signed
+        # zero (-0.0 for b = +1, +0.0 for b = -1), which -b/inf gives
+        with np.errstate(over="ignore"):
+            return -b / (1.0 + np.exp(b * t))
 
 
 class RidgeProblem(ErmProblem):
@@ -234,9 +255,10 @@ class RidgeProblem(ErmProblem):
             raise ValueError("rows must be a 2-D array (n, d)")
         if targets.shape != (rows.shape[0],):
             raise ValueError(f"{rows.shape[0]} rows but {targets.size} targets")
-        csr = sp.csr_matrix(rows)
+        row_of, cols = np.nonzero(rows)
+        indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(rows, 1))))
         self._y = targets.tolist()
-        super().__init__(csr.indptr, csr.indices.astype(np.intp), csr.data,
+        super().__init__(indptr, cols, rows[row_of, cols],
                          rows.shape[1], targets, mu,
                          float(np.max(np.einsum("ij,ij->i", rows, rows)) + mu))
 
@@ -256,6 +278,7 @@ class RidgeProblem(ErmProblem):
         """Exact minimizer from (A^T A / n + mu I) x = A^T y / n."""
         # a transient dense copy: BLAS forms A^T A some 70x faster than a
         # sparse-sparse product of the (dense) ridge rows
-        a = self._csr.toarray()
+        a = np.zeros((self.n, self.d))
+        a[self._rows, self.indices] = self.data
         h = a.T @ a / self.n + self.mu * np.eye(self.d)
         return np.linalg.solve(h, a.T @ self.targets / self.n)

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -316,6 +317,19 @@ def test_bad_data_exits_2_and_caches_nothing(tmp_path, capsys, content):
     assert "error:" in capsys.readouterr().err
     cache = tmp_path / "refcache"
     assert not cache.exists() or not list(cache.glob("data-*"))
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy is a test-only oracle
+    src = str(Path(vropt.cli.__file__).resolve().parents[1])
+    code = ("import sys, vropt, vropt.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # ------------------------------------------------------- installed entry

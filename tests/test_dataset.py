@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import assume, given, settings
+from scipy.special import expit
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from vropt import (Dataset, LibsvmParseError, add_bias_column,
                    compute_reference, generate_synthetic, normalize_rows,
                    parse_libsvm, serialize_libsvm, write_libsvm,
                    LogisticProblem)
+from vropt.problems import _CHUNK
 
 
 def to_dense(ds):
@@ -193,12 +195,13 @@ def test_dataset_rejects_malformed_layout(indptr, indices, data, labels, dim):
 # ------------------------------------------------------------ properties
 
 @st.composite
-def canonical_csr(draw):
-    """(indptr, indices, data, labels, dim) of a canonical dataset; rows may
-    be empty and dim may exceed the largest stored column."""
+def canonical_csr(draw, values=st.floats(allow_nan=False,
+                                         allow_infinity=False).filter(bool)):
+    """(indptr, indices, data, labels, dim) of a canonical dataset with
+    nonzero entries drawn from values; rows may be empty and dim may exceed
+    the largest stored column."""
     dim = draw(st.integers(1, 12))
     n = draw(st.integers(1, 6))
-    values = st.floats(allow_nan=False, allow_infinity=False).filter(bool)
     indptr, indices, data = [0], [], []
     for _ in range(n):
         cols = sorted(draw(st.sets(st.integers(0, dim - 1), max_size=dim)))
@@ -263,3 +266,66 @@ def test_non_canonical_arrays_rejected(parts, kind, data):
             indices[k] = -1 if kind == "below" else dim
     with pytest.raises(ValueError):
         Dataset(indptr, indices, values, labels, dim)
+
+
+# |a_ij|, |x_j| <= 1e3 keep every product and row sum far from overflow
+bounded = st.floats(-1e3, 1e3).filter(bool)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # exp overflow is silent
+@settings(max_examples=200, deadline=None)
+@given(parts=canonical_csr(values=bounded), data=st.data())
+@example(parts=([0, 0, 2, 2, 2], [1, 3], [2.5, -1.0], [1, -1, 1, -1], 7),
+         data=None).via("empty rows, trailing empty rows, dim past the last "
+                        "column")
+@example(parts=([0, 0, 0], [], [], [1, -1], 3), data=None).via("no entries")
+def test_logistic_products_match_scipy(parts, data):
+    problem = LogisticProblem(Dataset(*parts), mu=0.5)
+    n, d = problem.n, problem.d
+    if data is None:
+        x = np.linspace(-3.0, 4.0, d)
+        t = np.linspace(-800.0, 800.0, n)
+    else:
+        x = np.array(data.draw(st.lists(st.floats(-1e3, 1e3),
+                                        min_size=d, max_size=d)))
+        t = np.array(data.draw(st.lists(st.floats(-800.0, 800.0),
+                                        min_size=n, max_size=n)))
+    a = sp.csr_matrix((problem.data, problem.indices, problem.indptr),
+                      shape=(n, d))
+    # both sum each output in storage order, so they agree bit for bit
+    for got, want in ((problem.margins(x), a @ x),
+                      (problem.full_grad(x),
+                       a.T @ (problem.loss_derivs(x) / n) + problem.mu * x)):
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+    # numpy's exp and libm's may differ in the last bit
+    b = problem.dataset.labels.astype(np.float64)
+    for margins in (t, a @ x):
+        assert np.max(np.abs(problem._derivs(margins)
+                             - -b * expit(-b * margins))) <= 4e-16
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_products_match_scipy_across_chunks():
+    # rows straddle the boundaries of the passes the all-row products make
+    rng = np.random.default_rng(3)
+    dim, n = 40, 3 * _CHUNK // 15
+    cols = [np.sort(rng.choice(dim, rng.integers(0, 31), replace=False))
+            for _ in range(n)]
+    indptr = np.concatenate(([0], np.cumsum([len(c) for c in cols])))
+    nnz = indptr[-1]
+    assert nnz > 2 * _CHUNK
+    values = rng.uniform(0.5, 2.0, nnz) * rng.choice([-1.0, 1.0], nnz)
+    ds = Dataset(indptr, np.concatenate(cols), values,
+                 rng.choice([-1, 1], n), dim)
+    problem = LogisticProblem(ds, mu=0.5)
+    a = sp.csr_matrix((ds.data, ds.indices, ds.indptr), shape=(n, dim))
+    x = rng.standard_normal(dim)
+    assert problem.margins(x).tobytes() == (a @ x).tobytes()
+    want = a.T @ (problem.loss_derivs(x) / n) + problem.mu * x
+    assert problem.full_grad(x).tobytes() == want.tobytes()
+    # entries that overflow give inf and nan, silently, as scipy's do
+    huge = np.full(dim, 1e308)
+    got = problem.margins(huge)
+    assert np.isinf(got).any() and np.isnan(got).any()
+    np.testing.assert_array_equal(got, a @ huge)

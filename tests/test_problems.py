@@ -130,6 +130,10 @@ def test_shape_and_index_validation():
     problem = make_logistic(8, 4, seed=8, kappa=25.0)
     with pytest.raises(ValueError):
         problem.value(np.zeros(3))
+    # a gather would read the first d entries of a longer x
+    for oracle in (problem.margins, problem.value, problem.full_grad):
+        with pytest.raises(ValueError, match="shape"):
+            oracle(np.zeros(5))
     with pytest.raises(IndexError):
         problem.grad_component(8, np.zeros(4))
     with pytest.raises(IndexError):
