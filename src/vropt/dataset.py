@@ -3,12 +3,13 @@ row normalization.
 
 Conventions: feature indices are 1-based on disk (LIBSVM) and 0-based in memory;
 labels are strictly -1/+1; rows are stored in canonical CSR form (strictly
-increasing indices within a row, no explicit zeros). Datasets are immutable
-after construction and safe to share across threads.
+increasing indices within a row, only finite nonzero values). Datasets are
+immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 import numpy as np
@@ -51,11 +52,13 @@ class Dataset:
         indptr: np.intp array of row offsets, length n + 1.
         indices: np.intp array of column indices, strictly increasing within
             each row and inside [0, dim).
-        data: float64 array of the stored values, none of them zero.
+        data: float64 array of the stored values, all finite and nonzero.
         labels: int8 array of -1/+1, length n.
         dim: feature dimension shared by every row.
-        row_sq_norms: float64 array, per row the dot product of its stored
-            values with themselves (rounded, not an exact sum of squares).
+        row_sq_norms: float64 array, per row the sum of its stored values'
+            rounded squares, added one at a time in storage order from 0.0
+            (so the same bits on every platform; 0.0 for an empty row, inf
+            where the sum overflows).
     """
 
     __slots__ = ("indptr", "indices", "data", "labels", "dim", "row_sq_norms")
@@ -92,11 +95,16 @@ class Dataset:
                 raise ValueError("indices must be strictly increasing in a row")
             if np.any(data == 0.0):
                 raise ValueError("canonical sparse form stores no zero values")
-        # one dot product per row, the rounding the rows' norms always had;
-        # slices at Python int bounds cost less than np.split's
-        bounds = indptr.tolist()
-        rows = (data[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
-        norms = np.array([float(v @ v) for v in rows])
+            if not np.all(np.isfinite(data)):
+                raise ValueError("canonical sparse form stores only finite "
+                                 "values")
+        # bincount adds each row's rounded squares left to right in storage
+        # order, the same bits on every machine; a square or a sum past the
+        # float range is inf, and stays so without a warning
+        with np.errstate(over="ignore"):
+            norms = np.bincount(np.repeat(np.arange(n), np.diff(indptr)),
+                                weights=data * data, minlength=n)
+        norms = norms.astype(np.float64, copy=False)  # int zeros if nnz == 0
         norms.setflags(write=False)
         for name, value in (("indptr", indptr), ("indices", indices),
                             ("data", data), ("labels", lab), ("dim", dim),
@@ -155,6 +163,9 @@ def _parse_line(line: str, line_no: int, indices: list[int],
         prev = idx
         if val == 0.0:  # zero entries are dropped to keep rows canonical
             continue
+        if not math.isfinite(val):
+            raise LibsvmParseError(
+                f"line {line_no}: value {val_s!r} is not finite")
         indices.append(idx - 1)
         values.append(val)
     return label
@@ -173,8 +184,9 @@ def parse_libsvm(source: str | Iterable[str], dim: int | None = None) -> Dataset
         Dataset with 0-based column indices.
 
     Raises:
-        LibsvmParseError: malformed token, non-increasing indices within a
-            line, or unrecognized label; the message names the line number.
+        LibsvmParseError: malformed token, non-finite value, non-increasing
+            indices within a line, or unrecognized label; the message names
+            the line number.
     """
     lines = source.splitlines() if isinstance(source, str) else source
     labels: list[int] = []
@@ -258,12 +270,17 @@ def normalize_rows(ds: Dataset) -> Dataset:
     """Scale every row to unit Euclidean norm; returns a new Dataset.
 
     Raises:
-        ValueError: some row has zero norm (names the row index).
+        ValueError: some row has zero norm, or a squared norm past the float
+            range (names the row index).
     """
     norms = np.sqrt(ds.row_sq_norms)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise ValueError(f"row {zero[0]} has zero norm and cannot be normalized")
+    huge = np.flatnonzero(np.isinf(norms))
+    if huge.size:
+        raise ValueError(f"row {huge[0]} has a squared norm past the float "
+                         "range and cannot be normalized")
     data = ds.data / np.repeat(norms, np.diff(ds.indptr))
     return Dataset(ds.indptr, ds.indices, data, ds.labels, ds.dim)
 

@@ -92,6 +92,10 @@ class ErmProblem(abc.ABC):
                  smoothness: float):
         if mu < 0:
             raise ValueError(f"mu must be >= 0, got {mu}")
+        if not math.isfinite(smoothness):
+            raise ValueError(f"smoothness L = {smoothness} is not finite "
+                             "(a squared row norm or mu is past the float "
+                             "range)")
         self.n = len(indptr) - 1
         self.d = int(d)
         self.mu = float(mu)

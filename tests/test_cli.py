@@ -308,8 +308,9 @@ def test_run_without_reference_needs_no_writable_cache(tmp_path,
 
 
 @pytest.mark.parametrize("content", [b"+1 1:0.5\n-1 2:x\n",
-                                     b"+1 1:0.5\n-1 2:\xff\n"],
-                         ids=["parse-error", "non-utf8"])
+                                     b"+1 1:0.5\n-1 2:\xff\n",
+                                     b"+1 1:nan\n", b"+1 1:inf\n"],
+                         ids=["parse-error", "non-utf8", "nan", "inf"])
 def test_bad_data_exits_2_and_caches_nothing(tmp_path, capsys, content):
     data = tmp_path / "bad.libsvm"
     data.write_bytes(content)
@@ -317,6 +318,20 @@ def test_bad_data_exits_2_and_caches_nothing(tmp_path, capsys, content):
     assert "error:" in capsys.readouterr().err
     cache = tmp_path / "refcache"
     assert not cache.exists() or not list(cache.glob("data-*"))
+
+
+# finite entries whose squared row norm is past the float range
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("normalize,message", [
+    (["--normalize"], "error: row 1 has a squared norm past the float range"),
+    ([], "error: smoothness L = inf is not finite"),
+], ids=["normalize", "raw"])
+def test_overflowing_row_norm_exits_2(tmp_path, capsys, normalize, message):
+    data = tmp_path / "big.libsvm"
+    data.write_text("-1 1:1.0\n+1 1:1e200 2:1.0\n", encoding="ascii")
+    argv = ["reference", "--data", str(data), "--mu", "0.05", *normalize]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_import_loads_no_scipy():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -42,6 +44,9 @@ def test_parse_skips_blank_lines_and_drops_zeros():
     ("+2 1:0.5\n", 1),
     ("+1 1:abc\n", 1),
     ("+1 1:0.5\n-1 99999999999999999999:1.0\n", 2),
+    ("+1 1:0.5\n\n-1 2:nan\n", 3),
+    ("+1 1:-inf\n", 1),
+    ("+1 1:1e400\n", 1),
 ])
 def test_parse_errors_carry_line_numbers(bad, line):
     with pytest.raises(LibsvmParseError, match=f"line {line}"):
@@ -116,6 +121,14 @@ def test_normalize_rejects_zero_row():
         normalize_rows(ds)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_normalize_rejects_row_whose_squared_norm_overflows():
+    ds = Dataset([0, 1, 3], [0, 0, 1], [1.0, 1e154, 1e154], [1, -1], 2)
+    assert ds.row_sq_norms.tolist() == [1.0, math.inf]
+    with pytest.raises(ValueError, match="row 1 has a squared norm past"):
+        normalize_rows(ds)
+
+
 def test_add_bias_column():
     ds = generate_synthetic(12, 3, seed=5, separation=2.0)
     bds = add_bias_column(ds)
@@ -155,17 +168,30 @@ def row_loop_synthetic(n, d, seed, separation):
     return Dataset(indptr, indices, data, labels, d)
 
 
+def row_loop_sq_norms(ds):
+    """Each row's squares added left to right in plain Python floats."""
+    bounds, values = ds.indptr.tolist(), ds.data.tolist()
+    norms = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        total = 0.0
+        for t in values[lo:hi]:
+            total += t * t
+        norms.append(total)
+    return norms
+
+
 @pytest.mark.parametrize("n,d,seed", [(20, 1, 0), (25, 2, 1), (40, 3, 2),
                                       (31, 6, 9), (60, 20, 101)])
 def test_array_transforms_match_row_loops(n, d, seed):
     # d <= 3 leaves some rows with an empty keep mask
     ds = generate_synthetic(n, d, seed, 2.0)
     assert ds == row_loop_synthetic(n, d, seed, 2.0)
-    rows = np.split(ds.data, ds.indptr[1:-1])
-    assert ds.row_sq_norms.tolist() == [float(v @ v) for v in rows]
-    nds = normalize_rows(ds)
-    assert nds.data.tolist() == \
-        np.concatenate([v / np.sqrt(v @ v) for v in rows]).tolist()
+    norms = row_loop_sq_norms(ds)
+    assert ds.row_sq_norms.tobytes() == np.array(norms).tobytes()
+    bounds = ds.indptr.tolist()
+    want = [t / math.sqrt(s) for s, lo, hi in zip(norms, bounds, bounds[1:])
+            for t in ds.data[lo:hi].tolist()]
+    assert normalize_rows(ds).data.tobytes() == np.array(want).tobytes()
 
 
 def test_arrays_are_read_only_copies():
@@ -212,8 +238,8 @@ def canonical_csr(draw, values=st.floats(allow_nan=False,
     return indptr, indices, data, labels, dim
 
 
-# values span every finite float, so some squared row norms overflow to inf
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+# values span every finite float, so some squared row norms are inf, silently
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=200, deadline=None)
 @given(parts=canonical_csr())
 def test_serialize_parse_is_identity(parts):
@@ -227,20 +253,26 @@ def test_serialize_parse_is_identity(parts):
     assert np.array_equal(inferred.data, ds.data)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+# squares past the float range give inf without a warning
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=200, deadline=None)
 @given(parts=canonical_csr())
+@example(parts=([0, 0, 2, 2, 3, 3, 3], [1, 3, 0], [2.5, -1.0, 3.0],
+                [1, -1, 1, -1, 1, -1], 5)).via("empty and trailing empty rows")
+@example(parts=([0, 0, 0], [], [], [1, -1], 3)).via("no entries")
+@example(parts=([0, 2, 4], [0, 4, 2, 3], [1e200, 1.0, 1e154, -1e154],
+                [1, -1], 6)).via("a square, then a sum, past the float range")
 def test_row_sq_norms_match_split_rows_bit_for_bit(parts):
     ds = Dataset(*parts)
-    rows = np.split(ds.data, ds.indptr[1:-1])
-    want = np.array([float(v @ v) for v in rows])
+    want = np.array(row_loop_sq_norms(ds), dtype=np.float64)
     assert ds.row_sq_norms.dtype == np.float64
     assert ds.row_sq_norms.tobytes() == want.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
 @given(parts=canonical_csr(), kind=st.sampled_from(
-    ["decreasing", "duplicate", "below", "above", "zero", "label"]),
+    ["decreasing", "duplicate", "below", "above", "zero", "nonfinite",
+     "label"]),
     data=st.data())
 def test_non_canonical_arrays_rejected(parts, kind, data):
     indptr, indices, values, labels, dim = parts
@@ -262,6 +294,9 @@ def test_non_canonical_arrays_rejected(parts, kind, data):
         k = data.draw(st.integers(0, len(indices) - 1))
         if kind == "zero":
             values[k] = 0.0
+        elif kind == "nonfinite":
+            values[k] = data.draw(st.sampled_from([math.nan, math.inf,
+                                                   -math.inf]))
         else:
             indices[k] = -1 if kind == "below" else dim
     with pytest.raises(ValueError):

@@ -218,6 +218,15 @@ def test_problem_key_golden():
     assert problem_key(ridge) == "2666a7c2b139a8f1"
 
 
+def test_problem_key_golden_normalized():
+    # pins the row norms' rounding too: the squares are added left to right,
+    # so a normalized problem's cache entry is the same on every machine
+    ds = parse_libsvm("+1 1:0.1 2:0.3 4:1.3\n-1 2:0.5 3:-2.0 5:0.25 6:1.5\n")
+    assert ds.row_sq_norms.tolist() == [1.7900000000000003, 6.5625]
+    problem = LogisticProblem(normalize_rows(ds), 0.5)
+    assert problem_key(problem) == "7078b9c0b896a915"
+
+
 # --------------------------------------------------------------- cache
 
 def test_cache_round_trip_is_exact(tmp_path, monkeypatch):
