@@ -55,13 +55,15 @@ class Dataset:
         data: float64 array of the stored values, all finite and nonzero.
         labels: int8 array of -1/+1, length n.
         dim: feature dimension shared by every row.
+        rows: np.intp array, the row of each stored entry, length nnz.
         row_sq_norms: float64 array, per row the sum of its stored values'
             rounded squares, added one at a time in storage order from 0.0
             (so the same bits on every platform; 0.0 for an empty row, inf
             where the sum overflows).
     """
 
-    __slots__ = ("indptr", "indices", "data", "labels", "dim", "row_sq_norms")
+    __slots__ = ("indptr", "indices", "data", "labels", "dim", "rows",
+                 "row_sq_norms")
 
     def __init__(self, indptr, indices, data, labels, dim: int):
         indptr = _frozen(indptr, np.intp)
@@ -101,14 +103,15 @@ class Dataset:
         # bincount adds each row's rounded squares left to right in storage
         # order, the same bits on every machine; a square or a sum past the
         # float range is inf, and stays so without a warning
+        rows = np.repeat(np.arange(n), np.diff(indptr))
         with np.errstate(over="ignore"):
-            norms = np.bincount(np.repeat(np.arange(n), np.diff(indptr)),
-                                weights=data * data, minlength=n)
+            norms = np.bincount(rows, weights=data * data, minlength=n)
         norms = norms.astype(np.float64, copy=False)  # int zeros if nnz == 0
-        norms.setflags(write=False)
+        for a in (rows, norms):
+            a.setflags(write=False)
         for name, value in (("indptr", indptr), ("indices", indices),
                             ("data", data), ("labels", lab), ("dim", dim),
-                            ("row_sq_norms", norms)):
+                            ("rows", rows), ("row_sq_norms", norms)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):

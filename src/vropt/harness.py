@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .averaging import AveragingScheme
-from .problems import ErmProblem, RidgeProblem
+from .problems import ErmProblem
 # serialize_libsvm is not used here; perfbench/tracing.py patches
 # vropt.harness.serialize_libsvm
 from .dataset import Dataset, serialize_libsvm  # noqa: F401
@@ -42,8 +42,6 @@ __all__ = [
     "format_rate_csv", "write_rate_csv",
 ]
 
-# closed-form ridge solves stay cheap up to this dimension
-_RIDGE_DIRECT_DIM = 4096
 _CACHE_ENV = "VROPT_CACHE_DIR"
 
 
@@ -59,34 +57,24 @@ class ReferenceOptimum:
 def compute_reference(problem: ErmProblem, tol: float = 1e-10) -> ReferenceOptimum:
     """Solve the problem to high accuracy with deterministic full gradients.
 
-    Ridge problems of moderate dimension are solved by normal equations and
-    returned when the direct solve meets tol. Every other problem, and a
-    direct solve that misses tol, goes to a limited-memory BFGS (L-BFGS)
-    from the origin or the direct solution, then to gradient descent with
-    step 1/L as the polish, until the gradient norm is at most tol. The
-    L-BFGS iterations and the polish steps share one iteration cap. The
-    solve calls only value and full_grad without a counter, so it charges
-    no IFO and draws no random numbers.
+    Every problem takes one path: a limited-memory BFGS (L-BFGS) from the
+    origin, then gradient descent with step 1/L as the polish, until the
+    gradient norm is at most tol. The L-BFGS iterations and the polish
+    steps share one iteration cap. Each point is evaluated once, through
+    value_and_grad, so its value and gradient come from one margins pass
+    and f_star is the value the solve already holds. That oracle takes no
+    counter, so the solve charges no IFO and draws no random numbers.
 
     Raises:
-        ValueError: mu = 0 (the iterative path needs strong convexity),
-            bad tol.
+        ValueError: mu = 0 (the solve needs strong convexity), bad tol.
         RuntimeError: iteration cap reached before tol.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    x = np.zeros(problem.d)
-    if isinstance(problem, RidgeProblem) and problem.d <= _RIDGE_DIRECT_DIM:
-        x = problem.solve_normal_equations()
-        g = problem.full_grad(x)
-        gn = float(np.linalg.norm(g))
-        if gn <= tol:
-            return ReferenceOptimum(x, problem.value(x), gn)
-        # fall through: L-BFGS and polish from the direct solution
     if not problem.mu > 0:
         raise ValueError("reference solver needs mu > 0")
     cap = max(10_000, math.ceil(60.0 * problem.kappa))
-    x, g, steps = _lbfgs(problem, x, tol, cap)
+    x, f, g, steps = _lbfgs(problem, np.zeros(problem.d), tol, cap)
     step = 1.0 / problem.smoothness
     gn = float(np.linalg.norm(g))
     while gn > tol:
@@ -95,10 +83,10 @@ def compute_reference(problem: ErmProblem, tol: float = 1e-10) -> ReferenceOptim
                 f"reference solver hit the {cap}-iteration cap with "
                 f"gradient norm {gn:.3e} > tol {tol:.3e}")
         x = x - step * g
-        g = problem.full_grad(x)
+        f, g = problem.value_and_grad(x)
         gn = float(np.linalg.norm(g))
         steps += 1
-    return ReferenceOptimum(x, problem.value(x), gn)
+    return ReferenceOptimum(x, f, gn)
 
 
 _LBFGS_PAIRS = 3  # (s, y) pairs kept; each pair costs 2d floats of memory
@@ -108,11 +96,11 @@ _FLAT_RTOL = 1e-14  # trial values this close to f differ by rounding only
 
 
 def _lbfgs(problem: ErmProblem, x: np.ndarray, tol: float,
-           cap: int) -> tuple[np.ndarray, np.ndarray, int]:
+           cap: int) -> tuple[np.ndarray, float, np.ndarray, int]:
     """L-BFGS (Liu and Nocedal, Math. Prog. 1989) from x until the gradient
     norm is at most tol, `cap` iterations pass, or the line search finds no
-    decrease. Returns the last iterate, its gradient and the number of
-    iterations taken.
+    decrease. Returns the last iterate, its value and gradient, and the
+    number of iterations taken.
 
     The direction is the two-loop recursion over the newest pairs, scaled
     by H0 = s.y / y.y, or by 1/L before the first pair. A pair with
@@ -124,8 +112,7 @@ def _lbfgs(problem: ErmProblem, x: np.ndarray, tol: float,
     """
     pairs: deque[tuple[np.ndarray, np.ndarray, float]] = \
         deque(maxlen=_LBFGS_PAIRS)
-    f = problem.value(x)
-    g = problem.full_grad(x)
+    f, g = problem.value_and_grad(x)
     steps = 0
     while steps < cap and float(np.linalg.norm(g)) > tol:
         d = -g
@@ -146,20 +133,19 @@ def _lbfgs(problem: ErmProblem, x: np.ndarray, tol: float,
         t = 1.0
         while True:
             x_new = x + t * d
-            f_new = problem.value(x_new)
+            f_new, g_new = problem.value_and_grad(x_new)
             if math.isfinite(f_new) and f_new <= f + _ARMIJO_C * t * slope:
                 break
             if t < _MIN_STEP or abs(f_new - f) <= _FLAT_RTOL * abs(f):
-                return x, g, steps
+                return x, f, g, steps
             t *= 0.5
-        g_new = problem.full_grad(x_new)
         s, y = x_new - x, g_new - g
         sy = float(s @ y)
         if sy > 0:
             pairs.append((s, y, sy))
         x, f, g = x_new, f_new, g_new
         steps += 1
-    return x, g, steps
+    return x, f, g, steps
 
 
 def problem_key(problem: ErmProblem) -> str:
@@ -219,11 +205,16 @@ def _read_entry(path: Path, fields: dict) -> dict[str, np.ndarray] | None:
 
 
 def _write_entry(path: Path, fields: dict, arrays: dict) -> None:
-    """Write the arrays, cast to the fields' dtypes, as an .npz entry."""
+    """Write the arrays, cast to the fields' dtypes, as an .npz entry. A
+    failed write is ignored: an unwritable cache costs the next start a
+    parse or a solve, no more, so every command runs without one."""
     buf = io.BytesIO()
     np.savez(buf, **{name: np.asarray(arrays[name], dtype=fields[name][0])
                      for name in fields})
-    _write_atomic(path, buf.getvalue())
+    try:
+        _write_atomic(path, buf.getvalue())
+    except OSError:
+        pass
 
 
 def _load_cached(path: Path, key: str, dim: int,
@@ -256,7 +247,7 @@ def cached_reference(problem: ErmProblem, tol: float = 1e-10,
     norm satisfy the current request; any other entry, or one that cannot
     be read, is recomputed and replaced. The file is written under a
     temporary name and renamed into place, so an interrupted write leaves
-    no partial file.
+    no partial file; a write that fails is ignored.
     """
     key = problem_key(problem)
     path = _cache_path(f"ref-{key}", cache_dir)
@@ -280,8 +271,8 @@ def cached_dataset(raw: bytes, parse: Callable[[str], Dataset],
     digest and passes through Dataset's checks again; an entry that is
     missing, unreadable, carries another digest or is not canonical is a
     miss. A miss parses and writes the entry atomically; a decode or parse
-    error propagates and writes nothing. A failed write is ignored, so a
-    command that needs no reference also runs without a writable cache.
+    error propagates and writes nothing. A failed write is ignored, as in
+    cached_reference.
     """
     digest = hashlib.sha256(raw).hexdigest()
     path = _cache_path(f"data-{digest[:16]}", cache_dir)
@@ -293,12 +284,9 @@ def cached_dataset(raw: bytes, parse: Callable[[str], Dataset],
         except ValueError:
             pass  # not canonical: parse again and replace it
     ds = parse(raw.decode("utf-8"))
-    try:
-        _write_entry(path, _DATASET_FIELDS, {
-            "meta": (digest, ds.dim), "indptr": ds.indptr,
-            "indices": ds.indices, "data": ds.data, "labels": ds.labels})
-    except OSError:
-        pass  # an unwritable cache costs the next start a parse, no more
+    _write_entry(path, _DATASET_FIELDS, {
+        "meta": (digest, ds.dim), "indptr": ds.indptr,
+        "indices": ds.indices, "data": ds.data, "labels": ds.labels})
     return ds
 
 

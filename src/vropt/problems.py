@@ -6,12 +6,11 @@ Every problem is a linear model over CSR rows, f_i(x) = phi_i(<a_i, x>) +
 per-component targets and mu, and implements every oracle once; a subclass
 supplies only L and its loss phi_i, per component (loss, loss_deriv) and for
 all margins t = A x at once (_losses, _derivs). Two instances: L2-regularized
-logistic regression on a sparse Dataset, and ridge regression (admits an
-exact minimizer). Component gradients optionally charge a caller-owned
-IfoCounter: one unit per component gradient, n units per full gradient.
-Evaluation code passes no counter, so measurement never pollutes the work
-accounting. The solvers' fused inner loop reads the CSR rows, loss_deriv and
-max_abs_entry directly.
+logistic regression on a sparse Dataset, and ridge regression. Component
+gradients optionally charge a caller-owned IfoCounter: one unit per
+component gradient, n units per full gradient. Evaluation code passes no
+counter, so measurement never pollutes the work accounting. The solvers'
+fused inner loop reads the CSR rows, loss_deriv and max_abs_entry directly.
 """
 
 from __future__ import annotations
@@ -81,15 +80,15 @@ class ErmProblem(abc.ABC):
     data[indptr[i]:indptr[i+1]] at columns indices[indptr[i]:indptr[i+1]];
     indptr is a Python list so that slicing it costs no numpy scalar, and
     indices are np.intp, the index type numpy gathers and scatters fastest.
-    The arrays are used in place; `_rows`, the row of each stored entry,
-    is the one extra array, and the all-component products sum over it.
+    rows gives the row of each stored entry; the all-component products sum
+    over it. Every array is used in place, not copied.
     """
 
     kind: str  # short tag naming the loss in cache keys
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray,
-                 data: np.ndarray, d: int, targets: np.ndarray, mu: float,
-                 smoothness: float):
+                 data: np.ndarray, rows: np.ndarray, d: int,
+                 targets: np.ndarray, mu: float, smoothness: float):
         if mu < 0:
             raise ValueError(f"mu must be >= 0, got {mu}")
         if not math.isfinite(smoothness):
@@ -101,8 +100,7 @@ class ErmProblem(abc.ABC):
         self.mu = float(mu)
         self._L = smoothness
         self.indptr = indptr.tolist()
-        self.indices, self.data = indices, data
-        self._rows = np.repeat(np.arange(self.n), np.diff(indptr))
+        self.indices, self.data, self._rows = indices, data, rows
         self.targets = targets
         # max |a_ij|, which bounds how far one sparse step moves any entry
         self.max_abs_entry = float(np.abs(data).max(initial=0.0))
@@ -154,8 +152,22 @@ class ErmProblem(abc.ABC):
     def value(self, x: np.ndarray) -> float:
         """f(x) = (1/n) sum_i f_i(x)."""
         x = self._check_x(x)
-        loss = float(np.mean(self._losses(self.margins(x))))
-        return loss + 0.5 * self.mu * float(x @ x)
+        return self._value(x, self.margins(x))
+
+    def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """(f(x), grad f(x)) from one pass over the margins, the same bits
+        as value and full_grad give; no charge."""
+        x = self._check_x(x)
+        t = self.margins(x)
+        return self._value(x, t), self._grad(x, t)
+
+    def _value(self, x: np.ndarray, t: np.ndarray) -> float:
+        return float(np.mean(self._losses(t))) + 0.5 * self.mu * float(x @ x)
+
+    def _grad(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+        coeff = self._derivs(t) / self.n
+        return _accumulate(np.zeros(self.d), self.indices, coeff, self._rows,
+                           self.data) + self.mu * x
 
     def component_value(self, i: int, x: np.ndarray) -> float:
         """f_i(x)."""
@@ -193,9 +205,7 @@ class ErmProblem(abc.ABC):
         x = self._check_x(x)
         if counter is not None:
             counter.count += self.n
-        coeff = self.loss_derivs(x) / self.n
-        return _accumulate(np.zeros(self.d), self.indices, coeff, self._rows,
-                           self.data) + self.mu * x
+        return self._grad(x, self.margins(x))
 
 
 class LogisticProblem(ErmProblem):
@@ -221,7 +231,7 @@ class LogisticProblem(ErmProblem):
         self._labels = dataset.labels.astype(np.float64)
         self._b = self._labels.tolist()
         super().__init__(dataset.indptr, dataset.indices, dataset.data,
-                         dataset.dim, dataset.labels, mu,
+                         dataset.rows, dataset.dim, dataset.labels, mu,
                          float(np.max(dataset.row_sq_norms) / 4.0 + mu))
 
     def loss(self, i: int, t: float) -> float:
@@ -262,7 +272,7 @@ class RidgeProblem(ErmProblem):
         row_of, cols = np.nonzero(rows)
         indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(rows, 1))))
         self._y = targets.tolist()
-        super().__init__(indptr, cols, rows[row_of, cols],
+        super().__init__(indptr, cols, rows[row_of, cols], row_of,
                          rows.shape[1], targets, mu,
                          float(np.max(np.einsum("ij,ij->i", rows, rows)) + mu))
 
@@ -277,12 +287,3 @@ class RidgeProblem(ErmProblem):
 
     def _derivs(self, t: np.ndarray) -> np.ndarray:
         return t - self.targets
-
-    def solve_normal_equations(self) -> np.ndarray:
-        """Exact minimizer from (A^T A / n + mu I) x = A^T y / n."""
-        # a transient dense copy: BLAS forms A^T A some 70x faster than a
-        # sparse-sparse product of the (dense) ridge rows
-        a = np.zeros((self.n, self.d))
-        a[self._rows, self.indices] = self.data
-        h = a.T @ a / self.n + self.mu * np.eye(self.d)
-        return np.linalg.solve(h, a.T @ self.targets / self.n)

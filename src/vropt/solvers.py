@@ -442,10 +442,13 @@ def run(problem: ErmProblem, config: SolverConfig, f_star: float | None = None,
                snap: int | None) -> None:
         gap = grad_sq = None
         if evaluate:
-            g_eval = problem.full_grad(x)  # uncharged, consumes no RNG
+            # uncharged, consumes no RNG; one margins pass for f and grad f
             with np.errstate(over="ignore", invalid="ignore"):
+                if f_star is None:
+                    value, g_eval = None, problem.full_grad(x)
+                else:
+                    value, g_eval = problem.value_and_grad(x)
                 grad_sq = float(g_eval @ g_eval)
-                value = problem.value(x) if f_star is not None else None
             if not math.isfinite(grad_sq) or \
                     (value is not None and not math.isfinite(value)):
                 raise _diverged(x, s, cid)

@@ -29,6 +29,16 @@ def make_ridge(n=4, d=3, seed=0, mu=0.3):
                         rng.standard_normal(n), mu)
 
 
+def ridge_minimizer(problem):
+    """Exact minimizer of a RidgeProblem: the solution of the normal
+    equations (A^T A / n + mu I) x = A^T y / n, on a dense copy of the rows."""
+    a = np.zeros((problem.n, problem.d))
+    a[np.repeat(np.arange(problem.n), np.diff(problem.indptr)),
+      problem.indices] = problem.data
+    h = a.T @ a / problem.n + problem.mu * np.eye(problem.d)
+    return np.linalg.solve(h, a.T @ problem.targets / problem.n)
+
+
 class ScriptedRng:
     """Stand-in generator that replays a fixed draw sequence, used to pin
     solver paths in enumeration tests. random() feeds the snapshot-index

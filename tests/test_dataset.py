@@ -198,9 +198,11 @@ def test_arrays_are_read_only_copies():
     indptr, indices, data = [0, 2, 3], np.array([0, 2]), np.array([1.0, -2.0])
     ds = Dataset(indptr, np.append(indices, 1), np.append(data, 3.0),
                  [1, -1], 3)
-    for a in (ds.indptr, ds.indices, ds.data, ds.labels, ds.row_sq_norms):
+    for a in (ds.indptr, ds.indices, ds.data, ds.labels, ds.rows,
+              ds.row_sq_norms):
         assert not a.flags.writeable
     assert ds.indices.dtype == np.intp and ds.indptr.dtype == np.intp
+    assert ds.rows.dtype == np.intp and ds.rows.tolist() == [0, 0, 1]
     with pytest.raises(AttributeError):
         ds.dim = 4
 

@@ -9,7 +9,7 @@ from scipy.sparse import csr_matrix
 from scipy.special import expit
 
 import vropt.harness
-from conftest import make_logistic, make_ridge
+from conftest import make_logistic, make_ridge, ridge_minimizer
 from vropt import (AveragingScheme, ConfigError, Dataset, FixedLength,
                    FixedStep, GridRow, LogisticProblem, RATE_HEADER,
                    RidgeProblem, SolverConfig, TRACE_HEADER, Trace, TracePoint,
@@ -26,10 +26,9 @@ def test_reference_ridge_matches_normal_equations():
     problem = make_ridge(6, 3, seed=40, mu=0.4)
     ref = compute_reference(problem)
     assert ref.grad_norm <= 1e-10
-    assert np.allclose(ref.x_star, problem.solve_normal_equations(),
-                       atol=1e-10)
+    assert np.allclose(ref.x_star, ridge_minimizer(problem), atol=1e-10)
     assert ref.f_star == pytest.approx(
-        problem.value(problem.solve_normal_equations()), abs=1e-14)
+        problem.value(ridge_minimizer(problem)), abs=1e-14)
 
 
 def test_reference_logistic_meets_tolerance():
@@ -47,9 +46,10 @@ def test_reference_validation():
         compute_reference(problem, tol=0.0)
     with pytest.raises(ValueError):
         compute_reference(problem, tol=-1e-8)
-    mu_free = make_ridge(8, 9000, seed=0, mu=0.0)  # too wide for direct solve
-    with pytest.raises(ValueError, match="mu"):
-        compute_reference(mu_free)
+    for mu_free in (make_ridge(8, 9000, seed=0, mu=0.0),
+                    make_ridge(8, 3, mu=0.0)):
+        with pytest.raises(ValueError, match="mu"):
+            compute_reference(mu_free)
 
 
 def test_reference_cap_reported():
@@ -115,13 +115,17 @@ def test_reference_needs_few_uncharged_gradients():
     problem = LogisticProblem(
         normalize_rows(generate_synthetic(1000, 20, 101, 3.0)), 0.25 / 999)
     counters = []
-    full_grad = problem.full_grad
+    full_grad, value_and_grad = problem.full_grad, problem.value_and_grad
 
     def counted(x, counter=None):
         counters.append(counter)
         return full_grad(x, counter)
 
-    problem.full_grad = counted
+    def counted_pair(x):  # takes no counter: passing one is a TypeError
+        counters.append(None)
+        return value_and_grad(x)
+
+    problem.full_grad, problem.value_and_grad = counted, counted_pair
     ref = compute_reference(problem)
     assert ref.grad_norm <= 1e-10
     assert 0 < len(counters) <= 100
@@ -129,7 +133,7 @@ def test_reference_needs_few_uncharged_gradients():
 
 
 def test_reference_wide_ridge_goes_through_lbfgs():
-    # too wide for the normal equations; n = 8 rows make a small dual system
+    # n = 8 rows make a small dual system for the check
     n, mu = 8, 1.0
     rng = np.random.default_rng(49)
     a, y = rng.standard_normal((n, 5000)), rng.standard_normal(n)
@@ -143,10 +147,12 @@ def test_reference_line_search_shrinks_non_finite_trials():
     base = make_logistic(30, 4, seed=1, kappa=1000.0, sep=3.0)
     x_star = compute_reference(base).x_star
     radius = 1.001 * float(np.linalg.norm(x_star))
-    walled, accepted = [], []
+    walled = []
 
     class Walled(LogisticProblem):
-        """The same objective, with value inf beyond `radius`."""
+        """The same objective, with value inf and a nan gradient beyond
+        `radius`: a solve that took such a trial would go on from a nan
+        gradient and end with a nan gradient norm and an infinite f."""
 
         def value(self, x):
             if np.linalg.norm(x) > radius:
@@ -154,14 +160,17 @@ def test_reference_line_search_shrinks_non_finite_trials():
                 return math.inf
             return super().value(x)
 
-        def full_grad(self, x, counter=None):
-            accepted.append(float(np.linalg.norm(x)))
-            return super().full_grad(x, counter)
+        def value_and_grad(self, x):
+            if np.linalg.norm(x) > radius:
+                walled.append(x)
+                return math.inf, np.full(self.d, math.nan)
+            return super().value_and_grad(x)
 
     problem = Walled(base.dataset, base.mu)
     ref = compute_reference(problem)
     assert walled  # some trial step crossed the wall
-    assert max(accepted) <= radius  # and was shrunk, never taken
+    # and was shrunk, never taken
+    assert np.linalg.norm(ref.x_star) <= radius
     assert ref.grad_norm <= 1e-10
     assert math.isfinite(ref.f_star)
     assert np.linalg.norm(ref.x_star - x_star) <= 2e-10 / problem.mu
@@ -249,11 +258,20 @@ def test_cache_round_trip_is_exact(tmp_path, monkeypatch):
 def test_cache_write_interrupted_leaves_nothing(tmp_path, monkeypatch):
     problem = make_logistic(12, 3, seed=46, kappa=8.0)
 
-    def interrupted(src, dst):
-        raise OSError("interrupted")
+    def failed(src, dst):
+        raise OSError("disk full")
 
+    def interrupted(src, dst):
+        raise KeyboardInterrupt
+
+    # a failed write is ignored; an interrupt propagates; neither leaves
+    # a file behind
+    monkeypatch.setattr(vropt.harness.os, "replace", failed)
+    ref = cached_reference(problem, cache_dir=tmp_path)
+    assert ref.f_star == compute_reference(problem).f_star
+    assert list(tmp_path.iterdir()) == []
     monkeypatch.setattr(vropt.harness.os, "replace", interrupted)
-    with pytest.raises(OSError, match="interrupted"):
+    with pytest.raises(KeyboardInterrupt):
         cached_reference(problem, cache_dir=tmp_path)
     assert list(tmp_path.iterdir()) == []
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_logistic, make_ridge
+from conftest import make_logistic, make_ridge, ridge_minimizer
 from vropt import IfoCounter, LogisticProblem, RidgeProblem, parse_libsvm
 
 
@@ -84,6 +86,25 @@ def test_ifo_accounting():
     assert counter.count == 1 + problem.n
 
 
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(range(len(BOTH_KINDS))), data=st.data())
+def test_value_and_grad_is_value_and_full_grad_bit_for_bit(kind, data):
+    problem = BOTH_KINDS[kind]()
+    x = np.array(data.draw(st.lists(st.floats(-1e100, 1e100),
+                                    min_size=problem.d, max_size=problem.d)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        f, g = problem.value_and_grad(x)
+        f_alone, g_alone = problem.value(x), problem.full_grad(x)
+    assert type(f) is float
+    assert np.float64(f).tobytes() == np.float64(f_alone).tobytes()
+    assert g.tobytes() == g_alone.tobytes()
+    # an evaluation oracle: it takes no counter, so none is ever charged
+    counter = IfoCounter(5)
+    with pytest.raises(TypeError):
+        problem.value_and_grad(x, counter)
+    assert counter.count == 5
+
+
 def test_logistic_constants():
     ds = parse_libsvm("+1 1:3.0 2:4.0\n-1 1:1.0\n")
     problem = LogisticProblem(ds, 0.5)
@@ -115,14 +136,14 @@ def test_ridge_constants_and_normal_equations():
     rows = np.array([[3.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
     problem = RidgeProblem(rows, np.array([1.0, -1.0, 0.5]), 0.4)
     assert problem.smoothness == pytest.approx(9.0 + 0.4)
-    x_star = problem.solve_normal_equations()
+    x_star = ridge_minimizer(problem)
     assert np.linalg.norm(problem.full_grad(x_star)) <= 1e-10
 
 
 def test_ridge_mu_zero_allowed():
     problem = make_ridge(6, 2, seed=7, mu=0.0)
     assert problem.kappa == np.inf
-    x_star = problem.solve_normal_equations()
+    x_star = ridge_minimizer(problem)
     assert np.linalg.norm(problem.full_grad(x_star)) <= 1e-10
 
 
@@ -131,7 +152,8 @@ def test_shape_and_index_validation():
     with pytest.raises(ValueError):
         problem.value(np.zeros(3))
     # a gather would read the first d entries of a longer x
-    for oracle in (problem.margins, problem.value, problem.full_grad):
+    for oracle in (problem.margins, problem.value, problem.full_grad,
+                   problem.value_and_grad):
         with pytest.raises(ValueError, match="shape"):
             oracle(np.zeros(5))
     with pytest.raises(IndexError):
@@ -147,4 +169,5 @@ def test_logistic_reads_the_dataset_arrays_in_place():
     ds = problem.dataset
     assert np.shares_memory(problem.data, ds.data)
     assert np.shares_memory(problem.indices, ds.indices)
+    assert problem._rows is ds.rows  # the row of each entry, built once
     assert problem.indptr == ds.indptr.tolist()

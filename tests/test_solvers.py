@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import ScriptedRng, inner_loop, make_logistic, make_ridge
+from conftest import (ScriptedRng, inner_loop, make_logistic, make_ridge,
+                      ridge_minimizer)
 from vropt import (AdaptiveLength, AveragingScheme, BarzilaiBorweinStep,
                    ConfigError, DivergenceError, FixedLength, FixedStep,
                    IfoCounter, LogisticProblem, RidgeProblem,
@@ -360,7 +361,7 @@ def test_recursive_estimator_norm_decay_enumerated():
 
 def test_gd_on_ridge_gap_monotone_to_floor():
     problem = make_ridge(6, 3, seed=15, mu=0.5)
-    f_star = problem.value(problem.solve_normal_equations())
+    f_star = problem.value(ridge_minimizer(problem))
     trace = run(problem, SolverConfig("gd", outer_loops=3000), f_star=f_star)
     gaps = [p.gap for p in trace.points]
     assert all(b <= a + 1e-15 for a, b in zip(gaps, gaps[1:]))
