@@ -45,8 +45,9 @@ class Dataset:
     """Immutable CSR collection of (row, label) pairs with precomputed row norms.
 
     Row i has the values data[indptr[i]:indptr[i+1]] at the 0-based columns
-    indices[indptr[i]:indptr[i+1]]. Every array is a read-only copy of the
-    constructor's input.
+    indices[indptr[i]:indptr[i+1]]. Every array is read-only: the
+    constructor copies its input, and normalize_rows shares every array but
+    data and row_sq_norms with the Dataset it scales.
 
     Attributes:
         indptr: np.intp array of row offsets, length n + 1.
@@ -95,22 +96,28 @@ class Dataset:
             within[indptr[:-1][indptr[:-1] < nnz]] = False
             if np.any(np.diff(indices)[within[1:]] <= 0):
                 raise ValueError("indices must be strictly increasing in a row")
-            if np.any(data == 0.0):
-                raise ValueError("canonical sparse form stores no zero values")
-            if not np.all(np.isfinite(data)):
-                raise ValueError("canonical sparse form stores only finite "
-                                 "values")
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        rows.setflags(write=False)
+        self._set_fields(indptr, indices, data, lab, dim, rows)
+
+    def _set_fields(self, indptr, indices, data, labels, dim, rows) -> None:
+        """Check the stored values and set every field. The other arrays
+        must be read-only and checked; rows is the row of each entry."""
+        if np.any(data == 0.0):
+            raise ValueError("canonical sparse form stores no zero values")
+        if not np.all(np.isfinite(data)):
+            raise ValueError("canonical sparse form stores only finite values")
         # bincount adds each row's rounded squares left to right in storage
         # order, the same bits on every machine; a square or a sum past the
         # float range is inf, and stays so without a warning
-        rows = np.repeat(np.arange(n), np.diff(indptr))
         with np.errstate(over="ignore"):
-            norms = np.bincount(rows, weights=data * data, minlength=n)
+            norms = np.bincount(rows, weights=data * data,
+                                minlength=labels.size)
         norms = norms.astype(np.float64, copy=False)  # int zeros if nnz == 0
-        for a in (rows, norms):
+        for a in (data, norms):
             a.setflags(write=False)
         for name, value in (("indptr", indptr), ("indices", indices),
-                            ("data", data), ("labels", lab), ("dim", dim),
+                            ("data", data), ("labels", labels), ("dim", dim),
                             ("rows", rows), ("row_sq_norms", norms)):
             object.__setattr__(self, name, value)
 
@@ -270,11 +277,13 @@ def generate_synthetic(n: int, d: int, seed: int, separation: float) -> Dataset:
 
 
 def normalize_rows(ds: Dataset) -> Dataset:
-    """Scale every row to unit Euclidean norm; returns a new Dataset.
+    """Scale every row to unit Euclidean norm; returns a new Dataset that
+    shares ds's indptr, indices, labels and rows arrays.
 
     Raises:
-        ValueError: some row has zero norm, or a squared norm past the float
-            range (names the row index).
+        ValueError: some row has zero norm, a squared norm past the float
+            range, or an entry that underflows to zero when scaled (names
+            the row index).
     """
     norms = np.sqrt(ds.row_sq_norms)
     zero = np.flatnonzero(norms == 0.0)
@@ -284,8 +293,16 @@ def normalize_rows(ds: Dataset) -> Dataset:
     if huge.size:
         raise ValueError(f"row {huge[0]} has a squared norm past the float "
                          "range and cannot be normalized")
-    data = ds.data / np.repeat(norms, np.diff(ds.indptr))
-    return Dataset(ds.indptr, ds.indices, data, ds.labels, ds.dim)
+    data = ds.data / norms[ds.rows]
+    under = np.flatnonzero(data == 0.0)
+    if under.size:
+        raise ValueError(f"row {ds.rows[under[0]]} has an entry that "
+                         "underflows to zero when the row is scaled to unit "
+                         "norm")
+    # the structure is checked and read-only, so only the values need checks
+    out = object.__new__(Dataset)
+    out._set_fields(ds.indptr, ds.indices, data, ds.labels, ds.dim, ds.rows)
+    return out
 
 
 def add_bias_column(ds: Dataset) -> Dataset:

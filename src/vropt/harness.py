@@ -106,15 +106,17 @@ def _lbfgs(problem: ErmProblem, x: np.ndarray, tol: float,
     by H0 = s.y / y.y, or by 1/L before the first pair. A pair with
     s.y <= 0 is not stored. The Armijo backtracking halves t from 1; a
     trial value that is not finite fails like one that decreases too
-    little. The search finds no decrease when t falls below 2^-40 or when
-    a failed trial value equals f up to rounding, where halving t cannot
-    tell a decrease from rounding any more.
+    little. A failed trial whose value equals f up to rounding is taken
+    when its gradient norm is smaller than at x, since f can no longer
+    rank the two points. The search finds no decrease when t falls below
+    2^-40.
     """
     pairs: deque[tuple[np.ndarray, np.ndarray, float]] = \
         deque(maxlen=_LBFGS_PAIRS)
     f, g = problem.value_and_grad(x)
+    gn = float(np.linalg.norm(g))
     steps = 0
-    while steps < cap and float(np.linalg.norm(g)) > tol:
+    while steps < cap and gn > tol:
         d = -g
         alphas = []
         for s, y, sy in reversed(pairs):
@@ -134,16 +136,20 @@ def _lbfgs(problem: ErmProblem, x: np.ndarray, tol: float,
         while True:
             x_new = x + t * d
             f_new, g_new = problem.value_and_grad(x_new)
+            gn_new = float(np.linalg.norm(g_new))
             if math.isfinite(f_new) and f_new <= f + _ARMIJO_C * t * slope:
                 break
-            if t < _MIN_STEP or abs(f_new - f) <= _FLAT_RTOL * abs(f):
+            # where f cannot rank the two points any more, the gradient can
+            if abs(f_new - f) <= _FLAT_RTOL * abs(f) and gn_new < gn:
+                break
+            if t < _MIN_STEP:
                 return x, f, g, steps
             t *= 0.5
         s, y = x_new - x, g_new - g
         sy = float(s @ y)
         if sy > 0:
             pairs.append((s, y, sy))
-        x, f, g = x_new, f_new, g_new
+        x, f, g, gn = x_new, f_new, g_new, gn_new
         steps += 1
     return x, f, g, steps
 

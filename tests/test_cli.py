@@ -341,6 +341,36 @@ def test_overflowing_row_norm_exits_2(tmp_path, capsys, normalize, message):
     assert message in capsys.readouterr().err
 
 
+def test_entry_underflowing_when_scaled_exits_2(tmp_path, capsys):
+    data = tmp_path / "tiny.libsvm"
+    data.write_text("-1 1:1.0\n+1 1:1e150 2:1e-180\n", encoding="ascii")
+    assert main(command_argv("reference", str(data), tmp_path)) == 2
+    assert ("error: row 1 has an entry that underflows to zero when the row "
+            "is scaled to unit norm") in capsys.readouterr().err
+    assert not list((tmp_path / "refcache").glob("ref-*"))
+
+
+# the bytes argparse printed before each command built only its own
+# arguments; argparse's layout differs between Python minor versions
+GOLDEN = Path(__file__).parent / "golden" / "cli"
+TEXT_CASES = {"help": ["--help"], "no-command": [], "bogus": ["bogus"],
+              "run-no-flags": ["run"]}
+TEXT_CASES.update((f"{c}-help", [c, "--help"])
+                  for c in ("gen", "run", "rates", "bench", "reference"))
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="golden bytes are from Python 3.11's argparse")
+@pytest.mark.parametrize("name", sorted(TEXT_CASES))
+def test_help_and_usage_errors_match_golden(name, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(TEXT_CASES[name])
+    out = capsys.readouterr()
+    got = f"exit {exc.value.code}\n--- stdout\n{out.out}--- stderr\n{out.err}"
+    assert got == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
 def test_import_loads_no_scipy():
     # numpy is the only runtime dependency; scipy is a test-only oracle
     src = str(Path(vropt.cli.__file__).resolve().parents[1])

@@ -109,10 +109,23 @@ def test_normalize_rows():
     ds = generate_synthetic(20, 5, seed=4, separation=2.0)
     nds = normalize_rows(ds)
     assert np.allclose(nds.row_sq_norms, 1.0, atol=1e-12)
-    # labels and sparsity pattern untouched
-    assert list(nds.labels) == list(ds.labels)
-    assert np.array_equal(nds.indptr, ds.indptr)
-    assert np.array_equal(nds.indices, ds.indices)
+    # the checked, read-only structure is shared, not copied
+    for name in ("indptr", "indices", "labels", "rows"):
+        assert getattr(nds, name) is getattr(ds, name)
+    assert nds.dim == ds.dim
+    assert not nds.data.flags.writeable
+    assert not nds.row_sq_norms.flags.writeable
+    # the same norms a fresh constructor computes from the scaled values
+    fresh = Dataset(ds.indptr, ds.indices, nds.data, ds.labels, ds.dim)
+    assert nds == fresh
+    assert nds.row_sq_norms.tobytes() == fresh.row_sq_norms.tobytes()
+
+
+def test_normalize_rejects_entry_that_underflows():
+    ds = parse_libsvm("-1 1:1.0\n+1 1:1e150 2:1e-180\n")
+    with pytest.raises(ValueError, match="row 1 has an entry that underflows "
+                                         "to zero when the row is scaled"):
+        normalize_rows(ds)
 
 
 def test_normalize_rejects_zero_row():

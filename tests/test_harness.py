@@ -110,10 +110,11 @@ def test_reference_meets_tol_and_matches_descent(case):
     assert np.linalg.norm(ref.x_star - x_gd) <= 2.0 * tol / problem.mu
 
 
-def test_reference_needs_few_uncharged_gradients():
-    # the dense-lineup benchmark data; 1/L descent took 1405 gradients here
+def reference_counters(seed):
+    """Solve the dense-lineup benchmark problem of this seed; returns the
+    counter passed to each full_grad and value_and_grad call."""
     problem = LogisticProblem(
-        normalize_rows(generate_synthetic(1000, 20, 101, 3.0)), 0.25 / 999)
+        normalize_rows(generate_synthetic(1000, 20, seed, 3.0)), 0.25 / 999)
     counters = []
     full_grad, value_and_grad = problem.full_grad, problem.value_and_grad
 
@@ -128,8 +129,20 @@ def test_reference_needs_few_uncharged_gradients():
     problem.full_grad, problem.value_and_grad = counted, counted_pair
     ref = compute_reference(problem)
     assert ref.grad_norm <= 1e-10
+    return counters
+
+
+def test_reference_needs_few_uncharged_gradients():
+    # the dense-lineup benchmark data; 1/L descent took 1405 gradients here
+    counters = reference_counters(101)
     assert 0 < len(counters) <= 100
     assert all(counter is None for counter in counters)
+
+
+def test_reference_line_search_goes_on_where_f_is_flat():
+    # the line search meets a flat f at gradient norm 3.6e-10; handing over
+    # to 1/L descent there took 71 evaluations in all
+    assert 0 < len(reference_counters(102)) <= 20
 
 
 def test_reference_wide_ridge_goes_through_lbfgs():
@@ -187,6 +200,28 @@ def test_reference_gives_up_line_search_where_rounding_decides():
     problem = LogisticProblem(ds, 36.07234908141233)
     ref = compute_reference(problem, tol=5.236862054879553e-10)
     assert ref.grad_norm <= 5.236862054879553e-10
+
+
+def test_reference_ranks_flat_trials_by_gradient_norm():
+    # kappa 9394: the first trial of a late line search equals f up to
+    # rounding and has a larger gradient norm. Handing over to 1/L descent
+    # there took 9719 evaluations; halving on to a trial with a smaller
+    # gradient norm takes 78
+    ds = Dataset([0, 2, 5, 7, 11, 15],
+                 [0, 1, 2, 3, 4, 2, 4, 0, 1, 3, 4, 0, 2, 3, 4],
+                 [-5.1469020293097385, -4.433114096734805, 2.7636591239194193,
+                  -1.665769533135679, 4.345937525746767, -7.843594114113015,
+                  -1.0913420955512196, 7.184200144447501, 0.4181729357952853,
+                  3.8534004712112355, -7.663910170341578, -5.460943765922973,
+                  -8.46131422243465, 4.302674690554885, 0.10514082576376099],
+                 [1, 1, 1, 1, -1], 5)
+    problem = LogisticProblem(ds, 0.003336991626273995)
+    calls = []
+    value_and_grad = problem.value_and_grad
+    problem.value_and_grad = lambda x: calls.append(x) or value_and_grad(x)
+    ref = compute_reference(problem, tol=2.5173219163060274e-10)
+    assert ref.grad_norm <= 2.5173219163060274e-10
+    assert len(calls) <= 200
 
 
 def test_problem_key_tracks_content():
