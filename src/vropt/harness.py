@@ -14,7 +14,7 @@ import io
 import math
 import os
 import tempfile
-import zipfile
+import warnings
 import zlib
 from collections import deque
 from dataclasses import dataclass, replace
@@ -166,7 +166,8 @@ def problem_key(problem: ErmProblem) -> str:
     for array, dtype in ((problem.indptr, "<i8"), (problem.indices, "<i8"),
                          (problem.data, "<f8"),
                          (targets, targets.dtype.newbyteorder("<"))):
-        h.update(np.asarray(array, dtype=dtype).tobytes())
+        # hashes the buffer in place when it already has the dtype
+        h.update(np.ascontiguousarray(array, dtype=dtype))
     h.update(f"\nmu={problem.mu!r}".encode("utf-8"))
     return h.hexdigest()[:16]
 
@@ -175,48 +176,70 @@ def _cache_path(name: str, cache_dir: str | os.PathLike | None) -> Path:
     if cache_dir is None:
         cache_dir = os.environ.get(_CACHE_ENV) \
             or Path.home() / ".cache" / "vropt"
-    return Path(cache_dir) / f"{name}.npz"
+    return Path(cache_dir) / f"{name}.npy"
 
 
-# (dtype, ndim) of every array in a cache entry. An entry's scalars share
-# one record, "meta": np.load pays about 0.1 ms per array it reads.
-_REFERENCE_FIELDS = {
-    "meta": (np.dtype([("key", "<U16"), ("dim", "<i8"), ("tol", "<f8"),
-                       ("f_star", "<f8"), ("grad_norm", "<f8")]), 0),
-    "x_star": ("<f8", 1)}
-_DATASET_FIELDS = {
-    "meta": (np.dtype([("sha256", "<U64"), ("dim", "<i8")]), 0),
-    "indptr": ("<i8", 1), "indices": ("<i8", 1), "data": ("<f8", 1),
-    "labels": ("i1", 1)}
+# A cache entry is one .npy file holding a 0-d structured record: these
+# fields as (name, base dtype, rank) in this order, each rank-1 field a
+# subarray sized to the entry, then "crc32", the zlib.crc32 of every byte
+# of the record before it. One record takes one read, where np.load pays
+# about 0.1 ms for each array of an .npz archive.
+_REFERENCE_FIELDS = (("key", "<U16", 0), ("dim", "<i8", 0), ("tol", "<f8", 0),
+                     ("f_star", "<f8", 0), ("grad_norm", "<f8", 0),
+                     ("x_star", "<f8", 1))
+_DATASET_FIELDS = (("sha256", "<U64", 0), ("dim", "<i8", 0),
+                   ("indptr", "<i8", 1), ("indices", "<i8", 1),
+                   ("data", "<f8", 1), ("labels", "i1", 1))
+_CRC_FIELD = ("crc32", "<u4", 0)
 
 
-def _read_entry(path: Path, fields: dict) -> dict[str, np.ndarray] | None:
-    """The arrays of an .npz cache entry; None when the file is absent or
-    unreadable, holds pickled objects, or lacks a field or gives one
-    another dtype or rank. A cache file is input from outside the
-    program, so every failure to read it is a miss."""
+def _record_crc(record: np.ndarray) -> int:
+    """zlib.crc32 of the bytes of a 0-d record that precede its crc32
+    field, read in place."""
+    offset = record.dtype.fields["crc32"][1]
+    return zlib.crc32(record.reshape(1).view(np.uint8)[:offset])
+
+
+def _read_entry(path: Path, fields: tuple) -> np.ndarray | None:
+    """The 0-d record of an .npy cache entry; None when the file is absent
+    or unreadable, holds pickled objects or anything but a 0-d record, has
+    other field names, base dtypes or ranks than fields and crc32, or fails
+    its CRC. A cache file is input from outside the program, so every
+    failure to read it is a miss. The reader is np.load's own .npy reader,
+    which takes no other format, an .npz archive neither."""
     try:
-        npz = np.load(path, allow_pickle=False)
-        if not isinstance(npz, np.lib.npyio.NpzFile):  # a bare .npy array
-            return None
-        with npz:
-            entry = {name: npz[name] for name in fields}
-    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
+        # on a damaged header numpy may warn, then raise ValueError,
+        # SyntaxError, TypeError or tokenize.TokenError
+        with open(path, "rb") as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            record = np.lib.format.read_array(fh, allow_pickle=False)
+    except Exception:
         return None
-    for name, (dtype, ndim) in fields.items():
-        a = entry[name]  # a member that is not .npy data loads as bytes
-        if not isinstance(a, np.ndarray) or a.dtype != dtype or a.ndim != ndim:
+    dtype = record.dtype
+    fields = fields + (_CRC_FIELD,)
+    if record.shape != () or dtype.names != tuple(f[0] for f in fields):
+        return None
+    for name, base, ndim in fields:
+        if dtype[name].base != base or dtype[name].ndim != ndim:
             return None
-    return entry
+    if _record_crc(record) != record["crc32"]:
+        return None
+    return record
 
 
-def _write_entry(path: Path, fields: dict, arrays: dict) -> None:
-    """Write the arrays, cast to the fields' dtypes, as an .npz entry. A
-    failed write is ignored: an unwritable cache costs the next start a
-    parse or a solve, no more, so every command runs without one."""
+def _write_entry(path: Path, fields: tuple, values: dict) -> None:
+    """Write the values, cast to the fields' dtypes, as one .npy record
+    with its crc32. A failed write is ignored: an unwritable cache costs
+    the next start a parse or a solve, no more, so every command runs
+    without one."""
+    record = np.zeros((), [
+        (name, base, (len(values[name]),) if ndim else ())
+        for name, base, ndim in fields + (_CRC_FIELD,)])
+    for name, _, _ in fields:
+        record[name] = values[name]
+    record["crc32"] = _record_crc(record)
     buf = io.BytesIO()
-    np.savez(buf, **{name: np.asarray(arrays[name], dtype=fields[name][0])
-                     for name in fields})
+    np.save(buf, record)
     try:
         _write_atomic(path, buf.getvalue())
     except OSError:
@@ -230,14 +253,14 @@ def _load_cached(path: Path, key: str, dim: int,
     entry = _read_entry(path, _REFERENCE_FIELDS)
     if entry is None:
         return None
-    meta, x_star = entry["meta"], entry["x_star"]
-    if str(meta["key"]) != key or int(meta["dim"]) != dim \
+    x_star = entry["x_star"]
+    if str(entry["key"]) != key or int(entry["dim"]) != dim \
             or x_star.size != dim:
         return None
-    grad_norm = float(meta["grad_norm"])
+    grad_norm = float(entry["grad_norm"])
     if not grad_norm <= tol:
         return None
-    return ReferenceOptimum(x_star, float(meta["f_star"]), grad_norm)
+    return ReferenceOptimum(x_star, float(entry["f_star"]), grad_norm)
 
 
 def cached_reference(problem: ErmProblem, tol: float = 1e-10,
@@ -245,15 +268,16 @@ def cached_reference(problem: ErmProblem, tol: float = 1e-10,
     """compute_reference with a disk cache.
 
     The cache directory is the cache_dir argument, else $VROPT_CACHE_DIR,
-    else ~/.cache/vropt. Entries are NumPy .npz archives named
-    ref-<key>.npz, key = problem_key(problem). Each holds x_star (float64,
-    so it reads back bit for bit) and a record "meta" of the key and dim it
-    belongs to, f_star, grad_norm and the tol it was solved for. A cached
-    solution is reused only when its key, dimension, and achieved gradient
-    norm satisfy the current request; any other entry, or one that cannot
-    be read, is recomputed and replaced. The file is written under a
-    temporary name and renamed into place, so an interrupted write leaves
-    no partial file; a write that fails is ignored.
+    else ~/.cache/vropt. Entries are NumPy .npy files named ref-<key>.npy,
+    key = problem_key(problem). Each holds one record: the key and dim it
+    belongs to, the tol it was solved for, f_star, grad_norm, x_star
+    (float64, so it reads back bit for bit) and a CRC-32 of all of these.
+    A cached solution is reused only when its CRC, key, dimension, and
+    achieved gradient norm satisfy the current request; any other entry,
+    or one that cannot be read, is recomputed and replaced. The file is
+    written under a temporary name and renamed into place, so an
+    interrupted write leaves no partial file; a write that fails is
+    ignored.
     """
     key = problem_key(problem)
     path = _cache_path(f"ref-{key}", cache_dir)
@@ -262,8 +286,8 @@ def cached_reference(problem: ErmProblem, tol: float = 1e-10,
         return hit
     ref = compute_reference(problem, tol=tol)
     _write_entry(path, _REFERENCE_FIELDS, {
-        "meta": (key, problem.d, tol, ref.f_star, ref.grad_norm),
-        "x_star": ref.x_star})
+        "key": key, "dim": problem.d, "tol": tol, "f_star": ref.f_star,
+        "grad_norm": ref.grad_norm, "x_star": ref.x_star})
     return ref
 
 
@@ -271,27 +295,27 @@ def cached_dataset(raw: bytes, parse: Callable[[str], Dataset],
                    cache_dir: str | os.PathLike | None = None) -> Dataset:
     """parse(raw decoded as UTF-8), with a disk cache keyed by the bytes.
 
-    The entry is data-<first 16 hex digits of sha256(raw)>.npz in the
-    cached_reference directory. It holds the CSR arrays, the labels and a
-    record "meta" of the full digest and dim. A hit must carry the full
-    digest and passes through Dataset's checks again; an entry that is
-    missing, unreadable, carries another digest or is not canonical is a
-    miss. A miss parses and writes the entry atomically; a decode or parse
-    error propagates and writes nothing. A failed write is ignored, as in
-    cached_reference.
+    The entry is data-<first 16 hex digits of sha256(raw)>.npy in the
+    cached_reference directory. It holds one record: the full digest, dim,
+    the CSR arrays, the labels and a CRC-32 of all of these. A hit must
+    pass its CRC, carry the full digest and pass through Dataset's checks
+    again; an entry that is missing, unreadable, damaged, carries another
+    digest or is not canonical is a miss. A miss parses and writes the
+    entry atomically; a decode or parse error propagates and writes
+    nothing. A failed write is ignored, as in cached_reference.
     """
     digest = hashlib.sha256(raw).hexdigest()
     path = _cache_path(f"data-{digest[:16]}", cache_dir)
     entry = _read_entry(path, _DATASET_FIELDS)
-    if entry is not None and str(entry["meta"]["sha256"]) == digest:
+    if entry is not None and str(entry["sha256"]) == digest:
         try:
             return Dataset(entry["indptr"], entry["indices"], entry["data"],
-                           entry["labels"], int(entry["meta"]["dim"]))
+                           entry["labels"], int(entry["dim"]))
         except ValueError:
             pass  # not canonical: parse again and replace it
     ds = parse(raw.decode("utf-8"))
     _write_entry(path, _DATASET_FIELDS, {
-        "meta": (digest, ds.dim), "indptr": ds.indptr,
+        "sha256": digest, "dim": ds.dim, "indptr": ds.indptr,
         "indices": ds.indices, "data": ds.data, "labels": ds.labels})
     return ds
 

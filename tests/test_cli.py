@@ -1,12 +1,15 @@
+import hashlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import vropt.cli
-from vropt import load_trace_csv
+from vropt import (LogisticProblem, load_trace_csv, normalize_rows,
+                   parse_libsvm, problem_key)
 from vropt.cli import main
 
 
@@ -230,8 +233,8 @@ def test_reference_command(tmp_path, capsys):
                  "--cache-dir", str(cache)]) == 0
     out = capsys.readouterr().out
     assert "f_star=" in out and "grad_norm=" in out
-    assert len(list(cache.glob("ref-*.npz"))) == 1
-    assert len(list(cache.glob("data-*.npz"))) == 1
+    assert len(list(cache.glob("ref-*.npy"))) == 1
+    assert len(list(cache.glob("data-*.npy"))) == 1
     assert len(list(cache.iterdir())) == 2
 
 
@@ -276,8 +279,49 @@ def test_warm_start_repeats_cold_start(tmp_path, capsys, monkeypatch,
     assert results[0] == results[1]
     assert len(parses) == 1  # the warm start read the parsed-dataset cache
     cache = tmp_path / "refcache"  # VROPT_CACHE_DIR, set in conftest
-    assert len(list(cache.glob("data-*.npz"))) == 1
-    assert len(list(cache.glob("ref-*.npz"))) == 1
+    assert len(list(cache.glob("data-*.npy"))) == 1
+    assert len(list(cache.glob("ref-*.npy"))) == 1
+
+
+def test_parent_era_npz_entries_ignored_and_untouched(tmp_path, capsys,
+                                                      monkeypatch):
+    data = gen_data(tmp_path)
+    capsys.readouterr()
+    argv = command_argv("reference", data, tmp_path)
+    monkeypatch.setenv("VROPT_CACHE_DIR", str(tmp_path / "cold"))
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    # .npz entries in the layout earlier versions wrote, under the names
+    # they gave the same content; each holds wrong values, so reading
+    # either one would change the output
+    cache = tmp_path / "upgraded"
+    cache.mkdir()
+    raw = Path(data).read_bytes()
+    digest = hashlib.sha256(raw).hexdigest()
+    ds = normalize_rows(parse_libsvm(raw.decode("utf-8")))
+    key = problem_key(LogisticProblem(ds, 0.05))
+    np.savez(cache / f"data-{digest[:16]}.npz",
+             meta=np.array((digest, 1), dtype=[("sha256", "<U64"),
+                                               ("dim", "<i8")]),
+             indptr=np.array([0, 1]), indices=np.array([0]),
+             data=np.array([1.0]), labels=np.array([1], dtype=np.int8))
+    np.savez(cache / f"ref-{key}.npz",
+             meta=np.array((key, ds.dim, 1e-10, -1.0, 0.0),
+                           dtype=[("key", "<U16"), ("dim", "<i8"),
+                                  ("tol", "<f8"), ("f_star", "<f8"),
+                                  ("grad_norm", "<f8")]),
+             x_star=np.zeros(ds.dim))
+    old = {p.name: (p.read_bytes(), p.stat().st_mtime_ns)
+           for p in cache.iterdir()}
+    monkeypatch.setenv("VROPT_CACHE_DIR", str(cache))
+    for _ in ("cold", "warm"):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == cold
+    assert {p.name: (p.read_bytes(), p.stat().st_mtime_ns)
+            for p in cache.glob("*.npz")} == old
+    assert len(list(cache.glob("data-*.npy"))) == 1
+    assert len(list(cache.glob("ref-*.npy"))) == 1
+    assert len(list(cache.iterdir())) == 4
 
 
 def test_edited_data_file_misses_cache(tmp_path, capsys, monkeypatch):
@@ -292,7 +336,7 @@ def test_edited_data_file_misses_cache(tmp_path, capsys, monkeypatch):
     assert main(argv) == 0
     assert capsys.readouterr().out != first
     assert len(parses) == 2
-    assert len(list((tmp_path / "refcache").glob("data-*.npz"))) == 2
+    assert len(list((tmp_path / "refcache").glob("data-*.npy"))) == 2
 
 
 def test_run_without_reference_needs_no_writable_cache(tmp_path,
@@ -308,7 +352,7 @@ def test_run_without_reference_needs_no_writable_cache(tmp_path,
     assert main(run_flags(data, out, "--algo", "sgd", "--passes", "2",
                           "--no-reference")) == 0
     capsys.readouterr()
-    # a failed write of the ref-*.npz entry is ignored like a data entry's
+    # a failed write of the ref-*.npy entry is ignored like a data entry's
     assert main(command_argv("reference", data, tmp_path)) == 0
     assert capsys.readouterr().out == writable
     assert main(command_argv("run", data, tmp_path)) == 0

@@ -1,9 +1,14 @@
 import hashlib
 import math
+import tempfile
+import warnings
+import zlib
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.special import expit
@@ -18,6 +23,7 @@ from vropt import (AveragingScheme, ConfigError, Dataset, FixedLength,
                    generate_synthetic, load_trace_csv, normalize_rows,
                    parse_libsvm, problem_key, run_experiment,
                    serialize_libsvm, write_trace_csv)
+from vropt.harness import ReferenceOptimum
 
 
 # ----------------------------------------------------------- reference
@@ -278,7 +284,7 @@ def test_cache_round_trip_is_exact(tmp_path, monkeypatch):
     ref1 = cached_reference(problem, cache_dir=tmp_path)
     files = list(tmp_path.glob("ref-*"))
     assert len(files) == 1
-    assert files[0].name == f"ref-{problem_key(problem)}.npz"
+    assert files[0].name == f"ref-{problem_key(problem)}.npy"
 
     def boom(*args, **kwargs):
         raise AssertionError("cache should have been hit")
@@ -311,22 +317,46 @@ def test_cache_write_interrupted_leaves_nothing(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def record_fields(path):
+    """The fields of a cache entry's record, crc32 included, by name."""
+    record = np.load(path, allow_pickle=False)
+    return {name: record[name] for name in record.dtype.names}
+
+
+def save_record(path, **fields):
+    """Write the fields, in order, as a cache entry: one 0-d .npy record
+    whose last field, crc32, is the zlib.crc32 of every byte before it."""
+    arrays = {name: np.asarray(value) for name, value in fields.items()}
+    record = np.zeros((), [(name, a.dtype, a.shape)
+                           for name, a in arrays.items()] + [("crc32", "<u4")])
+    for name, a in arrays.items():
+        record[name] = a
+    record["crc32"] = zlib.crc32(record.reshape(1).view(np.uint8)[:-4])
+    np.save(path, record)
+
+
 def test_cache_file_format(tmp_path):
     problem = make_logistic(10, 4, seed=47, kappa=6.0)
     ref = cached_reference(problem, tol=1e-9, cache_dir=tmp_path)
-    path = tmp_path / f"ref-{problem_key(problem)}.npz"
-    with np.load(path, allow_pickle=False) as entry:
-        fields = {name: entry[name] for name in entry.files}
-    assert set(fields) == {"meta", "x_star"}
-    meta = fields["meta"]
-    assert meta.dtype.names == ("key", "dim", "tol", "f_star", "grad_norm")
-    assert str(meta["key"]) == problem_key(problem)
-    assert meta.dtype["dim"] == "<i8" and int(meta["dim"]) == problem.d
-    assert float(meta["tol"]) == 1e-9
-    assert float(meta["f_star"]) == ref.f_star
-    assert float(meta["grad_norm"]) == ref.grad_norm
-    assert fields["x_star"].dtype == "<f8"
-    assert fields["x_star"].tobytes() == ref.x_star.tobytes()
+    path = tmp_path / f"ref-{problem_key(problem)}.npy"
+    record = np.load(path, allow_pickle=False)
+    assert record.shape == ()
+    assert record.dtype.names == ("key", "dim", "tol", "f_star", "grad_norm",
+                                  "x_star", "crc32")
+    assert record.dtype == np.dtype([
+        ("key", "<U16"), ("dim", "<i8"), ("tol", "<f8"), ("f_star", "<f8"),
+        ("grad_norm", "<f8"), ("x_star", "<f8", (problem.d,)),
+        ("crc32", "<u4")])
+    assert str(record["key"]) == problem_key(problem)
+    assert int(record["dim"]) == problem.d
+    assert float(record["tol"]) == 1e-9
+    assert float(record["f_star"]) == ref.f_star
+    assert float(record["grad_norm"]) == ref.grad_norm
+    assert record["x_star"].tobytes() == ref.x_star.tobytes()
+    # the record is the file's tail; crc32 covers every byte before it
+    body = path.read_bytes()[-record.dtype.itemsize:]
+    assert body == record.tobytes()
+    assert body[-4:] == zlib.crc32(body[:-4]).to_bytes(4, "little")
 
 
 def test_cache_rejected_when_not_tight_enough(tmp_path, monkeypatch):
@@ -355,8 +385,8 @@ def test_cache_rejected_on_key_or_shape_mismatch(tmp_path, monkeypatch):
     p1 = make_logistic(12, 3, seed=49, kappa=8.0)
     p2 = make_logistic(12, 3, seed=50, kappa=8.0)
     cached_reference(p1, cache_dir=tmp_path)
-    src = tmp_path / f"ref-{problem_key(p1)}.npz"
-    dst = tmp_path / f"ref-{problem_key(p2)}.npz"
+    src = tmp_path / f"ref-{problem_key(p1)}.npy"
+    dst = tmp_path / f"ref-{problem_key(p2)}.npy"
     good = src.read_bytes()
     dst.write_bytes(good)
     calls = []
@@ -370,10 +400,13 @@ def test_cache_rejected_on_key_or_shape_mismatch(tmp_path, monkeypatch):
     cached_reference(p2, cache_dir=tmp_path)  # stale key inside the file
     assert calls == [problem_key(p2)]
 
-    # drop one component: the shape check must force a recompute
-    with np.load(src, allow_pickle=False) as entry:
-        fields = {name: entry[name] for name in entry.files}
-    np.savez(src, **dict(fields, x_star=fields["x_star"][:-1]))
+    # drop one component: the record passes its CRC, so the size check
+    # must force the recompute
+    fields = record_fields(src)
+    del fields["crc32"]
+    save_record(src, **dict(fields, x_star=fields["x_star"][:-1]))
+    assert vropt.harness._read_entry(
+        src, vropt.harness._REFERENCE_FIELDS) is not None
     calls.clear()
     cached_reference(p1, cache_dir=tmp_path)
     assert calls == [problem_key(p1)]
@@ -384,7 +417,7 @@ def test_cache_rejected_on_key_or_shape_mismatch(tmp_path, monkeypatch):
         calls.clear()
         ref = cached_reference(p1, cache_dir=tmp_path)
         assert calls == [problem_key(p1)]
-        assert src.read_bytes()[:2] == b"PK"  # an .npz archive again
+        assert src.read_bytes()[:6] == b"\x93NUMPY"  # an .npy file again
         assert ref.grad_norm <= 1e-10
     calls.clear()
     cached_reference(p1, cache_dir=tmp_path)
@@ -396,7 +429,7 @@ def test_cache_env_dir_used(tmp_path, monkeypatch):
     monkeypatch.setenv("VROPT_CACHE_DIR", str(tmp_path / "via-env"))
     cached_reference(problem)
     assert (tmp_path / "via-env" /
-            f"ref-{problem_key(problem)}.npz").is_file()
+            f"ref-{problem_key(problem)}.npy").is_file()
 
 
 def counting_parse(calls):
@@ -415,16 +448,15 @@ def test_dataset_cache_crlf_and_lf_parse_equal(tmp_path):
                 for raw in (text.encode(), text.replace("\n", "\r\n").encode())
                 for _ in range(2)]
     assert len(calls) == 2  # one miss per distinct content
-    assert len(list(tmp_path.glob("data-*.npz"))) == 2
+    assert len(list(tmp_path.glob("data-*.npy"))) == 2
     assert all(ds == datasets[0] for ds in datasets)
 
 
 def dataset_entry(raw, tmp_path):
-    """The cached_dataset entry path for raw and its arrays."""
+    """The cached_dataset entry path for raw and its record's fields."""
     digest = hashlib.sha256(raw).hexdigest()
-    path = tmp_path / f"data-{digest[:16]}.npz"
-    with np.load(path, allow_pickle=False) as entry:
-        return path, {name: entry[name] for name in entry.files}
+    path = tmp_path / f"data-{digest[:16]}.npy"
+    return path, record_fields(path)
 
 
 @pytest.mark.parametrize("damage", ["corrupted", "truncated", "non-canonical",
@@ -435,9 +467,11 @@ def test_dataset_cache_bad_entry_ignored_and_rewritten(tmp_path, damage):
     parse = counting_parse(calls)
     want = cached_dataset(raw, parse, tmp_path)
     path, fields = dataset_entry(raw, tmp_path)
-    assert set(fields) == {"meta", "indptr", "indices", "data", "labels"}
-    assert str(fields["meta"]["sha256"]) == hashlib.sha256(raw).hexdigest()
-    assert int(fields["meta"]["dim"]) == want.dim
+    assert list(fields) == ["sha256", "dim", "indptr", "indices", "data",
+                            "labels", "crc32"]
+    assert str(fields["sha256"]) == hashlib.sha256(raw).hexdigest()
+    assert int(fields["dim"]) == want.dim
+    del fields["crc32"]
     good = path.read_bytes()
     if damage == "corrupted":  # a flipped bit in the stored values
         bad = bytearray(good)
@@ -446,9 +480,10 @@ def test_dataset_cache_bad_entry_ignored_and_rewritten(tmp_path, damage):
     elif damage == "truncated":
         path.write_bytes(good[:len(good) // 2])
     elif damage == "non-canonical":  # columns swapped within row 0
-        np.savez(path, **dict(fields, indices=fields["indices"][[1, 0, 2]]))
+        save_record(path, **dict(fields, indices=fields["indices"][[1, 0, 2]]))
     elif damage == "dtype":
-        np.savez(path, **dict(fields, data=fields["data"].astype(np.float32)))
+        save_record(path,
+                    **dict(fields, data=fields["data"].astype(np.float32)))
     else:
         other = b"-1 1:4.0\n+1 1:2.5\n"
         cached_dataset(other, parse, tmp_path)
@@ -469,6 +504,111 @@ def test_dataset_cache_write_interrupted_leaves_nothing(tmp_path, monkeypatch):
     ds = cached_dataset(b"+1 1:1.0\n", parse_libsvm, tmp_path)
     assert ds == parse_libsvm("+1 1:1.0\n")
     assert list(tmp_path.iterdir()) == []
+
+
+def no_call(*args, **kwargs):
+    raise AssertionError("the cache should have been hit")
+
+
+def one_row_case():
+    ds = Dataset([0, 2], [0, 2], [0.5, -3.0], [1], 3)
+    return LogisticProblem(ds, 0.1), 1e-8
+
+
+def no_entries_case():
+    ds = Dataset([0, 0, 0], [], [], [1, -1], 2)
+    return LogisticProblem(ds, 1.0), 1e-8
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=small_logistic(), x_values=st.lists(st.floats(), min_size=5,
+                                                max_size=5),
+       f_star=st.floats(), grad_norm=st.floats(0.0, 1e-10))
+@example(case=one_row_case(), x_values=[1.0, -0.0, math.nan, 4.0, 5.0],
+         f_star=0.25, grad_norm=0.0).via("one row")
+@example(case=no_entries_case(), x_values=[0.0, 1e-300, 0.0, 0.0, 0.0],
+         f_star=-math.inf, grad_norm=1e-10).via("no entries")
+def test_cache_entries_round_trip_exactly(case, x_values, f_star, grad_norm):
+    problem, _ = case
+    ds = problem.dataset
+    raw = serialize_libsvm(ds).encode()
+    ref = ReferenceOptimum(np.array(x_values[:problem.d]), f_star, grad_norm)
+    with tempfile.TemporaryDirectory() as cache:
+        assert cached_dataset(raw, lambda text: ds, cache) is ds
+        hit = cached_dataset(raw, no_call, cache)
+        assert hit.dim == ds.dim
+        for name in ("indptr", "indices", "data", "labels"):
+            want, stored = getattr(ds, name), getattr(hit, name)
+            assert stored.dtype == want.dtype
+            assert stored.tobytes() == want.tobytes()
+        with mock.patch.object(vropt.harness, "compute_reference",
+                               lambda problem, tol: ref):
+            assert cached_reference(problem, cache_dir=cache) is ref
+        with mock.patch.object(vropt.harness, "compute_reference", no_call):
+            got = cached_reference(problem, cache_dir=cache)
+    assert got.x_star.dtype == np.float64
+    assert got.x_star.tobytes() == ref.x_star.tobytes()
+    assert np.float64(got.f_star).tobytes() == np.float64(f_star).tobytes()
+    assert got.grad_norm == grad_norm
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(["data", "ref"]), offset=st.integers(-4000, 4000),
+       byte=st.integers(0, 255))
+@example(kind="data", offset=0, byte=0).via("magic string")
+@example(kind="ref", offset=8, byte=0xff).via("header length")
+@example(kind="data", offset=123, byte=0).via("header string left open")
+@example(kind="data", offset=33, byte=44).via("header syntax")
+@example(kind="ref", offset=154, byte=66).via("header descr of bytes")
+@example(kind="data", offset=77, byte=76).via("header warns, then reads")
+@example(kind="ref", offset=23, byte=92).via("header escape warns")
+@example(kind="ref", offset=-1, byte=0).via("crc32")
+@example(kind="data", offset=-5, byte=0xfe).via("last label")
+def test_cache_entry_with_one_byte_overwritten(kind, offset, byte):
+    """Any one byte of either entry overwritten: a miss that is recomputed
+    and rewritten, or a hit with bit-identical arrays; never an error or a
+    warning."""
+    problem = make_logistic(12, 3, seed=53, kappa=8.0)
+    raw = serialize_libsvm(problem.dataset).encode()
+    calls = []
+    parse = counting_parse(calls)
+    true_compute = vropt.harness.compute_reference
+
+    def counting(problem, tol=1e-10):
+        calls.append(tol)
+        return true_compute(problem, tol=tol)
+
+    def load():
+        if kind == "data":
+            ds = cached_dataset(raw, parse, cache)
+            return [ds.indptr, ds.indices, ds.data, ds.labels, ds.dim]
+        with mock.patch.object(vropt.harness, "compute_reference", counting):
+            ref = cached_reference(problem, cache_dir=cache)
+        return [ref.x_star, ref.f_star, ref.grad_norm]
+
+    def as_bytes(values):
+        return [np.asarray(v).tobytes() for v in values]
+
+    with tempfile.TemporaryDirectory() as cache:
+        want = as_bytes(load())
+        if kind == "data":
+            path, _ = dataset_entry(raw, Path(cache))
+        else:
+            path = Path(cache) / f"ref-{problem_key(problem)}.npy"
+        good = path.read_bytes()
+        header = len(good) - np.load(path, allow_pickle=False).dtype.itemsize
+        pos = offset % len(good)
+        damaged = good[:pos] + bytes([byte]) + good[pos + 1:]
+        path.write_bytes(damaged)
+        calls.clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert as_bytes(load()) == want
+        assert caught == []  # numpy's warnings on a damaged header too
+        # a miss rewrites the entry; a hit leaves it as it was
+        assert path.read_bytes() == (good if calls else damaged)
+        if pos >= header and damaged != good:
+            assert calls  # the crc32 covers every byte of the record
 
 
 # ------------------------------------------------------ run_experiment
