@@ -471,10 +471,11 @@ def format_rate_csv(rows: Iterable[GridRow]) -> str:
     """Render rate-grid rows; undefined points keep an empty lambda cell and
     defined=false so plots can show gaps instead of fake values."""
     lines = [RATE_HEADER]
-    for row in rows:
-        lam = "" if row.value is None else repr(row.value)
-        flag = "true" if row.defined else "false"
-        lines.append(f"{row.scheme},{row.x!r},{lam},{flag}")
+    for scheme, x, value in rows:
+        if value is None:
+            lines.append(f"{scheme},{x!r},,false")
+        else:
+            lines.append(f"{scheme},{x!r},{value!r},true")
     return "\n".join(lines) + "\n"
 
 

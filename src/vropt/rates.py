@@ -8,18 +8,23 @@ one) or None where the formula's preconditions fail; callers render such
 points as gaps, never as silent NaNs. The formulas are upper bounds: measured
 contraction may be much smaller, never meaningfully larger.
 
-Powers (1-delta)^m are evaluated as exp(m*log1p(-delta)); the weighted-
-recursive normalizer switches to its binomial series in delta when
-delta*(m-1) < 1e-3, where the closed form loses accuracy to cancellation.
-The series converges in a few terms there, so every calculator takes O(1)
-time and memory whatever m is.
+A RateQuery is a named tuple (eta, m, L, mu) that checks its fields when it
+is made: eta, m, L and mu must be finite, eta > 0, m >= 2 and L >= mu > 0,
+else ValueError names the field. A rate grid validates its sweep once, makes
+one query per sweep point, evaluates every scheme on it and returns GridRow
+named tuples (scheme, x, value).
+
+Powers (1-delta)^m are evaluated as exp(m*log1p(-delta)), each one once per
+call; the weighted-recursive normalizer switches to its binomial series in
+delta when delta*(m-1) < 1e-3, where the closed form loses accuracy to
+cancellation. The series converges in a few terms there, so every calculator
+takes O(1) time and memory whatever m is.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,23 +36,44 @@ __all__ = [
     "SCHEME_RATES", "rate_grid", "figure_grid", "FIGURE_IDS",
 ]
 
+_INF = math.inf
 
-@dataclass(frozen=True)
-class RateQuery:
-    """One rate evaluation point. kappa is always derived as L/mu."""
 
+class _RateQueryFields(NamedTuple):
     eta: float
     m: int
     L: float = 1.0
     mu: float = 1e-5
 
-    def __post_init__(self):
-        if not self.eta > 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
-        if self.m < 2:
-            raise ValueError(f"m must be >= 2, got {self.m}")
-        if not self.mu > 0 or self.L < self.mu:
-            raise ValueError(f"need L >= mu > 0, got L={self.L}, mu={self.mu}")
+
+class RateQuery(_RateQueryFields):
+    """One rate evaluation point. kappa is always derived as L/mu.
+
+    Raises:
+        ValueError: a field is NaN or infinite, eta <= 0, m < 2, or the
+            constants fail L >= mu > 0.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, eta: float, m: int, L: float = 1.0, mu: float = 1e-5):
+        # chained comparisons are False for NaN, so each test also rejects it
+        if not 0.0 < eta < _INF:
+            raise ValueError(f"eta must be positive and finite, got {eta!r}")
+        if not 2 <= m < _INF:
+            raise ValueError(f"m must be finite and >= 2, got {m!r}")
+        if not -_INF < L < _INF:
+            raise ValueError(f"L must be finite, got {L!r}")
+        if not -_INF < mu < _INF:
+            raise ValueError(f"mu must be finite, got {mu!r}")
+        if not 0.0 < mu <= L:
+            raise ValueError(f"need L >= mu > 0, got L={L!r}, mu={mu!r}")
+        return tuple.__new__(cls, (eta, m, L, mu))
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: validate there too
+        return cls(*iterable)
 
     @property
     def kappa(self) -> float:
@@ -71,14 +97,19 @@ def rate_svrg_weighted(q: RateQuery) -> float | None:
              + 2*mu*L*eta^2*(1-d)^(m-1)/(1-2*eta*L) + 2*eta*L/(1-2*eta*L)],
     d = mu*eta. Undefined (None) for eta >= 1/(2L).
     """
-    if q.eta >= 1.0 / (2.0 * q.L):
+    eta, m, L, mu = q
+    if eta >= 1.0 / (2.0 * L):
         return None
-    d = q.mu * q.eta
-    den = 1.0 - 2.0 * q.eta * q.L
-    prefactor = 1.0 / _one_minus_pow1m(d, q.m - 1)
-    bracket = (_pow1m(d, q.m) / den
-               + 2.0 * q.mu * q.L * q.eta ** 2 * _pow1m(d, q.m - 1) / den
-               + 2.0 * q.eta * q.L / den)
+    d = mu * eta
+    den = 1.0 - 2.0 * eta * L
+    # both powers from one log1p, each formed as _pow1m and
+    # _one_minus_pow1m form it
+    log1m = math.log1p(-d)
+    tail = (m - 1) * log1m
+    prefactor = 1.0 / -math.expm1(tail)
+    bracket = (math.exp(m * log1m) / den
+               + 2.0 * mu * L * eta ** 2 * math.exp(tail) / den
+               + 2.0 * eta * L / den)
     return prefactor * bracket
 
 
@@ -91,10 +122,11 @@ def svrg_weighted_within_guarantee(q: RateQuery) -> bool:
 def rate_svrg_uniform(q: RateQuery) -> float | None:
     """Uniform-averaging rate: 1/(mu*eta*(1-2*eta*L)*m) + 2*eta*L/(1-2*eta*L).
     Undefined for eta >= 1/(2L)."""
-    if q.eta >= 1.0 / (2.0 * q.L):
+    eta, m, L, mu = q
+    if eta >= 1.0 / (2.0 * L):
         return None
-    den = 1.0 - 2.0 * q.eta * q.L
-    return 1.0 / (q.mu * q.eta * den * q.m) + 2.0 * q.eta * q.L / den
+    den = 1.0 - 2.0 * eta * L
+    return 1.0 / (mu * eta * den * m) + 2.0 * eta * L / den
 
 
 def _sarah_weighted_normalizer(d: float, m: int) -> float:
@@ -125,18 +157,20 @@ def rate_sarah_weighted(q: RateQuery) -> float | None:
 
     Undefined for eta >= 1/L, L == mu, or a non-positive normalizer.
     """
-    if q.eta >= 1.0 / q.L or q.L == q.mu:
+    eta, m, L, mu = q
+    if eta >= 1.0 / L or L == mu:
         return None
-    d = q.mu * q.eta
-    c = _sarah_weighted_normalizer(d, q.m)
+    d = mu * eta
+    c = _sarah_weighted_normalizer(d, m)
     if not c > 0.0:
         return None
-    kappa = q.kappa
-    r = 2.0 * q.eta * q.L / (1.0 + kappa)
-    etal = q.eta * q.L
-    term1 = (_pow1m(d, q.m) - _pow1m(r, q.m)) * (q.L + q.mu) / (c * (q.L - q.mu))
-    term2 = _pow1m(d, q.m) / (c * d)
-    term3 = etal * (q.m - 1) / (c * (2.0 - etal))
+    kappa = L / mu
+    r = 2.0 * eta * L / (1.0 + kappa)
+    etal = eta * L
+    decay = _pow1m(d, m)
+    term1 = (decay - _pow1m(r, m)) * (L + mu) / (c * (L - mu))
+    term2 = decay / (c * d)
+    term3 = etal * (m - 1) / (c * (2.0 - etal))
     term4 = (2.0 - 2.0 * etal) / (2.0 - etal) * (1.0 + kappa) / (2.0 * c * etal)
     return term1 + term2 + term3 + term4
 
@@ -144,21 +178,23 @@ def rate_sarah_weighted(q: RateQuery) -> float | None:
 def rate_sarah_uniform(q: RateQuery) -> float | None:
     """Uniform-averaging rate: 1/(mu*eta*m) + eta*L/(2-eta*L).
     Undefined for eta >= 2/L."""
-    if q.eta >= 2.0 / q.L:
+    eta, m, L, mu = q
+    if eta >= 2.0 / L:
         return None
-    return 1.0 / (q.mu * q.eta * q.m) + q.eta * q.L / (2.0 - q.eta * q.L)
+    return 1.0 / (mu * eta * m) + eta * L / (2.0 - eta * L)
 
 
 def rate_sarah_last(q: RateQuery) -> float | None:
     """Last-iterate rate: 2*eta*L/(2-eta*L) + 2*(1+eta*L)*(1-2*eta*L/(1+kappa))^m.
     Defined for eta <= 2/(mu+L), the step range where the estimator-norm
     decay factor stays a contraction."""
-    if q.eta > 2.0 / (q.mu + q.L):
+    eta, m, L, mu = q
+    if eta > 2.0 / (mu + L):
         return None
-    etal = q.eta * q.L
-    r = 2.0 * etal / (1.0 + q.kappa)
+    etal = eta * L
+    r = 2.0 * etal / (1.0 + L / mu)
     # r = 1 only at mu = L with eta at the boundary; the power is then 0
-    decay = 0.0 if r >= 1.0 else _pow1m(r, q.m)
+    decay = 0.0 if r >= 1.0 else _pow1m(r, m)
     return 2.0 * etal / (2.0 - etal) + 2.0 * (1.0 + etal) * decay
 
 
@@ -171,8 +207,7 @@ SCHEME_RATES: dict[str, Callable[[RateQuery], float | None]] = {
 }
 
 
-@dataclass(frozen=True)
-class GridRow:
+class GridRow(NamedTuple):
     """One (scheme, sweep point) rate evaluation; value None = undefined."""
 
     scheme: str
@@ -192,8 +227,8 @@ def rate_grid(schemes: Sequence[str], L: float, mu: float,
     Args:
         schemes: keys of SCHEME_RATES.
         L, mu: problem constants.
-        sweep: "m" (points are inner lengths; fixed eta required) or
-            "eta" (points are step sizes; fixed m required).
+        sweep: "m" (points are inner lengths, rounded to integers; fixed eta
+            required) or "eta" (points are step sizes; fixed m required).
         points: sweep values, in emission order.
         eta, m: the non-swept coordinate.
 
@@ -202,7 +237,8 @@ def rate_grid(schemes: Sequence[str], L: float, mu: float,
         marked explicitly.
 
     Raises:
-        ValueError: unknown scheme, empty sweep, or a missing fixed coordinate.
+        ValueError: unknown scheme, empty sweep, a missing fixed coordinate,
+            a NaN or infinite point, or a point whose RateQuery is invalid.
     """
     points = list(points)
     if not points:
@@ -210,21 +246,26 @@ def rate_grid(schemes: Sequence[str], L: float, mu: float,
     for s in schemes:
         if s not in SCHEME_RATES:
             raise ValueError(f"unknown scheme {s!r}")
+    if sweep == "m":
+        if eta is None:
+            raise ValueError("sweep over m needs a fixed eta")
+    elif sweep == "eta":
+        if m is None:
+            raise ValueError("sweep over eta needs a fixed m")
+    else:
+        raise ValueError(f"sweep must be 'm' or 'eta', got {sweep!r}")
+    for x in points:
+        if not -_INF < x < _INF:
+            raise ValueError(f"{sweep} sweep point {x!r} is not finite")
+    if sweep == "m":
+        queries = [RateQuery(eta, int(round(x)), L, mu) for x in points]
+    else:
+        queries = [RateQuery(float(x), m, L, mu) for x in points]
+    xs = [float(x) for x in points]
     rows: list[GridRow] = []
     for scheme in schemes:
         fn = SCHEME_RATES[scheme]
-        for x in points:
-            if sweep == "m":
-                if eta is None:
-                    raise ValueError("sweep over m needs a fixed eta")
-                q = RateQuery(eta=eta, m=int(round(x)), L=L, mu=mu)
-            elif sweep == "eta":
-                if m is None:
-                    raise ValueError("sweep over eta needs a fixed m")
-                q = RateQuery(eta=float(x), m=m, L=L, mu=mu)
-            else:
-                raise ValueError(f"sweep must be 'm' or 'eta', got {sweep!r}")
-            rows.append(GridRow(scheme, float(x), fn(q)))
+        rows += [GridRow(scheme, x, fn(q)) for x, q in zip(xs, queries)]
     return rows
 
 
@@ -280,9 +321,10 @@ def figure_grid(figure: str) -> list[GridRow]:
         rows: list[GridRow] = []
         for scheme, theta in (("sarah_w", kappa), ("sarah_u", kappa),
                               ("sarah_l", 1.5 * kappa)):
+            fn = SCHEME_RATES[scheme]
             for eta in _log_grid(1.0 / (theta * big_l), 1.0 / (theta * mu), 25):
                 m = max(2, math.ceil(1.0 / (mu * eta)))
-                q = RateQuery(eta=eta, m=m, L=big_l, mu=mu)
-                rows.append(GridRow(scheme, eta, SCHEME_RATES[scheme](q)))
+                q = RateQuery(eta, m, big_l, mu)
+                rows.append(GridRow(scheme, eta, fn(q)))
         return rows
     raise ValueError(f"unknown figure {figure!r}; expected one of {FIGURE_IDS}")

@@ -196,6 +196,43 @@ def test_rates_flag_errors(tmp_path, capsys):
                  "--out", out]) == 2
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--L", "nan"], "error: L must be finite, got nan"),
+    (["--L", "inf"], "error: L must be finite, got inf"),
+    (["--mu", "nan"], "error: mu must be finite, got nan"),
+    (["--eta", "inf"], "error: eta must be positive and finite, got inf"),
+    (["--points", "1e400"], "error: m sweep point inf is not finite"),
+    (["--points", "nan"], "error: m sweep point nan is not finite"),
+    (["--points", "10,-inf"], "error: m sweep point -inf is not finite"),
+])
+def test_rates_non_finite_input_exits_2(tmp_path, capsys, flags, message):
+    # the later of two equal flags wins, so each case overrides one value
+    out = tmp_path / "r.csv"
+    argv = ["rates", "--custom", "--schemes", "svrg_u,sarah_w",
+            "--sweep", "m", "--points", "10,20", "--eta", "0.1",
+            "--L", "1", "--mu", "1e-3", *flags, "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
+
+
+# each CSV was written, for the same argv, by the rates module as it was
+# before queries and rows became named tuples; the bytes must not change
+RATE_GOLDEN = Path(__file__).parent / "golden" / "rates"
+RATE_CASES = {f"figure-{f}": ["--figure", f]
+              for f in ("1a", "1b", "2", "4b-analytic")}
+RATE_CASES["custom-m-sweep"] = [
+    "--custom", "--schemes", "sarah_w,sarah_u", "--L", "1", "--mu", "1e-5",
+    "--sweep", "m", "--points", "1e5,5e5,1e6", "--eta", "0.5"]
+
+
+@pytest.mark.parametrize("name", sorted(RATE_CASES))
+def test_rates_csv_matches_golden(tmp_path, name):
+    out = tmp_path / "rates.csv"
+    assert main(["rates", *RATE_CASES[name], "--out", str(out)]) == 0
+    assert out.read_bytes() == (RATE_GOLDEN / f"{name}.csv").read_bytes()
+
+
 # --------------------------------------------------------------- bench
 
 def test_bench_writes_expected_files(tmp_path):

@@ -233,6 +233,112 @@ def test_rate_query_validation():
         RateQuery(eta=0.1, m=10, L=0.5, mu=1.0)
 
 
+@pytest.mark.parametrize("field", ["eta", "m", "L", "mu"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rate_query_rejects_non_finite_fields(field, bad):
+    fields = dict(eta=0.1, m=10, L=1.0, mu=1e-3)
+    fields[field] = bad
+    with pytest.raises(ValueError, match=rf"\b{field}\b") as info:
+        RateQuery(**fields)
+    assert repr(bad) in str(info.value)
+
+
+def test_rate_query_and_grid_row_are_validated_named_tuples():
+    q = RateQuery(eta=0.25, m=40, L=2.0, mu=0.5)
+    assert q == RateQuery(0.25, 40, 2.0, 0.5) == (0.25, 40, 2.0, 0.5)
+    assert RateQuery(eta=0.1, m=3) == (0.1, 3, 1.0, 1e-5)
+    assert repr(q) == "RateQuery(eta=0.25, m=40, L=2.0, mu=0.5)"
+    assert (q.eta, q.m, q.L, q.mu, q.kappa) == (0.25, 40, 2.0, 0.5, 4.0)
+    assert q._replace(m=50) == (0.25, 50, 2.0, 0.5)
+    with pytest.raises(ValueError, match="m must be"):
+        q._replace(m=1)
+    with pytest.raises(AttributeError):
+        q.eta = 1.0
+    row = GridRow(scheme="sarah_u", x=2.0, value=None)
+    assert repr(row) == "GridRow(scheme='sarah_u', x=2.0, value=None)"
+    assert not row.defined and GridRow("sarah_u", 2.0, 0.5).defined
+    assert tuple(row) == ("sarah_u", 2.0, None)
+
+
+@pytest.mark.parametrize("sweep,points,fixed,shown", [
+    ("m", [10.0, float("1e400")], dict(eta=0.1), "inf"),
+    ("m", [math.nan], dict(eta=0.1), "nan"),
+    ("m", [-math.inf], dict(eta=0.1), "-inf"),
+    ("eta", [0.1, math.inf], dict(m=10), "inf"),
+    ("eta", [math.nan], dict(m=10), "nan"),
+])
+def test_rate_grid_rejects_non_finite_points(sweep, points, fixed, shown):
+    with pytest.raises(ValueError) as info:
+        rate_grid(["svrg_u"], L=1.0, mu=1e-3, sweep=sweep, points=points,
+                  **fixed)
+    assert str(info.value) == f"{sweep} sweep point {shown} is not finite"
+
+
+def reference_grid(schemes, L, mu, sweep, points, eta=None, m=None):
+    """rate_grid as its definition reads: one query and call per row."""
+    rows = []
+    for s in schemes:
+        for x in points:
+            if sweep == "m":
+                q = RateQuery(eta=eta, m=int(round(x)), L=L, mu=mu)
+            else:
+                q = RateQuery(eta=float(x), m=m, L=L, mu=mu)
+            rows.append(GridRow(s, float(x), SCHEME_RATES[s](q)))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(schemes=st.lists(st.sampled_from(sorted(SCHEME_RATES)), min_size=1,
+                        max_size=6),
+       sweep=st.sampled_from(["m", "eta"]),
+       log_l=st.floats(-3.0, 3.0),
+       log_kappa=st.floats(0.0, 12.0),
+       log_eta_l=st.lists(st.floats(-8.0, math.log10(3.0)), min_size=1,
+                          max_size=8),
+       ms=st.lists(st.one_of(st.integers(2, 10 ** 12),
+                             st.floats(2.0, 1e9)), min_size=1, max_size=8))
+def test_rate_grid_matches_per_row_queries(schemes, sweep, log_l, log_kappa,
+                                           log_eta_l, ms):
+    L = 10.0 ** log_l
+    mu = L / 10.0 ** log_kappa
+    if sweep == "m":
+        args = dict(points=ms, eta=10.0 ** log_eta_l[0] / L)
+    else:
+        args = dict(points=[10.0 ** e / L for e in log_eta_l],
+                    m=int(round(ms[0])))
+    got = rate_grid(schemes, L=L, mu=mu, sweep=sweep, **args)
+    want = reference_grid(schemes, L, mu, sweep, **args)
+    assert got == want
+    assert all(type(row) is GridRow for row in got)
+    assert all(type(a.value) is type(b.value) for a, b in zip(got, want))
+    assert all(row.value is None or math.isfinite(row.value) for row in got)
+
+
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.sampled_from(["eta", "m", "L", "mu"]), data=st.data(),
+       log_l=st.floats(-3.0, 3.0), log_kappa=st.floats(0.0, 12.0))
+def test_rate_query_rejects_every_bad_field(field, data, log_l, log_kappa):
+    L = 10.0 ** log_l
+    fields = dict(eta=0.1 / L, m=10, L=L, mu=L / 10.0 ** log_kappa)
+    RateQuery(**fields)  # the unaltered point is valid
+    out_of_domain = {
+        "eta": st.floats(max_value=0.0, allow_nan=False),
+        "m": st.one_of(st.integers(max_value=1),
+                       st.floats(max_value=1.99, allow_nan=False)),
+        "L": st.floats(min_value=-1e300, max_value=fields["mu"],
+                       exclude_max=True),
+        "mu": st.one_of(st.floats(max_value=0.0, allow_nan=False),
+                        st.floats(min_value=L, exclude_min=True,
+                                  allow_infinity=False)),
+    }[field]
+    fields[field] = data.draw(st.one_of(_NON_FINITE, out_of_domain))
+    with pytest.raises(ValueError, match=rf"\b{field}\b"):
+        RateQuery(**fields)
+
+
 def test_rate_grid_shapes_and_errors():
     rows = rate_grid(["sarah_u", "sarah_l"], L=1.0, mu=0.01, sweep="m",
                      points=[10, 100], eta=0.5)
