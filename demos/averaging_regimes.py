@@ -38,7 +38,7 @@ budget = 20 * problem.n
 # scheme is a point mass on index m - 1.
 w = weights(AveragingScheme.WEIGHTED_SARAH, 6, mu, 0.9 / big_l)
 print("tail-weighted pmf over snapshot indices 0..6 at m = 6:")
-print("  ", np.array2string(np.asarray(w.weights), precision=3))
+print("  ", np.array2string(w, precision=3))
 
 schemes = {"tail-weighted": AveragingScheme.WEIGHTED_SARAH,
            "last-iterate": AveragingScheme.LAST_SARAH}

@@ -7,8 +7,7 @@ per-loop rate calculators, and an equal-IFO-budget benchmark harness with
 CSV and SVG emission.
 """
 
-from .averaging import (AveragingScheme, WeightVector, sample_snapshot_index,
-                        weights)
+from .averaging import AveragingScheme, sample_snapshot_index, weights
 from .dataset import (Dataset, LibsvmParseError, add_bias_column,
                       generate_synthetic, normalize_rows, parse_libsvm,
                       serialize_libsvm, write_libsvm)
@@ -30,7 +29,7 @@ from .trace import Trace, TracePoint
 __version__ = "0.1.0"
 
 __all__ = [
-    "AveragingScheme", "WeightVector", "weights", "sample_snapshot_index",
+    "AveragingScheme", "weights", "sample_snapshot_index",
     "Dataset", "LibsvmParseError", "parse_libsvm",
     "serialize_libsvm", "write_libsvm", "generate_synthetic",
     "normalize_rows", "add_bias_column",

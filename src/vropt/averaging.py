@@ -18,7 +18,7 @@ import enum
 
 import numpy as np
 
-__all__ = ["AveragingScheme", "WeightVector", "weights", "sample_snapshot_index"]
+__all__ = ["AveragingScheme", "weights", "sample_snapshot_index"]
 
 
 class AveragingScheme(enum.Enum):
@@ -29,48 +29,10 @@ class AveragingScheme(enum.Enum):
     WEIGHTED_SARAH = "weighted_sarah"
 
 
-class WeightVector:
-    """A pmf over iterate indices 0..m (length m+1, sums to one)."""
-
-    __slots__ = ("weights", "_last_positive")
-
-    def __init__(self, w: np.ndarray):
-        w = np.asarray(w, dtype=np.float64)
-        if w.ndim != 1 or w.size < 1:
-            raise ValueError("weights must be a nonempty 1-D array")
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
-        total = float(w.sum())
-        if not np.isfinite(total) or abs(total - 1.0) > 1e-9:
-            raise ValueError(f"weights sum to {total}, expected 1")
-        w = w.copy()
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "_last_positive",
-                           int(np.flatnonzero(w > 0)[-1]))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WeightVector is immutable")
-
-    @property
-    def m(self) -> int:
-        return self.weights.size - 1
-
-    def __len__(self):
-        return self.weights.size
-
-
-def _decay_powers(base: float, count: int) -> np.ndarray:
-    """[base^1, ..., base^count] by iterative multiplication, so that
-    normalizers computed as sums stay consistent with the terms."""
-    if count == 0:
-        return np.zeros(0)
-    return np.cumprod(np.full(count, base))
-
-
 def weights(scheme: AveragingScheme, m: int, mu: float | None = None,
-            eta: float | None = None) -> WeightVector:
-    """Build the pmf p over iterates 0..m for one inner loop.
+            eta: float | None = None) -> np.ndarray:
+    """Build the pmf p over iterates 0..m for one inner loop, as a
+    read-only float64 array of length m+1.
 
     Args:
         scheme: which averaging rule.
@@ -100,7 +62,9 @@ def weights(scheme: AveragingScheme, m: int, mu: float | None = None,
             raise ValueError(f"weighted schemes need 0 < mu*eta < 1, "
                              f"got mu*eta = {delta}")
         # powers[j-1] = (1-delta)^j for j = 1..m-1
-        powers = _decay_powers(1.0 - delta, m - 1)
+        # by iterative multiplication, so the normalizers below, computed as
+        # sums, stay consistent with the terms
+        powers = np.cumprod(np.full(m - 1, 1.0 - delta))
         if scheme is AveragingScheme.WEIGHTED_SVRG:
             # p_k ~ (1-delta)^(m-k-1), k = 1..m-1; exponent m-k-1 runs m-2..0
             raw = np.empty(m - 1)
@@ -119,18 +83,35 @@ def weights(scheme: AveragingScheme, m: int, mu: float | None = None,
             p[:m - 1] = raw / c
         else:  # pragma: no cover - enum is closed
             raise ValueError(f"unknown scheme {scheme}")
-    return WeightVector(p)
+    p.setflags(write=False)
+    return p
 
 
-def sample_snapshot_index(w: WeightVector, rng: np.random.Generator) -> int:
-    """Draw M in {0..m} with P[M = k] = w.weights[k].
+def sample_snapshot_index(w: np.ndarray, rng: np.random.Generator) -> int:
+    """Draw M in {0..m} with P[M = k] = w[k], for a pmf w over 0..m.
 
     Consumes exactly one uniform draw (inverse CDF over the cumulative
     weights), so a run's RNG stream advances by one per outer loop
     regardless of m. Deterministic given the generator state.
+
+    Raises:
+        ValueError: w is not a nonempty 1-D array, has a negative weight, or
+            does not sum to 1 within 1e-9.
     """
+    w = np.asarray(w, dtype=np.float64)
+    if w.ndim != 1 or w.size < 1:
+        raise ValueError("weights must be a nonempty 1-D array")
+    if w.min() < 0.0:
+        raise ValueError("weights must be nonnegative")
+    cum = np.cumsum(w)
+    total = float(cum[-1])
+    if not abs(total - 1.0) <= 1e-9:  # also rejects NaN
+        raise ValueError(f"weights sum to {total}, expected 1")
     u = rng.random()
-    cum = np.cumsum(w.weights)
     idx = int(np.searchsorted(cum, u, side="right"))
-    # floating summation can leave cum[-1] slightly below 1; clamp into support
-    return min(idx, w._last_positive)
+    # below cum[-1], cum[idx] > cum[idx-1], so w[idx] > 0; floating summation
+    # can leave cum[-1] slightly below 1, and a draw past it takes the last
+    # index with positive weight
+    if idx == w.size:
+        idx = int(np.flatnonzero(w)[-1])
+    return idx

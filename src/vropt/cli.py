@@ -14,8 +14,8 @@ import sys
 from pathlib import Path
 
 from .averaging import AveragingScheme
-from .dataset import (LibsvmParseError, generate_synthetic, normalize_rows,
-                      parse_libsvm, write_libsvm)
+from .dataset import (LibsvmParseError, add_bias_column, generate_synthetic,
+                      normalize_rows, parse_libsvm, write_libsvm)
 from .harness import (bench_configs, cached_dataset, cached_reference,
                       run_experiment, write_rate_csv, write_trace_csv)
 from .problems import LogisticProblem
@@ -125,7 +125,9 @@ def _load_problem(args) -> LogisticProblem:
                         getattr(args, "cache_dir", None))
     if args.normalize:
         ds = normalize_rows(ds)
-    return LogisticProblem(ds, args.mu, add_bias=args.bias)
+    if args.bias:
+        ds = add_bias_column(ds)
+    return LogisticProblem(ds, args.mu)
 
 
 def _cmd_gen(args) -> int:

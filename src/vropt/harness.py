@@ -30,7 +30,8 @@ from .problems import ErmProblem
 from .dataset import Dataset, serialize_libsvm  # noqa: F401
 from .rates import GridRow
 from .solvers import (AdaptiveLength, BarzilaiBorweinStep, ConfigError,
-                      FixedLength, FixedStep, SolverConfig, run)
+                      FixedLength, FixedStep, SolverConfig,
+                      default_theta_kappa, run)
 from .trace import Trace, TracePoint
 
 __all__ = [
@@ -372,6 +373,8 @@ def bench_configs(problem: ErmProblem, seed: int = 0) -> list[SolverConfig]:
     tail-weighted solvers."""
     big_l, _, kappa = problem.constants()
     m5 = max(2, math.ceil(5.0 * kappa))
+    tuned = (("svrg", AveragingScheme.WEIGHTED_SVRG),
+             ("sarah", AveragingScheme.WEIGHTED_SARAH))
     return [
         SolverConfig("sgd", seed=seed, name="sgd"),
         SolverConfig("svrg", step=FixedStep(0.1 / big_l),
@@ -382,14 +385,11 @@ def bench_configs(problem: ErmProblem, seed: int = 0) -> list[SolverConfig]:
                      inner=FixedLength(m5),
                      averaging=AveragingScheme.UNIFORM,
                      seed=seed, name="sarah_u"),
-        SolverConfig("svrg", step=BarzilaiBorweinStep(4.0 * kappa),
-                     inner=AdaptiveLength(1.0),
-                     averaging=AveragingScheme.WEIGHTED_SVRG,
-                     seed=seed, name="bb_svrg_w"),
-        SolverConfig("sarah", step=BarzilaiBorweinStep(kappa),
-                     inner=AdaptiveLength(1.0),
-                     averaging=AveragingScheme.WEIGHTED_SARAH,
-                     seed=seed, name="bb_sarah_w"),
+        *[SolverConfig(algo, step=BarzilaiBorweinStep(
+                           default_theta_kappa(algo, scheme, kappa)),
+                       inner=AdaptiveLength(1.0), averaging=scheme,
+                       seed=seed, name=f"bb_{algo}_w")
+          for algo, scheme in tuned],
     ]
 
 

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .dataset import Dataset, add_bias_column
+from .dataset import Dataset
 
 __all__ = ["IfoCounter", "ErmProblem", "LogisticProblem", "RidgeProblem"]
 
@@ -219,17 +219,13 @@ class LogisticProblem(ErmProblem):
     Args:
         dataset: rows and labels.
         mu: regularization weight, >= 0 (solvers additionally require > 0).
-        add_bias: append a constant-1 column before fitting.
     """
 
     kind = "logistic"
 
-    def __init__(self, dataset: Dataset, mu: float, add_bias: bool = False):
-        if add_bias:
-            dataset = add_bias_column(dataset)
+    def __init__(self, dataset: Dataset, mu: float):
         self.dataset = dataset
-        self._labels = dataset.labels.astype(np.float64)
-        self._b = self._labels.tolist()
+        self._b = dataset.labels.astype(np.float64).tolist()
         super().__init__(dataset.indptr, dataset.indices, dataset.data,
                          dataset.rows, dataset.dim, dataset.labels, mu,
                          float(np.max(dataset.row_sq_norms) / 4.0 + mu))
@@ -242,10 +238,10 @@ class LogisticProblem(ErmProblem):
         return -b * _sigmoid(-b * t)
 
     def _losses(self, t: np.ndarray) -> np.ndarray:
-        return np.logaddexp(0.0, -self._labels * t)
+        return np.logaddexp(0.0, -self.targets * t)
 
     def _derivs(self, t: np.ndarray) -> np.ndarray:
-        b = self._labels
+        b = self.targets
         # exp(b t) overflows to inf only where the limit is -b*0, a signed
         # zero (-0.0 for b = +1, +0.0 for b = -1), which -b/inf gives
         with np.errstate(over="ignore"):

@@ -227,7 +227,7 @@ def rate_grid(schemes: Sequence[str], L: float, mu: float,
     Args:
         schemes: keys of SCHEME_RATES.
         L, mu: problem constants.
-        sweep: "m" (points are inner lengths, rounded to integers; fixed eta
+        sweep: "m" (points are inner lengths, whole numbers; fixed eta
             required) or "eta" (points are step sizes; fixed m required).
         points: sweep values, in emission order.
         eta, m: the non-swept coordinate.
@@ -237,12 +237,15 @@ def rate_grid(schemes: Sequence[str], L: float, mu: float,
         marked explicitly.
 
     Raises:
-        ValueError: unknown scheme, empty sweep, a missing fixed coordinate,
-            a NaN or infinite point, or a point whose RateQuery is invalid.
+        ValueError: no scheme, an unknown scheme, empty sweep, a missing
+            fixed coordinate, a NaN or infinite point, an m point that is
+            not a whole number, or a point whose RateQuery is invalid.
     """
     points = list(points)
     if not points:
         raise ValueError("empty sweep")
+    if not schemes:
+        raise ValueError("no schemes to evaluate")
     for s in schemes:
         if s not in SCHEME_RATES:
             raise ValueError(f"unknown scheme {s!r}")
@@ -257,8 +260,10 @@ def rate_grid(schemes: Sequence[str], L: float, mu: float,
     for x in points:
         if not -_INF < x < _INF:
             raise ValueError(f"{sweep} sweep point {x!r} is not finite")
+        if sweep == "m" and int(x) != x:
+            raise ValueError(f"m sweep point {x!r} is not a whole number")
     if sweep == "m":
-        queries = [RateQuery(eta, int(round(x)), L, mu) for x in points]
+        queries = [RateQuery(eta, int(x), L, mu) for x in points]
     else:
         queries = [RateQuery(float(x), m, L, mu) for x in points]
     xs = [float(x) for x in points]

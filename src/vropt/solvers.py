@@ -444,15 +444,12 @@ def run(problem: ErmProblem, config: SolverConfig, f_star: float | None = None,
         if evaluate:
             # uncharged, consumes no RNG; one margins pass for f and grad f
             with np.errstate(over="ignore", invalid="ignore"):
-                if f_star is None:
-                    value, g_eval = None, problem.full_grad(x)
-                else:
-                    value, g_eval = problem.value_and_grad(x)
+                value, g_eval = problem.value_and_grad(x)
                 grad_sq = float(g_eval @ g_eval)
             if not math.isfinite(grad_sq) or \
-                    (value is not None and not math.isfinite(value)):
+                    (f_star is not None and not math.isfinite(value)):
                 raise _diverged(x, s, cid)
-            if value is not None:
+            if f_star is not None:
                 gap = value - f_star
         points.append(TracePoint(s, eta_s, m_s, snap, counter.count, gap, grad_sq))
 
@@ -501,8 +498,8 @@ def run(problem: ErmProblem, config: SolverConfig, f_star: float | None = None,
             m_s = config.inner.m
         else:
             m_s = max(2, math.ceil(config.inner.c / (mu * eta_s)))
-        w = weights(config.averaging, m_s, mu, eta_s)
-        snap = sample_snapshot_index(w, rng)
+        snap = sample_snapshot_index(
+            weights(config.averaging, m_s, mu, eta_s), rng)
         x = _inner_steps(problem, config.algorithm, x, g, eta_s, snap,
                          rng, counter, cid)
         record(s, eta_s, m_s, snap)

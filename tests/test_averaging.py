@@ -1,3 +1,5 @@
+import itertools
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import ScriptedRng
-from vropt import AveragingScheme, WeightVector, sample_snapshot_index, weights
+from vropt import AveragingScheme, sample_snapshot_index, weights
 
 W_SVRG = AveragingScheme.WEIGHTED_SVRG
 W_SARAH = AveragingScheme.WEIGHTED_SARAH
@@ -41,24 +43,24 @@ def exact_sarah_weights(m, delta):
 
 def test_frozen_weighted_svrg_m2():
     w = weights(W_SVRG, 2, mu=0.5, eta=1.0)
-    assert w.weights.tolist() == [0.0, 1.0, 0.0]
+    assert w.tolist() == [0.0, 1.0, 0.0]
 
 
 def test_frozen_weighted_sarah_m3():
     w = weights(W_SARAH, 3, mu=0.5, eta=1.0)
-    assert np.allclose(w.weights, [0.6, 0.4, 0.0, 0.0], atol=1e-12)
+    assert np.allclose(w, [0.6, 0.4, 0.0, 0.0], atol=1e-12)
 
 
 def test_frozen_uniform_m4():
     w = weights(AveragingScheme.UNIFORM, 4)
-    assert np.allclose(w.weights, [0.25, 0.25, 0.25, 0.25, 0.0], atol=0)
+    assert np.allclose(w, [0.25, 0.25, 0.25, 0.25, 0.0], atol=0)
 
 
 def test_last_iterate_schemes():
     w = weights(AveragingScheme.LAST_SVRG, 5)
-    assert w.weights.tolist() == [0, 0, 0, 0, 0, 1]
+    assert w.tolist() == [0, 0, 0, 0, 0, 1]
     w = weights(AveragingScheme.LAST_SARAH, 5)
-    assert w.weights.tolist() == [0, 0, 0, 0, 1, 0]
+    assert w.tolist() == [0, 0, 0, 0, 1, 0]
 
 
 @pytest.mark.parametrize("m,delta", [(2, 0.25), (3, 0.25), (6, 0.25),
@@ -66,7 +68,7 @@ def test_last_iterate_schemes():
 def test_weighted_svrg_matches_rational_oracle(m, delta):
     w = weights(W_SVRG, m, mu=delta, eta=1.0)
     exact = [float(p) for p in exact_svrg_weights(m, delta)]
-    assert np.allclose(w.weights, exact, atol=1e-14)
+    assert np.allclose(w, exact, atol=1e-14)
 
 
 @pytest.mark.parametrize("m,delta", [(2, 0.25), (3, 0.5), (6, 0.25),
@@ -74,17 +76,17 @@ def test_weighted_svrg_matches_rational_oracle(m, delta):
 def test_weighted_sarah_matches_rational_oracle(m, delta):
     w = weights(W_SARAH, m, mu=delta, eta=1.0)
     exact = [float(p) for p in exact_sarah_weights(m, delta)]
-    assert np.allclose(w.weights, exact, atol=1e-14)
+    assert np.allclose(w, exact, atol=1e-14)
 
 
 @pytest.mark.parametrize("scheme", list(AveragingScheme))
 @pytest.mark.parametrize("m", [2, 3, 10, 257])
 def test_weights_are_a_distribution(scheme, m):
     w = weights(scheme, m, mu=1e-3, eta=0.9)
-    assert w.weights.shape == (m + 1,)
-    assert np.all(w.weights >= 0)
-    assert abs(float(np.sum(w.weights)) - 1.0) <= 1e-12
-    assert w.m == m
+    assert w.shape == (m + 1,)
+    assert np.all(w >= 0)
+    assert abs(float(np.sum(w)) - 1.0) <= 1e-12
+    assert w.dtype == np.float64 and not w.flags.writeable
 
 
 def weights_or_documented_error(scheme, m, delta):
@@ -110,14 +112,14 @@ def test_weights_pmf_has_documented_support(scheme, m, delta):
     if w is None:
         return
     support, heaviest = SUPPORT[scheme]
-    assert w.weights.shape == (m + 1,) and w.m == m
-    assert np.all(w.weights >= 0)
-    assert abs(float(np.sum(w.weights)) - 1.0) <= 1e-9
-    assert set(np.flatnonzero(w.weights).tolist()) <= set(support(m))
-    assert w.weights[heaviest(m)] > 0
+    assert w.shape == (m + 1,)
+    assert np.all(w >= 0)
+    assert abs(float(np.sum(w)) - 1.0) <= 1e-9
+    assert set(np.flatnonzero(w).tolist()) <= set(support(m))
+    assert w[heaviest(m)] > 0
     if scheme in (AveragingScheme.UNIFORM, AveragingScheme.LAST_SVRG,
                   AveragingScheme.LAST_SARAH):
-        assert set(np.flatnonzero(w.weights).tolist()) == set(support(m))
+        assert set(np.flatnonzero(w).tolist()) == set(support(m))
 
 
 @settings(max_examples=300, deadline=None)
@@ -128,31 +130,56 @@ def test_sampled_index_lies_in_support(scheme, m, delta, u):
         return
     k = sample_snapshot_index(w, ScriptedRng(uniform=[u]))
     assert k in SUPPORT[scheme][0](m)
-    assert w.weights[k] > 0
+    assert w[k] > 0
+
+
+def inverse_cdf_oracle(w, u):
+    """Inversion over the sequential partial sums of w, clamped to the last
+    index with positive weight: the sampler's definition."""
+    idx = bisect_right(list(itertools.accumulate(w.tolist())), u)
+    return min(idx, max(k for k, p in enumerate(w.tolist()) if p > 0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(u=st.floats(0.0, 1.0, exclude_max=True),
+       ulps_from_total=st.sampled_from([None, -1, 0, 1, 2]), **pmf_cases)
+def test_sampler_matches_inverse_cdf_oracle(scheme, m, delta, u,
+                                            ulps_from_total):
+    w = weights_or_documented_error(scheme, m, delta)
+    if w is None:
+        return
+    if ulps_from_total is not None:
+        # u at, just below and past cum[-1], which may lie either side of 1
+        u = float(np.cumsum(w)[-1])
+        for _ in range(abs(ulps_from_total)):
+            u = float(np.nextafter(u, np.sign(ulps_from_total) * np.inf))
+    rng = ScriptedRng(uniform=[u])
+    assert sample_snapshot_index(w, rng) == inverse_cdf_oracle(w, u)
+    assert rng.uniform == []
 
 
 def test_weighted_svrg_weights_increase_toward_snapshot():
-    w = weights(W_SVRG, 9, mu=0.05, eta=1.0).weights
+    w = weights(W_SVRG, 9, mu=0.05, eta=1.0)
     inner = w[1:9]
     assert np.all(np.diff(inner) > 0)
     assert w[0] == 0 and w[9] == 0
 
 
 def test_weighted_sarah_weights_decrease():
-    w = weights(W_SARAH, 9, mu=0.05, eta=1.0).weights
+    w = weights(W_SARAH, 9, mu=0.05, eta=1.0)
     inner = w[:8]
     assert np.all(np.diff(inner) < 0)
     assert w[8] == 0 and w[9] == 0
 
 
 def test_weighted_svrg_small_delta_limit_is_uniform():
-    w = weights(W_SVRG, 10, mu=1e-8, eta=1.0).weights
+    w = weights(W_SVRG, 10, mu=1e-8, eta=1.0)
     assert np.allclose(w[1:10], 1.0 / 9.0, atol=1e-6)
 
 
 def test_weighted_sarah_small_delta_limit_is_triangular():
     m = 10
-    w = weights(W_SARAH, m, mu=1e-8, eta=1.0).weights
+    w = weights(W_SARAH, m, mu=1e-8, eta=1.0)
     tri = np.array([m - 1 - k for k in range(m - 1)], dtype=float)
     tri /= tri.sum()
     assert np.allclose(w[:m - 1], tri, atol=1e-6)
@@ -169,11 +196,13 @@ def test_weights_validation():
         weights(W_SARAH, 4, mu=2.0, eta=0.5)
 
 
-def test_weight_vector_validation():
-    with pytest.raises(ValueError):
-        WeightVector(np.array([0.5, 0.4]))  # does not sum to 1
-    with pytest.raises(ValueError):
-        WeightVector(np.array([1.5, -0.5]))
+def test_sampler_rejects_invalid_pmf():
+    for bad, message in [([0.5, 0.4], "sum to"), ([1.5, -0.5], "nonnegative"),
+                         ([0.5, np.nan], "sum to"), ([], "nonempty"),
+                         ([[0.5], [0.5]], "1-D")]:
+        rng = ScriptedRng(uniform=[0.5])
+        with pytest.raises(ValueError, match=message):
+            sample_snapshot_index(np.array(bad), rng)
 
 
 def test_sampler_inverse_cdf_boundaries():
@@ -190,7 +219,7 @@ def test_sampler_never_returns_zero_probability_index():
     # float cumsum can end slightly below 1; the draw above it must clamp
     w2 = weights(W_SARAH, 12, mu=0.01, eta=1.0)
     hi = sample_snapshot_index(w2, ScriptedRng(uniform=[1.0 - 1e-16]))
-    assert w2.weights[hi] > 0
+    assert w2[hi] > 0
 
 
 def test_sampler_consumes_exactly_one_draw():
@@ -205,10 +234,10 @@ def test_sampler_distribution_weighted_sarah():
     rng = np.random.default_rng(42)
     draws = np.array([sample_snapshot_index(w, rng) for _ in range(30000)])
     freq = np.bincount(draws, minlength=7) / draws.size
-    assert np.max(np.abs(freq - w.weights)) <= 0.02
-    live = w.weights > 0
+    assert np.max(np.abs(freq - w)) <= 0.02
+    live = w > 0
     chi = stats.chisquare(np.bincount(draws, minlength=7)[live],
-                          draws.size * w.weights[live])
+                          draws.size * w[live])
     assert chi.pvalue > 1e-4
 
 
@@ -217,4 +246,4 @@ def test_sampler_distribution_weighted_svrg():
     rng = np.random.default_rng(4242)
     draws = np.array([sample_snapshot_index(w, rng) for _ in range(30000)])
     freq = np.bincount(draws, minlength=6) / draws.size
-    assert np.max(np.abs(freq - w.weights)) <= 0.02
+    assert np.max(np.abs(freq - w)) <= 0.02

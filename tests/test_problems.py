@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_logistic, make_ridge, ridge_minimizer
-from vropt import IfoCounter, LogisticProblem, RidgeProblem, parse_libsvm
+from vropt import (IfoCounter, LogisticProblem, RidgeProblem, add_bias_column,
+                   parse_libsvm)
 
 
 def central_diff(fn, x, h=1e-6):
@@ -126,7 +127,7 @@ def test_logistic_stable_at_extreme_margins():
 
 def test_logistic_add_bias_shifts_dimension():
     ds = parse_libsvm("+1 1:1.0\n-1 1:2.0\n")
-    problem = LogisticProblem(ds, 0.1, add_bias=True)
+    problem = LogisticProblem(add_bias_column(ds), 0.1)
     assert problem.d == 2
     g = problem.full_grad(np.zeros(2))
     assert g.shape == (2,)

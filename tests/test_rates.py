@@ -280,7 +280,7 @@ def reference_grid(schemes, L, mu, sweep, points, eta=None, m=None):
     for s in schemes:
         for x in points:
             if sweep == "m":
-                q = RateQuery(eta=eta, m=int(round(x)), L=L, mu=mu)
+                q = RateQuery(eta=eta, m=int(x), L=L, mu=mu)
             else:
                 q = RateQuery(eta=float(x), m=m, L=L, mu=mu)
             rows.append(GridRow(s, float(x), SCHEME_RATES[s](q)))
@@ -296,7 +296,8 @@ def reference_grid(schemes, L, mu, sweep, points, eta=None, m=None):
        log_eta_l=st.lists(st.floats(-8.0, math.log10(3.0)), min_size=1,
                           max_size=8),
        ms=st.lists(st.one_of(st.integers(2, 10 ** 12),
-                             st.floats(2.0, 1e9)), min_size=1, max_size=8))
+                             st.integers(2, 10 ** 9).map(float)),
+                   min_size=1, max_size=8))
 def test_rate_grid_matches_per_row_queries(schemes, sweep, log_l, log_kappa,
                                            log_eta_l, ms):
     L = 10.0 ** log_l
@@ -305,7 +306,7 @@ def test_rate_grid_matches_per_row_queries(schemes, sweep, log_l, log_kappa,
         args = dict(points=ms, eta=10.0 ** log_eta_l[0] / L)
     else:
         args = dict(points=[10.0 ** e / L for e in log_eta_l],
-                    m=int(round(ms[0])))
+                    m=int(ms[0]))
     got = rate_grid(schemes, L=L, mu=mu, sweep=sweep, **args)
     want = reference_grid(schemes, L, mu, sweep, **args)
     assert got == want
@@ -356,6 +357,14 @@ def test_rate_grid_shapes_and_errors():
         rate_grid(["sarah_u"], L=1.0, mu=0.01, sweep="eta", points=[0.1])
     with pytest.raises(ValueError):
         rate_grid(["sarah_u"], L=1.0, mu=0.01, sweep="x", points=[1], eta=0.5)
+    with pytest.raises(ValueError, match="no schemes"):
+        rate_grid([], L=1.0, mu=0.01, sweep="m", points=[10], eta=0.5)
+    # an m point is the m its rate belongs to, never rounded to one
+    for point in (2.4, 2.5, 3.5, 1e3 + 0.5, 1e12 + 0.25):
+        with pytest.raises(ValueError, match=f"m sweep point {point!r} is "
+                                             "not a whole number"):
+            rate_grid(["sarah_u"], L=1.0, mu=1e-3, sweep="m",
+                      points=[10.0, point], eta=0.1)
 
 
 def test_figure_ids_and_structure():

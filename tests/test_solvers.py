@@ -407,6 +407,11 @@ def test_evaluation_purity():
     assert [p.ifo_total for p in full.points] == \
         [p.ifo_total for p in bare.points]
     assert all(p.gap is None and p.grad_sq is None for p in bare.points)
+    # a known f* adds the gap and changes no other column, to the bit
+    with_gap = run(problem, config, f_star=cached_reference(problem).f_star)
+    assert all(p.gap is not None for p in with_gap.points)
+    assert [repr(replace(p, gap=None)) for p in with_gap.points] == \
+        [repr(p) for p in full.points]
 
 
 def test_run_ifo_totals_recomputable_from_trace():
