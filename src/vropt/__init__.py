@@ -16,7 +16,7 @@ from .harness import (RATE_HEADER, TRACE_HEADER, ReferenceOptimum,
                       compute_reference, format_rate_csv, format_trace_csv,
                       load_trace_csv, problem_key, run_experiment,
                       write_rate_csv, write_trace_csv)
-from .problems import (ErmProblem, IfoCounter, LogisticProblem, RidgeProblem)
+from .problems import ErmProblem, IfoCounter, LogisticProblem
 from .rates import (FIGURE_IDS, GridRow, RateQuery, figure_grid, rate_grid,
                     rate_sarah_last, rate_sarah_uniform, rate_sarah_weighted,
                     rate_svrg_uniform, rate_svrg_weighted,
@@ -33,7 +33,7 @@ __all__ = [
     "Dataset", "LibsvmParseError", "parse_libsvm",
     "serialize_libsvm", "write_libsvm", "generate_synthetic",
     "normalize_rows", "add_bias_column",
-    "ErmProblem", "IfoCounter", "LogisticProblem", "RidgeProblem",
+    "ErmProblem", "IfoCounter", "LogisticProblem",
     "RateQuery", "GridRow", "FIGURE_IDS", "rate_svrg_weighted",
     "rate_svrg_uniform", "rate_sarah_weighted", "rate_sarah_uniform",
     "rate_sarah_last", "svrg_weighted_within_guarantee", "rate_grid",

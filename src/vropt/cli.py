@@ -164,7 +164,10 @@ def _build_run_config(args, problem: LogisticProblem) -> SolverConfig | int:
         return _fail("give --m or --m-kappa, not both")
     m = args.m
     if args.m_kappa is not None:
-        m = max(2, math.ceil(args.m_kappa * kappa))
+        m_len = args.m_kappa * kappa
+        if not math.isfinite(m_len):
+            return _fail(f"--m-kappa * kappa = {m_len} is not finite")
+        m = max(2, math.ceil(m_len))
 
     if args.step == "fixed":
         bad = [flag for flag, v in [

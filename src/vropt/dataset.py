@@ -10,7 +10,6 @@ immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
 import numpy as np
 
@@ -181,12 +180,11 @@ def _parse_line(line: str, line_no: int, indices: list[int],
     return label
 
 
-def parse_libsvm(source: str | Iterable[str], dim: int | None = None) -> Dataset:
+def parse_libsvm(source: str, dim: int | None = None) -> Dataset:
     """Parse LIBSVM text ("label idx:val idx:val ...", indices 1-based).
 
     Args:
-        source: the file content as a string, or an iterable of lines
-            (an open text file works).
+        source: the file content.
         dim: optional dimension override, e.g. to align train/test columns;
             must be >= the largest index observed. Defaults to that maximum.
 
@@ -198,12 +196,11 @@ def parse_libsvm(source: str | Iterable[str], dim: int | None = None) -> Dataset
             indices within a line, or unrecognized label; the message names
             the line number.
     """
-    lines = source.splitlines() if isinstance(source, str) else source
     labels: list[int] = []
     indptr = [0]
     indices: list[int] = []
     values: list[float] = []
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in enumerate(source.splitlines(), start=1):
         if not line.strip():
             continue
         labels.append(_parse_line(line, line_no, indices, values))

@@ -352,9 +352,12 @@ def run_experiment(problem: ErmProblem, configs: Sequence[SolverConfig],
     so identical configs produce identical traces and renamed copies do not.
     Solver errors propagate annotated with the config id.
     """
-    if passes < 0:
-        raise ValueError(f"passes must be >= 0, got {passes}")
-    budget = math.ceil(passes * problem.n)
+    budget = passes * problem.n
+    # a chained comparison is False for NaN, so this also rejects it
+    if not 0 <= budget < math.inf:
+        raise ValueError(f"passes * n must be finite and >= 0, got "
+                         f"{passes!r} * {problem.n}")
+    budget = math.ceil(budget)
     traces = []
     for config in configs:
         runnable = replace(config, ifo_budget=budget, outer_loops=None,

@@ -4,9 +4,9 @@ strong-convexity constants.
 Every problem is a linear model over CSR rows, f_i(x) = phi_i(<a_i, x>) +
 (mu/2)||x||^2. ErmProblem holds the rows a_i (indptr, indices, data), the
 per-component targets and mu, and implements every oracle once; a subclass
-supplies only L and its loss phi_i, per component (loss, loss_deriv) and for
-all margins t = A x at once (_losses, _derivs). Two instances: L2-regularized
-logistic regression on a sparse Dataset, and ridge regression. Component
+supplies only L, phi_i' for one component (loss_deriv), and phi_i and phi_i'
+for all margins t = A x at once (_losses, _derivs). The instance vropt ships
+is L2-regularized logistic regression on a sparse Dataset. Component
 gradients optionally charge a caller-owned IfoCounter: one unit per
 component gradient, n units per full gradient. Evaluation code passes no
 counter, so measurement never pollutes the work accounting. The solvers'
@@ -22,7 +22,7 @@ import numpy as np
 
 from .dataset import Dataset
 
-__all__ = ["IfoCounter", "ErmProblem", "LogisticProblem", "RidgeProblem"]
+__all__ = ["IfoCounter", "ErmProblem", "LogisticProblem"]
 
 
 class IfoCounter:
@@ -44,13 +44,6 @@ def _sigmoid(t: float) -> float:
         return 1.0 / (1.0 + math.exp(-t))
     e = math.exp(t)
     return e / (1.0 + e)
-
-
-def _log1p_exp(t: float) -> float:
-    # log(1 + e^t), stable for |t| large
-    if t > 0.0:
-        return t + math.log1p(math.exp(-t))
-    return math.log1p(math.exp(t))
 
 
 # stored entries per pass of _accumulate: few enough that its temporaries
@@ -124,19 +117,6 @@ class ErmProblem(abc.ABC):
             raise ValueError(f"x has shape {x.shape}, expected ({self.d},)")
         return x
 
-    def _check_i(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise IndexError(f"component index {i} out of range [0, {self.n})")
-        return i
-
-    def _row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        return self.indices[lo:hi], self.data[lo:hi]
-
-    @abc.abstractmethod
-    def loss(self, i: int, t: float) -> float:
-        """phi_i(t) at margin t = <a_i, x>."""
-
     @abc.abstractmethod
     def loss_deriv(self, i: int, t: float) -> float:
         """phi_i'(t) at margin t = <a_i, x>; no checks, no charge."""
@@ -169,21 +149,16 @@ class ErmProblem(abc.ABC):
         return _accumulate(np.zeros(self.d), self.indices, coeff, self._rows,
                            self.data) + self.mu * x
 
-    def component_value(self, i: int, x: np.ndarray) -> float:
-        """f_i(x)."""
-        i = self._check_i(i)
-        x = self._check_x(x)
-        cols, vals = self._row(i)
-        return self.loss(i, float(vals @ x[cols])) + 0.5 * self.mu * float(x @ x)
-
     def grad_component(self, i: int, x: np.ndarray,
                        counter: IfoCounter | None = None) -> np.ndarray:
         """grad f_i(x); charges 1 IFO to counter when one is supplied."""
-        i = self._check_i(i)
+        if not 0 <= i < self.n:
+            raise IndexError(f"component index {i} out of range [0, {self.n})")
         x = self._check_x(x)
         if counter is not None:
             counter.count += 1
-        cols, vals = self._row(i)
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        cols, vals = self.indices[lo:hi], self.data[lo:hi]
         g = self.mu * x
         g[cols] += self.loss_deriv(i, float(vals @ x[cols])) * vals
         return g
@@ -230,9 +205,6 @@ class LogisticProblem(ErmProblem):
                          dataset.rows, dataset.dim, dataset.labels, mu,
                          float(np.max(dataset.row_sq_norms) / 4.0 + mu))
 
-    def loss(self, i: int, t: float) -> float:
-        return _log1p_exp(-self._b[i] * t)
-
     def loss_deriv(self, i: int, t: float) -> float:
         b = self._b[i]
         return -b * _sigmoid(-b * t)
@@ -246,40 +218,3 @@ class LogisticProblem(ErmProblem):
         # zero (-0.0 for b = +1, +0.0 for b = -1), which -b/inf gives
         with np.errstate(over="ignore"):
             return -b / (1.0 + np.exp(b * t))
-
-
-class RidgeProblem(ErmProblem):
-    """Ridge regression: f_i(x) = (1/2)(<a_i,x> - y_i)^2 + (mu/2)||x||^2,
-    with L = max_i ||a_i||^2 + mu. Rows are given dense and kept only as CSR.
-
-    mu = 0 is accepted (kappa becomes inf); solvers that need strong
-    convexity validate mu > 0 themselves.
-    """
-
-    kind = "ridge"
-
-    def __init__(self, rows: np.ndarray, targets: np.ndarray, mu: float):
-        rows = np.asarray(rows, dtype=np.float64)
-        targets = np.asarray(targets, dtype=np.float64)
-        if rows.ndim != 2:
-            raise ValueError("rows must be a 2-D array (n, d)")
-        if targets.shape != (rows.shape[0],):
-            raise ValueError(f"{rows.shape[0]} rows but {targets.size} targets")
-        row_of, cols = np.nonzero(rows)
-        indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(rows, 1))))
-        self._y = targets.tolist()
-        super().__init__(indptr, cols, rows[row_of, cols], row_of,
-                         rows.shape[1], targets, mu,
-                         float(np.max(np.einsum("ij,ij->i", rows, rows)) + mu))
-
-    def loss(self, i: int, t: float) -> float:
-        return 0.5 * (t - self._y[i]) ** 2
-
-    def loss_deriv(self, i: int, t: float) -> float:
-        return t - self._y[i]
-
-    def _losses(self, t: np.ndarray) -> np.ndarray:
-        return 0.5 * (t - self.targets) ** 2
-
-    def _derivs(self, t: np.ndarray) -> np.ndarray:
-        return t - self.targets

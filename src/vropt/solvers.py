@@ -29,6 +29,7 @@ bound on max|x_j|, in O(nnz), and x.x exactly once that bound reaches 1e100.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,13 +61,25 @@ class DivergenceError(RuntimeError):
             f"divergence{where}: iterate norm {iterate_norm} after {steps} steps")
 
 
+def _check_positive(name: str, value: float) -> None:
+    # a chained comparison is False for NaN, so this also rejects it
+    if not 0.0 < value < math.inf:
+        raise ConfigError(f"{name} must be positive and finite, got {value}")
+
+
+def _check_integer(name: str, value) -> None:
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class FixedStep:
     eta: float
 
     def __post_init__(self):
-        if not self.eta > 0:
-            raise ConfigError(f"step size must be positive, got {self.eta}")
+        _check_positive("step size", self.eta)
 
 
 @dataclass(frozen=True)
@@ -85,10 +98,9 @@ class BarzilaiBorweinStep:
     eta0: float | None = None
 
     def __post_init__(self):
-        if not self.theta_kappa > 0:
-            raise ConfigError(f"theta_kappa must be positive, got {self.theta_kappa}")
-        if self.eta0 is not None and not self.eta0 > 0:
-            raise ConfigError(f"eta0 must be positive, got {self.eta0}")
+        _check_positive("theta_kappa", self.theta_kappa)
+        if self.eta0 is not None:
+            _check_positive("eta0", self.eta0)
 
 
 @dataclass(frozen=True)
@@ -96,6 +108,7 @@ class FixedLength:
     m: int
 
     def __post_init__(self):
+        _check_integer("inner length", self.m)
         if self.m < 2:
             raise ConfigError(f"inner length must be >= 2, got {self.m}")
 
@@ -107,8 +120,7 @@ class AdaptiveLength:
     c: float = 1.0
 
     def __post_init__(self):
-        if not self.c > 0:
-            raise ConfigError(f"c must be positive, got {self.c}")
+        _check_positive("c", self.c)
 
 
 StepRule = FixedStep | BarzilaiBorweinStep
@@ -374,8 +386,11 @@ def _validate(problem: ErmProblem, config: SolverConfig) -> None:
         raise ConfigError(f"unknown algorithm {config.algorithm!r}")
     if config.outer_loops is None and config.ifo_budget is None:
         raise ConfigError("set outer_loops, ifo_budget, or both")
-    if config.outer_loops is not None and config.outer_loops < 0:
-        raise ConfigError(f"outer_loops must be >= 0, got {config.outer_loops}")
+    if config.outer_loops is not None:
+        _check_integer("outer_loops", config.outer_loops)
+        if config.outer_loops < 0:
+            raise ConfigError(
+                f"outer_loops must be >= 0, got {config.outer_loops}")
     if config.ifo_budget is not None and config.ifo_budget < 0:
         raise ConfigError(f"ifo_budget must be >= 0, got {config.ifo_budget}")
     if config.x0 is not None and np.asarray(config.x0).shape != (problem.d,):

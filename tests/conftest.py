@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vropt import (AveragingScheme, LogisticProblem, RidgeProblem,
+from vropt import (AveragingScheme, ErmProblem, LogisticProblem,
                    generate_synthetic, normalize_rows, sample_snapshot_index,
                    weights)
 from vropt.solvers import _inner_steps
@@ -23,20 +23,68 @@ def make_logistic(n, d, seed, kappa, sep=3.0):
     return LogisticProblem(ds, 0.25 / (kappa - 1.0))
 
 
+class RidgeProblem(ErmProblem):
+    """Ridge regression: f_i(x) = (1/2)(<a_i,x> - y_i)^2 + (mu/2)||x||^2,
+    with L = max_i ||a_i||^2 + mu. Rows are given dense and kept only as CSR.
+    The tests' quadratic with a known optimum (ridge_minimizer).
+
+    mu = 0 is accepted (kappa becomes inf); solvers that need strong
+    convexity validate mu > 0 themselves.
+    """
+
+    kind = "ridge"
+
+    def __init__(self, rows, targets, mu):
+        rows = np.asarray(rows, dtype=np.float64)
+        targets = np.asarray(targets, dtype=np.float64)
+        row_of, cols = np.nonzero(rows)
+        indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(rows, 1))))
+        self._y = targets.tolist()
+        super().__init__(indptr, cols, rows[row_of, cols], row_of,
+                         rows.shape[1], targets, mu,
+                         float(np.max(np.einsum("ij,ij->i", rows, rows)) + mu))
+
+    def loss_deriv(self, i, t):
+        return t - self._y[i]
+
+    def _losses(self, t):
+        return 0.5 * (t - self.targets) ** 2
+
+    def _derivs(self, t):
+        return t - self.targets
+
+
 def make_ridge(n=4, d=3, seed=0, mu=0.3):
     rng = np.random.default_rng(seed)
     return RidgeProblem(rng.standard_normal((n, d)),
                         rng.standard_normal(n), mu)
 
 
-def ridge_minimizer(problem):
-    """Exact minimizer of a RidgeProblem: the solution of the normal
-    equations (A^T A / n + mu I) x = A^T y / n, on a dense copy of the rows."""
+def dense_rows(problem):
+    """The problem's rows as a dense (n, d) array."""
     a = np.zeros((problem.n, problem.d))
     a[np.repeat(np.arange(problem.n), np.diff(problem.indptr)),
       problem.indices] = problem.data
+    return a
+
+
+def ridge_minimizer(problem):
+    """Exact minimizer of a RidgeProblem: the solution of the normal
+    equations (A^T A / n + mu I) x = A^T y / n, on a dense copy of the rows."""
+    a = dense_rows(problem)
     h = a.T @ a / problem.n + problem.mu * np.eye(problem.d)
     return np.linalg.solve(h, a.T @ problem.targets / problem.n)
+
+
+def component_value(problem, i, x):
+    """f_i(x) from its dense formula, for a logistic or a ridge problem:
+    log(1 + exp(-b_i t)) or (1/2)(t - y_i)^2 at t = <a_i, x>, plus
+    (mu/2)||x||^2."""
+    t = dense_rows(problem)[i] @ x
+    y = problem.targets[i]
+    phi = np.logaddexp(0.0, -y * t) if problem.kind == "logistic" \
+        else 0.5 * (t - y) ** 2
+    return float(phi) + 0.5 * problem.mu * float(x @ x)
 
 
 class ScriptedRng:

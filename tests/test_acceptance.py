@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_logistic, make_ridge
+from conftest import component_value, make_logistic, make_ridge
 from vropt import (AdaptiveLength, AveragingScheme, BarzilaiBorweinStep,
                    FixedLength, FixedStep, RateQuery, SolverConfig,
                    cached_reference, compute_reference, figure_grid,
@@ -324,8 +324,8 @@ def test_criterion_09_gradient_correctness(capsys):
             for j in range(problem.d):
                 e = np.zeros(problem.d)
                 e[j] = h
-                fd[j] = (problem.component_value(i, x + e)
-                         - problem.component_value(i, x - e)) / (2 * h)
+                fd[j] = (component_value(problem, i, x + e)
+                         - component_value(problem, i, x - e)) / (2 * h)
             rel = float(np.linalg.norm(fd - grad)
                         / max(np.linalg.norm(grad), 1e-12))
             worst = max(worst, rel)

@@ -216,10 +216,16 @@ def test_sampler_never_returns_zero_probability_index():
     w = weights(AveragingScheme.LAST_SARAH, 6)  # all mass on index 5
     assert sample_snapshot_index(w, ScriptedRng(uniform=[0.9999999999])) == 5
     assert sample_snapshot_index(w, ScriptedRng(uniform=[0.0])) == 5
-    # float cumsum can end slightly below 1; the draw above it must clamp
     w2 = weights(W_SARAH, 12, mu=0.01, eta=1.0)
     hi = sample_snapshot_index(w2, ScriptedRng(uniform=[1.0 - 1e-16]))
     assert w2[hi] > 0
+    # float cumsum can end slightly below 1 (here 0.9999999999999999, with
+    # w[10] = w[11] = 0); a draw at or past it must take the last index
+    # with positive weight, not searchsorted's 12, past the end of w
+    w3 = weights(W_SARAH, 11, mu=0.01, eta=1.0)
+    u = float(np.cumsum(w3)[-1])
+    assert u < 1.0
+    assert sample_snapshot_index(w3, ScriptedRng(uniform=[u])) == 9
 
 
 def test_sampler_consumes_exactly_one_draw():

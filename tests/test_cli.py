@@ -121,6 +121,44 @@ def test_run_flag_rejection(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--algo", "sarah", "--step", "bb", "--c", "inf"],
+     "error: c must be positive and finite, got inf"),
+    (["--algo", "sarah", "--step", "bb", "--c", "nan"],
+     "error: c must be positive and finite, got nan"),
+    (["--algo", "sarah", "--step", "bb", "--theta-kappa", "inf"],
+     "error: theta_kappa must be positive and finite, got inf"),
+    (["--algo", "sarah", "--step", "bb", "--eta0-over-L", "inf"],
+     "error: eta0 must be positive and finite, got inf"),
+    (["--algo", "svrg", "--step", "fixed", "--eta-over-L", "inf",
+      "--m", "10"], "error: step size must be positive and finite, got inf"),
+    (["--algo", "svrg", "--step", "fixed", "--eta-over-L", "0.1",
+      "--m-kappa", "inf"], "error: --m-kappa * kappa = inf is not finite"),
+    (["--algo", "svrg", "--step", "fixed", "--eta-over-L", "0.1",
+      "--m-kappa", "nan"], "error: --m-kappa * kappa = nan is not finite"),
+    (["--algo", "sgd", "--passes", "inf"],
+     "error: passes * n must be finite and >= 0, got inf * 30"),
+    (["--algo", "sgd", "--passes", "nan"],
+     "error: passes * n must be finite and >= 0, got nan * 30"),
+])
+def test_run_non_finite_input_exits_2(tmp_path, capsys, flags, message):
+    data = gen_data(tmp_path)
+    out = tmp_path / "t.csv"
+    assert main(run_flags(data, out, *flags)) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
+
+
+def test_bench_non_finite_passes_exits_2(tmp_path, capsys):
+    data = gen_data(tmp_path)
+    out_dir = tmp_path / "bench"
+    assert main(["bench", "--data", data, "--mu", "0.05", "--normalize",
+                 "--passes", "inf", "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err == \
+        "error: passes * n must be finite and >= 0, got inf * 30\n"
+    assert not out_dir.exists()
+
+
 def test_run_missing_data_exits_1(tmp_path):
     assert main(run_flags(str(tmp_path / "nope.libsvm"), tmp_path / "t.csv",
                           "--algo", "gd")) == 1

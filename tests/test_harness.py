@@ -14,10 +14,11 @@ from scipy.sparse import csr_matrix
 from scipy.special import expit
 
 import vropt.harness
-from conftest import make_logistic, make_ridge, ridge_minimizer
+from conftest import (RidgeProblem, make_logistic, make_ridge,
+                      ridge_minimizer)
 from vropt import (AveragingScheme, ConfigError, Dataset, FixedLength,
                    FixedStep, GridRow, LogisticProblem, RATE_HEADER,
-                   RidgeProblem, SolverConfig, TRACE_HEADER, Trace, TracePoint,
+                   SolverConfig, TRACE_HEADER, Trace, TracePoint,
                    bench_configs, cached_dataset, cached_reference,
                    compute_reference, format_rate_csv, format_trace_csv,
                    generate_synthetic, load_trace_csv, normalize_rows,
@@ -638,8 +639,10 @@ def test_run_experiment_budget_semantics():
         assert t.points[-2].ifo_total < budget  # by less than one loop
     zero = run_experiment(problem, configs, passes=0.0)
     assert all(len(t.points) == 1 and t.final.s == 0 for t in zero)
-    with pytest.raises(ValueError):
-        run_experiment(problem, configs, passes=-1.0)
+    # 1e308 is finite, but its budget 1e308 * n is not
+    for passes in (-1.0, math.inf, math.nan, 1e308):
+        with pytest.raises(ValueError, match="passes \\* n must be finite"):
+            run_experiment(problem, configs, passes=passes)
 
 
 def test_run_experiment_annotates_config_errors():

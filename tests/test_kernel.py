@@ -16,10 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ScriptedRng, inner_loop, make_logistic, make_ridge
+from conftest import (RidgeProblem, ScriptedRng, inner_loop, make_logistic,
+                      make_ridge)
 from vropt import (AveragingScheme, Dataset, DivergenceError, FixedLength,
-                   FixedStep, IfoCounter, LogisticProblem, RidgeProblem,
-                   SolverConfig, normalize_rows, run, solvers)
+                   FixedStep, IfoCounter, LogisticProblem, SolverConfig,
+                   normalize_rows, run, solvers)
 from vropt.averaging import sample_snapshot_index, weights
 
 U = AveragingScheme.UNIFORM

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_logistic, make_ridge, ridge_minimizer
-from vropt import (IfoCounter, LogisticProblem, RidgeProblem, add_bias_column,
-                   parse_libsvm)
+from conftest import (RidgeProblem, component_value, make_logistic, make_ridge,
+                      ridge_minimizer)
+from vropt import IfoCounter, LogisticProblem, add_bias_column, parse_libsvm
 
 
 def central_diff(fn, x, h=1e-6):
@@ -28,7 +28,7 @@ def test_component_gradients_match_finite_differences(maker):
         i = int(rng.integers(problem.n))
         x = rng.standard_normal(problem.d)
         g = problem.grad_component(i, x)
-        fd = central_diff(lambda z: problem.component_value(i, z), x)
+        fd = central_diff(lambda z: component_value(problem, i, z), x)
         assert np.linalg.norm(g - fd) <= 1e-5 * max(1.0, np.linalg.norm(fd))
 
 
@@ -50,7 +50,7 @@ def test_value_is_mean_of_component_values():
     for maker in BOTH_KINDS:
         problem = maker()
         x = np.random.default_rng(1).standard_normal(problem.d)
-        mean_v = np.mean([problem.component_value(i, x)
+        mean_v = np.mean([component_value(problem, i, x)
                           for i in range(problem.n)])
         assert problem.value(x) == pytest.approx(mean_v, rel=1e-12)
 
@@ -71,7 +71,7 @@ def test_ridge_oracles_match_dense_formulas():
         for i in range(7):
             assert np.allclose(problem.grad_component(i, x),
                                r[i] * a[i] + mu * x, rtol=1e-12, atol=0)
-            assert problem.component_value(i, x) == pytest.approx(
+            assert component_value(problem, i, x) == pytest.approx(
                 0.5 * r[i] ** 2 + 0.5 * mu * x @ x, rel=1e-12)
 
 

@@ -5,12 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import (ScriptedRng, inner_loop, make_logistic, make_ridge,
-                      ridge_minimizer)
+from conftest import (RidgeProblem, ScriptedRng, inner_loop, make_logistic,
+                      make_ridge, ridge_minimizer)
 from vropt import (AdaptiveLength, AveragingScheme, BarzilaiBorweinStep,
                    ConfigError, DivergenceError, FixedLength, FixedStep,
-                   IfoCounter, LogisticProblem, RidgeProblem,
-                   SolverConfig, bb_step, bench_configs, cached_reference,
+                   IfoCounter, LogisticProblem, SolverConfig, bb_step, bench_configs, cached_reference,
                    compute_reference, default_theta_kappa,
                    generate_synthetic, normalize_rows, run, run_experiment)
 
@@ -55,6 +54,9 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         run(problem, SolverConfig("svrg", outer_loops=-1, step=FixedStep(0.1),
                                   inner=FixedLength(4), averaging=U))
+    with pytest.raises(ConfigError, match="outer_loops must be an integer"):
+        run(problem, SolverConfig("svrg", outer_loops=2.5, step=FixedStep(0.1),
+                                  inner=FixedLength(4), averaging=U))
 
 
 def test_mu_zero_rejected_for_variance_reduction():
@@ -76,6 +78,18 @@ def test_rule_dataclass_validation():
         BarzilaiBorweinStep(0.0)
     with pytest.raises(ConfigError):
         BarzilaiBorweinStep(4.0, eta0=-1.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ConfigError, match="positive and finite"):
+            FixedStep(bad)
+        with pytest.raises(ConfigError, match="positive and finite"):
+            AdaptiveLength(bad)
+        with pytest.raises(ConfigError, match="positive and finite"):
+            BarzilaiBorweinStep(bad)
+        with pytest.raises(ConfigError, match="positive and finite"):
+            BarzilaiBorweinStep(4.0, eta0=bad)
+    with pytest.raises(ConfigError, match="inner length must be an integer"):
+        FixedLength(10.0)
+    assert FixedLength(np.int64(10)).m == 10
 
 
 def test_default_theta_kappa():
