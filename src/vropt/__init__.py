@@ -14,8 +14,8 @@ from .dataset import (Dataset, LibsvmParseError, add_bias_column,
 from .harness import (RATE_HEADER, TRACE_HEADER, ReferenceOptimum,
                       bench_configs, cached_dataset, cached_reference,
                       compute_reference, format_rate_csv, format_trace_csv,
-                      load_trace_csv, problem_key, run_experiment,
-                      write_rate_csv, write_trace_csv)
+                      ifo_budget, load_trace_csv, problem_key,
+                      run_experiment, write_rate_csv, write_trace_csv)
 from .problems import ErmProblem, IfoCounter, LogisticProblem
 from .rates import (FIGURE_IDS, GridRow, RateQuery, figure_grid, rate_grid,
                     rate_sarah_last, rate_sarah_uniform, rate_sarah_weighted,
@@ -43,7 +43,8 @@ __all__ = [
     "default_theta_kappa", "run",
     "Trace", "TracePoint",
     "ReferenceOptimum", "compute_reference", "cached_reference",
-    "cached_dataset", "problem_key", "run_experiment", "bench_configs",
+    "cached_dataset", "problem_key", "ifo_budget", "run_experiment",
+    "bench_configs",
     "format_trace_csv", "write_trace_csv", "load_trace_csv",
     "format_rate_csv", "write_rate_csv",
     "TRACE_HEADER", "RATE_HEADER",

@@ -2,8 +2,8 @@
 
 Subcommands: gen (synthetic LIBSVM data), run (one solver config), rates
 (analytic rate grids), bench (the five-config comparison), reference
-(cached optimum). Exit codes: 0 success, 1 I/O failure, 2 invalid flags or
-data, 3 solver divergence.
+(cached optimum). Exit codes: 0 success, 1 I/O failure or a failed
+reference solve, 2 invalid flags or data, 3 solver divergence.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from .averaging import AveragingScheme
 from .dataset import (LibsvmParseError, add_bias_column, generate_synthetic,
                       normalize_rows, parse_libsvm, write_libsvm)
 from .harness import (bench_configs, cached_dataset, cached_reference,
-                      run_experiment, write_rate_csv, write_trace_csv)
+                      ifo_budget, run_experiment, write_rate_csv,
+                      write_trace_csv)
 from .problems import LogisticProblem
 from .rates import FIGURE_IDS, figure_grid, rate_grid
 from .solvers import (AdaptiveLength, BarzilaiBorweinStep, DivergenceError,
@@ -204,6 +205,7 @@ def _cmd_run(args) -> int:
     config = _build_run_config(args, problem)
     if isinstance(config, int):
         return config
+    ifo_budget(args.passes, problem.n)  # reject a bad budget before solving
     f_star = None
     if not args.no_reference:
         f_star = cached_reference(problem).f_star
@@ -239,6 +241,7 @@ def _cmd_rates(args) -> int:
 
 def _cmd_bench(args) -> int:
     problem = _load_problem(args)
+    ifo_budget(args.passes, problem.n)  # reject a bad budget before solving
     ref = cached_reference(problem)
     configs = bench_configs(problem, seed=args.seed)
     traces = run_experiment(problem, configs, args.passes, ref.f_star)

@@ -37,7 +37,7 @@ from .trace import Trace, TracePoint
 __all__ = [
     "ReferenceOptimum", "compute_reference", "cached_reference",
     "cached_dataset", "problem_key",
-    "run_experiment", "bench_configs",
+    "ifo_budget", "run_experiment", "bench_configs",
     "TRACE_HEADER", "RATE_HEADER",
     "format_trace_csv", "write_trace_csv", "load_trace_csv",
     "format_rate_csv", "write_rate_csv",
@@ -55,69 +55,49 @@ class ReferenceOptimum:
     grad_norm: float
 
 
+_LBFGS_PAIRS = 3  # (s, y) pairs kept; each pair costs 2d floats of memory
+_ARMIJO_C = 1e-4
+_MIN_STEP = 2.0 ** -41  # the last trial step of the line search
+_FLAT_RTOL = 1e-14  # trial values this close to f differ by rounding only
+_MAX_ITERATIONS = 10_000
+
+
 def compute_reference(problem: ErmProblem, tol: float = 1e-10) -> ReferenceOptimum:
     """Solve the problem to high accuracy with deterministic full gradients.
 
-    Every problem takes one path: a limited-memory BFGS (L-BFGS) from the
-    origin, then gradient descent with step 1/L as the polish, until the
-    gradient norm is at most tol. The L-BFGS iterations and the polish
-    steps share one iteration cap. Each point is evaluated once, through
-    value_and_grad, so its value and gradient come from one margins pass
-    and f_star is the value the solve already holds. That oracle takes no
-    counter, so the solve charges no IFO and draws no random numbers.
+    Every problem takes one path: L-BFGS (Liu and Nocedal, Math. Prog.
+    1989) from the origin until the gradient norm is at most tol. The
+    direction is the two-loop recursion over the newest 3 pairs, scaled by
+    H0 = s.y / y.y, or by 1/L before the first pair. A pair with s.y <= 0
+    is not stored. The Armijo backtracking halves t from 1; a trial value
+    that is not finite fails like one that decreases too little. A failed
+    trial whose value equals f up to rounding is taken when its gradient
+    norm is smaller than at x, since f can no longer rank the two points.
+    Each point is evaluated once, through value_and_grad, so its value and
+    gradient come from one margins pass and f_star is the value the solve
+    already holds. That oracle takes no counter, so the solve charges no
+    IFO and draws no random numbers.
 
     Raises:
         ValueError: mu = 0 (the solve needs strong convexity), bad tol.
-        RuntimeError: iteration cap reached before tol.
+        RuntimeError: 10,000 iterations pass before tol, or no
+            decrease is found: the direction is not a descent direction
+            (lost to rounding), or every trial down to t = 2^-41 fails.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if not problem.mu > 0:
         raise ValueError("reference solver needs mu > 0")
-    cap = max(10_000, math.ceil(60.0 * problem.kappa))
-    x, f, g, steps = _lbfgs(problem, np.zeros(problem.d), tol, cap)
-    step = 1.0 / problem.smoothness
-    gn = float(np.linalg.norm(g))
-    while gn > tol:
-        if steps >= cap:
-            raise RuntimeError(
-                f"reference solver hit the {cap}-iteration cap with "
-                f"gradient norm {gn:.3e} > tol {tol:.3e}")
-        x = x - step * g
-        f, g = problem.value_and_grad(x)
-        gn = float(np.linalg.norm(g))
-        steps += 1
-    return ReferenceOptimum(x, f, gn)
-
-
-_LBFGS_PAIRS = 3  # (s, y) pairs kept; each pair costs 2d floats of memory
-_ARMIJO_C = 1e-4
-_MIN_STEP = 2.0 ** -40  # the line search gives up below this t
-_FLAT_RTOL = 1e-14  # trial values this close to f differ by rounding only
-
-
-def _lbfgs(problem: ErmProblem, x: np.ndarray, tol: float,
-           cap: int) -> tuple[np.ndarray, float, np.ndarray, int]:
-    """L-BFGS (Liu and Nocedal, Math. Prog. 1989) from x until the gradient
-    norm is at most tol, `cap` iterations pass, or the line search finds no
-    decrease. Returns the last iterate, its value and gradient, and the
-    number of iterations taken.
-
-    The direction is the two-loop recursion over the newest pairs, scaled
-    by H0 = s.y / y.y, or by 1/L before the first pair. A pair with
-    s.y <= 0 is not stored. The Armijo backtracking halves t from 1; a
-    trial value that is not finite fails like one that decreases too
-    little. A failed trial whose value equals f up to rounding is taken
-    when its gradient norm is smaller than at x, since f can no longer
-    rank the two points. The search finds no decrease when t falls below
-    2^-40.
-    """
-    pairs: deque[tuple[np.ndarray, np.ndarray, float]] = \
-        deque(maxlen=_LBFGS_PAIRS)
+    pairs = deque(maxlen=_LBFGS_PAIRS)  # (s, y, s.y), oldest first
+    x = np.zeros(problem.d)
     f, g = problem.value_and_grad(x)
     gn = float(np.linalg.norm(g))
     steps = 0
-    while steps < cap and gn > tol:
+    while gn > tol:
+        if steps == _MAX_ITERATIONS:
+            raise RuntimeError(
+                f"reference solver hit the {_MAX_ITERATIONS}-iteration cap "
+                f"with gradient norm {gn:.3e} > tol {tol:.3e}")
         d = -g
         alphas = []
         for s, y, sy in reversed(pairs):
@@ -131,10 +111,8 @@ def _lbfgs(problem: ErmProblem, x: np.ndarray, tol: float,
         for (s, y, sy), alpha in zip(pairs, reversed(alphas)):
             d += (alpha - float(y @ d) / sy) * s
         slope = float(g @ d)
-        if not slope < 0:  # a direction lost to rounding; polish instead
-            break
         t = 1.0
-        while True:
+        while slope < 0 and t >= _MIN_STEP:
             x_new = x + t * d
             f_new, g_new = problem.value_and_grad(x_new)
             gn_new = float(np.linalg.norm(g_new))
@@ -143,16 +121,18 @@ def _lbfgs(problem: ErmProblem, x: np.ndarray, tol: float,
             # where f cannot rank the two points any more, the gradient can
             if abs(f_new - f) <= _FLAT_RTOL * abs(f) and gn_new < gn:
                 break
-            if t < _MIN_STEP:
-                return x, f, g, steps
             t *= 0.5
+        else:
+            raise RuntimeError(
+                f"reference solver found no decrease at gradient norm "
+                f"{gn:.3e} > tol {tol:.3e}")
         s, y = x_new - x, g_new - g
         sy = float(s @ y)
         if sy > 0:
             pairs.append((s, y, sy))
         x, f, g, gn = x_new, f_new, g_new, gn_new
         steps += 1
-    return x, f, g, steps
+    return ReferenceOptimum(x, f, gn)
 
 
 def problem_key(problem: ErmProblem) -> str:
@@ -343,6 +323,16 @@ def _derived_seed(config: SolverConfig) -> int:
     return config.seed ^ zlib.crc32(config.config_id.encode("utf-8"))
 
 
+def ifo_budget(passes: float, n: int) -> int:
+    """ceil(passes * n); ValueError when that is NaN, infinite or < 0."""
+    budget = passes * n
+    # a chained comparison is False for NaN, so this also rejects it
+    if not 0 <= budget < math.inf:
+        raise ValueError(f"passes * n must be finite and >= 0, got "
+                         f"{passes!r} * {n}")
+    return math.ceil(budget)
+
+
 def run_experiment(problem: ErmProblem, configs: Sequence[SolverConfig],
                    passes: float, f_star: float | None = None,
                    evaluate: bool = True) -> list[Trace]:
@@ -352,12 +342,7 @@ def run_experiment(problem: ErmProblem, configs: Sequence[SolverConfig],
     so identical configs produce identical traces and renamed copies do not.
     Solver errors propagate annotated with the config id.
     """
-    budget = passes * problem.n
-    # a chained comparison is False for NaN, so this also rejects it
-    if not 0 <= budget < math.inf:
-        raise ValueError(f"passes * n must be finite and >= 0, got "
-                         f"{passes!r} * {problem.n}")
-    budget = math.ceil(budget)
+    budget = ifo_budget(passes, problem.n)
     traces = []
     for config in configs:
         runnable = replace(config, ifo_budget=budget, outer_loops=None,

@@ -418,9 +418,12 @@ def _resolve_eta0(step: BarzilaiBorweinStep, inner: InnerLengthRule,
                   big_l: float, mu: float) -> float:
     if step.eta0 is not None:
         return step.eta0
-    if isinstance(inner, AdaptiveLength):
-        return 1.0 / (step.theta_kappa * mu)
-    return 1.0 / (step.theta_kappa * big_l)
+    bound, name = (mu, "mu") if isinstance(inner, AdaptiveLength) \
+        else (big_l, "L")
+    eta0 = 1.0 / (step.theta_kappa * bound)
+    # a tiny or huge theta_kappa overflows the quotient or its divisor
+    _check_positive(f"eta0 = 1/(theta_kappa*{name})", eta0)
+    return eta0
 
 
 def run(problem: ErmProblem, config: SolverConfig, f_star: float | None = None,
@@ -512,7 +515,13 @@ def run(problem: ErmProblem, config: SolverConfig, f_star: float | None = None,
         if isinstance(config.inner, FixedLength):
             m_s = config.inner.m
         else:
-            m_s = max(2, math.ceil(config.inner.c / (mu * eta_s)))
+            # a tiny eta_s overflows the quotient, or underflows mu*eta_s
+            den = mu * eta_s
+            m_len = config.inner.c / den if den > 0 else math.inf
+            if not math.isfinite(m_len):
+                raise ConfigError(f"adaptive inner length c/(mu*eta_s) = "
+                                  f"{m_len} is not finite")
+            m_s = max(2, math.ceil(m_len))
         snap = sample_snapshot_index(
             weights(config.averaging, m_s, mu, eta_s), rng)
         x = _inner_steps(problem, config.algorithm, x, g, eta_s, snap,

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 
 import vropt.cli
-from vropt import (LogisticProblem, load_trace_csv, normalize_rows,
-                   parse_libsvm, problem_key)
+from vropt import (LogisticProblem, SolverConfig, add_bias_column,
+                   compute_reference, format_trace_csv, load_trace_csv,
+                   normalize_rows, parse_libsvm, problem_key, run_experiment)
 from vropt.cli import main
 
 
@@ -89,6 +91,40 @@ def test_run_sgd_schedule_in_csv(tmp_path):
     assert all(p.m_s == trace.n for p in trace.points[1:])
 
 
+def test_run_bias_appends_a_constant_feature(tmp_path, capsys):
+    data = gen_data(tmp_path)
+    capsys.readouterr()  # drop gen's report
+    out = tmp_path / "trace.csv"
+    assert main(run_flags(data, out, "--algo", "gd", "--passes", "3",
+                          "--bias")) == 0
+    # the bias column is appended after the rows are normalized
+    ds = normalize_rows(parse_libsvm(Path(data).read_text(encoding="utf-8")))
+    problem = LogisticProblem(add_bias_column(ds), 0.05)
+    assert problem.d == 5
+    trace, = run_experiment(problem, [SolverConfig("gd")], 3.0,
+                            compute_reference(problem).f_star)
+    assert out.read_text(encoding="utf-8") == format_trace_csv([trace])
+    assert capsys.readouterr().out == \
+        f"gd: 3 outer loops, 3.0 passes, grad_sq={trace.final.grad_sq!r}\n"
+
+
+def test_run_bb_with_fixed_inner_length(tmp_path, capsys):
+    data = gen_data(tmp_path)
+    capsys.readouterr()  # drop gen's report
+    out = tmp_path / "trace.csv"
+    assert main(run_flags(data, out, "--algo", "svrg", "--step", "bb",
+                          "--m", "7", "--passes", "8",
+                          "--no-reference")) == 0
+    trace, = load_trace_csv(out.read_text(encoding="utf-8"))
+    assert trace.final.s >= 3  # secant updates engaged
+    assert all(p.m_s == 7 for p in trace.points[1:])
+    assert len({p.eta_s for p in trace.points[1:]}) > 1
+    assert capsys.readouterr().out == (
+        f"svrg: {trace.final.s} outer loops, "
+        f"{trace.sample_passes(trace.final)!r} passes, "
+        f"grad_sq={trace.final.grad_sq!r}\n")
+
+
 def test_run_bb_defaults_to_weighted(tmp_path):
     data = gen_data(tmp_path)
     out = tmp_path / "trace.csv"
@@ -140,6 +176,19 @@ def test_run_flag_rejection(tmp_path, capsys):
      "error: passes * n must be finite and >= 0, got inf * 30"),
     (["--algo", "sgd", "--passes", "nan"],
      "error: passes * n must be finite and >= 0, got nan * 30"),
+    # finite flags whose derived eta0 or inner length leaves the floats
+    (["--algo", "sarah", "--step", "bb", "--theta-kappa", "1e-320",
+      "--no-reference"],
+     "error: config 'sarah': eta0 = 1/(theta_kappa*mu) must be positive "
+     "and finite, got inf"),
+    (["--algo", "svrg", "--step", "bb", "--avg", "u", "--m", "10",
+      "--theta-kappa", "1e-320", "--no-reference"],
+     "error: config 'svrg': eta0 = 1/(theta_kappa*L) must be positive "
+     "and finite, got inf"),
+    (["--algo", "sarah", "--step", "bb", "--eta0-over-L", "1e-320",
+      "--no-reference"],
+     "error: config 'sarah': adaptive inner length c/(mu*eta_s) = inf is "
+     "not finite"),
 ])
 def test_run_non_finite_input_exits_2(tmp_path, capsys, flags, message):
     data = gen_data(tmp_path)
@@ -147,6 +196,8 @@ def test_run_non_finite_input_exits_2(tmp_path, capsys, flags, message):
     assert main(run_flags(data, out, *flags)) == 2
     assert capsys.readouterr().err == message + "\n"
     assert not out.exists()
+    # rejected before the reference solve, so nothing is solved or cached
+    assert not list((tmp_path / "refcache").glob("ref-*"))
 
 
 def test_bench_non_finite_passes_exits_2(tmp_path, capsys):
@@ -157,6 +208,7 @@ def test_bench_non_finite_passes_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == \
         "error: passes * n must be finite and >= 0, got inf * 30\n"
     assert not out_dir.exists()
+    assert not list((tmp_path / "refcache").glob("ref-*"))
 
 
 def test_run_missing_data_exits_1(tmp_path):
@@ -311,6 +363,20 @@ def test_reference_command(tmp_path, capsys):
     assert len(list(cache.glob("ref-*.npy"))) == 1
     assert len(list(cache.glob("data-*.npy"))) == 1
     assert len(list(cache.iterdir())) == 2
+
+
+def test_reference_below_float_resolution_exits_1(tmp_path, capsys):
+    data = gen_data(tmp_path)
+    capsys.readouterr()  # drop gen's report
+    cache = tmp_path / "cache"
+    assert main(["reference", "--data", data, "--mu", "0.05", "--normalize",
+                 "--tol", "1e-200", "--cache-dir", str(cache)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: reference solver hit the 10000-iteration "
+                        r"cap with gradient norm \S+ > tol 1\.000e-200\n",
+                        captured.err)
+    assert not list(cache.glob("ref-*"))
 
 
 # -------------------------------------------------------- dataset cache

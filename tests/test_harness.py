@@ -60,9 +60,34 @@ def test_reference_validation():
 
 
 def test_reference_cap_reported():
-    problem = make_ridge(4, 3, seed=43, mu=0.5)
-    with pytest.raises(RuntimeError, match="cap"):
-        compute_reference(problem, tol=1e-200)  # below float resolution
+    # the cap is 10000 iterations at any kappa (here about 6 and 5.7e5)
+    for mu in (0.5, 1e-5):
+        problem = make_ridge(4, 3, seed=43, mu=mu)
+        with pytest.raises(
+                RuntimeError,
+                match=r"^reference solver hit the 10000-iteration cap with "
+                      r"gradient norm .* > tol 1\.000e-200$"):
+            compute_reference(problem, tol=1e-200)  # below float resolution
+
+
+def test_reference_no_decrease_reported():
+    base = make_logistic(30, 4, seed=1, kappa=10.0)
+    calls = []
+
+    class Ascending(LogisticProblem):
+        """The true f with -grad f: every L-BFGS direction ascends."""
+
+        def value_and_grad(self, x):
+            calls.append(x)
+            f, g = super().value_and_grad(x)
+            return f, -g
+
+    with pytest.raises(RuntimeError,
+                       match=r"^reference solver found no decrease at "
+                             r"gradient norm 2\.020e-01 > tol 1\.000e-10$"):
+        compute_reference(Ascending(base.dataset, base.mu))
+    # the origin, then the trials t = 1, 1/2, ..., 2^-41
+    assert len(calls) == 1 + 42
 
 
 def plain_descent(problem, tol):
@@ -147,8 +172,7 @@ def test_reference_needs_few_uncharged_gradients():
 
 
 def test_reference_line_search_goes_on_where_f_is_flat():
-    # the line search meets a flat f at gradient norm 3.6e-10; handing over
-    # to 1/L descent there took 71 evaluations in all
+    # the line search meets a flat f at gradient norm 3.6e-10
     assert 0 < len(reference_counters(102)) <= 20
 
 
@@ -199,7 +223,7 @@ def test_reference_line_search_shrinks_non_finite_trials():
 def test_reference_gives_up_line_search_where_rounding_decides():
     # f stops resolving a decrease while the gradient norm is still above
     # tol; accepting trials that pass the Armijo test by rounding alone
-    # stalled L-BFGS here until the iteration cap
+    # would stall L-BFGS here until the iteration cap
     ds = Dataset([0, 1, 1, 2, 3, 3, 4, 4, 5], [0] * 5,
                  [-12.136171105831217, -11.575238811145066, -6.080448236823193,
                   -4.034295896026006, 9.965939729017983],
@@ -211,9 +235,8 @@ def test_reference_gives_up_line_search_where_rounding_decides():
 
 def test_reference_ranks_flat_trials_by_gradient_norm():
     # kappa 9394: the first trial of a late line search equals f up to
-    # rounding and has a larger gradient norm. Handing over to 1/L descent
-    # there took 9719 evaluations; halving on to a trial with a smaller
-    # gradient norm takes 78
+    # rounding and has a larger gradient norm; halving on to a trial with
+    # a smaller gradient norm takes 78 evaluations
     ds = Dataset([0, 2, 5, 7, 11, 15],
                  [0, 1, 2, 3, 4, 2, 4, 0, 1, 3, 4, 0, 2, 3, 4],
                  [-5.1469020293097385, -4.433114096734805, 2.7636591239194193,

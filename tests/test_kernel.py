@@ -5,7 +5,9 @@ CSR rows and scalar loss derivatives, with its dense terms kept as lazily
 scaled scalars. These tests pin it to the textbook updates,
 x <- x - eta*(grad f_i(x) - grad f_i(x0) + g) and
 v <- v + grad f_i(x_k) - grad f_i(x_{k-1}), x <- x - eta*v,
-on the same component picks.
+on the same component picks. The divergence tests pin DivergenceError.steps
+of every solver, GD and SGD included, to plain full_grad and grad_component
+loops.
 """
 
 import math
@@ -232,6 +234,8 @@ def oracle_run_divergence(problem, config):
     # of steps before x.x overflows
     pytest.param("ridge", "svrg", 8.0, id="ridge-svrg-8.0"),
     pytest.param("ridge", "sarah", 8.0, id="ridge-sarah-8.0"),
+    # x_1 = x0 - eta*g, sarah's deterministic first step, overflows
+    pytest.param("logistic", "sarah", 1e300, id="sarah-first-step"),
 ])
 def test_divergence_steps_match_grad_component_loop(kind, algorithm,
                                                     eta_over_l):
@@ -248,6 +252,80 @@ def test_divergence_steps_match_grad_component_loop(kind, algorithm,
     with pytest.raises(DivergenceError) as info:
         run(problem, config, evaluate=False)
     assert info.value.steps == expected
+
+
+@pytest.mark.parametrize("algorithm", ["svrg", "sarah"])
+def test_divergence_in_snapshot_gradient(algorithm):
+    # a finite start whose full gradient overflows: loop 1 stops at its
+    # snapshot gradient, before any inner step
+    problem = make_logistic(20, 4, seed=27, kappa=2.0)
+    config = SolverConfig(algorithm, step=FixedStep(0.1),
+                          inner=FixedLength(5), averaging=U, outer_loops=3,
+                          x0=np.full(problem.d, 1e300))
+    assert not finite(problem.full_grad(config.x0))
+    with pytest.raises(DivergenceError) as info:
+        run(problem, config, evaluate=False)
+    assert info.value.steps == 1
+
+
+class LooseRidge(RidgeProblem):
+    """Ridge that reports L divided by `shrink`: the built-in steps of GD
+    (1/L) and SGD (0.05/(L*epoch)) overshoot, and the iterate grows until
+    x.x overflows."""
+
+    def __init__(self, shrink, n=20, d=3, seed=29, mu=0.05):
+        rng = np.random.default_rng(seed)
+        super().__init__(rng.standard_normal((n, d)),
+                         rng.standard_normal(n), mu)
+        self.shrink = shrink
+
+    @property
+    def smoothness(self):
+        return super().smoothness / self.shrink
+
+
+def test_gd_divergence_steps_match_full_grad_loop():
+    problem = LooseRidge(100.0)
+    x = np.zeros(problem.d)
+    for expected in range(1, 1000):
+        x = x - problem.full_grad(x) / problem.smoothness
+        if not finite(x):
+            break
+    else:
+        pytest.fail("the plain loop stayed finite")
+    with pytest.raises(DivergenceError) as info:
+        run(problem, SolverConfig("gd", outer_loops=expected + 5),
+            evaluate=False)
+    assert info.value.steps == expected
+
+
+def oracle_sgd_divergence(problem, seed, epochs):
+    """(epoch, step within it) of SGD's first non-finite iterate, stepping
+    through grad_component with one scalar draw per step; None when every
+    iterate stays finite."""
+    rng = np.random.default_rng(seed)
+    x = np.zeros(problem.d)
+    for epoch in range(1, epochs + 1):
+        eta = 0.05 / (problem.smoothness * epoch)
+        for k in range(1, problem.n + 1):
+            x = x - eta * problem.grad_component(int(rng.integers(problem.n)),
+                                                 x)
+            if not finite(x):
+                return epoch, k
+    return None
+
+
+@pytest.mark.parametrize("shrink,epoch", [(1e12, 1), (1e7, 2)])
+def test_sgd_divergence_steps_match_grad_component_loop(shrink, epoch):
+    # DivergenceError.steps counts SGD's steps from the start of the epoch,
+    # as it counts the kernel's from the start of the inner loop
+    problem = LooseRidge(shrink)
+    expected = oracle_sgd_divergence(problem, seed=3, epochs=5)
+    assert expected is not None and expected[0] == epoch
+    with pytest.raises(DivergenceError) as info:
+        run(problem, SolverConfig("sgd", outer_loops=5, seed=3),
+            evaluate=False)
+    assert info.value.steps == expected[1]
 
 
 def test_divergence_raises_no_numpy_warning():

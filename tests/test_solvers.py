@@ -92,6 +92,34 @@ def test_rule_dataclass_validation():
     assert FixedLength(np.int64(10)).m == 10
 
 
+def test_bb_derived_quantities_must_be_finite():
+    problem = make_ridge(6, 3, seed=30, mu=0.1)
+    assert problem.smoothness > 2.0  # so 1e308 * L overflows
+    w_sarah = AveragingScheme.WEIGHTED_SARAH
+    cases = [
+        ("sarah", BarzilaiBorweinStep(1e-320), AdaptiveLength(), w_sarah,
+         r"eta0 = 1/\(theta_kappa\*mu\) must be positive and finite, "
+         r"got inf$"),
+        ("svrg", BarzilaiBorweinStep(1e-320), FixedLength(10), U,
+         r"eta0 = 1/\(theta_kappa\*L\) must be positive and finite, "
+         r"got inf$"),
+        ("svrg", BarzilaiBorweinStep(1e308), FixedLength(10), U,
+         r"eta0 = 1/\(theta_kappa\*L\) must be positive and finite, "
+         r"got 0\.0$"),
+        # c/(mu*eta0) overflows; and mu*eta0 underflows to 0
+        ("sarah", BarzilaiBorweinStep(1.0, eta0=1e-320), AdaptiveLength(),
+         w_sarah, r"adaptive inner length c/\(mu\*eta_s\) = inf is not "
+                  r"finite$"),
+        ("svrg", BarzilaiBorweinStep(1.0, eta0=5e-324), AdaptiveLength(), U,
+         r"adaptive inner length c/\(mu\*eta_s\) = inf is not finite$"),
+    ]
+    for algorithm, step, inner, averaging, message in cases:
+        config = SolverConfig(algorithm, step=step, inner=inner,
+                              averaging=averaging, outer_loops=3)
+        with pytest.raises(ConfigError, match=message):
+            run(problem, config)
+
+
 def test_default_theta_kappa():
     assert default_theta_kappa("svrg", AveragingScheme.WEIGHTED_SVRG, 7.0) == 28.0
     assert default_theta_kappa("svrg", U, 7.0) == 28.0
