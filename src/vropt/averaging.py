@@ -18,7 +18,8 @@ import enum
 
 import numpy as np
 
-__all__ = ["AveragingScheme", "weights", "sample_snapshot_index"]
+__all__ = ["AveragingScheme", "decay_rate", "weights",
+           "sample_snapshot_index"]
 
 
 class AveragingScheme(enum.Enum):
@@ -27,6 +28,16 @@ class AveragingScheme(enum.Enum):
     UNIFORM = "uniform"
     WEIGHTED_SVRG = "weighted_svrg"
     WEIGHTED_SARAH = "weighted_sarah"
+
+
+def decay_rate(mu: float, eta: float) -> float:
+    """delta = mu*eta, whose 1 - delta is the weighted schemes' decay
+    factor. Raises ValueError unless 0 < delta < 1."""
+    delta = mu * eta
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"weighted schemes need 0 < mu*eta < 1, "
+                         f"got mu*eta = {delta}")
+    return delta
 
 
 def weights(scheme: AveragingScheme, m: int, mu: float | None = None,
@@ -57,10 +68,7 @@ def weights(scheme: AveragingScheme, m: int, mu: float | None = None,
     else:
         if mu is None or eta is None:
             raise ValueError(f"{scheme.name} weights need mu and eta")
-        delta = mu * eta
-        if not 0.0 < delta < 1.0:
-            raise ValueError(f"weighted schemes need 0 < mu*eta < 1, "
-                             f"got mu*eta = {delta}")
+        delta = decay_rate(mu, eta)
         # powers[j-1] = (1-delta)^j for j = 1..m-1
         # by iterative multiplication, so the normalizers below, computed as
         # sums, stay consistent with the terms

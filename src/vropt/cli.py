@@ -17,7 +17,7 @@ from .averaging import AveragingScheme
 from .dataset import (LibsvmParseError, add_bias_column, generate_synthetic,
                       normalize_rows, parse_libsvm, write_libsvm)
 from .harness import (bench_configs, cached_dataset, cached_reference,
-                      ifo_budget, run_experiment, write_rate_csv,
+                      check_experiment, run_experiment, write_rate_csv,
                       write_trace_csv)
 from .problems import LogisticProblem
 from .rates import FIGURE_IDS, figure_grid, rate_grid
@@ -205,7 +205,8 @@ def _cmd_run(args) -> int:
     config = _build_run_config(args, problem)
     if isinstance(config, int):
         return config
-    ifo_budget(args.passes, problem.n)  # reject a bad budget before solving
+    # reject a budget or config that cannot start before solving
+    check_experiment(problem, [config], args.passes)
     f_star = None
     if not args.no_reference:
         f_star = cached_reference(problem).f_star
@@ -241,9 +242,10 @@ def _cmd_rates(args) -> int:
 
 def _cmd_bench(args) -> int:
     problem = _load_problem(args)
-    ifo_budget(args.passes, problem.n)  # reject a bad budget before solving
-    ref = cached_reference(problem)
     configs = bench_configs(problem, seed=args.seed)
+    # reject a budget or config that cannot start before solving
+    check_experiment(problem, configs, args.passes)
+    ref = cached_reference(problem)
     traces = run_experiment(problem, configs, args.passes, ref.f_star)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -140,17 +140,29 @@ class Dataset:
         return f"Dataset(n={self.n}, dim={self.dim})"
 
 
+_LABELS = {"+1": 1, "1": 1, "-1": -1, "0": -1}
+
+# Text is parsed in blocks of lines of about this many characters: a
+# block's token lists cost far more memory than the arrays they fill, so
+# only one block's worth is held at a time. Blocks of 2**15 to 2**20
+# characters parse about equally fast.
+_BLOCK_CHARS = 1 << 16
+
+_COLON, _SPACE, _ZERO = ord(":"), ord(" "), ord("0")
+
+
 def _parse_line(line: str, line_no: int, indices: list[int],
                 values: list[float]) -> int:
-    """Append one line's entries to the flat lists; returns its label."""
+    """Append one line's entries to the flat lists; returns its label.
+
+    The one definition of the format and the only source of its errors:
+    parse_libsvm's bulk path accepts only what this accepts, and re-reads
+    a block through it when a bulk check fails."""
     tokens = line.split()
-    label_tok = tokens[0]
-    if label_tok in ("+1", "1"):
-        label = 1
-    elif label_tok in ("-1", "0"):
-        label = -1
-    else:
-        raise LibsvmParseError(f"line {line_no}: unrecognized label {label_tok!r}")
+    label = _LABELS.get(tokens[0])
+    if label is None:
+        raise LibsvmParseError(
+            f"line {line_no}: unrecognized label {tokens[0]!r}")
     prev = 0  # file indices are 1-based, so 0 floors the increasing check
     for tok in tokens[1:]:
         idx_s, sep, val_s = tok.partition(":")
@@ -180,8 +192,119 @@ def _parse_line(line: str, line_no: int, indices: list[int],
     return label
 
 
+def _line_block(lines: list[str], first_line_no: int):
+    """One block read line by line through _parse_line: (entries per row,
+    0-based indices, values, labels), or the first bad line's error."""
+    labels, ends, indices, values = [], [0], [], []
+    for line_no, line in enumerate(lines, start=first_line_no):
+        if line.strip():
+            labels.append(_parse_line(line, line_no, indices, values))
+            ends.append(len(indices))
+    return (np.diff(np.array(ends, dtype=np.intp)),
+            np.array(indices, dtype=np.intp),
+            np.array(values, dtype=np.float64),
+            np.array(labels, dtype=np.int8))
+
+
+def _digits(b: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """The integers written in the fields b[starts[j]:ends[j]] of the bytes
+    b, or None unless every field is at most 18 ASCII digits: int() reads
+    those the same way, and np.intp holds them. An empty field reads 0."""
+    width = int((ends - starts).max())
+    if width > 18:
+        return None
+    out = np.zeros(starts.size, dtype=np.intp)
+    for j in range(width, 0, -1):  # the fields right-aligned, high digit first
+        pos = ends - j
+        # a position before its field's start is masked (the first field's
+        # may be negative and wrap to the end of b); a byte below "0" wraps
+        # past 9 in uint8
+        digit = np.where(pos >= starts, b[pos] - _ZERO, 0)
+        if np.any(digit > 9):
+            return None
+        out = out * 10 + digit
+    return out
+
+
+def _bulk_block(lines: list[str]):
+    """One block as _line_block reads it, from whole-block work, or None
+    when a check fails or an index is not plain ASCII digits. Then the
+    caller re-reads the block through _parse_line, so this path needs only
+    to accept nothing that _parse_line rejects."""
+    heads, counts, entries = [], [], []
+    for line in lines:
+        tokens = line.split()
+        if tokens:
+            heads.append(tokens[0])
+            counts.append(len(tokens) - 1)
+            entries += tokens[1:]
+    try:
+        labels = np.array([_LABELS[h] for h in heads], dtype=np.int8)
+    except KeyError:
+        return None
+    k = len(entries)
+    bounds = np.zeros(len(heads) + 1, dtype=np.intp)  # row starts, then k
+    np.cumsum(counts, out=bounds[1:])
+    # Tokens hold no whitespace, so the joined text's k - 1 spaces are the
+    # joints, and every token holds one colon exactly when the separators
+    # alternate ":", " ", ..., ":": 2k - 1 of them, a colon at every even
+    # place. (Bytes of a non-ASCII character are never either separator.)
+    # An empty side is left to the conversions: an empty index reads as 0,
+    # which no index may be, and float("") fails. A block with no entries
+    # fails the count and is left to the line loop too.
+    joined = " ".join(entries)
+    b = np.frombuffer(joined.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    seps = np.flatnonzero((b == _COLON) | (b == _SPACE))
+    colons = seps[::2]
+    if seps.size != 2 * k - 1 or np.any(b[colons] != _COLON):
+        return None
+    starts = np.zeros(k, dtype=np.intp)
+    starts[1:] = seps[1::2] + 1
+    idx = _digits(b, starts, colons)
+    if idx is None:
+        return None
+    try:
+        data = np.fromiter(
+            map(float, joined.replace(":", " ").split(" ")[1::2]),
+            dtype=np.float64, count=k)
+    except ValueError:
+        return None
+    # a non-finite value is nonzero, so every value must be finite
+    if idx.min() < 1 or not np.all(np.isfinite(data)):
+        return None
+    # indices rise within a row, zero values included
+    first = np.zeros(k + 1, dtype=bool)
+    first[bounds] = True
+    if not np.all(first[1:k] | (idx[1:] > idx[:-1])):
+        return None
+    keep = data != 0.0  # zero entries are dropped to keep rows canonical
+    kept = np.zeros(k + 1, dtype=np.intp)
+    np.cumsum(keep, out=kept[1:])
+    return np.diff(kept[bounds]), idx[keep] - 1, data[keep], labels
+
+
+def _blocks(source: str):
+    """source.splitlines() in blocks of about _BLOCK_CHARS characters. A
+    block ends just after a "\n", which always ends a line and never splits
+    a "\r\n", so the blocks' lines are source.splitlines() in order."""
+    start = 0
+    while start < len(source):
+        end = source.find("\n", start + _BLOCK_CHARS - 1) + 1 or len(source)
+        yield source[start:end].splitlines()
+        start = end
+
+
 def parse_libsvm(source: str, dim: int | None = None) -> Dataset:
-    """Parse LIBSVM text ("label idx:val idx:val ...", indices 1-based).
+    """Parse LIBSVM text: one row per line, "label idx:val idx:val ...".
+
+    The label is +1 or 1 (stored as +1) or -1 or 0 (stored as -1). Indices
+    are 1-based integers, at most the largest np.intp, strictly increasing
+    within a line; values are floats, and entries whose value is zero are
+    dropped (their indices still count for the increasing check). Tokens
+    are separated by any whitespace, lines by any str.splitlines break, and
+    blank lines are skipped. The text is read in blocks of lines, with
+    numpy checks over each block; a block that fails one is re-read line by
+    line, so the error is the one the first bad line gives.
 
     Args:
         source: the file content.
@@ -192,22 +315,27 @@ def parse_libsvm(source: str, dim: int | None = None) -> Dataset:
         Dataset with 0-based column indices.
 
     Raises:
-        LibsvmParseError: malformed token, non-finite value, non-increasing
-            indices within a line, or unrecognized label; the message names
-            the line number.
+        LibsvmParseError: malformed token, index not positive or too large,
+            non-finite value, non-increasing indices within a line, or
+            unrecognized label, at the first bad line, whose 1-based number
+            the message names; or no rows, or a dim override below the
+            largest index.
     """
-    labels: list[int] = []
-    indptr = [0]
-    indices: list[int] = []
-    values: list[float] = []
-    for line_no, line in enumerate(source.splitlines(), start=1):
-        if not line.strip():
-            continue
-        labels.append(_parse_line(line, line_no, indices, values))
-        indptr.append(len(indices))
-    if not labels:
+    blocks = []
+    line_no = 1
+    for lines in _blocks(source):
+        block = _bulk_block(lines)
+        blocks.append(block if block is not None
+                      else _line_block(lines, line_no))
+        line_no += len(lines)
+    if not sum(block[3].size for block in blocks):
         raise LibsvmParseError("no data rows found")
-    inferred = max(indices, default=0) + 1  # dim 1 if every row is empty
+    counts, indices, values, labels = map(np.concatenate, zip(*blocks))
+    del blocks  # free the pieces before Dataset copies the whole arrays
+    indptr = np.zeros(labels.size + 1, dtype=np.intp)
+    np.cumsum(counts, out=indptr[1:])
+    # dim 1 if every row is empty
+    inferred = int(indices.max()) + 1 if indices.size else 1
     if dim is None:
         dim = inferred
     elif dim < inferred:

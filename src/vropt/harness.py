@@ -9,6 +9,7 @@ of the same IFO total.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import math
@@ -30,14 +31,14 @@ from .problems import ErmProblem
 from .dataset import Dataset, serialize_libsvm  # noqa: F401
 from .rates import GridRow
 from .solvers import (AdaptiveLength, BarzilaiBorweinStep, ConfigError,
-                      FixedLength, FixedStep, SolverConfig,
+                      FixedLength, FixedStep, SolverConfig, check_config,
                       default_theta_kappa, run)
 from .trace import Trace, TracePoint
 
 __all__ = [
     "ReferenceOptimum", "compute_reference", "cached_reference",
     "cached_dataset", "problem_key",
-    "ifo_budget", "run_experiment", "bench_configs",
+    "ifo_budget", "check_experiment", "run_experiment", "bench_configs",
     "TRACE_HEADER", "RATE_HEADER",
     "format_trace_csv", "write_trace_csv", "load_trace_csv",
     "format_rate_csv", "write_rate_csv",
@@ -333,6 +334,32 @@ def ifo_budget(passes: float, n: int) -> int:
     return math.ceil(budget)
 
 
+def _runnables(problem: ErmProblem, configs: Sequence[SolverConfig],
+               passes: float) -> list[SolverConfig]:
+    budget = ifo_budget(passes, problem.n)
+    return [replace(config, ifo_budget=budget, outer_loops=None,
+                    seed=_derived_seed(config)) for config in configs]
+
+
+@contextlib.contextmanager
+def _config_id_on_errors(config: SolverConfig):
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(f"config {config.config_id!r}: {exc}") from exc
+
+
+def check_experiment(problem: ErmProblem, configs: Sequence[SolverConfig],
+                     passes: float) -> None:
+    """Make every check run_experiment makes before a run's first outer
+    loop, with the same errors: the budget, then check_config for each
+    config. The CLI calls this before it solves for the reference, so an
+    experiment that cannot start solves and caches nothing."""
+    for config in _runnables(problem, configs, passes):
+        with _config_id_on_errors(config):
+            check_config(problem, config)
+
+
 def run_experiment(problem: ErmProblem, configs: Sequence[SolverConfig],
                    passes: float, f_star: float | None = None,
                    evaluate: bool = True) -> list[Trace]:
@@ -342,16 +369,11 @@ def run_experiment(problem: ErmProblem, configs: Sequence[SolverConfig],
     so identical configs produce identical traces and renamed copies do not.
     Solver errors propagate annotated with the config id.
     """
-    budget = ifo_budget(passes, problem.n)
     traces = []
-    for config in configs:
-        runnable = replace(config, ifo_budget=budget, outer_loops=None,
-                           seed=_derived_seed(config))
-        try:
-            traces.append(run(problem, runnable, f_star=f_star,
+    for config in _runnables(problem, configs, passes):
+        with _config_id_on_errors(config):
+            traces.append(run(problem, config, f_star=f_star,
                               evaluate=evaluate))
-        except ConfigError as exc:
-            raise ConfigError(f"config {config.config_id!r}: {exc}") from exc
     return traces
 
 

@@ -34,14 +34,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .averaging import AveragingScheme, sample_snapshot_index, weights
+from .averaging import (AveragingScheme, decay_rate, sample_snapshot_index,
+                        weights)
 from .problems import ErmProblem, IfoCounter
 from .trace import Trace, TracePoint
 
 __all__ = [
     "FixedStep", "BarzilaiBorweinStep", "FixedLength", "AdaptiveLength",
     "SolverConfig", "ConfigError", "DivergenceError", "bb_step", "run",
-    "default_theta_kappa",
+    "check_config", "default_theta_kappa",
 ]
 
 
@@ -426,6 +427,55 @@ def _resolve_eta0(step: BarzilaiBorweinStep, inner: InnerLengthRule,
     return eta0
 
 
+# the snapshot pmf of a loop of length m holds m + 1 floats
+_MAX_PMF = int(np.iinfo(np.intp).max)
+
+
+def _inner_length(inner: InnerLengthRule, mu: float, eta: float) -> int:
+    """m_s for a loop with step eta: fixed, or max(2, ceil(c/(mu*eta)))."""
+    if isinstance(inner, FixedLength):
+        return inner.m
+    # a tiny eta overflows the quotient, or underflows mu*eta
+    den = mu * eta
+    m_len = inner.c / den if den > 0 else math.inf
+    if not math.isfinite(m_len):
+        raise ConfigError(f"adaptive inner length c/(mu*eta_s) = "
+                          f"{m_len} is not finite")
+    m = max(2, math.ceil(m_len))
+    if m + 1 > _MAX_PMF:
+        raise ConfigError(f"adaptive inner length c/(mu*eta_s) = {m_len} "
+                          f"is too large: the snapshot pmf holds m_s + 1 "
+                          f"floats, at most {_MAX_PMF}")
+    return m
+
+
+def check_config(problem: ErmProblem, config: SolverConfig) -> float | None:
+    """Make every check of config that run() can make before its first
+    outer loop, and return that loop's step (None for gd and sgd, whose
+    steps are built in). run() calls this first; a caller may call it
+    before it pays for a reference solve.
+
+    Raises:
+        ConfigError: what _validate rejects, an eta0 that is not positive
+            and finite, or a first adaptive inner length c/(mu*eta0) that
+            is not finite or has no array to hold its snapshot pmf.
+        ValueError: a weighted scheme with mu*eta0 outside (0, 1).
+    """
+    _validate(problem, config)
+    if config.algorithm in ("gd", "sgd"):
+        return None
+    big_l, mu, _ = problem.constants()
+    if isinstance(config.step, FixedStep):
+        eta0 = config.step.eta
+    else:
+        eta0 = _resolve_eta0(config.step, config.inner, big_l, mu)
+    _inner_length(config.inner, mu, eta0)
+    if config.averaging in (AveragingScheme.WEIGHTED_SVRG,
+                            AveragingScheme.WEIGHTED_SARAH):
+        decay_rate(mu, eta0)
+    return eta0
+
+
 def run(problem: ErmProblem, config: SolverConfig, f_star: float | None = None,
         evaluate: bool = True) -> Trace:
     """Run one solver configuration and return its trace.
@@ -442,10 +492,11 @@ def run(problem: ErmProblem, config: SolverConfig, f_star: float | None = None,
     about the iterate sequence.
 
     Raises:
-        ConfigError: contradictory configuration for this problem.
+        ConfigError: contradictory configuration for this problem (see
+            check_config for the checks made before the first loop).
         DivergenceError: non-finite iterate, annotated with the config id.
     """
-    _validate(problem, config)
+    eta0 = check_config(problem, config)
     big_l, mu, _ = problem.constants()
     n = problem.n
     cid = config.config_id
@@ -502,26 +553,15 @@ def run(problem: ErmProblem, config: SolverConfig, f_star: float | None = None,
         # secant for loop s uses grad f at the two latest snapshots
         g = problem.full_grad(x, counter)
         _check_finite(g, s, cid)
-        if isinstance(config.step, FixedStep):
-            eta_s = config.step.eta
-        elif s <= 2:
-            eta_s = _resolve_eta0(config.step, config.inner, big_l, mu)
+        if isinstance(config.step, FixedStep) or s <= 2:
+            eta_s = eta0
         else:
             eta_s = bb_step((x_prev, g_prev), (x, g),
                             config.step.theta_kappa, (big_l, mu))
             if eta_s is None:  # snapshot moved by rounding only; keep the step
                 eta_s = eta_prev
         x_prev, g_prev, eta_prev = x, g, eta_s
-        if isinstance(config.inner, FixedLength):
-            m_s = config.inner.m
-        else:
-            # a tiny eta_s overflows the quotient, or underflows mu*eta_s
-            den = mu * eta_s
-            m_len = config.inner.c / den if den > 0 else math.inf
-            if not math.isfinite(m_len):
-                raise ConfigError(f"adaptive inner length c/(mu*eta_s) = "
-                                  f"{m_len} is not finite")
-            m_s = max(2, math.ceil(m_len))
+        m_s = _inner_length(config.inner, mu, eta_s)
         snap = sample_snapshot_index(
             weights(config.averaging, m_s, mu, eta_s), rng)
         x = _inner_steps(problem, config.algorithm, x, g, eta_s, snap,

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from vropt import (AveragingScheme, ErmProblem, LogisticProblem,
-                   generate_synthetic, normalize_rows, sample_snapshot_index,
-                   weights)
+from vropt import (AveragingScheme, Dataset, ErmProblem, LibsvmParseError,
+                   LogisticProblem, generate_synthetic, normalize_rows,
+                   sample_snapshot_index, weights)
 from vropt.solvers import _inner_steps
 
 
@@ -11,6 +13,65 @@ from vropt.solvers import _inner_steps
 def isolated_cache(tmp_path, monkeypatch):
     # keep reference-optimum cache files out of the real home directory
     monkeypatch.setenv("VROPT_CACHE_DIR", str(tmp_path / "refcache"))
+
+
+def line_loop_parse(source, dim=None):
+    """parse_libsvm as one Python loop over lines and tokens, as it was
+    before it read blocks in bulk: the oracle for its results and its
+    error messages."""
+    labels, indptr, indices, values = [], [0], [], []
+    for line_no, line in enumerate(source.splitlines(), start=1):
+        if not line.strip():
+            continue
+        tokens = line.split()
+        if tokens[0] in ("+1", "1"):
+            labels.append(1)
+        elif tokens[0] in ("-1", "0"):
+            labels.append(-1)
+        else:
+            raise LibsvmParseError(
+                f"line {line_no}: unrecognized label {tokens[0]!r}")
+        prev = 0
+        for tok in tokens[1:]:
+            idx_s, sep, val_s = tok.partition(":")
+            if not sep:
+                raise LibsvmParseError(
+                    f"line {line_no}: malformed token {tok!r}")
+            try:
+                idx = int(idx_s)
+                val = float(val_s)
+            except ValueError:
+                raise LibsvmParseError(
+                    f"line {line_no}: malformed token {tok!r}") from None
+            if idx < 1:
+                raise LibsvmParseError(
+                    f"line {line_no}: index {idx} is not positive")
+            if idx > np.iinfo(np.intp).max:
+                raise LibsvmParseError(
+                    f"line {line_no}: index {idx} is too large")
+            if idx <= prev:
+                raise LibsvmParseError(
+                    f"line {line_no}: index {idx} not increasing "
+                    f"(after {prev})")
+            prev = idx
+            if val == 0.0:
+                continue
+            if not math.isfinite(val):
+                raise LibsvmParseError(
+                    f"line {line_no}: value {val_s!r} is not finite")
+            indices.append(idx - 1)
+            values.append(val)
+        indptr.append(len(indices))
+    if not labels:
+        raise LibsvmParseError("no data rows found")
+    inferred = max(indices, default=0) + 1
+    if dim is None:
+        dim = inferred
+    elif dim < inferred:
+        raise LibsvmParseError(
+            f"dim override {dim} is smaller than observed dimension "
+            f"{inferred}")
+    return Dataset(indptr, indices, values, labels, dim)
 
 
 def make_logistic(n, d, seed, kappa, sep=3.0):

@@ -189,6 +189,24 @@ def test_run_flag_rejection(tmp_path, capsys):
       "--no-reference"],
      "error: config 'sarah': adaptive inner length c/(mu*eta_s) = inf is "
      "not finite"),
+    # the same checks run before the reference solve when it is wanted
+    (["--algo", "sarah", "--step", "bb", "--theta-kappa", "1e-320"],
+     "error: config 'sarah': eta0 = 1/(theta_kappa*mu) must be positive "
+     "and finite, got inf"),
+    (["--algo", "svrg", "--step", "fixed", "--avg", "w", "--eta-over-L",
+      "100", "--m", "10"],
+     "error: weighted schemes need 0 < mu*eta < 1, got "
+     "mu*eta = 16.666666666666664"),
+    # a first inner loop too long for any snapshot pmf
+    (["--algo", "sarah", "--step", "bb", "--theta-kappa", "1e300",
+      "--no-reference"],
+     "error: config 'sarah': adaptive inner length c/(mu*eta_s) = "
+     "6.000000000000002e+300 is too large: the snapshot pmf holds m_s + 1 "
+     "floats, at most 9223372036854775807"),
+    (["--algo", "sarah", "--step", "bb", "--theta-kappa", "1e300"],
+     "error: config 'sarah': adaptive inner length c/(mu*eta_s) = "
+     "6.000000000000002e+300 is too large: the snapshot pmf holds m_s + 1 "
+     "floats, at most 9223372036854775807"),
 ])
 def test_run_non_finite_input_exits_2(tmp_path, capsys, flags, message):
     data = gen_data(tmp_path)

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,10 +8,12 @@ from scipy.special import expit
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import line_loop_parse
 from vropt import (Dataset, LibsvmParseError, add_bias_column,
                    compute_reference, generate_synthetic, normalize_rows,
                    parse_libsvm, serialize_libsvm, write_libsvm,
                    LogisticProblem)
+from vropt import dataset
 from vropt.problems import _CHUNK
 
 
@@ -51,6 +54,108 @@ def test_parse_skips_blank_lines_and_drops_zeros():
 def test_parse_errors_carry_line_numbers(bad, line):
     with pytest.raises(LibsvmParseError, match=f"line {line}"):
         parse_libsvm(bad)
+
+
+@pytest.mark.parametrize("bad,message", [
+    # two colons in one token and none in the next: the global counts of
+    # tokens and colons still match
+    ("+1 1:2:3 4\n", "line 1: malformed token '1:2:3'"),
+    # a stray token that is also a valid label
+    ("+1 1:2 1\n3:4\n", "line 1: malformed token '1'"),
+    # as many separators as "idx:val" tokens have, one colon too many
+    ("+1 1:2 3:4:5\n", "line 1: malformed token '3:4:5'"),
+    ("+1 :3\n", "line 1: malformed token ':3'"),
+    ("+1 1:2 :3\n", "line 1: malformed token ':3'"),
+    ("+1 3:\n", "line 1: malformed token '3:'"),
+    ("+1 3: 4:5\n", "line 1: malformed token '3:'"),
+    ("-1 2:1\n+1 0:1\n", "line 2: index 0 is not positive"),
+    ("-1 1:1\r\n+1 2:1 9223372036854775808:1\n",
+     "line 2: index 9223372036854775808 is too large"),
+    ("+1 1:1 2:0 2:1\n", "line 1: index 2 not increasing (after 2)"),
+    ("+1 1:0\n\x85+1 1:1e400\n", "line 3: value '1e400' is not finite"),
+])
+def test_parse_errors_match_the_line_loop_exactly(bad, message):
+    with pytest.raises(LibsvmParseError) as exc:
+        parse_libsvm(bad)
+    assert str(exc.value) == message
+    with pytest.raises(LibsvmParseError) as exc:
+        line_loop_parse(bad)
+    assert str(exc.value) == message
+
+
+def assert_same_dataset(got, want):
+    assert got.dim == want.dim
+    for name in ("indptr", "indices", "data", "labels", "rows",
+                 "row_sq_norms"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def test_blocks_end_after_a_newline(monkeypatch):
+    text = "+1 1:1\r\n-1 2:0\n\n+1 3:2\r-1 1:5"
+    monkeypatch.setattr(dataset, "_BLOCK_CHARS", 1)
+    assert list(dataset._blocks(text)) == [
+        ["+1 1:1"], ["-1 2:0"], [""], ["+1 3:2", "-1 1:5"]]
+    monkeypatch.setattr(dataset, "_BLOCK_CHARS", 9)
+    assert list(dataset._blocks(text)) == [
+        ["+1 1:1", "-1 2:0"], ["", "+1 3:2", "-1 1:5"]]
+
+
+def test_rows_on_block_boundaries(monkeypatch):
+    rows = ["+1 1:0.5 3:-2", "-1 2:0 4:0.0", "+1 4:1e-3", "0 1:2 2:0 5:3"]
+    text = "\n".join(rows) + "\n"
+    want = line_loop_parse(text)
+    # a block that ends just after the all-zero row
+    monkeypatch.setattr(dataset, "_BLOCK_CHARS", len(rows[0]) + 2)
+    assert next(dataset._blocks(text)) == rows[:2]
+    # every place a block can end, down to one line per block
+    for size in range(1, len(text) + 2):
+        monkeypatch.setattr(dataset, "_BLOCK_CHARS", size)
+        assert_same_dataset(parse_libsvm(text), want)
+
+
+def test_error_in_a_later_block_names_its_line(monkeypatch):
+    reread = []
+    line_block = dataset._line_block
+
+    def spy(lines, first_line_no):
+        reread.append(first_line_no)
+        return line_block(lines, first_line_no)
+
+    monkeypatch.setattr(dataset, "_line_block", spy)
+    monkeypatch.setattr(dataset, "_BLOCK_CHARS", 16)
+    text = "+1 1:1 2:2\n-1 2:2 3:3\n\n+1 1:1 1:2\n-1 1:1\n"
+    with pytest.raises(LibsvmParseError) as exc:
+        parse_libsvm(text)
+    assert str(exc.value) == "line 4: index 1 not increasing (after 1)"
+    # only the block holding the bad line was read line by line
+    assert reread == [3]
+
+
+def test_plain_text_takes_the_bulk_path(monkeypatch):
+    def fail(lines, first_line_no):
+        raise AssertionError("re-read line by line")
+
+    ds = generate_synthetic(60, 7, seed=3, separation=2.0)
+    text = serialize_libsvm(ds)
+    monkeypatch.setattr(dataset, "_line_block", fail)
+    monkeypatch.setattr(dataset, "_BLOCK_CHARS", 256)
+    assert len(list(dataset._blocks(text))) > 2
+    assert_same_dataset(parse_libsvm(text), ds)
+
+
+@pytest.mark.parametrize("text", [
+    # indices the bulk path leaves to the line loop
+    "+1 +3:1\n",  # signed
+    "+1 1_0:2\n",  # with an underscore
+    "-1 \u0663:2\n",  # a non-ASCII decimal digit
+    "+1 1000000000000000000:1\n",  # 19 digits that np.intp holds
+    # values that float() reads, in the bulk path too
+    "+1 1:\u0663 2:1_0 3:+3 4:-0.0\n",
+])
+def test_odd_number_forms_match_the_line_loop(text):
+    assert_same_dataset(parse_libsvm(text), line_loop_parse(text))
 
 
 def test_parse_empty_input_rejected():
@@ -266,6 +371,105 @@ def test_serialize_parse_is_identity(parts):
     inferred = parse_libsvm(text)
     assert inferred.dim == max(parts[1], default=0) + 1
     assert np.array_equal(inferred.data, ds.data)
+
+
+_GOOD_LABELS = ["+1", "1", "-1", "0"]
+_BAD_LABELS = ["2", "-0", "+0", "1.0", "a", "1:1", "\u0661"]
+_SPACES = [" ", " ", " ", "\t", "  ", "\x1f", "\xa0", "\u3000"]
+_BREAKS = ["\n"] * 4 + ["\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e",
+                       "\x85", "\u2028", "\u2029"]
+_BLANKS = ["", " ", "\t", "\x1f \u3000"]
+_ODD_VALUES = ["0", "0.0", "-0.0", "1e-400", "nan", "-nan", "inf", "-inf",
+               "1e400", "-1e400", "1_0", "+3", ".5", "5.", "1e3", "\u0663",
+               "abc", "0x1", "1:2"]
+_ODD_INDICES = ["0", "-1", "-0", "a", "1e1", "1.0", "\ud800",
+                str(2**63 - 1), str(2**63), "1" + "0" * 18, "9" * 20]
+_BROKEN = [":3", "3:", "1:2:3", "3", "::", ":", "1::2", "a:b", "1:\ud800"]
+_ARABIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                      "\u0665\u0666\u0667\u0668\u0669")
+
+
+@st.composite
+def index_text(draw, i):
+    """The index i as int() reads it: mostly plain digits, sometimes signed,
+    zero-padded, with an underscore or in other decimal digits, and now and
+    then a token int() rejects or that np.intp cannot hold."""
+    s = str(i)
+    form = draw(st.sampled_from(range(30)))
+    if form == 0:
+        return "+" + s
+    if form == 1:
+        return "00" + s
+    if form == 2 and len(s) > 1:
+        return s[0] + "_" + s[1:]
+    if form == 3:
+        return s.translate(_ARABIC)
+    if form == 4:
+        return draw(st.sampled_from(_ODD_INDICES))
+    return s
+
+
+@st.composite
+def libsvm_like_text(draw):
+    """Text made of LIBSVM rows, valid and broken: label aliases and bad
+    labels, blank and whitespace-only lines, every str.splitlines break,
+    Unicode spaces, zero, non-finite and odd values, indices that repeat
+    or fall, and tokens without one colon between two nonempty sides."""
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.sampled_from(range(5))) == 0:
+            lines.append(draw(st.sampled_from(_BLANKS)))
+            continue
+        cols = sorted(draw(st.sets(st.integers(1, 40), max_size=6)))
+        if draw(st.sampled_from(range(12))) == 0:
+            cols = draw(st.permutations(cols))
+        bad_label = draw(st.sampled_from(range(25))) == 0
+        tokens = [draw(st.sampled_from(_BAD_LABELS if bad_label
+                                       else _GOOD_LABELS))]
+        for c in cols:
+            if draw(st.sampled_from(range(20))) == 0:
+                value = draw(st.sampled_from(_ODD_VALUES))
+            else:
+                value = repr(draw(st.floats(allow_nan=False,
+                                            allow_infinity=False)))
+            tokens.append(draw(index_text(c)) + ":" + value)
+        if draw(st.sampled_from(range(25))) == 0:
+            at = draw(st.integers(1, len(tokens)))
+            tokens.insert(at, draw(st.sampled_from(_BROKEN)))
+        line = tokens[0]
+        for tok in tokens[1:]:
+            line += draw(st.sampled_from(_SPACES)) + tok
+        lines.append(draw(st.sampled_from(["", " "])) + line
+                     + draw(st.sampled_from(["", "\t"])))
+    text = "".join(line + draw(st.sampled_from(_BREAKS)) for line in lines)
+    if lines and draw(st.booleans()):
+        text = text[:-1] if not text.endswith("\r\n") else text[:-2]
+    return text
+
+
+def parse_outcome(parse, text, dim):
+    try:
+        return parse(text, dim=dim)
+    except LibsvmParseError as exc:
+        return str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=libsvm_like_text(), block=st.sampled_from([1, 5, 24, 1 << 20]),
+       dim=st.none() | st.integers(1, 50))
+@example(text="+1 1:2:3 4\n", block=1 << 20, dim=None).via("two colons, then none")
+@example(text="+1 1:2 1\n3:4\n", block=1 << 20, dim=None).via("a stray label")
+@example(text="", block=1 << 20, dim=None).via("no rows")
+@example(text="\n \r\n", block=1, dim=None).via("only blank lines")
+def test_parse_matches_line_loop(text, block, dim):
+    want = parse_outcome(line_loop_parse, text, dim)
+    with mock.patch.object(dataset, "_BLOCK_CHARS", block):
+        got = parse_outcome(parse_libsvm, text, dim)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str), got
+        assert_same_dataset(got, want)
 
 
 # squares past the float range give inf without a warning

@@ -12,6 +12,7 @@ from vropt import (AdaptiveLength, AveragingScheme, BarzilaiBorweinStep,
                    IfoCounter, LogisticProblem, SolverConfig, bb_step, bench_configs, cached_reference,
                    compute_reference, default_theta_kappa,
                    generate_synthetic, normalize_rows, run, run_experiment)
+from vropt.solvers import check_config
 
 U = AveragingScheme.UNIFORM
 
@@ -112,12 +113,46 @@ def test_bb_derived_quantities_must_be_finite():
                   r"finite$"),
         ("svrg", BarzilaiBorweinStep(1.0, eta0=5e-324), AdaptiveLength(), U,
          r"adaptive inner length c/\(mu\*eta_s\) = inf is not finite$"),
+        # finite, but no array holds a snapshot pmf of m_0 + 1 floats
+        ("sarah", BarzilaiBorweinStep(1e300), AdaptiveLength(), w_sarah,
+         r"adaptive inner length c/\(mu\*eta_s\) = 9\.999999999999999e\+299 "
+         r"is too large: the snapshot pmf holds m_s \+ 1 floats, at most "
+         r"9223372036854775807$"),
     ]
     for algorithm, step, inner, averaging, message in cases:
         config = SolverConfig(algorithm, step=step, inner=inner,
                               averaging=averaging, outer_loops=3)
         with pytest.raises(ConfigError, match=message):
             run(problem, config)
+        with pytest.raises(ConfigError, match=message):
+            check_config(problem, config)
+
+
+def test_check_config_returns_the_first_step():
+    problem = make_ridge(6, 3, seed=30, mu=0.1)
+    big_l, mu, _ = problem.constants()
+    w_svrg = AveragingScheme.WEIGHTED_SVRG
+    configs = [
+        SolverConfig("svrg", step=FixedStep(0.2), inner=FixedLength(5),
+                     averaging=w_svrg, outer_loops=3),
+        SolverConfig("sarah", step=BarzilaiBorweinStep(3.0),
+                     inner=AdaptiveLength(), averaging=U, outer_loops=3),
+        SolverConfig("svrg", step=BarzilaiBorweinStep(3.0, eta0=0.05),
+                     inner=FixedLength(5), averaging=U, outer_loops=3),
+    ]
+    for config, eta0 in zip(configs, [0.2, 1.0 / (3.0 * mu), 0.05]):
+        assert check_config(problem, config) == eta0
+        assert run(problem, config).points[1].eta_s == eta0
+    for algorithm in ("gd", "sgd"):
+        assert check_config(problem, SolverConfig(algorithm,
+                                                  outer_loops=1)) is None
+    # a weighted scheme needs 0 < mu*eta0 < 1, checked before any loop runs
+    config = replace(configs[0], step=FixedStep(20.0 / mu), outer_loops=0)
+    for check in (check_config, run):
+        with pytest.raises(ValueError, match=r"^weighted schemes need "
+                                             r"0 < mu\*eta < 1, got "
+                                             r"mu\*eta = 20\.0$"):
+            check(problem, config)
 
 
 def test_default_theta_kappa():
