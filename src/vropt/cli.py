@@ -2,8 +2,9 @@
 
 Subcommands: gen (synthetic LIBSVM data), run (one solver config), rates
 (analytic rate grids), bench (the five-config comparison), reference
-(cached optimum). Exit codes: 0 success, 1 I/O failure or a failed
-reference solve, 2 invalid flags or data, 3 solver divergence.
+(cached optimum). Exit codes: 0 success, 1 I/O failure, a failed
+reference solve or an allocation that fails (MemoryError), 2 invalid flags
+or data, 3 solver divergence.
 """
 
 from __future__ import annotations
@@ -319,7 +320,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (LibsvmParseError, ValueError) as exc:

@@ -344,19 +344,37 @@ def parse_libsvm(source: str, dim: int | None = None) -> Dataset:
     return Dataset(indptr, indices, values, labels, dim)
 
 
+# Rows are written in blocks of about this many stored entries, each block
+# formatted by one % call, so besides its output the writer holds only one
+# block's Python ints and floats at a time.
+_WRITE_ENTRIES = 1 << 14
+
+
 def serialize_libsvm(ds: Dataset) -> str:
     """Canonical writer: "label idx:val ...", 1-based indices, shortest
-    round-trip decimals, one trailing newline."""
-    indptr = ds.indptr.tolist()
-    cols = (ds.indices + 1).tolist()
-    vals = ds.data.tolist()
+    round-trip decimals, one trailing newline.
+
+    Whole rows are formatted in blocks of about _WRITE_ENTRIES entries (a
+    longer row is a block of its own), one % call per block; %d of a
+    Python int is its str and %r of a float its repr."""
+    ends = ds.indptr.tolist()
+    heads = ["+1" if label == 1 else "-1" for label in ds.labels.tolist()]
     out = []
-    for i, label in enumerate(ds.labels.tolist()):
-        lo, hi = indptr[i], indptr[i + 1]
-        parts = ["+1" if label == 1 else "-1"]
-        parts.extend(f"{c}:{v!r}" for c, v in zip(cols[lo:hi], vals[lo:hi]))
-        out.append(" ".join(parts))
-    return "\n".join(out) + "\n"
+    lo = 0
+    while lo < ds.n:
+        # the rows that end within _WRITE_ENTRIES of the block's start
+        hi = int(np.searchsorted(ds.indptr, ends[lo] + _WRITE_ENTRIES,
+                                 side="right")) - 1
+        hi = max(hi, lo + 1)
+        start, stop = ends[lo], ends[hi]
+        args = [None] * (2 * (stop - start))
+        args[0::2] = (ds.indices[start:stop] + 1).tolist()
+        args[1::2] = ds.data[start:stop].tolist()
+        fmt = "".join([heads[i] + " %d:%r" * (ends[i + 1] - ends[i]) + "\n"
+                       for i in range(lo, hi)])
+        out.append(fmt % tuple(args))
+        lo = hi
+    return "".join(out)
 
 
 def write_libsvm(ds: Dataset, path) -> None:

@@ -427,25 +427,26 @@ def _resolve_eta0(step: BarzilaiBorweinStep, inner: InnerLengthRule,
     return eta0
 
 
-# the snapshot pmf of a loop of length m holds m + 1 floats
-_MAX_PMF = int(np.iinfo(np.intp).max)
+# the snapshot pmf of a loop of length m holds m + 1 floats of 8 bytes,
+# and numpy sizes no array past np.intp's largest byte count
+_MAX_PMF = int(np.iinfo(np.intp).max) // 8
 
 
 def _inner_length(inner: InnerLengthRule, mu: float, eta: float) -> int:
     """m_s for a loop with step eta: fixed, or max(2, ceil(c/(mu*eta)))."""
     if isinstance(inner, FixedLength):
-        return inner.m
-    # a tiny eta overflows the quotient, or underflows mu*eta
-    den = mu * eta
-    m_len = inner.c / den if den > 0 else math.inf
-    if not math.isfinite(m_len):
-        raise ConfigError(f"adaptive inner length c/(mu*eta_s) = "
-                          f"{m_len} is not finite")
-    m = max(2, math.ceil(m_len))
+        m, rule = inner.m, f"inner length {inner.m}"
+    else:
+        # a tiny eta overflows the quotient, or underflows mu*eta
+        den = mu * eta
+        m_len = inner.c / den if den > 0 else math.inf
+        rule = f"adaptive inner length c/(mu*eta_s) = {m_len}"
+        if not math.isfinite(m_len):
+            raise ConfigError(f"{rule} is not finite")
+        m = max(2, math.ceil(m_len))
     if m + 1 > _MAX_PMF:
-        raise ConfigError(f"adaptive inner length c/(mu*eta_s) = {m_len} "
-                          f"is too large: the snapshot pmf holds m_s + 1 "
-                          f"floats, at most {_MAX_PMF}")
+        raise ConfigError(f"{rule} is too large: the snapshot pmf holds "
+                          f"m_s + 1 floats, at most {_MAX_PMF}")
     return m
 
 
@@ -457,8 +458,9 @@ def check_config(problem: ErmProblem, config: SolverConfig) -> float | None:
 
     Raises:
         ConfigError: what _validate rejects, an eta0 that is not positive
-            and finite, or a first adaptive inner length c/(mu*eta0) that
-            is not finite or has no array to hold its snapshot pmf.
+            and finite, an adaptive first inner length c/(mu*eta0) that is
+            not finite, or a first inner length, fixed or adaptive, that
+            has no array to hold its snapshot pmf.
         ValueError: a weighted scheme with mu*eta0 outside (0, 1).
     """
     _validate(problem, config)

@@ -74,6 +74,21 @@ def line_loop_parse(source, dim=None):
     return Dataset(indptr, indices, values, labels, dim)
 
 
+def line_loop_serialize(ds):
+    """serialize_libsvm as one f-string per entry and one join per row, as
+    it was before it formatted blocks of rows: the oracle for its bytes."""
+    indptr = ds.indptr.tolist()
+    cols = (ds.indices + 1).tolist()
+    vals = ds.data.tolist()
+    out = []
+    for i, label in enumerate(ds.labels.tolist()):
+        lo, hi = indptr[i], indptr[i + 1]
+        parts = ["+1" if label == 1 else "-1"]
+        parts.extend(f"{c}:{v!r}" for c, v in zip(cols[lo:hi], vals[lo:hi]))
+        out.append(" ".join(parts))
+    return "\n".join(out) + "\n"
+
+
 def make_logistic(n, d, seed, kappa, sep=3.0):
     """Synthetic logistic problem with condition number exactly kappa.
 

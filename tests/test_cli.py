@@ -202,11 +202,16 @@ def test_run_flag_rejection(tmp_path, capsys):
       "--no-reference"],
      "error: config 'sarah': adaptive inner length c/(mu*eta_s) = "
      "6.000000000000002e+300 is too large: the snapshot pmf holds m_s + 1 "
-     "floats, at most 9223372036854775807"),
+     "floats, at most 1152921504606846975"),
     (["--algo", "sarah", "--step", "bb", "--theta-kappa", "1e300"],
      "error: config 'sarah': adaptive inner length c/(mu*eta_s) = "
      "6.000000000000002e+300 is too large: the snapshot pmf holds m_s + 1 "
-     "floats, at most 9223372036854775807"),
+     "floats, at most 1152921504606846975"),
+    # and a fixed one
+    (["--algo", "svrg", "--step", "fixed", "--eta-over-L", "0.1", "--m",
+      "12345678901234567890"],
+     "error: config 'svrg': inner length 12345678901234567890 is too large: "
+     "the snapshot pmf holds m_s + 1 floats, at most 1152921504606846975"),
 ])
 def test_run_non_finite_input_exits_2(tmp_path, capsys, flags, message):
     data = gen_data(tmp_path)
@@ -216,6 +221,34 @@ def test_run_non_finite_input_exits_2(tmp_path, capsys, flags, message):
     assert not out.exists()
     # rejected before the reference solve, so nothing is solved or cached
     assert not list((tmp_path / "refcache").glob("ref-*"))
+
+
+def test_run_m_kappa_past_any_pmf_exits_2(tmp_path, capsys):
+    # --m-kappa 1e300 is finite, but m = ceil(1e300 * kappa) has 301 digits
+    data = gen_data(tmp_path)
+    out = tmp_path / "t.csv"
+    assert main(run_flags(data, out, "--algo", "svrg", "--step", "fixed",
+                          "--eta-over-L", "0.1", "--m-kappa", "1e300")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config 'svrg': inner length 6")
+    assert err.endswith(" is too large: the snapshot pmf holds m_s + 1 "
+                        "floats, at most 1152921504606846975\n")
+    assert not out.exists()
+    assert not list((tmp_path / "refcache").glob("ref-*"))
+
+
+def test_run_failed_allocation_exits_1(tmp_path, capsys):
+    # the longest inner length the pmf bound admits: its m_s + 1 floats
+    # are 8 EiB, which no machine allocates, so numpy raises MemoryError
+    data = gen_data(tmp_path)
+    out = tmp_path / "t.csv"
+    assert main(run_flags(data, out, "--algo", "svrg", "--step", "fixed",
+                          "--eta-over-L", "0.1", "--m",
+                          "1152921504606846974")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate")
+    assert err.count("\n") == 1  # one line, no traceback
+    assert not out.exists()
 
 
 def test_bench_non_finite_passes_exits_2(tmp_path, capsys):

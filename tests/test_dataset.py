@@ -8,7 +8,7 @@ from scipy.special import expit
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import line_loop_parse
+from conftest import line_loop_parse, line_loop_serialize
 from vropt import (Dataset, LibsvmParseError, add_bias_column,
                    compute_reference, generate_synthetic, normalize_rows,
                    parse_libsvm, serialize_libsvm, write_libsvm,
@@ -175,6 +175,35 @@ def test_serialize_round_trip():
     again = parse_libsvm(serialize_libsvm(ds))
     assert again == ds
     assert serialize_libsvm(again) == serialize_libsvm(ds)
+
+
+def _rows_dataset(lengths, labels, dim=1 << 40):
+    """Rows of the given lengths at columns that need 13-digit indices,
+    with values from the subnormal floor to the largest float."""
+    values = [5e-324, -0.1, 1.7976931348623157e308, 3.0, -2.5e-300, 1e16]
+    indptr = np.zeros(len(lengths) + 1, dtype=np.intp)
+    np.cumsum(lengths, out=indptr[1:])
+    indices = np.concatenate([dim - 1 - np.arange(k)[::-1] for k in lengths]
+                             + [np.zeros(0, dtype=np.intp)])
+    data = [values[j % len(values)] for j in range(int(indptr[-1]))]
+    return Dataset(indptr, indices, data, labels, dim)
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_serialize_blocks_match_the_entry_loop(monkeypatch, block):
+    monkeypatch.setattr(dataset, "_WRITE_ENTRIES", block)
+    cases = [
+        # rows longer than a block, rows that straddle block ends, and
+        # empty rows first, inside and trailing, under both labels
+        _rows_dataset([0, 9, 1, 0, 2, 8, 3, 0, 0],
+                      [1, -1, 1, -1, 1, -1, -1, 1, -1]),
+        _rows_dataset([0, 0, 0], [-1, 1, 1]),  # all rows empty
+        _rows_dataset([1], [1]),
+        _rows_dataset([15], [-1]),
+        generate_synthetic(40, 7, seed=11, separation=2.5),
+    ]
+    for ds in cases:
+        assert serialize_libsvm(ds) == line_loop_serialize(ds)
 
 
 def test_write_then_parse(tmp_path):

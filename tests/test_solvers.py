@@ -117,7 +117,7 @@ def test_bb_derived_quantities_must_be_finite():
         ("sarah", BarzilaiBorweinStep(1e300), AdaptiveLength(), w_sarah,
          r"adaptive inner length c/\(mu\*eta_s\) = 9\.999999999999999e\+299 "
          r"is too large: the snapshot pmf holds m_s \+ 1 floats, at most "
-         r"9223372036854775807$"),
+         r"1152921504606846975$"),
     ]
     for algorithm, step, inner, averaging, message in cases:
         config = SolverConfig(algorithm, step=step, inner=inner,
@@ -126,6 +126,27 @@ def test_bb_derived_quantities_must_be_finite():
             run(problem, config)
         with pytest.raises(ConfigError, match=message):
             check_config(problem, config)
+
+
+def test_fixed_inner_length_past_any_pmf_is_rejected():
+    # m_s + 1 floats of 8 bytes must fit np.intp's largest byte count
+    problem = make_ridge(6, 3, seed=30, mu=0.1)
+    largest = np.iinfo(np.intp).max // 8 - 1
+    for algorithm, step in (("svrg", FixedStep(0.1)),
+                            ("sarah", BarzilaiBorweinStep(1.0))):
+        check_config(problem, SolverConfig(
+            algorithm, step=step, inner=FixedLength(largest), averaging=U,
+            outer_loops=3))
+        config = SolverConfig(algorithm, step=step,
+                              inner=FixedLength(largest + 1), averaging=U,
+                              outer_loops=3)
+        message = (rf"^inner length {largest + 1} is too large: the snapshot "
+                   r"pmf holds m_s \+ 1 floats, at most "
+                   rf"{largest + 1}$")
+        with pytest.raises(ConfigError, match=message):
+            check_config(problem, config)
+        with pytest.raises(ConfigError, match=message):
+            run(problem, config)
 
 
 def test_check_config_returns_the_first_step():
