@@ -10,16 +10,25 @@ inner steps, and return iterate x_M. The five schemes:
     LAST_SARAH      point mass on x_{m-1}
     WEIGHTED_SVRG   p_0 = p_m = 0, p_k proportional to (1-mu*eta)^(m-k-1)
     WEIGHTED_SARAH  p_k proportional to 1-(1-mu*eta)^(m-k-1) for k <= m-2
+
+A draw holds one pmf of m+1 floats and one chunk of its running sums:
+`weights` fills its result in place, and `sample_snapshot_index` inverts the
+CDF (Devroye, Non-Uniform Random Variate Generation, 1986, ch. 2) one chunk
+of `_CHUNK` entries at a time.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 
 import numpy as np
 
 __all__ = ["AveragingScheme", "decay_rate", "weights",
            "sample_snapshot_index"]
+
+# entries of the pmf whose running sums the sampler holds at once
+_CHUNK = 1 << 14
 
 
 class AveragingScheme(enum.Enum):
@@ -43,7 +52,8 @@ def decay_rate(mu: float, eta: float) -> float:
 def weights(scheme: AveragingScheme, m: int, mu: float | None = None,
             eta: float | None = None) -> np.ndarray:
     """Build the pmf p over iterates 0..m for one inner loop, as a
-    read-only float64 array of length m+1.
+    read-only float64 array of length m+1. Each weight is computed in its
+    slot of p, so building p holds no other array of its length.
 
     Args:
         scheme: which averaging rule.
@@ -69,38 +79,54 @@ def weights(scheme: AveragingScheme, m: int, mu: float | None = None,
         if mu is None or eta is None:
             raise ValueError(f"{scheme.name} weights need mu and eta")
         delta = decay_rate(mu, eta)
-        # powers[j-1] = (1-delta)^j for j = 1..m-1
-        # by iterative multiplication, so the normalizers below, computed as
-        # sums, stay consistent with the terms
-        powers = np.cumprod(np.full(m - 1, 1.0 - delta))
+        # the powers of 1-delta are accumulated in place on a reversed view
+        # of the support, by iterative multiplication, so the normalizers
+        # below, computed as sums, stay consistent with the terms
         if scheme is AveragingScheme.WEIGHTED_SVRG:
             # p_k ~ (1-delta)^(m-k-1), k = 1..m-1; exponent m-k-1 runs m-2..0
-            raw = np.empty(m - 1)
-            raw[-1] = 1.0  # (1-delta)^0
-            raw[:-1] = powers[:m - 2][::-1]
-            q = float(raw.sum())  # equals (1-(1-delta)^(m-1))/delta exactly
-            p[1:m] = raw / q
+            tail = p[1:m]
+            rev = tail[::-1]
+            rev[0] = 1.0  # (1-delta)^0
+            _powers(rev[1:], 1.0 - delta)
+            q = float(tail.sum())  # equals (1-(1-delta)^(m-1))/delta exactly
+            np.divide(tail, q, out=tail)
         elif scheme is AveragingScheme.WEIGHTED_SARAH:
             # p_k ~ 1-(1-delta)^(m-k-1), k = 0..m-2; exponent runs m-1..1
-            raw = 1.0 - powers[::-1]
-            c = float(raw.sum())  # equals m - 1/delta + (1-delta)^m/delta
+            head = p[:m - 1]
+            _powers(head[::-1], 1.0 - delta)
+            np.subtract(1.0, head, out=head)
+            c = float(head.sum())  # equals m - 1/delta + (1-delta)^m/delta
             if not np.isfinite(c) or c <= 0.0:
                 raise ValueError(
                     f"degenerate weighted normalizer c = {c} at m = {m}, "
                     f"mu*eta = {delta}; m is too small for these constants")
-            p[:m - 1] = raw / c
+            np.divide(head, c, out=head)
         else:  # pragma: no cover - enum is closed
             raise ValueError(f"unknown scheme {scheme}")
     p.setflags(write=False)
     return p
 
 
+def _powers(out: np.ndarray, r: float) -> None:
+    """Set out[j] = r^(j+1), each the previous one times r, in place."""
+    out.fill(r)
+    np.cumprod(out, out=out)
+
+
 def sample_snapshot_index(w: np.ndarray, rng: np.random.Generator) -> int:
     """Draw M in {0..m} with P[M = k] = w[k], for a pmf w over 0..m.
 
-    Consumes exactly one uniform draw (inverse CDF over the cumulative
-    weights), so a run's RNG stream advances by one per outer loop
-    regardless of m. Deterministic given the generator state.
+    Consumes exactly one uniform draw u and returns the first index whose
+    running sum np.cumsum(w)[k] exceeds u (inverse CDF), so a run's RNG
+    stream advances by one per outer loop regardless of m. A draw at or
+    past the total, which floating summation can leave slightly below 1,
+    takes the last index with positive weight. Deterministic given the
+    generator state.
+
+    The running sums are taken one chunk of `_CHUNK` entries at a time,
+    each chunk's cumsum seeded with the previous chunk's last sum, so they
+    are np.cumsum(w)'s values while only one chunk of them is held; the
+    chunk holding u is found by bisecting the chunk ends and summed again.
 
     Raises:
         ValueError: w is not a nonempty 1-D array, has a negative weight, or
@@ -111,15 +137,39 @@ def sample_snapshot_index(w: np.ndarray, rng: np.random.Generator) -> int:
         raise ValueError("weights must be a nonempty 1-D array")
     if w.min() < 0.0:
         raise ValueError("weights must be nonnegative")
-    cum = np.cumsum(w)
-    total = float(cum[-1])
+    # the first chunk's sums, in the buffer that later chunks reuse
+    cum = buf = np.add.accumulate(w[:_CHUNK])
+    ends = [float(cum[-1])]  # np.cumsum(w) at the last index of each chunk
+    for lo in range(_CHUNK, w.size, _CHUNK):
+        cum = _running_sums(w, lo, ends[-1], buf)
+        ends.append(float(cum[-1]))
+    total = ends[-1]
     if not abs(total - 1.0) <= 1e-9:  # also rejects NaN
         raise ValueError(f"weights sum to {total}, expected 1")
     u = rng.random()
-    idx = int(np.searchsorted(cum, u, side="right"))
-    # below cum[-1], cum[idx] > cum[idx-1], so w[idx] > 0; floating summation
-    # can leave cum[-1] slightly below 1, and a draw past it takes the last
-    # index with positive weight
-    if idx == w.size:
-        idx = int(np.flatnonzero(w)[-1])
-    return idx
+    chunk = bisect_right(ends, u)
+    if chunk < len(ends):
+        lo = chunk * _CHUNK
+        if chunk < len(ends) - 1:  # else cum holds the last chunk's sums
+            cum = _running_sums(w, lo, ends[chunk - 1] if chunk else 0.0, buf)
+        # below the total, cum[idx] > cum[idx-1], so w[idx] > 0
+        return lo + int(np.searchsorted(cum, u, side="right"))
+    # at or past the total: the last index with positive weight, sought one
+    # chunk at a time from the end
+    for hi in range(w.size, 0, -_CHUNK):
+        lo = max(hi - _CHUNK, 0)
+        positive = np.flatnonzero(w[lo:hi])
+        if positive.size:
+            return lo + int(positive[-1])
+    raise AssertionError("weights that sum to 1 have a positive entry")
+
+
+def _running_sums(w: np.ndarray, lo: int, carry: float,
+                  buf: np.ndarray) -> np.ndarray:
+    """np.cumsum(w)[lo:lo + _CHUNK], written into buf, given carry =
+    np.cumsum(w)[lo - 1] (0.0 at lo = 0): each sum is the one before it
+    plus w's entry, in order, as np.cumsum adds them."""
+    cum = buf[:min(w.size - lo, buf.size)]
+    cum[:] = w[lo:lo + cum.size]
+    cum[0] += carry
+    return np.add.accumulate(cum, out=cum)

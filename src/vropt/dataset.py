@@ -40,6 +40,16 @@ def _frozen(values, dtype) -> np.ndarray:
     return a
 
 
+def _rises_within_rows(indptr: np.ndarray, indices: np.ndarray) -> bool:
+    """Whether every row's indices strictly increase. A step that starts a
+    row may go down, so those steps of the diff are overwritten with an
+    upward one before the rest are compared."""
+    steps = np.diff(indices)
+    starts = indptr[1:-1]
+    steps[starts[(starts > 0) & (starts < indices.size)] - 1] = 1
+    return not steps.size or steps.min() > 0
+
+
 class Dataset:
     """Immutable CSR collection of (row, label) pairs with precomputed row norms.
 
@@ -90,18 +100,16 @@ class Dataset:
             if indices.min() < 0 or indices.max() >= dim:
                 raise ValueError(f"indices must lie in [0, {dim}), got range "
                                  f"[{indices.min()}, {indices.max()}]")
-            # a step that starts a row may go down; any other must go up
-            within = np.ones(nnz, dtype=bool)
-            within[indptr[:-1][indptr[:-1] < nnz]] = False
-            if np.any(np.diff(indices)[within[1:]] <= 0):
+            if not _rises_within_rows(indptr, indices):
                 raise ValueError("indices must be strictly increasing in a row")
         rows = np.repeat(np.arange(n), np.diff(indptr))
-        rows.setflags(write=False)
         self._set_fields(indptr, indices, data, lab, dim, rows)
 
     def _set_fields(self, indptr, indices, data, labels, dim, rows) -> None:
         """Check the stored values and set every field. The other arrays
-        must be read-only and checked; rows is the row of each entry."""
+        must be read-only and checked; rows is the row of each entry, made
+        read-only here after the norms are summed, because np.bincount
+        copies a read-only input."""
         if np.any(data == 0.0):
             raise ValueError("canonical sparse form stores no zero values")
         if not np.all(np.isfinite(data)):
@@ -113,7 +121,7 @@ class Dataset:
             norms = np.bincount(rows, weights=data * data,
                                 minlength=labels.size)
         norms = norms.astype(np.float64, copy=False)  # int zeros if nnz == 0
-        for a in (data, norms):
+        for a in (data, rows, norms):
             a.setflags(write=False)
         for name, value in (("indptr", indptr), ("indices", indices),
                             ("data", data), ("labels", labels), ("dim", dim),

@@ -6,6 +6,7 @@ import pytest
 from vropt import (AveragingScheme, Dataset, ErmProblem, LibsvmParseError,
                    LogisticProblem, generate_synthetic, normalize_rows,
                    sample_snapshot_index, weights)
+from vropt.averaging import decay_rate
 from vropt.solvers import _inner_steps
 
 
@@ -87,6 +88,61 @@ def line_loop_serialize(ds):
         parts.extend(f"{c}:{v!r}" for c, v in zip(cols[lo:hi], vals[lo:hi]))
         out.append(" ".join(parts))
     return "\n".join(out) + "\n"
+
+
+def whole_array_weights(scheme, m, mu=None, eta=None):
+    """weights as it was before it filled its result in place, building
+    the powers, the raw terms and their quotient as arrays of their own:
+    the oracle for its bytes and its errors."""
+    if m < 2:
+        raise ValueError(f"inner length m must be >= 2, got {m}")
+    p = np.zeros(m + 1)
+    if scheme is AveragingScheme.UNIFORM:
+        p[:m] = 1.0 / m
+    elif scheme is AveragingScheme.LAST_SVRG:
+        p[m] = 1.0
+    elif scheme is AveragingScheme.LAST_SARAH:
+        p[m - 1] = 1.0
+    else:
+        if mu is None or eta is None:
+            raise ValueError(f"{scheme.name} weights need mu and eta")
+        delta = decay_rate(mu, eta)
+        powers = np.cumprod(np.full(m - 1, 1.0 - delta))
+        if scheme is AveragingScheme.WEIGHTED_SVRG:
+            raw = np.empty(m - 1)
+            raw[-1] = 1.0
+            raw[:-1] = powers[:m - 2][::-1]
+            q = float(raw.sum())
+            p[1:m] = raw / q
+        else:
+            raw = 1.0 - powers[::-1]
+            c = float(raw.sum())
+            if not np.isfinite(c) or c <= 0.0:
+                raise ValueError(
+                    f"degenerate weighted normalizer c = {c} at m = {m}, "
+                    f"mu*eta = {delta}; m is too small for these constants")
+            p[:m - 1] = raw / c
+    p.setflags(write=False)
+    return p
+
+
+def whole_cumsum_sample(w, rng):
+    """sample_snapshot_index as it was before it summed w one chunk at a
+    time, over one np.cumsum of all of w: the oracle for its index."""
+    w = np.asarray(w, dtype=np.float64)
+    if w.ndim != 1 or w.size < 1:
+        raise ValueError("weights must be a nonempty 1-D array")
+    if w.min() < 0.0:
+        raise ValueError("weights must be nonnegative")
+    cum = np.cumsum(w)
+    total = float(cum[-1])
+    if not abs(total - 1.0) <= 1e-9:
+        raise ValueError(f"weights sum to {total}, expected 1")
+    u = rng.random()
+    idx = int(np.searchsorted(cum, u, side="right"))
+    if idx == w.size:
+        idx = int(np.flatnonzero(w)[-1])
+    return idx
 
 
 def make_logistic(n, d, seed, kappa, sep=3.0):

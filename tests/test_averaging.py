@@ -1,4 +1,6 @@
 import itertools
+import re
+import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -8,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import ScriptedRng
-from vropt import AveragingScheme, sample_snapshot_index, weights
+from conftest import ScriptedRng, whole_array_weights, whole_cumsum_sample
+from vropt import AveragingScheme, averaging, sample_snapshot_index, weights
 
 W_SVRG = AveragingScheme.WEIGHTED_SVRG
 W_SARAH = AveragingScheme.WEIGHTED_SARAH
+CHUNK = averaging._CHUNK
 
 # documented support of each scheme's pmf over 0..m, and one index in it that
 # always keeps positive mass (the heaviest)
@@ -156,6 +159,97 @@ def test_sampler_matches_inverse_cdf_oracle(scheme, m, delta, u,
     rng = ScriptedRng(uniform=[u])
     assert sample_snapshot_index(w, rng) == inverse_cdf_oracle(w, u)
     assert rng.uniform == []
+
+
+# pmfs around the sampler's chunk boundaries, and long ones, for decay rates
+# from nearly flat to steep
+long_pmf_cases = dict(
+    scheme=st.sampled_from(list(AveragingScheme)),
+    m=st.sampled_from([2, 3, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    | st.integers(2, 10**5),
+    delta=st.floats(1e-7, 0.5, exclude_min=True, exclude_max=True))
+
+
+def oracle_weights_or_error(scheme, m, delta):
+    """The oracle's pmf, after checking that weights() gives its bytes and
+    flags; None when both raise the same ValueError."""
+    try:
+        want = whole_array_weights(scheme, m, mu=delta, eta=1.0)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
+            weights(scheme, m, mu=delta, eta=1.0)
+        return None
+    got = weights(scheme, m, mu=delta, eta=1.0)
+    assert got.dtype == np.float64 and not got.flags.writeable
+    assert got.tobytes() == want.tobytes()
+    return got
+
+
+def chunk_edge_uniforms(w, chunk):
+    """0.0; the running sum at each chunk's last index, exactly and one ulp
+    either side; and draws at, past and just below the total and 1."""
+    cum = np.cumsum(w)
+    edges = cum[chunk - 1::chunk].tolist() + [float(cum[-1]), 1.0]
+    return [0.0] + [float(np.nextafter(e, to)) if to is not None else e
+                    for e in edges for to in (None, -np.inf, np.inf)]
+
+
+def assert_draws_match_oracle(w, uniforms):
+    for u in uniforms:
+        rng = ScriptedRng(uniform=[u])
+        want = whole_cumsum_sample(w, ScriptedRng(uniform=[u]))
+        assert sample_snapshot_index(w, rng) == want, u
+        assert rng.uniform == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(**long_pmf_cases)
+def test_pmf_and_draws_match_the_whole_array_oracles(scheme, m, delta):
+    w = oracle_weights_or_error(scheme, m, delta)
+    if w is not None:
+        assert_draws_match_oracle(w, chunk_edge_uniforms(w, CHUNK))
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+@pytest.mark.parametrize("scheme", list(AveragingScheme))
+@pytest.mark.parametrize("m", [2, 3, 6, 7, 8, 22])
+def test_draws_match_the_oracle_across_small_chunks(monkeypatch, chunk,
+                                                     scheme, m):
+    # many chunks per pmf: draws in every chunk, and a draw past the total
+    # whose last positive weight lies chunks before the end
+    monkeypatch.setattr(averaging, "_CHUNK", chunk)
+    w = oracle_weights_or_error(scheme, m, 0.125)
+    cum = np.cumsum(w).tolist()
+    uniforms = chunk_edge_uniforms(w, chunk) + cum + [
+        float(np.nextafter(c, -np.inf)) for c in cum]
+    assert_draws_match_oracle(w, uniforms)
+
+
+@pytest.mark.parametrize("args", [
+    (AveragingScheme.UNIFORM, 1), (AveragingScheme.LAST_SARAH, 0),
+    (W_SVRG, 4), (W_SARAH, 4, 1.0), (W_SVRG, 4, 2.0, 0.5),
+    (W_SARAH, 4, 0.0, 1.0), (W_SARAH, 2, 1e-300, 1.0)])
+def test_weights_errors_match_the_oracle(args):
+    with pytest.raises(ValueError) as want:
+        whole_array_weights(*args)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+        weights(*args)
+
+
+@pytest.mark.parametrize("scheme", [AveragingScheme.UNIFORM, W_SVRG,
+                                    W_SARAH])
+def test_one_draw_holds_one_pmf(scheme):
+    # tracemalloc counts numpy's array buffers: building the pmf and drawing
+    # from it may hold the pmf and one chunk of running sums, not more
+    m = 10**6
+    tracemalloc.start()
+    try:
+        sample_snapshot_index(weights(scheme, m, mu=1e-3, eta=0.9),
+                              np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * (m + 1)
 
 
 def test_weighted_svrg_weights_increase_toward_snapshot():

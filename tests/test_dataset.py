@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -549,6 +550,40 @@ def test_non_canonical_arrays_rejected(parts, kind, data):
             indices[k] = -1 if kind == "below" else dim
     with pytest.raises(ValueError):
         Dataset(indptr, indices, values, labels, dim)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.lists(st.integers(0, 5), max_size=5), min_size=1,
+                     max_size=6))
+@example(rows=[[], [3, 4], [], [0, 2], []]).via("empty rows at both ends and "
+                                               "between rows that step down")
+def test_rise_check_matches_a_row_loop(rows):
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    indices = np.array([i for r in rows for i in r], dtype=np.intp)
+    want = all(a < b for r in rows for a, b in zip(r, r[1:]))
+    assert dataset._rises_within_rows(indptr, indices) == want
+    labels, dim = [1] * len(rows), 6
+    if want:
+        Dataset(indptr, indices, np.ones(indices.size), labels, dim)
+    else:
+        with pytest.raises(ValueError, match="strictly increasing in a row"):
+            Dataset(indptr, indices, np.ones(indices.size), labels, dim)
+
+
+def test_constructor_holds_one_temporary_beyond_its_fields():
+    # past the arrays it keeps, the constructor's peak is the squared values
+    # that row_sq_norms sums (nnz floats): its checks build no nnz-sized
+    # copy, and np.bincount is given rows before they are made read-only
+    ds = generate_synthetic(20000, 20, 1, 2.0)
+    nnz = ds.indices.size
+    tracemalloc.start()
+    try:
+        again = Dataset(ds.indptr, ds.indices, ds.data, ds.labels, ds.dim)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert again == ds
+    assert peak - kept <= 1.25 * 8 * nnz
 
 
 # |a_ij|, |x_j| <= 1e3 keep every product and row sum far from overflow
