@@ -12,15 +12,15 @@ inner steps, and return iterate x_M. The five schemes:
     WEIGHTED_SARAH  p_k proportional to 1-(1-mu*eta)^(m-k-1) for k <= m-2
 
 A draw holds one pmf of m+1 floats and one chunk of its running sums:
-`weights` fills its result in place, and `sample_snapshot_index` inverts the
-CDF (Devroye, Non-Uniform Random Variate Generation, 1986, ch. 2) one chunk
+`weights` fills its result in place, and `sample_snapshot_index` draws its
+uniform first, then inverts the CDF (Devroye, Non-Uniform Random Variate
+Generation, 1986, ch. 2) in one forward pass over the pmf, summing one chunk
 of `_CHUNK` entries at a time.
 """
 
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
 
 import numpy as np
 
@@ -123,10 +123,11 @@ def sample_snapshot_index(w: np.ndarray, rng: np.random.Generator) -> int:
     takes the last index with positive weight. Deterministic given the
     generator state.
 
-    The running sums are taken one chunk of `_CHUNK` entries at a time,
-    each chunk's cumsum seeded with the previous chunk's last sum, so they
-    are np.cumsum(w)'s values while only one chunk of them is held; the
-    chunk holding u is found by bisecting the chunk ends and summed again.
+    u is drawn first. One forward pass then takes the running sums one
+    chunk of `_CHUNK` entries at a time, each chunk's cumsum seeded with
+    the previous chunk's last sum, so they are np.cumsum(w)'s values while
+    one chunk of them is held, and the index comes from the first chunk
+    whose last sum exceeds u. The total is checked after that one draw.
 
     Raises:
         ValueError: w is not a nonempty 1-D array, has a negative weight, or
@@ -137,23 +138,23 @@ def sample_snapshot_index(w: np.ndarray, rng: np.random.Generator) -> int:
         raise ValueError("weights must be a nonempty 1-D array")
     if w.min() < 0.0:
         raise ValueError("weights must be nonnegative")
-    # the first chunk's sums, in the buffer that later chunks reuse
-    cum = buf = np.add.accumulate(w[:_CHUNK])
-    ends = [float(cum[-1])]  # np.cumsum(w) at the last index of each chunk
-    for lo in range(_CHUNK, w.size, _CHUNK):
-        cum = _running_sums(w, lo, ends[-1], buf)
-        ends.append(float(cum[-1]))
-    total = ends[-1]
+    u = rng.random()
+    index = None
+    total = 0.0  # np.cumsum(w) at the last index summed so far
+    buf = np.empty(min(w.size, _CHUNK))
+    for lo in range(0, w.size, _CHUNK):
+        cum = buf[:min(w.size - lo, _CHUNK)]
+        cum[:] = w[lo:lo + cum.size]
+        cum[0] += total
+        np.add.accumulate(cum, out=cum)
+        if index is None and cum[-1] > u:
+            # below the total, cum[idx] > cum[idx-1], so w[idx] > 0
+            index = lo + int(np.searchsorted(cum, u, side="right"))
+        total = float(cum[-1])
     if not abs(total - 1.0) <= 1e-9:  # also rejects NaN
         raise ValueError(f"weights sum to {total}, expected 1")
-    u = rng.random()
-    chunk = bisect_right(ends, u)
-    if chunk < len(ends):
-        lo = chunk * _CHUNK
-        if chunk < len(ends) - 1:  # else cum holds the last chunk's sums
-            cum = _running_sums(w, lo, ends[chunk - 1] if chunk else 0.0, buf)
-        # below the total, cum[idx] > cum[idx-1], so w[idx] > 0
-        return lo + int(np.searchsorted(cum, u, side="right"))
+    if index is not None:
+        return index
     # at or past the total: the last index with positive weight, sought one
     # chunk at a time from the end
     for hi in range(w.size, 0, -_CHUNK):
@@ -162,14 +163,3 @@ def sample_snapshot_index(w: np.ndarray, rng: np.random.Generator) -> int:
         if positive.size:
             return lo + int(positive[-1])
     raise AssertionError("weights that sum to 1 have a positive entry")
-
-
-def _running_sums(w: np.ndarray, lo: int, carry: float,
-                  buf: np.ndarray) -> np.ndarray:
-    """np.cumsum(w)[lo:lo + _CHUNK], written into buf, given carry =
-    np.cumsum(w)[lo - 1] (0.0 at lo = 0): each sum is the one before it
-    plus w's entry, in order, as np.cumsum adds them."""
-    cum = buf[:min(w.size - lo, buf.size)]
-    cum[:] = w[lo:lo + cum.size]
-    cum[0] += carry
-    return np.add.accumulate(cum, out=cum)

@@ -103,25 +103,25 @@ class Dataset:
             if not _rises_within_rows(indptr, indices):
                 raise ValueError("indices must be strictly increasing in a row")
         rows = np.repeat(np.arange(n), np.diff(indptr))
+        rows.setflags(write=False)
         self._set_fields(indptr, indices, data, lab, dim, rows)
 
     def _set_fields(self, indptr, indices, data, labels, dim, rows) -> None:
-        """Check the stored values and set every field. The other arrays
-        must be read-only and checked; rows is the row of each entry, made
-        read-only here after the norms are summed, because np.bincount
-        copies a read-only input."""
+        """Check the stored values and set every field. The other arrays,
+        rows (the row of each entry) included, must be read-only and
+        checked."""
         if np.any(data == 0.0):
             raise ValueError("canonical sparse form stores no zero values")
         if not np.all(np.isfinite(data)):
             raise ValueError("canonical sparse form stores only finite values")
-        # bincount adds each row's rounded squares left to right in storage
-        # order, the same bits on every machine; a square or a sum past the
-        # float range is inf, and stays so without a warning
+        # np.add.at adds each row's rounded squares one at a time in storage
+        # order, the same bits on every machine, and reads the read-only
+        # rows in place (np.bincount would copy them); a square or a sum
+        # past the float range is inf, and stays so without a warning
+        norms = np.zeros(labels.size)
         with np.errstate(over="ignore"):
-            norms = np.bincount(rows, weights=data * data,
-                                minlength=labels.size)
-        norms = norms.astype(np.float64, copy=False)  # int zeros if nnz == 0
-        for a in (data, rows, norms):
+            np.add.at(norms, rows, data * data)
+        for a in (data, norms):
             a.setflags(write=False)
         for name, value in (("indptr", indptr), ("indices", indices),
                             ("data", data), ("labels", labels), ("dim", dim),

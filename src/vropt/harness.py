@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import io
 import math
 import os
 import tempfile
@@ -220,10 +219,8 @@ def _write_entry(path: Path, fields: tuple, values: dict) -> None:
     for name, _, _ in fields:
         record[name] = values[name]
     record["crc32"] = _record_crc(record)
-    buf = io.BytesIO()
-    np.save(buf, record)
     try:
-        _write_atomic(path, buf.getvalue())
+        _write_atomic(path, record)
     except OSError:
         pass
 
@@ -302,16 +299,16 @@ def cached_dataset(raw: bytes, parse: Callable[[str], Dataset],
     return ds
 
 
-def _write_atomic(path: Path, content: bytes) -> None:
-    """Write content to a temporary file next to path (making the directory
-    if needed), then rename it over path, so readers see the old file or
-    the whole new one, never a part."""
+def _write_atomic(path: Path, record: np.ndarray) -> None:
+    """np.save the record to a temporary file next to path (making the
+    directory if needed), then rename it over path, so readers see the old
+    file or the whole new one, never a part."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.",
                                suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(content)
+            np.save(fh, record)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -160,7 +160,7 @@ class ErmProblem(abc.ABC):
         lo, hi = self.indptr[i], self.indptr[i + 1]
         cols, vals = self.indices[lo:hi], self.data[lo:hi]
         g = self.mu * x
-        g[cols] += self.loss_deriv(i, float(vals @ x[cols])) * vals
+        g[cols] += self.loss_deriv(i, float(vals.dot(x[cols]))) * vals
         return g
 
     def margins(self, x: np.ndarray) -> np.ndarray:

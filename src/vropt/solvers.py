@@ -545,7 +545,10 @@ def run(problem: ErmProblem, config: SolverConfig, f_star: float | None = None,
             eta_s = 0.05 / (big_l * s)  # epoch index n_e = s - 1
             with np.errstate(over="ignore", invalid="ignore"):
                 for k, i in enumerate(_picks(rng, n, n), start=1):
-                    x -= eta_s * problem.grad_component(i, x, counter)
+                    # in place: x -= eta_s * g's bits, one d-vector fewer
+                    g = problem.grad_component(i, x, counter)
+                    g *= eta_s
+                    x -= g
                     if not math.isfinite(x.dot(x)):
                         raise _diverged(x, k, cid)
             record(s, eta_s, n, n)

@@ -299,6 +299,18 @@ def test_sampler_rejects_invalid_pmf():
             sample_snapshot_index(np.array(bad), rng)
 
 
+@pytest.mark.parametrize("excess", [0.5, 1e-6, np.inf, np.nan])
+def test_sampler_checks_the_total_after_the_draw(monkeypatch, excess):
+    # u lands in chunk 0 while the excess weight sits chunks later: the one
+    # draw is spent, and the total is still checked
+    monkeypatch.setattr(averaging, "_CHUNK", 2)
+    w = np.array([0.25, 0.25, 0.25, 0.25, excess])
+    rng = ScriptedRng(uniform=[0.1])
+    with pytest.raises(ValueError, match="sum to"):
+        sample_snapshot_index(w, rng)
+    assert rng.uniform == []
+
+
 def test_sampler_inverse_cdf_boundaries():
     w = weights(AveragingScheme.UNIFORM, 4)  # mass 1/4 on 0..3
     picks = [sample_snapshot_index(w, ScriptedRng(uniform=[u]))

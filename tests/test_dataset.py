@@ -511,11 +511,27 @@ def test_parse_matches_line_loop(text, block, dim):
 @example(parts=([0, 0, 0], [], [], [1, -1], 3)).via("no entries")
 @example(parts=([0, 2, 4], [0, 4, 2, 3], [1e200, 1.0, 1e154, -1e154],
                 [1, -1], 6)).via("a square, then a sum, past the float range")
+@example(parts=([0, 2, 3], [0, 4, 2], [3.0, -0.1, 1e-160], [1, -1],
+                6)).via("rows that normalize_rows can scale")
 def test_row_sq_norms_match_split_rows_bit_for_bit(parts):
     ds = Dataset(*parts)
     want = np.array(row_loop_sq_norms(ds), dtype=np.float64)
     assert ds.row_sq_norms.dtype == np.float64
     assert ds.row_sq_norms.tobytes() == want.tobytes()
+    assert ds.row_sq_norms.tobytes() == bincount_sq_norms(ds).tobytes()
+    try:
+        scaled = normalize_rows(ds)
+    except ValueError:
+        return  # an empty row, or a squared norm past the float range
+    assert scaled.row_sq_norms.dtype == np.float64
+    assert scaled.row_sq_norms.tobytes() == \
+        bincount_sq_norms(scaled).tobytes()
+
+
+def bincount_sq_norms(ds):
+    """The row norms as np.bincount sums them, in storage order."""
+    with np.errstate(over="ignore"):
+        return np.bincount(ds.rows, weights=ds.data * ds.data, minlength=ds.n)
 
 
 @settings(max_examples=200, deadline=None)
@@ -573,7 +589,7 @@ def test_rise_check_matches_a_row_loop(rows):
 def test_constructor_holds_one_temporary_beyond_its_fields():
     # past the arrays it keeps, the constructor's peak is the squared values
     # that row_sq_norms sums (nnz floats): its checks build no nnz-sized
-    # copy, and np.bincount is given rows before they are made read-only
+    # copy
     ds = generate_synthetic(20000, 20, 1, 2.0)
     nnz = ds.indices.size
     tracemalloc.start()
@@ -583,6 +599,23 @@ def test_constructor_holds_one_temporary_beyond_its_fields():
     finally:
         tracemalloc.stop()
     assert again == ds
+    assert peak - kept <= 1.25 * 8 * nnz
+
+
+def test_normalize_rows_holds_no_copy_of_the_row_index():
+    # past the arrays it keeps, normalizing peaks at the squared values that
+    # row_sq_norms sums (nnz floats): the norms are summed from the shared,
+    # read-only rows in place, not from an nnz-sized copy of them
+    ds = generate_synthetic(21000, 20, 1, 2.0)
+    nnz = ds.indices.size
+    assert nnz >= 2 * 10**5
+    tracemalloc.start()
+    try:
+        scaled = normalize_rows(ds)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert scaled.rows is ds.rows
     assert peak - kept <= 1.25 * 8 * nnz
 
 

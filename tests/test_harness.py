@@ -668,6 +668,20 @@ def test_run_experiment_budget_semantics():
             run_experiment(problem, configs, passes=passes)
 
 
+@pytest.mark.parametrize("passes", [3.0, 5.5])
+def test_a_larger_budget_extends_the_same_trace(passes):
+    # perfbench/session.py:calibrate_tta doubles the budget until a run
+    # reaches its tolerance, and takes the loop that reached it from the
+    # longer run: every loop of the shorter run must be a loop of the longer
+    problem = make_logistic(30, 4, seed=53, kappa=10.0)
+    configs = bench_configs(problem, seed=1)
+    short = run_experiment(problem, configs, passes)
+    long = run_experiment(problem, configs, 2 * passes)
+    for a, b in zip(short, long):
+        assert len(a.points) < len(b.points)
+        assert a.points == b.points[:len(a.points)]
+
+
 def test_run_experiment_annotates_config_errors():
     problem = make_logistic(10, 3, seed=54, kappa=8.0)
     broken = SolverConfig("svrg", name="bad")
