@@ -24,7 +24,7 @@ import enum
 
 import numpy as np
 
-__all__ = ["AveragingScheme", "decay_rate", "weights",
+__all__ = ["AveragingScheme", "SCHEMES", "decay_rate", "weights",
            "sample_snapshot_index"]
 
 # entries of the pmf whose running sums the sampler holds at once
@@ -37,6 +37,19 @@ class AveragingScheme(enum.Enum):
     UNIFORM = "uniform"
     WEIGHTED_SVRG = "weighted_svrg"
     WEIGHTED_SARAH = "weighted_sarah"
+
+
+# The estimator x averaging pairs (arXiv 1908.09345), by the same --avg
+# letters u, w, l for each estimator: the scheme, its least admissible secant
+# scaling theta over kappa, and its rates.SCHEME_RATES key (None: no bound).
+SCHEMES = {
+    "svrg": {"u": (AveragingScheme.UNIFORM, 4.0, "svrg_u"),
+             "w": (AveragingScheme.WEIGHTED_SVRG, 4.0, "svrg_w"),
+             "l": (AveragingScheme.LAST_SVRG, 4.0, None)},
+    "sarah": {"u": (AveragingScheme.UNIFORM, 1.0, "sarah_u"),
+              "w": (AveragingScheme.WEIGHTED_SARAH, 1.0, "sarah_w"),
+              "l": (AveragingScheme.LAST_SARAH, 1.5, "sarah_l")},
+}
 
 
 def decay_rate(mu: float, eta: float) -> float:

@@ -14,7 +14,7 @@ import math
 import sys
 from pathlib import Path
 
-from .averaging import AveragingScheme
+from .averaging import SCHEMES
 from .dataset import (LibsvmParseError, add_bias_column, generate_synthetic,
                       normalize_rows, parse_libsvm, write_libsvm)
 from .harness import (bench_configs, cached_dataset, cached_reference,
@@ -23,18 +23,8 @@ from .harness import (bench_configs, cached_dataset, cached_reference,
 from .problems import LogisticProblem
 from .rates import FIGURE_IDS, figure_grid, rate_grid
 from .solvers import (AdaptiveLength, BarzilaiBorweinStep, DivergenceError,
-                      FixedLength, FixedStep, SolverConfig,
-                      default_theta_kappa)
+                      FixedLength, FixedStep, SolverConfig)
 from .svgplot import write_line_plot
-
-_AVG = {
-    ("svrg", "u"): AveragingScheme.UNIFORM,
-    ("svrg", "w"): AveragingScheme.WEIGHTED_SVRG,
-    ("svrg", "l"): AveragingScheme.LAST_SVRG,
-    ("sarah", "u"): AveragingScheme.UNIFORM,
-    ("sarah", "w"): AveragingScheme.WEIGHTED_SARAH,
-    ("sarah", "l"): AveragingScheme.LAST_SARAH,
-}
 
 
 def _add_gen_args(gen: argparse.ArgumentParser) -> None:
@@ -60,7 +50,7 @@ def _add_run_args(run_p: argparse.ArgumentParser) -> None:
     _add_problem_args(run_p)
     run_p.add_argument("--algo", required=True,
                        choices=["gd", "sgd", "svrg", "sarah"])
-    run_p.add_argument("--avg", choices=["u", "w", "l"],
+    run_p.add_argument("--avg", choices=list(SCHEMES["svrg"]),
                        help="averaging: uniform, tail-weighted, or last "
                             "iterate (default: w with --step bb, else u)")
     run_p.add_argument("--step", choices=["fixed", "bb"],
@@ -160,7 +150,8 @@ def _build_run_config(args, problem: LogisticProblem) -> SolverConfig | int:
 
     if args.step is None:
         return _fail(f"--algo {args.algo} needs --step fixed or --step bb")
-    averaging = _AVG[(args.algo, args.avg or ("w" if args.step == "bb" else "u"))]
+    letter = args.avg or ("w" if args.step == "bb" else "u")
+    averaging, theta_over_kappa, _ = SCHEMES[args.algo][letter]
 
     if args.m is not None and args.m_kappa is not None:
         return _fail("give --m or --m-kappa, not both")
@@ -188,7 +179,7 @@ def _build_run_config(args, problem: LogisticProblem) -> SolverConfig | int:
         if args.eta_over_l is not None:
             return _fail("--step bb takes --eta0-over-L, not --eta-over-L")
         theta = (args.theta_kappa * kappa if args.theta_kappa is not None
-                 else default_theta_kappa(args.algo, averaging, kappa))
+                 else theta_over_kappa * kappa)
         eta0 = None if args.eta0_over_l is None else args.eta0_over_l / big_l
         step = BarzilaiBorweinStep(theta, eta0=eta0)
         if m is not None:

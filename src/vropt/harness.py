@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import math
+import numbers
 import os
 import tempfile
 import warnings
@@ -23,16 +24,15 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .averaging import AveragingScheme
+from .averaging import SCHEMES, AveragingScheme
 from .problems import ErmProblem
 # serialize_libsvm is not used here; perfbench/tracing.py patches
 # vropt.harness.serialize_libsvm
 from .dataset import Dataset, serialize_libsvm  # noqa: F401
 from .rates import GridRow
 from .solvers import (AdaptiveLength, BarzilaiBorweinStep, ConfigError,
-                      FixedLength, FixedStep, SolverConfig, check_config,
-                      default_theta_kappa, run)
-from .trace import Trace, TracePoint
+                      FixedLength, FixedStep, SolverConfig, check_config, run)
+from .trace import Trace, TracePoint, config_id_flaw
 
 __all__ = [
     "ReferenceOptimum", "compute_reference", "cached_reference",
@@ -317,7 +317,10 @@ def _write_atomic(path: Path, record: np.ndarray) -> None:
 
 def _derived_seed(config: SolverConfig) -> int:
     # seed ^ crc32(config_id): identical configs share a stream, same-seed
-    # configs with different ids do not
+    # configs with different ids do not. A seed that check_config rejects
+    # is kept, so that its error names the seed as given.
+    if not isinstance(config.seed, numbers.Integral) or config.seed < 0:
+        return config.seed
     return config.seed ^ zlib.crc32(config.config_id.encode("utf-8"))
 
 
@@ -380,8 +383,7 @@ def bench_configs(problem: ErmProblem, seed: int = 0) -> list[SolverConfig]:
     tail-weighted solvers."""
     big_l, _, kappa = problem.constants()
     m5 = max(2, math.ceil(5.0 * kappa))
-    tuned = (("svrg", AveragingScheme.WEIGHTED_SVRG),
-             ("sarah", AveragingScheme.WEIGHTED_SARAH))
+    tuned = [(algo, pairs["w"]) for algo, pairs in SCHEMES.items()]
     return [
         SolverConfig("sgd", seed=seed, name="sgd"),
         SolverConfig("svrg", step=FixedStep(0.1 / big_l),
@@ -393,10 +395,10 @@ def bench_configs(problem: ErmProblem, seed: int = 0) -> list[SolverConfig]:
                      averaging=AveragingScheme.UNIFORM,
                      seed=seed, name="sarah_u"),
         *[SolverConfig(algo, step=BarzilaiBorweinStep(
-                           default_theta_kappa(algo, scheme, kappa)),
+                           theta_over_kappa * kappa),
                        inner=AdaptiveLength(1.0), averaging=scheme,
                        seed=seed, name=f"bb_{algo}_w")
-          for algo, scheme in tuned],
+          for algo, (scheme, theta_over_kappa, _) in tuned],
     ]
 
 
@@ -420,8 +422,9 @@ def format_trace_csv(traces: Sequence[Trace]) -> str:
         raise ValueError("no traces to emit")
     lines = [TRACE_HEADER]
     for trace in traces:
-        if "," in trace.config_id:
-            raise ValueError(f"config id {trace.config_id!r} contains a comma")
+        flaw = config_id_flaw(trace.config_id)
+        if flaw:
+            raise ValueError(f"config id {trace.config_id!r} contains {flaw}")
         for p in trace.points:
             lines.append(",".join([
                 trace.config_id, str(p.s), _cell(p.eta_s), _cell(p.m_s),

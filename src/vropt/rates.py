@@ -28,6 +28,8 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .averaging import SCHEMES
+
 __all__ = [
     "RateQuery", "GridRow",
     "rate_svrg_weighted", "rate_svrg_uniform",
@@ -289,8 +291,8 @@ def rate_grid(schemes: Sequence[str], L: float, mu: float,
 # Grid 2 sweeps eta at m = 10*kappa for the three recursive-solver schemes.
 # Grid 4b-analytic checks tune-free self-consistency: for each averaging
 # scheme, sweep eta over the admissible secant-step interval
-# [1/(theta_k*L), 1/(theta_k*mu)] (theta_k = kappa for uniform/weighted,
-# 1.5*kappa for last-iterate) and evaluate at the adaptive inner length
+# [1/(theta_k*L), 1/(theta_k*mu)] (theta_k the scheme's least admissible
+# scaling in averaging.SCHEMES) and evaluate at the adaptive inner length
 # m(eta) = ceil(1/(mu*eta)), constants kappa = 1388, L = 1.
 
 FIGURE_IDS = ("1a", "1b", "2", "4b-analytic")
@@ -324,9 +326,9 @@ def figure_grid(figure: str) -> list[GridRow]:
         kappa = 1388.0
         big_l, mu = 1.0, 1.0 / kappa
         rows: list[GridRow] = []
-        for scheme, theta in (("sarah_w", kappa), ("sarah_u", kappa),
-                              ("sarah_l", 1.5 * kappa)):
-            fn = SCHEME_RATES[scheme]
+        for letter in "wul":  # the figure's order
+            _, theta_over_kappa, scheme = SCHEMES["sarah"][letter]
+            theta, fn = theta_over_kappa * kappa, SCHEME_RATES[scheme]
             for eta in _log_grid(1.0 / (theta * big_l), 1.0 / (theta * mu), 25):
                 m = max(2, math.ceil(1.0 / (mu * eta)))
                 q = RateQuery(eta, m, big_l, mu)

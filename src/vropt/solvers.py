@@ -34,10 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .averaging import (AveragingScheme, decay_rate, sample_snapshot_index,
-                        weights)
+from .averaging import (SCHEMES, AveragingScheme, decay_rate,
+                        sample_snapshot_index, weights)
 from .problems import ErmProblem, IfoCounter
-from .trace import Trace, TracePoint
+from .trace import Trace, TracePoint, config_id_flaw
 
 __all__ = [
     "FixedStep", "BarzilaiBorweinStep", "FixedLength", "AdaptiveLength",
@@ -127,23 +127,19 @@ class AdaptiveLength:
 StepRule = FixedStep | BarzilaiBorweinStep
 InnerLengthRule = FixedLength | AdaptiveLength
 
-_SCHEMES = {
-    "svrg": (AveragingScheme.UNIFORM, AveragingScheme.LAST_SVRG,
-             AveragingScheme.WEIGHTED_SVRG),
-    "sarah": (AveragingScheme.UNIFORM, AveragingScheme.LAST_SARAH,
-              AveragingScheme.WEIGHTED_SARAH),
-}
-
 
 def default_theta_kappa(algorithm: str, averaging: AveragingScheme,
                         kappa: float) -> float:
-    """Smallest admissible BB scaling per scheme: 4*kappa for SVRG, kappa for
-    SARAH with uniform/weighted averaging, 1.5*kappa for SARAH last-iterate."""
-    if algorithm == "svrg":
-        return 4.0 * kappa
-    if averaging is AveragingScheme.LAST_SARAH:
-        return 1.5 * kappa
-    return kappa
+    """Smallest admissible BB scaling of the pair: kappa times its theta
+    over kappa in averaging.SCHEMES. Raises ConfigError if the estimator
+    does not take the scheme."""
+    pairs = SCHEMES.get(algorithm, {}).values()
+    for scheme, theta_over_kappa, _ in pairs:
+        if scheme is averaging:
+            return theta_over_kappa * kappa
+    raise ConfigError(
+        f"averaging {averaging.name} is not valid for {algorithm}; "
+        f"choose one of {[scheme.name for scheme, _, _ in pairs]}")
 
 
 @dataclass(frozen=True)
@@ -230,14 +226,6 @@ def _check_finite(x: np.ndarray, steps: int, config_id: str | None) -> None:
         finite = math.isfinite(x.dot(x))
     if not finite:
         raise _diverged(x, steps, config_id)
-
-
-def _resolve_scheme(algorithm: str, averaging: AveragingScheme) -> None:
-    allowed = _SCHEMES[algorithm]
-    if averaging not in allowed:
-        raise ConfigError(
-            f"averaging {averaging.name} is not valid for {algorithm}; "
-            f"choose one of {[a.name for a in allowed]}")
 
 
 _DRAW_BLOCK = 4096
@@ -385,6 +373,12 @@ def _inner_steps(problem: ErmProblem, algorithm: str, x0: np.ndarray,
 def _validate(problem: ErmProblem, config: SolverConfig) -> None:
     if config.algorithm not in ("gd", "sgd", "svrg", "sarah"):
         raise ConfigError(f"unknown algorithm {config.algorithm!r}")
+    flaw = config_id_flaw(config.config_id)
+    if flaw:
+        raise ConfigError(f"name {config.config_id!r} contains {flaw}")
+    _check_integer("seed", config.seed)
+    if config.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {config.seed}")
     if config.outer_loops is None and config.ifo_budget is None:
         raise ConfigError("set outer_loops, ifo_budget, or both")
     if config.outer_loops is not None:
@@ -406,7 +400,8 @@ def _validate(problem: ErmProblem, config: SolverConfig) -> None:
     if config.step is None or config.inner is None or config.averaging is None:
         raise ConfigError(
             f"{config.algorithm} needs step, inner, and averaging rules")
-    _resolve_scheme(config.algorithm, config.averaging)
+    # ConfigError unless averaging.SCHEMES holds the pair
+    default_theta_kappa(config.algorithm, config.averaging, 1.0)
     if problem.mu <= 0:
         raise ConfigError("variance-reduced solvers require mu > 0")
     if isinstance(config.inner, AdaptiveLength) and \
@@ -472,8 +467,7 @@ def check_config(problem: ErmProblem, config: SolverConfig) -> float | None:
     else:
         eta0 = _resolve_eta0(config.step, config.inner, big_l, mu)
     _inner_length(config.inner, mu, eta0)
-    if config.averaging in (AveragingScheme.WEIGHTED_SVRG,
-                            AveragingScheme.WEIGHTED_SARAH):
+    if config.averaging is SCHEMES[config.algorithm]["w"][0]:  # weighted
         decay_rate(mu, eta0)
     return eta0
 

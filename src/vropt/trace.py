@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["TracePoint", "Trace"]
+__all__ = ["TracePoint", "Trace", "config_id_flaw"]
 
 
 @dataclass(frozen=True)
@@ -41,3 +41,14 @@ class Trace:
     @property
     def final(self) -> TracePoint:
         return self.points[-1]
+
+
+def config_id_flaw(config_id: str) -> str | None:
+    """What keeps config_id from being one cell of a trace CSV row: "a
+    comma", "a line break" (any character str.splitlines breaks on), or
+    None when nothing does."""
+    if "," in config_id:
+        return "a comma"
+    if "".join(config_id.splitlines()) != config_id:
+        return "a line break"
+    return None

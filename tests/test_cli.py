@@ -212,6 +212,15 @@ def test_run_flag_rejection(tmp_path, capsys):
       "12345678901234567890"],
      "error: config 'svrg': inner length 12345678901234567890 is too large: "
      "the snapshot pmf holds m_s + 1 floats, at most 1152921504606846975"),
+    # a seed numpy would reject, and a config id that is not one CSV cell
+    (["--algo", "sarah", "--step", "bb", "--seed", "-1"],
+     "error: config 'sarah': seed must be >= 0, got -1"),
+    (["--algo", "sgd", "--name", "a,b"],
+     "error: config 'a,b': name 'a,b' contains a comma"),
+    (["--algo", "svrg", "--step", "bb", "--name", "a\nb"],
+     "error: config 'a\\nb': name 'a\\nb' contains a line break"),
+    (["--algo", "sgd", "--name", "a\u2028"],
+     "error: config 'a\\u2028': name 'a\\u2028' contains a line break"),
 ])
 def test_run_non_finite_input_exits_2(tmp_path, capsys, flags, message):
     data = gen_data(tmp_path)
@@ -258,6 +267,17 @@ def test_bench_non_finite_passes_exits_2(tmp_path, capsys):
                  "--passes", "inf", "--out-dir", str(out_dir)]) == 2
     assert capsys.readouterr().err == \
         "error: passes * n must be finite and >= 0, got inf * 30\n"
+    assert not out_dir.exists()
+    assert not list((tmp_path / "refcache").glob("ref-*"))
+
+
+def test_bench_negative_seed_exits_2(tmp_path, capsys):
+    data = gen_data(tmp_path)
+    out_dir = tmp_path / "bench"
+    assert main(["bench", "--data", data, "--mu", "0.05", "--normalize",
+                 "--seed", "-5", "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err == \
+        "error: config 'sgd': seed must be >= 0, got -5\n"
     assert not out_dir.exists()
     assert not list((tmp_path / "refcache").glob("ref-*"))
 

@@ -24,7 +24,7 @@ from vropt import (AveragingScheme, ConfigError, Dataset, FixedLength,
                    generate_synthetic, load_trace_csv, normalize_rows,
                    parse_libsvm, problem_key, run_experiment,
                    serialize_libsvm, write_trace_csv)
-from vropt.harness import ReferenceOptimum
+from vropt.harness import ReferenceOptimum, check_experiment
 
 
 # ----------------------------------------------------------- reference
@@ -689,6 +689,22 @@ def test_run_experiment_annotates_config_errors():
         run_experiment(problem, [broken], passes=1.0)
 
 
+@pytest.mark.parametrize("seed,message", [
+    (-1, "seed must be >= 0, got -1"),
+    (np.int64(-7), "seed must be >= 0, got -7"),
+    (1.5, "seed must be an integer, got 1.5"),
+])
+def test_experiments_reject_the_seed_as_given(seed, message):
+    # the per-config seed is derived from the given one only once it is
+    # valid, so the error names the seed the caller gave
+    problem = make_logistic(10, 3, seed=54, kappa=8.0)
+    config = SolverConfig("sgd", seed=seed, name="s")
+    for check in (check_experiment, run_experiment):
+        with pytest.raises(ConfigError) as info:
+            check(problem, [config], 1.0)
+        assert str(info.value) == f"config 's': {message}"
+
+
 def test_run_experiment_plumbs_f_star():
     problem = make_ridge(8, 3, seed=55, mu=0.5)
     ref = compute_reference(problem)
@@ -747,8 +763,16 @@ def test_trace_csv_write_and_errors(tmp_path):
     assert load_trace_csv(path.read_text(encoding="utf-8")) == golden_traces()
     with pytest.raises(ValueError):
         format_trace_csv([])
-    with pytest.raises(ValueError, match="comma"):
-        format_trace_csv([Trace("a,b", 4, golden_traces()[0].points)])
+    points = golden_traces()[0].points
+    with pytest.raises(ValueError, match=r"^config id 'a,b' contains a comma$"):
+        format_trace_csv([Trace("a,b", 4, points)])
+    # every character str.splitlines breaks on, which load_trace_csv would
+    # read as the end of a row
+    for brk in ("\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e",
+                "\x85", "\u2028", "\u2029"):
+        for cid in (f"a{brk}b", f"a{brk}"):
+            with pytest.raises(ValueError, match="contains a line break$"):
+                format_trace_csv([Trace(cid, 4, points)])
 
 
 def test_trace_csv_load_errors():

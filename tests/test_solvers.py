@@ -12,6 +12,9 @@ from vropt import (AdaptiveLength, AveragingScheme, BarzilaiBorweinStep,
                    IfoCounter, LogisticProblem, SolverConfig, bb_step, bench_configs, cached_reference,
                    compute_reference, default_theta_kappa,
                    generate_synthetic, normalize_rows, run, run_experiment)
+import vropt.cli
+from vropt.averaging import SCHEMES
+from vropt.rates import SCHEME_RATES
 from vropt.solvers import check_config
 
 U = AveragingScheme.UNIFORM
@@ -58,6 +61,20 @@ def test_config_validation():
     with pytest.raises(ConfigError, match="outer_loops must be an integer"):
         run(problem, SolverConfig("svrg", outer_loops=2.5, step=FixedStep(0.1),
                                   inner=FixedLength(4), averaging=U))
+    # the seed and the config id, for every algorithm
+    for algo, rules in (("gd", {}), ("svrg", good)):
+        rules = dict(rules, outer_loops=1)
+        with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):
+            run(problem, SolverConfig(algo, seed=-1, **rules))
+        with pytest.raises(ConfigError,
+                           match=r"^seed must be an integer, got 1\.5$"):
+            run(problem, SolverConfig(algo, seed=1.5, **rules))
+        with pytest.raises(ConfigError,
+                           match=r"^name 'a,b' contains a comma$"):
+            run(problem, SolverConfig(algo, name="a,b", **rules))
+        for name in ("a\nb", "a\r", "\u2028", "a\x1cb"):
+            with pytest.raises(ConfigError, match=r"contains a line break$"):
+                run(problem, SolverConfig(algo, name=name, **rules))
 
 
 def test_mu_zero_rejected_for_variance_reduction():
@@ -176,12 +193,56 @@ def test_check_config_returns_the_first_step():
             check(problem, config)
 
 
-def test_default_theta_kappa():
-    assert default_theta_kappa("svrg", AveragingScheme.WEIGHTED_SVRG, 7.0) == 28.0
-    assert default_theta_kappa("svrg", U, 7.0) == 28.0
-    assert default_theta_kappa("sarah", AveragingScheme.WEIGHTED_SARAH, 7.0) == 7.0
-    assert default_theta_kappa("sarah", U, 7.0) == 7.0
-    assert default_theta_kappa("sarah", AveragingScheme.LAST_SARAH, 7.0) == 10.5
+# each estimator's pairs as (--avg letter, scheme, theta / kappa, rate key),
+# in the order u, w, l: the least admissible secant scalings are 4 kappa for
+# every svrg pair, and kappa, kappa, 1.5 kappa for sarah's
+PAIRS = {
+    "svrg": [("u", U, 4.0, "svrg_u"),
+             ("w", AveragingScheme.WEIGHTED_SVRG, 4.0, "svrg_w"),
+             ("l", AveragingScheme.LAST_SVRG, 4.0, None)],
+    "sarah": [("u", U, 1.0, "sarah_u"),
+              ("w", AveragingScheme.WEIGHTED_SARAH, 1.0, "sarah_w"),
+              ("l", AveragingScheme.LAST_SARAH, 1.5, "sarah_l")],
+}
+
+
+def test_scheme_table():
+    problem = make_logistic(10, 4, seed=0, kappa=20.0)
+    kappa = problem.kappa
+    parser = vropt.cli._build_parser("run")
+    rate_keys = []
+    for algo, pairs in PAIRS.items():
+        assert [(letter, *entry) for letter, entry in SCHEMES[algo].items()] \
+            == pairs
+        for letter, scheme, theta_over_kappa, rate_key in pairs:
+            config = SolverConfig(algo, step=FixedStep(0.1),
+                                  inner=FixedLength(4), averaging=scheme,
+                                  outer_loops=1)
+            assert run(problem, config).final.s == 1
+            assert default_theta_kappa(algo, scheme, kappa) == \
+                theta_over_kappa * kappa
+            # --avg picks the scheme, and --step bb its default scaling
+            args = parser.parse_args([
+                "run", "--data", "unread", "--mu", "1", "--algo", algo,
+                "--step", "bb", "--avg", letter])
+            built = vropt.cli._build_run_config(args, problem)
+            assert built.averaging is scheme
+            assert built.step.theta_kappa == theta_over_kappa * kappa
+            rate_keys.append(rate_key)
+        own = [scheme for _, scheme, _, _ in pairs]
+        other = [scheme for a in PAIRS if a != algo
+                 for _, scheme, _, _ in PAIRS[a] if scheme not in own]
+        assert len(other) == 2
+        for scheme in other:
+            with pytest.raises(ConfigError, match=r"^averaging \w+ is not "
+                               f"valid for {algo}; choose one of "):
+                run(problem, replace(config, averaging=scheme))
+            with pytest.raises(ConfigError, match="not valid"):
+                default_theta_kappa(algo, scheme, kappa)
+    # every pair with a bound names a rate calculator, and each calculator
+    # belongs to exactly one pair
+    assert sorted(k for k in rate_keys if k is not None) == \
+        sorted(SCHEME_RATES)
 
 
 # ---------------------------------------------------------------- bb_step
