@@ -13,10 +13,11 @@ import argparse
 import math
 import sys
 from pathlib import Path
+from typing import Callable
 
 from .averaging import SCHEMES
-from .dataset import (LibsvmParseError, add_bias_column, generate_synthetic,
-                      normalize_rows, parse_libsvm, write_libsvm)
+from .dataset import (add_bias_column, generate_synthetic, normalize_rows,
+                      parse_libsvm, write_libsvm)
 from .harness import (bench_configs, cached_dataset, cached_reference,
                       check_experiment, run_experiment, write_rate_csv,
                       write_trace_csv)
@@ -25,6 +26,7 @@ from .rates import FIGURE_IDS, figure_grid, rate_grid
 from .solvers import (AdaptiveLength, BarzilaiBorweinStep, DivergenceError,
                       FixedLength, FixedStep, SolverConfig)
 from .svgplot import write_line_plot
+from .trace import Trace
 
 
 def _add_gen_args(gen: argparse.ArgumentParser) -> None:
@@ -192,17 +194,34 @@ def _build_run_config(args, problem: LogisticProblem) -> SolverConfig | int:
                         averaging=averaging, seed=args.seed, name=name)
 
 
+def _run_configs(problem: LogisticProblem, configs: list[SolverConfig],
+                 passes: float, claim_output: Callable[[], None],
+                 reference: bool = True) -> list[Trace]:
+    """The work of run and bench, ordered so that what can fail cheaply
+    fails before anything is solved or cached: check the budget and every
+    config, claim the output place, solve or read the reference (unless
+    reference is False), then run the configs."""
+    check_experiment(problem, configs, passes)
+    claim_output()
+    f_star = cached_reference(problem).f_star if reference else None
+    return run_experiment(problem, configs, passes, f_star)
+
+
 def _cmd_run(args) -> int:
     problem = _load_problem(args)
     config = _build_run_config(args, problem)
     if isinstance(config, int):
         return config
-    # reject a budget or config that cannot start before solving
-    check_experiment(problem, [config], args.passes)
-    f_star = None
-    if not args.no_reference:
-        f_star = cached_reference(problem).f_star
-    trace = run_experiment(problem, [config], args.passes, f_star)[0]
+
+    def claim_output() -> None:
+        # the CSV is written last; the file itself is neither made nor cut
+        parent = Path(args.out).parent
+        if not parent.is_dir():
+            raise FileNotFoundError(
+                f"--out {args.out}: no directory {str(parent)!r}")
+
+    trace, = _run_configs(problem, [config], args.passes, claim_output,
+                          reference=not args.no_reference)
     write_trace_csv([trace], args.out)
     final = trace.final
     print(f"{trace.config_id}: {final.s} outer loops, "
@@ -234,13 +253,10 @@ def _cmd_rates(args) -> int:
 
 def _cmd_bench(args) -> int:
     problem = _load_problem(args)
-    configs = bench_configs(problem, seed=args.seed)
-    # reject a budget or config that cannot start before solving
-    check_experiment(problem, configs, args.passes)
-    ref = cached_reference(problem)
-    traces = run_experiment(problem, configs, args.passes, ref.f_star)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    traces = _run_configs(
+        problem, bench_configs(problem, seed=args.seed), args.passes,
+        lambda: out_dir.mkdir(parents=True, exist_ok=True))
     for trace in traces:
         write_trace_csv([trace], out_dir / f"{trace.config_id}.csv")
     write_trace_csv(traces, out_dir / "comparison.csv")
@@ -314,7 +330,7 @@ def main(argv=None) -> int:
     except (OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (LibsvmParseError, ValueError) as exc:
+    except ValueError as exc:  # LibsvmParseError and ConfigError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -37,7 +37,7 @@ from .trace import Trace, TracePoint, config_id_flaw
 __all__ = [
     "ReferenceOptimum", "compute_reference", "cached_reference",
     "cached_dataset", "problem_key",
-    "ifo_budget", "check_experiment", "run_experiment", "bench_configs",
+    "check_experiment", "run_experiment", "bench_configs",
     "TRACE_HEADER", "RATE_HEADER",
     "format_trace_csv", "write_trace_csv", "load_trace_csv",
     "format_rate_csv", "write_rate_csv",
@@ -324,7 +324,7 @@ def _derived_seed(config: SolverConfig) -> int:
     return config.seed ^ zlib.crc32(config.config_id.encode("utf-8"))
 
 
-def ifo_budget(passes: float, n: int) -> int:
+def _ifo_budget(passes: float, n: int) -> int:
     """ceil(passes * n); ValueError when that is NaN, infinite or < 0."""
     budget = passes * n
     # a chained comparison is False for NaN, so this also rejects it
@@ -336,7 +336,7 @@ def ifo_budget(passes: float, n: int) -> int:
 
 def _runnables(problem: ErmProblem, configs: Sequence[SolverConfig],
                passes: float) -> list[SolverConfig]:
-    budget = ifo_budget(passes, problem.n)
+    budget = _ifo_budget(passes, problem.n)
     return [replace(config, ifo_budget=budget, outer_loops=None,
                     seed=_derived_seed(config)) for config in configs]
 
@@ -367,8 +367,10 @@ def run_experiment(problem: ErmProblem, configs: Sequence[SolverConfig],
 
     Each run draws from its own generator seeded with seed ^ crc32(config_id),
     so identical configs produce identical traces and renamed copies do not.
+    Every config is checked (check_experiment) before the first one runs.
     Solver errors propagate annotated with the config id.
     """
+    check_experiment(problem, configs, passes)
     traces = []
     for config in _runnables(problem, configs, passes):
         with _config_id_on_errors(config):
@@ -444,8 +446,8 @@ def load_trace_csv(text: str) -> list[Trace]:
     lines = text.splitlines()
     if not lines or lines[0] != TRACE_HEADER:
         raise ValueError("missing or unexpected trace CSV header")
+    # first-seen order of the config ids: a dict keeps insertion order
     grouped: dict[str, list[TracePoint]] = {}
-    order: list[str] = []
     ns: dict[str, int] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
@@ -461,19 +463,16 @@ def load_trace_csv(text: str) -> list[Trace]:
             gap=float(cells[7]) if cells[7] else None,
             grad_sq=float(cells[8]) if cells[8] else None,
         )
-        if cid not in grouped:
-            grouped[cid] = []
-            order.append(cid)
-        grouped[cid].append(point)
+        grouped.setdefault(cid, []).append(point)
         passes = float(cells[6])
         if point.ifo_total > 0 and passes > 0 and cid not in ns:
             ns[cid] = round(point.ifo_total / passes)
     traces = []
-    for cid in order:
+    for cid, points in grouped.items():
         if cid not in ns:
             raise ValueError(f"trace {cid!r} has no charged point; "
                              "cannot recover n")
-        traces.append(Trace(cid, ns[cid], tuple(grouped[cid])))
+        traces.append(Trace(cid, ns[cid], tuple(points)))
     return traces
 
 

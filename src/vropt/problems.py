@@ -82,8 +82,9 @@ class ErmProblem(abc.ABC):
     def __init__(self, indptr: np.ndarray, indices: np.ndarray,
                  data: np.ndarray, rows: np.ndarray, d: int,
                  targets: np.ndarray, mu: float, smoothness: float):
-        if mu < 0:
-            raise ValueError(f"mu must be >= 0, got {mu}")
+        # a chained comparison is False for NaN, so this also rejects it
+        if not 0 <= mu < math.inf:
+            raise ValueError(f"mu must be finite and >= 0, got {mu}")
         if not math.isfinite(smoothness):
             raise ValueError(f"smoothness L = {smoothness} is not finite "
                              "(a squared row norm or mu is past the float "

@@ -34,7 +34,6 @@ __all__ = [
     "RateQuery", "GridRow",
     "rate_svrg_weighted", "rate_svrg_uniform",
     "rate_sarah_weighted", "rate_sarah_uniform", "rate_sarah_last",
-    "svrg_weighted_within_guarantee",
     "SCHEME_RATES", "rate_grid", "figure_grid", "FIGURE_IDS",
 ]
 
@@ -97,7 +96,9 @@ def rate_svrg_weighted(q: RateQuery) -> float | None:
 
     lambda = [1/(1-(1-d)^(m-1))] * [(1-d)^m/(1-2*eta*L)
              + 2*mu*L*eta^2*(1-d)^(m-1)/(1-2*eta*L) + 2*eta*L/(1-2*eta*L)],
-    d = mu*eta. Undefined (None) for eta >= 1/(2L).
+    d = mu*eta. Undefined (None) for eta >= 1/(2L). The guarantee behind
+    the bound holds for eta < 1/(4L) only: in the band [1/(4L), 1/(2L))
+    the formula is finite but bounds nothing.
     """
     eta, m, L, mu = q
     if eta >= 1.0 / (2.0 * L):
@@ -113,12 +114,6 @@ def rate_svrg_weighted(q: RateQuery) -> float | None:
                + 2.0 * mu * L * eta ** 2 * math.exp(tail) / den
                + 2.0 * eta * L / den)
     return prefactor * bracket
-
-
-def svrg_weighted_within_guarantee(q: RateQuery) -> bool:
-    """The weighted-averaging guarantee holds for eta < 1/(4L); the formula
-    itself is finite up to 1/(2L). False flags the (1/(4L), 1/(2L)) band."""
-    return q.eta < 1.0 / (4.0 * q.L)
 
 
 def rate_svrg_uniform(q: RateQuery) -> float | None:

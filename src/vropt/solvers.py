@@ -42,7 +42,7 @@ from .trace import Trace, TracePoint, config_id_flaw
 __all__ = [
     "FixedStep", "BarzilaiBorweinStep", "FixedLength", "AdaptiveLength",
     "SolverConfig", "ConfigError", "DivergenceError", "bb_step", "run",
-    "check_config", "default_theta_kappa",
+    "check_config",
 ]
 
 
@@ -73,6 +73,12 @@ def _check_integer(name: str, value) -> None:
         operator.index(value)
     except TypeError:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_count(name: str, value) -> None:
+    _check_integer(name, value)
+    if value < 0:
+        raise ConfigError(f"{name} must be >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -126,20 +132,6 @@ class AdaptiveLength:
 
 StepRule = FixedStep | BarzilaiBorweinStep
 InnerLengthRule = FixedLength | AdaptiveLength
-
-
-def default_theta_kappa(algorithm: str, averaging: AveragingScheme,
-                        kappa: float) -> float:
-    """Smallest admissible BB scaling of the pair: kappa times its theta
-    over kappa in averaging.SCHEMES. Raises ConfigError if the estimator
-    does not take the scheme."""
-    pairs = SCHEMES.get(algorithm, {}).values()
-    for scheme, theta_over_kappa, _ in pairs:
-        if scheme is averaging:
-            return theta_over_kappa * kappa
-    raise ConfigError(
-        f"averaging {averaging.name} is not valid for {algorithm}; "
-        f"choose one of {[scheme.name for scheme, _, _ in pairs]}")
 
 
 @dataclass(frozen=True)
@@ -376,18 +368,12 @@ def _validate(problem: ErmProblem, config: SolverConfig) -> None:
     flaw = config_id_flaw(config.config_id)
     if flaw:
         raise ConfigError(f"name {config.config_id!r} contains {flaw}")
-    _check_integer("seed", config.seed)
-    if config.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {config.seed}")
+    _check_count("seed", config.seed)
     if config.outer_loops is None and config.ifo_budget is None:
         raise ConfigError("set outer_loops, ifo_budget, or both")
-    if config.outer_loops is not None:
-        _check_integer("outer_loops", config.outer_loops)
-        if config.outer_loops < 0:
-            raise ConfigError(
-                f"outer_loops must be >= 0, got {config.outer_loops}")
-    if config.ifo_budget is not None and config.ifo_budget < 0:
-        raise ConfigError(f"ifo_budget must be >= 0, got {config.ifo_budget}")
+    for field_name in ("outer_loops", "ifo_budget"):
+        if getattr(config, field_name) is not None:
+            _check_count(field_name, getattr(config, field_name))
     if config.x0 is not None and np.asarray(config.x0).shape != (problem.d,):
         raise ConfigError(f"x0 must have shape ({problem.d},)")
     if config.algorithm in ("gd", "sgd"):
@@ -400,8 +386,11 @@ def _validate(problem: ErmProblem, config: SolverConfig) -> None:
     if config.step is None or config.inner is None or config.averaging is None:
         raise ConfigError(
             f"{config.algorithm} needs step, inner, and averaging rules")
-    # ConfigError unless averaging.SCHEMES holds the pair
-    default_theta_kappa(config.algorithm, config.averaging, 1.0)
+    own = [scheme for scheme, _, _ in SCHEMES[config.algorithm].values()]
+    if config.averaging not in own:
+        raise ConfigError(
+            f"averaging {config.averaging.name} is not valid for "
+            f"{config.algorithm}; choose one of {[a.name for a in own]}")
     if problem.mu <= 0:
         raise ConfigError("variance-reduced solvers require mu > 0")
     if isinstance(config.inner, AdaptiveLength) and \

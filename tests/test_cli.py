@@ -176,6 +176,9 @@ def test_run_flag_rejection(tmp_path, capsys):
      "error: passes * n must be finite and >= 0, got inf * 30"),
     (["--algo", "sgd", "--passes", "nan"],
      "error: passes * n must be finite and >= 0, got nan * 30"),
+    # a NaN mu, named as such, not as a non-finite L
+    (["--algo", "sgd", "--mu", "nan"],
+     "error: mu must be finite and >= 0, got nan"),
     # finite flags whose derived eta0 or inner length leaves the floats
     (["--algo", "sarah", "--step", "bb", "--theta-kappa", "1e-320",
       "--no-reference"],
@@ -279,6 +282,29 @@ def test_bench_negative_seed_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == \
         "error: config 'sgd': seed must be >= 0, got -5\n"
     assert not out_dir.exists()
+    assert not list((tmp_path / "refcache").glob("ref-*"))
+
+
+def test_bench_out_dir_that_is_a_file_exits_1(tmp_path, capsys):
+    data = gen_data(tmp_path)
+    out_dir = tmp_path / "taken"
+    out_dir.write_text("x", encoding="utf-8")
+    assert main(["bench", "--data", data, "--mu", "0.05", "--normalize",
+                 "--passes", "1", "--out-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: [Errno 17] File exists: {str(out_dir)!r}\n"
+    assert out_dir.read_text(encoding="utf-8") == "x"
+    # the output place is claimed before the reference solve
+    assert not list((tmp_path / "refcache").glob("ref-*"))
+
+
+def test_run_out_in_a_missing_directory_exits_1(tmp_path, capsys):
+    data = gen_data(tmp_path)
+    out = tmp_path / "missing" / "t.csv"
+    assert main(run_flags(data, out, "--algo", "sgd")) == 1
+    assert capsys.readouterr().err == \
+        f"error: --out {out}: no directory {str(out.parent)!r}\n"
+    assert not out.parent.exists()
     assert not list((tmp_path / "refcache").glob("ref-*"))
 
 

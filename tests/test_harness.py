@@ -684,9 +684,13 @@ def test_a_larger_budget_extends_the_same_trace(passes):
 
 def test_run_experiment_annotates_config_errors():
     problem = make_logistic(10, 3, seed=54, kappa=8.0)
+    good = SolverConfig("sgd", name="good")
     broken = SolverConfig("svrg", name="bad")
-    with pytest.raises(ConfigError, match="config 'bad'"):
-        run_experiment(problem, [broken], passes=1.0)
+    # every config is checked before the first one runs
+    with mock.patch.object(vropt.harness, "run") as run:
+        with pytest.raises(ConfigError, match="config 'bad'"):
+            run_experiment(problem, [good, broken], passes=1.0)
+    assert run.call_count == 0
 
 
 @pytest.mark.parametrize("seed,message", [

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -163,6 +165,11 @@ def test_shape_and_index_validation():
         problem.grad_component(-1, np.zeros(4))
     with pytest.raises(ValueError):
         LogisticProblem(parse_libsvm("+1 1:1.0\n"), -0.1)
+    # "mu < 0" is False for NaN: the message must name mu, not L
+    for mu in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"^mu must be finite and >= 0, "
+                           rf"got {mu}$"):
+            LogisticProblem(parse_libsvm("+1 1:1.0\n"), mu)
 
 
 def test_logistic_reads_the_dataset_arrays_in_place():

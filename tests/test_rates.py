@@ -9,8 +9,7 @@ from mpmath import mp, mpf
 
 from vropt import (FIGURE_IDS, GridRow, RateQuery, figure_grid, rate_grid,
                    rate_sarah_last, rate_sarah_uniform, rate_sarah_weighted,
-                   rate_svrg_uniform, rate_svrg_weighted,
-                   svrg_weighted_within_guarantee)
+                   rate_svrg_uniform, rate_svrg_weighted)
 from vropt.rates import SCHEME_RATES
 
 mp.dps = 50
@@ -215,11 +214,10 @@ def test_undefined_domains():
 
 
 def test_guarantee_flag_vs_domain():
-    inside = RateQuery(eta=0.2, m=10, L=1.0, mu=0.01)
+    # past the guarantee's 1/(4L) and short of the domain's 1/(2L): the
+    # formula is still defined there
     fringe = RateQuery(eta=0.26, m=10, L=1.0, mu=0.01)
-    assert svrg_weighted_within_guarantee(inside)
-    assert not svrg_weighted_within_guarantee(fringe)
-    assert rate_svrg_weighted(fringe) is not None  # defined, just unflagged
+    assert rate_svrg_weighted(fringe) is not None
 
 
 def test_rate_query_validation():

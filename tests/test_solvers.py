@@ -10,8 +10,8 @@ from conftest import (RidgeProblem, ScriptedRng, inner_loop, make_logistic,
 from vropt import (AdaptiveLength, AveragingScheme, BarzilaiBorweinStep,
                    ConfigError, DivergenceError, FixedLength, FixedStep,
                    IfoCounter, LogisticProblem, SolverConfig, bb_step, bench_configs, cached_reference,
-                   compute_reference, default_theta_kappa,
-                   generate_synthetic, normalize_rows, run, run_experiment)
+                   compute_reference, generate_synthetic, normalize_rows,
+                   run, run_experiment)
 import vropt.cli
 from vropt.averaging import SCHEMES
 from vropt.rates import SCHEME_RATES
@@ -61,6 +61,15 @@ def test_config_validation():
     with pytest.raises(ConfigError, match="outer_loops must be an integer"):
         run(problem, SolverConfig("svrg", outer_loops=2.5, step=FixedStep(0.1),
                                   inner=FixedLength(4), averaging=U))
+    # the budget takes the rule outer_loops has: count >= nan is always
+    # False, so run() would never stop at a NaN budget
+    for budget in (float("nan"), math.inf, 2.5):
+        with pytest.raises(ConfigError, match=r"^ifo_budget must be an "
+                           rf"integer, got {budget!r}$"):
+            check_config(problem, SolverConfig("sgd", ifo_budget=budget))
+    with pytest.raises(ConfigError, match=r"^ifo_budget must be >= 0, "
+                       r"got -1$"):
+        check_config(problem, SolverConfig("sgd", ifo_budget=-1))
     # the seed and the config id, for every algorithm
     for algo, rules in (("gd", {}), ("svrg", good)):
         rules = dict(rules, outer_loops=1)
@@ -219,8 +228,6 @@ def test_scheme_table():
                                   inner=FixedLength(4), averaging=scheme,
                                   outer_loops=1)
             assert run(problem, config).final.s == 1
-            assert default_theta_kappa(algo, scheme, kappa) == \
-                theta_over_kappa * kappa
             # --avg picks the scheme, and --step bb its default scaling
             args = parser.parse_args([
                 "run", "--data", "unread", "--mu", "1", "--algo", algo,
@@ -237,8 +244,6 @@ def test_scheme_table():
             with pytest.raises(ConfigError, match=r"^averaging \w+ is not "
                                f"valid for {algo}; choose one of "):
                 run(problem, replace(config, averaging=scheme))
-            with pytest.raises(ConfigError, match="not valid"):
-                default_theta_kappa(algo, scheme, kappa)
     # every pair with a bound names a rate calculator, and each calculator
     # belongs to exactly one pair
     assert sorted(k for k in rate_keys if k is not None) == \
