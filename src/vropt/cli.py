@@ -131,13 +131,8 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
-def _build_run_config(args, problem: LogisticProblem) -> SolverConfig | int:
-    """Translate run flags into a SolverConfig; an int is an exit code."""
+def _build_run_config(args, problem: LogisticProblem) -> SolverConfig:
+    """Translate run flags into a SolverConfig, or raise ValueError."""
     big_l, _, kappa = problem.constants()
     name = args.name or args.algo
     if args.algo in ("gd", "sgd"):
@@ -147,21 +142,22 @@ def _build_run_config(args, problem: LogisticProblem) -> SolverConfig | int:
             ("--theta-kappa", args.theta_kappa), ("--c", args.c),
             ("--m", args.m), ("--m-kappa", args.m_kappa)] if v is not None]
         if off:
-            return _fail(f"--algo {args.algo} takes none of: {', '.join(off)}")
+            raise ValueError(f"--algo {args.algo} takes none of: "
+                             f"{', '.join(off)}")
         return SolverConfig(args.algo, seed=args.seed, name=name)
 
     if args.step is None:
-        return _fail(f"--algo {args.algo} needs --step fixed or --step bb")
+        raise ValueError(f"--algo {args.algo} needs --step fixed or --step bb")
     letter = args.avg or ("w" if args.step == "bb" else "u")
     averaging, theta_over_kappa, _ = SCHEMES[args.algo][letter]
 
     if args.m is not None and args.m_kappa is not None:
-        return _fail("give --m or --m-kappa, not both")
+        raise ValueError("give --m or --m-kappa, not both")
     m = args.m
     if args.m_kappa is not None:
         m_len = args.m_kappa * kappa
         if not math.isfinite(m_len):
-            return _fail(f"--m-kappa * kappa = {m_len} is not finite")
+            raise ValueError(f"--m-kappa * kappa = {m_len} is not finite")
         m = max(2, math.ceil(m_len))
 
     if args.step == "fixed":
@@ -170,23 +166,24 @@ def _build_run_config(args, problem: LogisticProblem) -> SolverConfig | int:
             ("--theta-kappa", args.theta_kappa), ("--c", args.c)]
             if v is not None]
         if bad:
-            return _fail(f"--step fixed takes none of: {', '.join(bad)}")
+            raise ValueError(f"--step fixed takes none of: {', '.join(bad)}")
         if args.eta_over_l is None:
-            return _fail("--step fixed needs --eta-over-L")
+            raise ValueError("--step fixed needs --eta-over-L")
         if m is None:
-            return _fail("--step fixed needs --m or --m-kappa")
+            raise ValueError("--step fixed needs --m or --m-kappa")
         step = FixedStep(args.eta_over_l / big_l)
         inner = FixedLength(m)
     else:
         if args.eta_over_l is not None:
-            return _fail("--step bb takes --eta0-over-L, not --eta-over-L")
+            raise ValueError("--step bb takes --eta0-over-L, not --eta-over-L")
         theta = (args.theta_kappa * kappa if args.theta_kappa is not None
                  else theta_over_kappa * kappa)
         eta0 = None if args.eta0_over_l is None else args.eta0_over_l / big_l
         step = BarzilaiBorweinStep(theta, eta0=eta0)
         if m is not None:
             if args.c is not None:
-                return _fail("--c sets the adaptive length; drop --m/--m-kappa")
+                raise ValueError(
+                    "--c sets the adaptive length; drop --m/--m-kappa")
             inner = FixedLength(m)
         else:
             inner = AdaptiveLength(1.0 if args.c is None else args.c)
@@ -210,15 +207,15 @@ def _run_configs(problem: LogisticProblem, configs: list[SolverConfig],
 def _cmd_run(args) -> int:
     problem = _load_problem(args)
     config = _build_run_config(args, problem)
-    if isinstance(config, int):
-        return config
 
     def claim_output() -> None:
         # the CSV is written last; the file itself is neither made nor cut
-        parent = Path(args.out).parent
-        if not parent.is_dir():
+        out = Path(args.out)  # "" is the current directory
+        if out.is_dir():
+            raise IsADirectoryError(f"--out {args.out}: is a directory")
+        if not out.parent.is_dir():
             raise FileNotFoundError(
-                f"--out {args.out}: no directory {str(parent)!r}")
+                f"--out {args.out}: no directory {str(out.parent)!r}")
 
     trace, = _run_configs(problem, [config], args.passes, claim_output,
                           reference=not args.no_reference)
@@ -231,7 +228,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_rates(args) -> int:
     if args.figure and args.custom:
-        return _fail("give --figure or --custom, not both")
+        raise ValueError("give --figure or --custom, not both")
     if args.figure:
         rows = figure_grid(args.figure)
     elif args.custom:
@@ -239,13 +236,13 @@ def _cmd_rates(args) -> int:
                                         ("--sweep", args.sweep),
                                         ("--points", args.points)] if not v]
         if missing:
-            return _fail(f"--custom needs {', '.join(missing)}")
+            raise ValueError(f"--custom needs {', '.join(missing)}")
         schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
         points = [float(v) for v in args.points.split(",") if v.strip()]
         rows = rate_grid(schemes, L=args.big_l, mu=args.mu, sweep=args.sweep,
                          points=points, eta=args.eta, m=args.m)
     else:
-        return _fail("need --figure or --custom")
+        raise ValueError("need --figure or --custom")
     write_rate_csv(rows, args.out)
     print(f"wrote {len(rows)} rate rows -> {args.out}")
     return 0
@@ -330,7 +327,7 @@ def main(argv=None) -> int:
     except (OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:  # LibsvmParseError and ConfigError too
+    except ValueError as exc:  # flag refusals, LibsvmParseError, ConfigError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

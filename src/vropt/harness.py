@@ -343,9 +343,10 @@ def _runnables(problem: ErmProblem, configs: Sequence[SolverConfig],
 
 @contextlib.contextmanager
 def _config_id_on_errors(config: SolverConfig):
+    """Re-raise any ValueError as a ConfigError that names the config."""
     try:
         yield
-    except ConfigError as exc:
+    except ValueError as exc:
         raise ConfigError(f"config {config.config_id!r}: {exc}") from exc
 
 
@@ -354,7 +355,7 @@ def check_experiment(problem: ErmProblem, configs: Sequence[SolverConfig],
     """Make every check run_experiment makes before a run's first outer
     loop, with the same errors: the budget, then check_config for each
     config. The CLI calls this before it solves for the reference, so an
-    experiment that cannot start solves and caches nothing."""
+    experiment that cannot start solves and caches no reference."""
     for config in _runnables(problem, configs, passes):
         with _config_id_on_errors(config):
             check_config(problem, config)
@@ -368,7 +369,8 @@ def run_experiment(problem: ErmProblem, configs: Sequence[SolverConfig],
     Each run draws from its own generator seeded with seed ^ crc32(config_id),
     so identical configs produce identical traces and renamed copies do not.
     Every config is checked (check_experiment) before the first one runs.
-    Solver errors propagate annotated with the config id.
+    Every ValueError from a config's check or run, decay_rate's included,
+    is re-raised as a ConfigError that names the config id.
     """
     check_experiment(problem, configs, passes)
     traces = []

@@ -135,26 +135,36 @@ def test_run_bb_defaults_to_weighted(tmp_path):
     assert all(p.m_s >= 2 for p in trace.points[1:])
 
 
-def test_run_flag_rejection(tmp_path, capsys):
+@pytest.mark.parametrize("flags,message", [
+    (["--algo", "gd", "--m", "5"], "--algo gd takes none of: --m"),
+    (["--algo", "sgd", "--step", "fixed"], "--algo sgd takes none of: --step"),
+    (["--algo", "sgd", "--step", "fixed", "--c", "2"],
+     "--algo sgd takes none of: --step, --c"),
+    (["--algo", "svrg"], "--algo svrg needs --step fixed or --step bb"),
+    (["--algo", "svrg", "--step", "fixed", "--m", "40"],
+     "--step fixed needs --eta-over-L"),
+    (["--algo", "svrg", "--step", "fixed", "--eta-over-L", "0.2"],
+     "--step fixed needs --m or --m-kappa"),
+    (["--algo", "svrg", "--step", "fixed", "--eta-over-L", "0.2",
+      "--m", "40", "--theta-kappa", "4"],
+     "--step fixed takes none of: --theta-kappa"),
+    (["--algo", "svrg", "--step", "fixed", "--eta-over-L", "0.2",
+      "--m", "40", "--theta-kappa", "4", "--c", "2"],
+     "--step fixed takes none of: --theta-kappa, --c"),
+    (["--algo", "sarah", "--step", "bb", "--eta-over-L", "0.5"],
+     "--step bb takes --eta0-over-L, not --eta-over-L"),
+    (["--algo", "sarah", "--step", "fixed", "--eta-over-L", "0.5",
+      "--m", "10", "--m-kappa", "2"], "give --m or --m-kappa, not both"),
+    (["--algo", "sarah", "--step", "bb", "--m", "10", "--c", "2.0"],
+     "--c sets the adaptive length; drop --m/--m-kappa"),
+])
+def test_run_flag_rejection(tmp_path, capsys, flags, message):
     data = gen_data(tmp_path)
     out = tmp_path / "t.csv"
-    bad = [
-        ["--algo", "gd", "--m", "5"],
-        ["--algo", "sgd", "--step", "fixed"],
-        ["--algo", "svrg"],  # no --step
-        ["--algo", "svrg", "--step", "fixed", "--m", "40"],  # no eta
-        ["--algo", "svrg", "--step", "fixed", "--eta-over-L", "0.2"],  # no m
-        ["--algo", "svrg", "--step", "fixed", "--eta-over-L", "0.2",
-         "--m", "40", "--theta-kappa", "4"],
-        ["--algo", "sarah", "--step", "bb", "--eta-over-L", "0.5"],
-        ["--algo", "sarah", "--step", "fixed", "--eta-over-L", "0.5",
-         "--m", "10", "--m-kappa", "2"],
-        ["--algo", "sarah", "--step", "bb", "--m", "10", "--c", "2.0"],
-    ]
-    for extra in bad:
-        assert main(run_flags(data, out, *extra)) == 2, extra
-        assert "error:" in capsys.readouterr().err
-        assert not out.exists()
+    assert main(run_flags(data, out, *flags)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+    assert not list((tmp_path / "refcache").glob("ref-*"))
 
 
 @pytest.mark.parametrize("flags,message", [
@@ -198,7 +208,7 @@ def test_run_flag_rejection(tmp_path, capsys):
      "and finite, got inf"),
     (["--algo", "svrg", "--step", "fixed", "--avg", "w", "--eta-over-L",
       "100", "--m", "10"],
-     "error: weighted schemes need 0 < mu*eta < 1, got "
+     "error: config 'svrg': weighted schemes need 0 < mu*eta < 1, got "
      "mu*eta = 16.666666666666664"),
     # a first inner loop too long for any snapshot pmf
     (["--algo", "sarah", "--step", "bb", "--theta-kappa", "1e300",
@@ -308,6 +318,19 @@ def test_run_out_in_a_missing_directory_exits_1(tmp_path, capsys):
     assert not list((tmp_path / "refcache").glob("ref-*"))
 
 
+@pytest.mark.parametrize("out", ["adir", ""])  # "" names the cwd
+def test_run_out_that_is_a_directory_exits_1(tmp_path, capsys, monkeypatch,
+                                             out):
+    data = gen_data(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    Path(out).mkdir(exist_ok=True)
+    assert main(run_flags(data, out, "--algo", "sgd")) == 1
+    assert capsys.readouterr().err == f"error: --out {out}: is a directory\n"
+    assert not list(Path(out).glob("*.csv"))
+    # the output place is claimed before the reference solve
+    assert not list((tmp_path / "refcache").glob("ref-*"))
+
+
 def test_run_missing_data_exits_1(tmp_path):
     assert main(run_flags(str(tmp_path / "nope.libsvm"), tmp_path / "t.csv",
                           "--algo", "gd")) == 1
@@ -368,13 +391,20 @@ def test_rates_weighted_recursive_at_huge_m(tmp_path):
     assert float(value) == pytest.approx(2.9999995020007503e18, rel=1e-12)
 
 
+@pytest.mark.parametrize("flags,message", [
+    ([], "need --figure or --custom"),
+    (["--figure", "1a", "--custom"], "give --figure or --custom, not both"),
+    (["--custom", "--schemes", "svrg_u"], "--custom needs --sweep, --points"),
+])
+def test_rates_mode_refusals(tmp_path, capsys, flags, message):
+    out = tmp_path / "r.csv"
+    assert main(["rates", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_rates_flag_errors(tmp_path, capsys):
     out = str(tmp_path / "r.csv")
-    assert main(["rates", "--out", out]) == 2
-    assert main(["rates", "--figure", "1a", "--custom", "--out", out]) == 2
-    assert main(["rates", "--custom", "--schemes", "svrg_u",
-                 "--out", out]) == 2
-    capsys.readouterr()
     with pytest.raises(SystemExit) as info:
         main(["rates", "--figure", "bogus", "--out", out])
     assert info.value.code == 2

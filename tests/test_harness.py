@@ -693,6 +693,24 @@ def test_run_experiment_annotates_config_errors():
     assert run.call_count == 0
 
 
+def test_run_experiment_names_the_config_in_every_value_error():
+    # decay_rate's weighted-scheme domain is a plain ValueError of averaging
+    problem = make_logistic(10, 3, seed=54, kappa=8.0)
+    _, mu, _ = problem.constants()
+    config = SolverConfig("svrg", step=FixedStep(2.0 / mu),
+                          inner=FixedLength(5),
+                          averaging=AveragingScheme.WEIGHTED_SVRG, name="w")
+    for check in (check_experiment, run_experiment):
+        with pytest.raises(ConfigError, match=r"^config 'w': weighted "
+                           r"schemes need 0 < mu\*eta < 1, got mu\*eta = "):
+            check(problem, [config], 1.0)
+    # a ValueError raised by a run, after its checks, is named too
+    with mock.patch.object(vropt.harness, "run",
+                           side_effect=ValueError("late")):
+        with pytest.raises(ConfigError, match=r"^config 'sgd': late$"):
+            run_experiment(problem, [SolverConfig("sgd")], 1.0)
+
+
 @pytest.mark.parametrize("seed,message", [
     (-1, "seed must be >= 0, got -1"),
     (np.int64(-7), "seed must be >= 0, got -7"),
