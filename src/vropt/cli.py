@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Callable
@@ -81,9 +82,8 @@ def _add_run_args(run_p: argparse.ArgumentParser) -> None:
 
 def _add_rates_args(rates_p: argparse.ArgumentParser) -> None:
     rates_p.add_argument("--figure", choices=list(FIGURE_IDS),
-                         help="canonical figure grid")
-    rates_p.add_argument("--custom", action="store_true",
-                         help="build the grid from the sweep flags below")
+                         help="canonical figure grid (else the grid is built "
+                              "from the sweep flags below)")
     rates_p.add_argument("--schemes",
                          help="comma list: svrg_w,svrg_u,sarah_w,sarah_u,sarah_l")
     rates_p.add_argument("--L", type=float, default=1.0, dest="big_l")
@@ -108,15 +108,10 @@ def _add_reference_args(ref: argparse.ArgumentParser) -> None:
     _add_problem_args(ref)
     ref.add_argument("--tol", type=float, default=1e-10,
                      help="target gradient norm (default 1e-10)")
-    ref.add_argument("--cache-dir", dest="cache_dir",
-                     help="override the cache directory (else "
-                          "$VROPT_CACHE_DIR, else ~/.cache/vropt)")
 
 
 def _load_problem(args) -> LogisticProblem:
-    # only reference has --cache-dir; run and bench use the default place
-    ds = cached_dataset(Path(args.data).read_bytes(), parse_libsvm,
-                        getattr(args, "cache_dir", None))
+    ds = cached_dataset(Path(args.data).read_bytes(), parse_libsvm)
     if args.normalize:
         ds = normalize_rows(ds)
     if args.bias:
@@ -129,6 +124,13 @@ def _cmd_gen(args) -> int:
     write_libsvm(ds, args.out)
     print(f"wrote {ds.n} rows, dim {ds.dim} -> {args.out}")
     return 0
+
+
+def _positive(flag: str, value: float) -> float:
+    """A step or length flag's value as typed, or ValueError naming it."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{flag} must be positive and finite, got {value!r}")
+    return value
 
 
 def _build_run_config(args, problem: LogisticProblem) -> SolverConfig:
@@ -155,7 +157,7 @@ def _build_run_config(args, problem: LogisticProblem) -> SolverConfig:
         raise ValueError("give --m or --m-kappa, not both")
     m = args.m
     if args.m_kappa is not None:
-        m_len = args.m_kappa * kappa
+        m_len = _positive("--m-kappa", args.m_kappa) * kappa
         if not math.isfinite(m_len):
             raise ValueError(f"--m-kappa * kappa = {m_len} is not finite")
         m = max(2, math.ceil(m_len))
@@ -171,22 +173,24 @@ def _build_run_config(args, problem: LogisticProblem) -> SolverConfig:
             raise ValueError("--step fixed needs --eta-over-L")
         if m is None:
             raise ValueError("--step fixed needs --m or --m-kappa")
-        step = FixedStep(args.eta_over_l / big_l)
+        step = FixedStep(_positive("--eta-over-L", args.eta_over_l) / big_l)
         inner = FixedLength(m)
     else:
         if args.eta_over_l is not None:
             raise ValueError("--step bb takes --eta0-over-L, not --eta-over-L")
-        theta = (args.theta_kappa * kappa if args.theta_kappa is not None
-                 else theta_over_kappa * kappa)
-        eta0 = None if args.eta0_over_l is None else args.eta0_over_l / big_l
-        step = BarzilaiBorweinStep(theta, eta0=eta0)
+        if args.theta_kappa is not None:
+            theta_over_kappa = _positive("--theta-kappa", args.theta_kappa)
+        eta0 = None if args.eta0_over_l is None \
+            else _positive("--eta0-over-L", args.eta0_over_l) / big_l
+        step = BarzilaiBorweinStep(theta_over_kappa * kappa, eta0=eta0)
         if m is not None:
             if args.c is not None:
                 raise ValueError(
                     "--c sets the adaptive length; drop --m/--m-kappa")
             inner = FixedLength(m)
         else:
-            inner = AdaptiveLength(1.0 if args.c is None else args.c)
+            inner = AdaptiveLength(
+                1.0 if args.c is None else _positive("--c", args.c))
     return SolverConfig(args.algo, step=step, inner=inner,
                         averaging=averaging, seed=args.seed, name=name)
 
@@ -211,7 +215,8 @@ def _cmd_run(args) -> int:
     def claim_output() -> None:
         # the CSV is written last; the file itself is neither made nor cut
         out = Path(args.out)  # "" is the current directory
-        if out.is_dir():
+        # Path drops a trailing separator, which names a directory
+        if out.is_dir() or args.out.endswith(os.sep):
             raise IsADirectoryError(f"--out {args.out}: is a directory")
         if not out.parent.is_dir():
             raise FileNotFoundError(
@@ -227,22 +232,21 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_rates(args) -> int:
-    if args.figure and args.custom:
-        raise ValueError("give --figure or --custom, not both")
+    sweep = [("--schemes", args.schemes), ("--sweep", args.sweep),
+             ("--points", args.points), ("--eta", args.eta), ("--m", args.m)]
     if args.figure:
+        given = [flag for flag, v in sweep if v is not None]
+        if given:
+            raise ValueError(f"--figure takes none of: {', '.join(given)}")
         rows = figure_grid(args.figure)
-    elif args.custom:
-        missing = [flag for flag, v in [("--schemes", args.schemes),
-                                        ("--sweep", args.sweep),
-                                        ("--points", args.points)] if not v]
+    else:
+        missing = [flag for flag, v in sweep[:3] if not v]
         if missing:
-            raise ValueError(f"--custom needs {', '.join(missing)}")
+            raise ValueError(f"need --figure or {', '.join(missing)}")
         schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
         points = [float(v) for v in args.points.split(",") if v.strip()]
         rows = rate_grid(schemes, L=args.big_l, mu=args.mu, sweep=args.sweep,
                          points=points, eta=args.eta, m=args.m)
-    else:
-        raise ValueError("need --figure or --custom")
     write_rate_csv(rows, args.out)
     print(f"wrote {len(rows)} rate rows -> {args.out}")
     return 0
@@ -277,7 +281,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_reference(args) -> int:
     problem = _load_problem(args)
-    ref = cached_reference(problem, tol=args.tol, cache_dir=args.cache_dir)
+    ref = cached_reference(problem, tol=args.tol)
     print(f"f_star={ref.f_star!r} grad_norm={ref.grad_norm!r}")
     return 0
 

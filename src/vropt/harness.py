@@ -153,10 +153,8 @@ def problem_key(problem: ErmProblem) -> str:
     return h.hexdigest()[:16]
 
 
-def _cache_path(name: str, cache_dir: str | os.PathLike | None) -> Path:
-    if cache_dir is None:
-        cache_dir = os.environ.get(_CACHE_ENV) \
-            or Path.home() / ".cache" / "vropt"
+def _cache_path(name: str) -> Path:
+    cache_dir = os.environ.get(_CACHE_ENV) or Path.home() / ".cache" / "vropt"
     return Path(cache_dir) / f"{name}.npy"
 
 
@@ -242,13 +240,13 @@ def _load_cached(path: Path, key: str, dim: int,
     return ReferenceOptimum(x_star, float(entry["f_star"]), grad_norm)
 
 
-def cached_reference(problem: ErmProblem, tol: float = 1e-10,
-                     cache_dir: str | os.PathLike | None = None) -> ReferenceOptimum:
+def cached_reference(problem: ErmProblem,
+                     tol: float = 1e-10) -> ReferenceOptimum:
     """compute_reference with a disk cache.
 
-    The cache directory is the cache_dir argument, else $VROPT_CACHE_DIR,
-    else ~/.cache/vropt. Entries are NumPy .npy files named ref-<key>.npy,
-    key = problem_key(problem). Each holds one record: the key and dim it
+    The cache directory is $VROPT_CACHE_DIR, else ~/.cache/vropt, for every
+    caller. Entries are NumPy .npy files named ref-<key>.npy, key =
+    problem_key(problem). Each holds one record: the key and dim it
     belongs to, the tol it was solved for, f_star, grad_norm, x_star
     (float64, so it reads back bit for bit) and a CRC-32 of all of these.
     A cached solution is reused only when its CRC, key, dimension, and
@@ -259,7 +257,7 @@ def cached_reference(problem: ErmProblem, tol: float = 1e-10,
     ignored.
     """
     key = problem_key(problem)
-    path = _cache_path(f"ref-{key}", cache_dir)
+    path = _cache_path(f"ref-{key}")
     hit = _load_cached(path, key, problem.d, tol)
     if hit is not None:
         return hit
@@ -270,21 +268,21 @@ def cached_reference(problem: ErmProblem, tol: float = 1e-10,
     return ref
 
 
-def cached_dataset(raw: bytes, parse: Callable[[str], Dataset],
-                   cache_dir: str | os.PathLike | None = None) -> Dataset:
+def cached_dataset(raw: bytes, parse: Callable[[str], Dataset]) -> Dataset:
     """parse(raw decoded as UTF-8), with a disk cache keyed by the bytes.
 
     The entry is data-<first 16 hex digits of sha256(raw)>.npy in the
-    cached_reference directory. It holds one record: the full digest, dim,
-    the CSR arrays, the labels and a CRC-32 of all of these. A hit must
-    pass its CRC, carry the full digest and pass through Dataset's checks
-    again; an entry that is missing, unreadable, damaged, carries another
-    digest or is not canonical is a miss. A miss parses and writes the
-    entry atomically; a decode or parse error propagates and writes
-    nothing. A failed write is ignored, as in cached_reference.
+    cache directory ($VROPT_CACHE_DIR, else ~/.cache/vropt). It holds one
+    record: the full digest, dim, the CSR arrays, the labels and a CRC-32
+    of all of these. A hit must pass its CRC, carry the full digest and
+    pass through Dataset's checks again; an entry that is missing,
+    unreadable, damaged, carries another digest or is not canonical is a
+    miss. A miss parses and writes the entry atomically; a decode or parse
+    error propagates and writes nothing. A failed write is ignored, as in
+    cached_reference.
     """
     digest = hashlib.sha256(raw).hexdigest()
-    path = _cache_path(f"data-{digest[:16]}", cache_dir)
+    path = _cache_path(f"data-{digest[:16]}")
     entry = _read_entry(path, _DATASET_FIELDS)
     if entry is not None and str(entry["sha256"]) == digest:
         try:

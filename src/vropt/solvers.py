@@ -152,7 +152,6 @@ class SolverConfig:
     ifo_budget: int | None = None
     seed: int = 0
     name: str | None = None
-    x0: np.ndarray | None = None
 
     @property
     def config_id(self) -> str:
@@ -374,8 +373,6 @@ def _validate(problem: ErmProblem, config: SolverConfig) -> None:
     for field_name in ("outer_loops", "ifo_budget"):
         if getattr(config, field_name) is not None:
             _check_count(field_name, getattr(config, field_name))
-    if config.x0 is not None and np.asarray(config.x0).shape != (problem.d,):
-        raise ConfigError(f"x0 must have shape ({problem.d},)")
     if config.algorithm in ("gd", "sgd"):
         for field_name in ("step", "inner", "averaging"):
             if getattr(config, field_name) is not None:
@@ -463,7 +460,7 @@ def check_config(problem: ErmProblem, config: SolverConfig) -> float | None:
 
 def run(problem: ErmProblem, config: SolverConfig, f_star: float | None = None,
         evaluate: bool = True) -> Trace:
-    """Run one solver configuration and return its trace.
+    """Run one solver configuration from x = 0 and return its trace.
 
     Outer loop s resolves eta_s (fixed, or BB once two snapshot gradients
     exist; the first two loops use eta0), resolves m_s (fixed, or
@@ -487,8 +484,7 @@ def run(problem: ErmProblem, config: SolverConfig, f_star: float | None = None,
     cid = config.config_id
     rng = np.random.default_rng(config.seed)
     counter = IfoCounter()
-    x = np.zeros(problem.d) if config.x0 is None \
-        else np.asarray(config.x0, dtype=np.float64).copy()
+    x = np.zeros(problem.d)
 
     points = []
 

@@ -51,9 +51,9 @@ def write_line_plot(path: str | os.PathLike,
                     logx: bool = False, logy: bool = False) -> None:
     """Write one SVG with a polyline per (label, xs, ys) series.
 
-    Non-finite points, and non-positive points on log axes, are dropped from
-    the line (the gap stays visible). Raises ValueError when nothing at all
-    is plottable.
+    Non-finite points, and non-positive points on log axes, are dropped; a
+    series' one polyline joins the points it keeps, so a dropped point
+    leaves no gap in its line. Raises ValueError when nothing is plottable.
     """
     pts = []
     for _, xs, ys in series:

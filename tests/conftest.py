@@ -12,8 +12,11 @@ from vropt.solvers import _inner_steps
 
 @pytest.fixture(autouse=True)
 def isolated_cache(tmp_path, monkeypatch):
-    # keep reference-optimum cache files out of the real home directory
-    monkeypatch.setenv("VROPT_CACHE_DIR", str(tmp_path / "refcache"))
+    """The cache directory of every test, $VROPT_CACHE_DIR: kept out of the
+    real home directory, and not made until an entry is written."""
+    cache = tmp_path / "refcache"
+    monkeypatch.setenv("VROPT_CACHE_DIR", str(cache))
+    return cache
 
 
 def line_loop_parse(source, dim=None):

@@ -168,20 +168,39 @@ def test_run_flag_rejection(tmp_path, capsys, flags, message):
 
 
 @pytest.mark.parametrize("flags,message", [
+    # each step or length flag is checked as typed, before it is scaled
     (["--algo", "sarah", "--step", "bb", "--c", "inf"],
-     "error: c must be positive and finite, got inf"),
+     "error: --c must be positive and finite, got inf"),
     (["--algo", "sarah", "--step", "bb", "--c", "nan"],
-     "error: c must be positive and finite, got nan"),
+     "error: --c must be positive and finite, got nan"),
+    (["--algo", "sarah", "--step", "bb", "--c", "-1"],
+     "error: --c must be positive and finite, got -1.0"),
     (["--algo", "sarah", "--step", "bb", "--theta-kappa", "inf"],
-     "error: theta_kappa must be positive and finite, got inf"),
+     "error: --theta-kappa must be positive and finite, got inf"),
+    (["--algo", "sarah", "--step", "bb", "--theta-kappa", "-1"],
+     "error: --theta-kappa must be positive and finite, got -1.0"),
     (["--algo", "sarah", "--step", "bb", "--eta0-over-L", "inf"],
-     "error: eta0 must be positive and finite, got inf"),
+     "error: --eta0-over-L must be positive and finite, got inf"),
+    (["--algo", "sarah", "--step", "bb", "--eta0-over-L", "-1"],
+     "error: --eta0-over-L must be positive and finite, got -1.0"),
     (["--algo", "svrg", "--step", "fixed", "--eta-over-L", "inf",
-      "--m", "10"], "error: step size must be positive and finite, got inf"),
+      "--m", "10"],
+     "error: --eta-over-L must be positive and finite, got inf"),
+    (["--algo", "svrg", "--step", "fixed", "--eta-over-L", "-1",
+      "--m", "10"],
+     "error: --eta-over-L must be positive and finite, got -1.0"),
     (["--algo", "svrg", "--step", "fixed", "--eta-over-L", "0.1",
-      "--m-kappa", "inf"], "error: --m-kappa * kappa = inf is not finite"),
+      "--m-kappa", "inf"],
+     "error: --m-kappa must be positive and finite, got inf"),
     (["--algo", "svrg", "--step", "fixed", "--eta-over-L", "0.1",
-      "--m-kappa", "nan"], "error: --m-kappa * kappa = nan is not finite"),
+      "--m-kappa", "nan"],
+     "error: --m-kappa must be positive and finite, got nan"),
+    (["--algo", "svrg", "--step", "fixed", "--eta-over-L", "0.1",
+      "--m-kappa", "-1"],
+     "error: --m-kappa must be positive and finite, got -1.0"),
+    # finite as typed, but the length it scales to is not
+    (["--algo", "svrg", "--step", "fixed", "--eta-over-L", "0.1",
+      "--m-kappa", "1e308"], "error: --m-kappa * kappa = inf is not finite"),
     (["--algo", "sgd", "--passes", "inf"],
      "error: passes * n must be finite and >= 0, got inf * 30"),
     (["--algo", "sgd", "--passes", "nan"],
@@ -331,6 +350,19 @@ def test_run_out_that_is_a_directory_exits_1(tmp_path, capsys, monkeypatch,
     assert not list((tmp_path / "refcache").glob("ref-*"))
 
 
+def test_run_out_with_a_trailing_separator_exits_1(tmp_path, capsys,
+                                                   monkeypatch):
+    # Path("missing/") is Path("missing"), which would be written as a file
+    data = gen_data(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    out = "missing" + os.sep
+    assert main(run_flags(data, out, "--algo", "sgd")) == 1
+    assert capsys.readouterr().err == f"error: --out {out}: is a directory\n"
+    assert not (tmp_path / "missing").exists()
+    # the output place is claimed before the reference solve
+    assert not list((tmp_path / "refcache").glob("ref-*"))
+
+
 def test_run_missing_data_exits_1(tmp_path):
     assert main(run_flags(str(tmp_path / "nope.libsvm"), tmp_path / "t.csv",
                           "--algo", "gd")) == 1
@@ -369,7 +401,7 @@ def test_rates_figure_1b_contains_anchor_point(tmp_path):
 
 def test_rates_custom_grid(tmp_path):
     out = tmp_path / "rates.csv"
-    assert main(["rates", "--custom", "--schemes", "svrg_u,sarah_l",
+    assert main(["rates", "--schemes", "svrg_u,sarah_l",
                  "--L", "1.0", "--mu", "0.001", "--sweep", "eta",
                  "--points", "0.1,0.3", "--m", "1000",
                  "--out", str(out)]) == 0
@@ -381,7 +413,7 @@ def test_rates_custom_grid(tmp_path):
 def test_rates_weighted_recursive_at_huge_m(tmp_path):
     # mu*eta*(m-1) = 1e-9 takes the normalizer's series branch at m = 1e9
     out = tmp_path / "rates.csv"
-    assert main(["rates", "--custom", "--schemes", "sarah_w", "--L", "1",
+    assert main(["rates", "--schemes", "sarah_w", "--L", "1",
                  "--mu", "1e-12", "--sweep", "m", "--points", "1000000000",
                  "--eta", "1e-6", "--out", str(out)]) == 0
     lines = out.read_text(encoding="utf-8").splitlines()
@@ -392,9 +424,19 @@ def test_rates_weighted_recursive_at_huge_m(tmp_path):
 
 
 @pytest.mark.parametrize("flags,message", [
-    ([], "need --figure or --custom"),
-    (["--figure", "1a", "--custom"], "give --figure or --custom, not both"),
-    (["--custom", "--schemes", "svrg_u"], "--custom needs --sweep, --points"),
+    ([], "need --figure or --schemes, --sweep, --points"),
+    (["--schemes", "svrg_u"], "need --figure or --sweep, --points"),
+    (["--schemes", "sarah_u", "--sweep", "m", "--eta", "0.1"],
+     "need --figure or --points"),
+    (["--schemes", ""], "need --figure or --schemes, --sweep, --points"),
+    # a figure's grid is fixed: a sweep flag beside it is refused, not
+    # ignored
+    (["--figure", "1a", "--schemes", "svrg_u"],
+     "--figure takes none of: --schemes"),
+    (["--figure", "1a", "--schemes", "bogus", "--sweep", "eta", "--points",
+      "1"], "--figure takes none of: --schemes, --sweep, --points"),
+    (["--figure", "2", "--eta", "0.1", "--m", "10"],
+     "--figure takes none of: --eta, --m"),
 ])
 def test_rates_mode_refusals(tmp_path, capsys, flags, message):
     out = tmp_path / "r.csv"
@@ -408,7 +450,7 @@ def test_rates_flag_errors(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         main(["rates", "--figure", "bogus", "--out", out])
     assert info.value.code == 2
-    assert main(["rates", "--custom", "--schemes", "mystery",
+    assert main(["rates", "--schemes", "mystery",
                  "--sweep", "eta", "--points", "0.1", "--m", "10",
                  "--out", out]) == 2
 
@@ -425,7 +467,7 @@ def test_rates_flag_errors(tmp_path, capsys):
 def test_rates_non_finite_input_exits_2(tmp_path, capsys, flags, message):
     # the later of two equal flags wins, so each case overrides one value
     out = tmp_path / "r.csv"
-    argv = ["rates", "--custom", "--schemes", "svrg_u,sarah_w",
+    argv = ["rates", "--schemes", "svrg_u,sarah_w",
             "--sweep", "m", "--points", "10,20", "--eta", "0.1",
             "--L", "1", "--mu", "1e-3", *flags, "--out", str(out)]
     assert main(argv) == 2
@@ -439,7 +481,7 @@ RATE_GOLDEN = Path(__file__).parent / "golden" / "rates"
 RATE_CASES = {f"figure-{f}": ["--figure", f]
               for f in ("1a", "1b", "2", "4b-analytic")}
 RATE_CASES["custom-m-sweep"] = [
-    "--custom", "--schemes", "sarah_w,sarah_u", "--L", "1", "--mu", "1e-5",
+    "--schemes", "sarah_w,sarah_u", "--L", "1", "--mu", "1e-5",
     "--sweep", "m", "--points", "1e5,5e5,1e6", "--eta", "0.5"]
 
 
@@ -480,11 +522,12 @@ def test_bench_reruns_byte_identical(tmp_path):
 
 # ----------------------------------------------------------- reference
 
-def test_reference_command(tmp_path, capsys):
+def test_reference_command(tmp_path, capsys, monkeypatch):
     data = gen_data(tmp_path)
     cache = tmp_path / "cache"
-    assert main(["reference", "--data", data, "--mu", "0.05", "--normalize",
-                 "--cache-dir", str(cache)]) == 0
+    monkeypatch.setenv("VROPT_CACHE_DIR", str(cache))
+    assert main(["reference", "--data", data, "--mu", "0.05",
+                 "--normalize"]) == 0
     out = capsys.readouterr().out
     assert "f_star=" in out and "grad_norm=" in out
     assert len(list(cache.glob("ref-*.npy"))) == 1
@@ -492,12 +535,14 @@ def test_reference_command(tmp_path, capsys):
     assert len(list(cache.iterdir())) == 2
 
 
-def test_reference_below_float_resolution_exits_1(tmp_path, capsys):
+def test_reference_below_float_resolution_exits_1(tmp_path, capsys,
+                                                  monkeypatch):
     data = gen_data(tmp_path)
     capsys.readouterr()  # drop gen's report
     cache = tmp_path / "cache"
+    monkeypatch.setenv("VROPT_CACHE_DIR", str(cache))
     assert main(["reference", "--data", data, "--mu", "0.05", "--normalize",
-                 "--tol", "1e-200", "--cache-dir", str(cache)]) == 1
+                 "--tol", "1e-200"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert re.fullmatch(r"error: reference solver hit the 10000-iteration "

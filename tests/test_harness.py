@@ -1,5 +1,7 @@
+import contextlib
 import hashlib
 import math
+import os
 import tempfile
 import warnings
 import zlib
@@ -303,10 +305,10 @@ def test_problem_key_golden_normalized():
 
 # --------------------------------------------------------------- cache
 
-def test_cache_round_trip_is_exact(tmp_path, monkeypatch):
+def test_cache_round_trip_is_exact(isolated_cache, monkeypatch):
     problem = make_logistic(12, 3, seed=46, kappa=8.0)
-    ref1 = cached_reference(problem, cache_dir=tmp_path)
-    files = list(tmp_path.glob("ref-*"))
+    ref1 = cached_reference(problem)
+    files = list(isolated_cache.glob("ref-*"))
     assert len(files) == 1
     assert files[0].name == f"ref-{problem_key(problem)}.npy"
 
@@ -314,13 +316,13 @@ def test_cache_round_trip_is_exact(tmp_path, monkeypatch):
         raise AssertionError("cache should have been hit")
 
     monkeypatch.setattr(vropt.harness, "compute_reference", boom)
-    ref2 = cached_reference(problem, cache_dir=tmp_path)
+    ref2 = cached_reference(problem)
     assert ref2.x_star.tobytes() == ref1.x_star.tobytes()
     assert ref2.f_star == ref1.f_star
     assert ref2.grad_norm == ref1.grad_norm
 
 
-def test_cache_write_interrupted_leaves_nothing(tmp_path, monkeypatch):
+def test_cache_write_interrupted_leaves_nothing(isolated_cache, monkeypatch):
     problem = make_logistic(12, 3, seed=46, kappa=8.0)
 
     def failed(src, dst):
@@ -332,13 +334,13 @@ def test_cache_write_interrupted_leaves_nothing(tmp_path, monkeypatch):
     # a failed write is ignored; an interrupt propagates; neither leaves
     # a file behind
     monkeypatch.setattr(vropt.harness.os, "replace", failed)
-    ref = cached_reference(problem, cache_dir=tmp_path)
+    ref = cached_reference(problem)
     assert ref.f_star == compute_reference(problem).f_star
-    assert list(tmp_path.iterdir()) == []
+    assert list(isolated_cache.iterdir()) == []
     monkeypatch.setattr(vropt.harness.os, "replace", interrupted)
     with pytest.raises(KeyboardInterrupt):
-        cached_reference(problem, cache_dir=tmp_path)
-    assert list(tmp_path.iterdir()) == []
+        cached_reference(problem)
+    assert list(isolated_cache.iterdir()) == []
 
 
 def record_fields(path):
@@ -359,10 +361,10 @@ def save_record(path, **fields):
     np.save(path, record)
 
 
-def test_cache_file_format(tmp_path):
+def test_cache_file_format(isolated_cache):
     problem = make_logistic(10, 4, seed=47, kappa=6.0)
-    ref = cached_reference(problem, tol=1e-9, cache_dir=tmp_path)
-    path = tmp_path / f"ref-{problem_key(problem)}.npy"
+    ref = cached_reference(problem, tol=1e-9)
+    path = isolated_cache / f"ref-{problem_key(problem)}.npy"
     record = np.load(path, allow_pickle=False)
     assert record.shape == ()
     assert record.dtype.names == ("key", "dim", "tol", "f_star", "grad_norm",
@@ -383,9 +385,9 @@ def test_cache_file_format(tmp_path):
     assert body[-4:] == zlib.crc32(body[:-4]).to_bytes(4, "little")
 
 
-def test_cache_rejected_when_not_tight_enough(tmp_path, monkeypatch):
+def test_cache_rejected_when_not_tight_enough(isolated_cache, monkeypatch):
     problem = make_logistic(12, 3, seed=48, kappa=8.0)
-    loose = cached_reference(problem, tol=1e-4, cache_dir=tmp_path)
+    loose = cached_reference(problem, tol=1e-4)
     assert loose.grad_norm > 1e-10  # descent stops at the first crossing
     calls = []
     true_compute = vropt.harness.compute_reference
@@ -395,22 +397,22 @@ def test_cache_rejected_when_not_tight_enough(tmp_path, monkeypatch):
         return true_compute(problem, tol=tol)
 
     monkeypatch.setattr(vropt.harness, "compute_reference", counting)
-    tight = cached_reference(problem, tol=1e-10, cache_dir=tmp_path)
+    tight = cached_reference(problem, tol=1e-10)
     assert calls == [1e-10]
     assert tight.grad_norm <= 1e-10
     # the cache now holds the tighter solution; a loose request reuses it
     calls.clear()
-    again = cached_reference(problem, tol=1e-4, cache_dir=tmp_path)
+    again = cached_reference(problem, tol=1e-4)
     assert calls == []
     assert again.grad_norm == tight.grad_norm
 
 
-def test_cache_rejected_on_key_or_shape_mismatch(tmp_path, monkeypatch):
+def test_cache_rejected_on_key_or_shape_mismatch(isolated_cache, monkeypatch):
     p1 = make_logistic(12, 3, seed=49, kappa=8.0)
     p2 = make_logistic(12, 3, seed=50, kappa=8.0)
-    cached_reference(p1, cache_dir=tmp_path)
-    src = tmp_path / f"ref-{problem_key(p1)}.npy"
-    dst = tmp_path / f"ref-{problem_key(p2)}.npy"
+    cached_reference(p1)
+    src = isolated_cache / f"ref-{problem_key(p1)}.npy"
+    dst = isolated_cache / f"ref-{problem_key(p2)}.npy"
     good = src.read_bytes()
     dst.write_bytes(good)
     calls = []
@@ -421,7 +423,7 @@ def test_cache_rejected_on_key_or_shape_mismatch(tmp_path, monkeypatch):
         return true_compute(problem, tol=tol)
 
     monkeypatch.setattr(vropt.harness, "compute_reference", counting)
-    cached_reference(p2, cache_dir=tmp_path)  # stale key inside the file
+    cached_reference(p2)  # stale key inside the file
     assert calls == [problem_key(p2)]
 
     # drop one component: the record passes its CRC, so the size check
@@ -432,19 +434,19 @@ def test_cache_rejected_on_key_or_shape_mismatch(tmp_path, monkeypatch):
     assert vropt.harness._read_entry(
         src, vropt.harness._REFERENCE_FIELDS) is not None
     calls.clear()
-    cached_reference(p1, cache_dir=tmp_path)
+    cached_reference(p1)
     assert calls == [problem_key(p1)]
 
     # truncated or garbage: ignored, recomputed, rewritten
     for bad in (good[:len(good) // 2], b"not a cache file\n"):
         src.write_bytes(bad)
         calls.clear()
-        ref = cached_reference(p1, cache_dir=tmp_path)
+        ref = cached_reference(p1)
         assert calls == [problem_key(p1)]
         assert src.read_bytes()[:6] == b"\x93NUMPY"  # an .npy file again
         assert ref.grad_norm <= 1e-10
     calls.clear()
-    cached_reference(p1, cache_dir=tmp_path)
+    cached_reference(p1)
     assert calls == []
 
 
@@ -463,34 +465,35 @@ def counting_parse(calls):
     return parse
 
 
-def test_dataset_cache_crlf_and_lf_parse_equal(tmp_path):
+def test_dataset_cache_crlf_and_lf_parse_equal(isolated_cache):
     text = serialize_libsvm(generate_synthetic(20, 5, seed=52,
                                                separation=2.0))
     calls = []
     parse = counting_parse(calls)
-    datasets = [cached_dataset(raw, parse, tmp_path)
+    datasets = [cached_dataset(raw, parse)
                 for raw in (text.encode(), text.replace("\n", "\r\n").encode())
                 for _ in range(2)]
     assert len(calls) == 2  # one miss per distinct content
-    assert len(list(tmp_path.glob("data-*.npy"))) == 2
+    assert len(list(isolated_cache.glob("data-*.npy"))) == 2
     assert all(ds == datasets[0] for ds in datasets)
 
 
-def dataset_entry(raw, tmp_path):
-    """The cached_dataset entry path for raw and its record's fields."""
+def dataset_entry(raw, cache):
+    """The cached_dataset entry path for raw in the cache directory, and its
+    record's fields."""
     digest = hashlib.sha256(raw).hexdigest()
-    path = tmp_path / f"data-{digest[:16]}.npy"
+    path = cache / f"data-{digest[:16]}.npy"
     return path, record_fields(path)
 
 
 @pytest.mark.parametrize("damage", ["corrupted", "truncated", "non-canonical",
                                     "dtype", "other file"])
-def test_dataset_cache_bad_entry_ignored_and_rewritten(tmp_path, damage):
+def test_dataset_cache_bad_entry_ignored_and_rewritten(isolated_cache, damage):
     raw = b"+1 1:0.5 3:-2.0\n-1 2:1.5\n"
     calls = []
     parse = counting_parse(calls)
-    want = cached_dataset(raw, parse, tmp_path)
-    path, fields = dataset_entry(raw, tmp_path)
+    want = cached_dataset(raw, parse)
+    path, fields = dataset_entry(raw, isolated_cache)
     assert list(fields) == ["sha256", "dim", "indptr", "indices", "data",
                             "labels", "crc32"]
     assert str(fields["sha256"]) == hashlib.sha256(raw).hexdigest()
@@ -510,24 +513,34 @@ def test_dataset_cache_bad_entry_ignored_and_rewritten(tmp_path, damage):
                     **dict(fields, data=fields["data"].astype(np.float32)))
     else:
         other = b"-1 1:4.0\n+1 1:2.5\n"
-        cached_dataset(other, parse, tmp_path)
-        path.write_bytes(dataset_entry(other, tmp_path)[0].read_bytes())
+        cached_dataset(other, parse)
+        path.write_bytes(dataset_entry(other, isolated_cache)[0].read_bytes())
     calls.clear()
-    assert cached_dataset(raw, parse, tmp_path) == want
+    assert cached_dataset(raw, parse) == want
     assert len(calls) == 1
     calls.clear()
-    assert cached_dataset(raw, parse, tmp_path) == want
+    assert cached_dataset(raw, parse) == want
     assert calls == []  # the entry was rewritten
 
 
-def test_dataset_cache_write_interrupted_leaves_nothing(tmp_path, monkeypatch):
+def test_dataset_cache_write_interrupted_leaves_nothing(isolated_cache,
+                                                        monkeypatch):
     def interrupted(src, dst):
         raise OSError("interrupted")
 
     monkeypatch.setattr(vropt.harness.os, "replace", interrupted)
-    ds = cached_dataset(b"+1 1:1.0\n", parse_libsvm, tmp_path)
+    ds = cached_dataset(b"+1 1:1.0\n", parse_libsvm)
     assert ds == parse_libsvm("+1 1:1.0\n")
-    assert list(tmp_path.iterdir()) == []
+    assert list(isolated_cache.iterdir()) == []
+
+
+@contextlib.contextmanager
+def fresh_cache():
+    """A new, empty $VROPT_CACHE_DIR: the examples of one hypothesis test
+    share the function-scoped directory that conftest sets."""
+    with tempfile.TemporaryDirectory() as cache, \
+            mock.patch.dict(os.environ, {"VROPT_CACHE_DIR": cache}):
+        yield Path(cache)
 
 
 def no_call(*args, **kwargs):
@@ -557,9 +570,9 @@ def test_cache_entries_round_trip_exactly(case, x_values, f_star, grad_norm):
     ds = problem.dataset
     raw = serialize_libsvm(ds).encode()
     ref = ReferenceOptimum(np.array(x_values[:problem.d]), f_star, grad_norm)
-    with tempfile.TemporaryDirectory() as cache:
-        assert cached_dataset(raw, lambda text: ds, cache) is ds
-        hit = cached_dataset(raw, no_call, cache)
+    with fresh_cache():
+        assert cached_dataset(raw, lambda text: ds) is ds
+        hit = cached_dataset(raw, no_call)
         assert hit.dim == ds.dim
         for name in ("indptr", "indices", "data", "labels"):
             want, stored = getattr(ds, name), getattr(hit, name)
@@ -567,9 +580,9 @@ def test_cache_entries_round_trip_exactly(case, x_values, f_star, grad_norm):
             assert stored.tobytes() == want.tobytes()
         with mock.patch.object(vropt.harness, "compute_reference",
                                lambda problem, tol: ref):
-            assert cached_reference(problem, cache_dir=cache) is ref
+            assert cached_reference(problem) is ref
         with mock.patch.object(vropt.harness, "compute_reference", no_call):
-            got = cached_reference(problem, cache_dir=cache)
+            got = cached_reference(problem)
     assert got.x_star.dtype == np.float64
     assert got.x_star.tobytes() == ref.x_star.tobytes()
     assert np.float64(got.f_star).tobytes() == np.float64(f_star).tobytes()
@@ -604,21 +617,21 @@ def test_cache_entry_with_one_byte_overwritten(kind, offset, byte):
 
     def load():
         if kind == "data":
-            ds = cached_dataset(raw, parse, cache)
+            ds = cached_dataset(raw, parse)
             return [ds.indptr, ds.indices, ds.data, ds.labels, ds.dim]
         with mock.patch.object(vropt.harness, "compute_reference", counting):
-            ref = cached_reference(problem, cache_dir=cache)
+            ref = cached_reference(problem)
         return [ref.x_star, ref.f_star, ref.grad_norm]
 
     def as_bytes(values):
         return [np.asarray(v).tobytes() for v in values]
 
-    with tempfile.TemporaryDirectory() as cache:
+    with fresh_cache() as cache:
         want = as_bytes(load())
         if kind == "data":
-            path, _ = dataset_entry(raw, Path(cache))
+            path, _ = dataset_entry(raw, cache)
         else:
-            path = Path(cache) / f"ref-{problem_key(problem)}.npy"
+            path = cache / f"ref-{problem_key(problem)}.npy"
         good = path.read_bytes()
         header = len(good) - np.load(path, allow_pickle=False).dtype.itemsize
         pos = offset % len(good)

@@ -256,13 +256,19 @@ def test_divergence_steps_match_grad_component_loop(kind, algorithm,
 
 @pytest.mark.parametrize("algorithm", ["svrg", "sarah"])
 def test_divergence_in_snapshot_gradient(algorithm):
-    # a finite start whose full gradient overflows: loop 1 stops at its
-    # snapshot gradient, before any inner step
+    # a snapshot gradient with an inf entry: loop 1 stops at it, before
+    # any inner step
     problem = make_logistic(20, 4, seed=27, kappa=2.0)
+    full_grad = problem.full_grad
+
+    def overflowing(x, counter=None):
+        g = full_grad(x, counter)
+        g[0] = np.inf
+        return g
+
+    problem.full_grad = overflowing
     config = SolverConfig(algorithm, step=FixedStep(0.1),
-                          inner=FixedLength(5), averaging=U, outer_loops=3,
-                          x0=np.full(problem.d, 1e300))
-    assert not finite(problem.full_grad(config.x0))
+                          inner=FixedLength(5), averaging=U, outer_loops=3)
     with pytest.raises(DivergenceError) as info:
         run(problem, config, evaluate=False)
     assert info.value.steps == 1

@@ -54,8 +54,6 @@ def test_config_validation():
                                   inner=AdaptiveLength(), averaging=U,
                                   outer_loops=1))
     with pytest.raises(ConfigError):
-        run(problem, SolverConfig("svrg", x0=np.zeros(3), **good))
-    with pytest.raises(ConfigError):
         run(problem, SolverConfig("svrg", outer_loops=-1, step=FixedStep(0.1),
                                   inner=FixedLength(4), averaging=U))
     with pytest.raises(ConfigError, match="outer_loops must be an integer"):
@@ -621,14 +619,11 @@ def test_outer_loops_and_budget_combined():
     assert trace.final.s == 2
 
 
-def test_custom_x0_respected_and_untouched():
+def test_run_starts_at_zero():
     problem = make_logistic(15, 4, seed=22, kappa=20.0)
-    x0 = np.linspace(0.5, -0.5, problem.d)
-    keep = x0.copy()
-    trace = run(problem, SolverConfig("gd", outer_loops=1, x0=x0))
-    g0 = problem.full_grad(x0)
-    assert trace.points[0].grad_sq == pytest.approx(float(g0 @ g0), rel=1e-12)
-    assert np.array_equal(x0, keep)
+    trace = run(problem, SolverConfig("gd", outer_loops=1))
+    g0 = problem.full_grad(np.zeros(problem.d))
+    assert trace.points[0].grad_sq == float(g0 @ g0)
 
 
 def test_svrg_standard_parameterization_contracts_gap():
@@ -693,17 +688,21 @@ def test_bb_eta0_override():
 def test_divergence_error_carries_context():
     problem = make_logistic(20, 4, seed=27, kappa=2.0)  # mu = 0.25: unstable
     big_l = problem.smoothness
-    for algorithm, x0 in (("svrg", None), ("sarah", None),
-                          ("svrg", np.full(4, np.inf))):  # inf: s = 0 check
+    for algorithm in ("svrg", "sarah"):
         config = SolverConfig(algorithm, step=FixedStep(50.0 / big_l),
                               inner=FixedLength(50), averaging=U,
-                              ifo_budget=10 ** 6, seed=1, name="boom", x0=x0)
+                              ifo_budget=10 ** 6, seed=1, name="boom")
         with pytest.raises(DivergenceError, match="boom") as info:
             run(problem, config)
         assert info.value.config_id == "boom"
-        assert (info.value.steps == 0) == (x0 is not None)
+        assert info.value.steps > 0
         assert info.value.iterate_norm > 1e100 or not \
             math.isfinite(info.value.iterate_norm)
+    # the start's evaluation is checked too, at s = 0
+    problem.value_and_grad = lambda x: (math.inf, np.full(problem.d, np.inf))
+    with pytest.raises(DivergenceError, match="boom") as info:
+        run(problem, config)
+    assert (info.value.steps, info.value.iterate_norm) == (0, 0.0)
 
 
 def test_trace_shape_and_final():
