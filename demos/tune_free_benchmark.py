@@ -52,6 +52,5 @@ series = [(t.config_id,
           for t in traces]
 write_line_plot(out_dir / "benchmark.svg", series,
                 title="equal-budget comparison, 40 sample passes",
-                xlabel="sample passes", ylabel="squared gradient norm",
-                logy=True)
+                xlabel="sample passes", ylabel="squared gradient norm")
 print(f"\nwrote {out_dir / 'benchmark.csv'} and {out_dir / 'benchmark.svg'}")

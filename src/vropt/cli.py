@@ -73,7 +73,7 @@ def _add_run_args(run_p: argparse.ArgumentParser) -> None:
                        help="fixed inner-loop length as a multiple of kappa")
     run_p.add_argument("--passes", type=float, default=20.0,
                        help="IFO budget in sample passes (default 20)")
-    run_p.add_argument("--seed", type=int, default=0)
+    run_p.add_argument("--seed", type=int)
     run_p.add_argument("--name", help="config id in the CSV (default: algo)")
     run_p.add_argument("--no-reference", action="store_true",
                        help="skip the reference solve; gap column stays empty")
@@ -86,8 +86,10 @@ def _add_rates_args(rates_p: argparse.ArgumentParser) -> None:
                               "from the sweep flags below)")
     rates_p.add_argument("--schemes",
                          help="comma list: svrg_w,svrg_u,sarah_w,sarah_u,sarah_l")
-    rates_p.add_argument("--L", type=float, default=1.0, dest="big_l")
-    rates_p.add_argument("--mu", type=float, default=1e-5)
+    rates_p.add_argument("--L", type=float, dest="big_l",
+                         help="smoothness for a sweep (default 1)")
+    rates_p.add_argument("--mu", type=float,
+                         help="strong convexity for a sweep (default 1e-5)")
     rates_p.add_argument("--sweep", choices=["m", "eta"])
     rates_p.add_argument("--points", help="comma list of sweep values")
     rates_p.add_argument("--eta", type=float, help="fixed eta for --sweep m")
@@ -143,10 +145,12 @@ def _build_run_config(args, problem: LogisticProblem) -> SolverConfig:
             ("--eta-over-L", args.eta_over_l), ("--eta0-over-L", args.eta0_over_l),
             ("--theta-kappa", args.theta_kappa), ("--c", args.c),
             ("--m", args.m), ("--m-kappa", args.m_kappa)] if v is not None]
+        if args.algo == "gd" and args.seed is not None:
+            off.append("--seed")  # gd draws no random numbers
         if off:
             raise ValueError(f"--algo {args.algo} takes none of: "
                              f"{', '.join(off)}")
-        return SolverConfig(args.algo, seed=args.seed, name=name)
+        return SolverConfig(args.algo, seed=args.seed or 0, name=name)
 
     if args.step is None:
         raise ValueError(f"--algo {args.algo} needs --step fixed or --step bb")
@@ -192,7 +196,7 @@ def _build_run_config(args, problem: LogisticProblem) -> SolverConfig:
             inner = AdaptiveLength(
                 1.0 if args.c is None else _positive("--c", args.c))
     return SolverConfig(args.algo, step=step, inner=inner,
-                        averaging=averaging, seed=args.seed, name=name)
+                        averaging=averaging, seed=args.seed or 0, name=name)
 
 
 def _run_configs(problem: LogisticProblem, configs: list[SolverConfig],
@@ -233,7 +237,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_rates(args) -> int:
     sweep = [("--schemes", args.schemes), ("--sweep", args.sweep),
-             ("--points", args.points), ("--eta", args.eta), ("--m", args.m)]
+             ("--points", args.points), ("--L", args.big_l), ("--mu", args.mu),
+             ("--eta", args.eta), ("--m", args.m)]
     if args.figure:
         given = [flag for flag, v in sweep if v is not None]
         if given:
@@ -244,8 +249,13 @@ def _cmd_rates(args) -> int:
         if missing:
             raise ValueError(f"need --figure or {', '.join(missing)}")
         schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
-        points = [float(v) for v in args.points.split(",") if v.strip()]
-        rows = rate_grid(schemes, L=args.big_l, mu=args.mu, sweep=args.sweep,
+        try:
+            points = [float(v) for v in args.points.split(",") if v.strip()]
+        except ValueError as exc:
+            raise ValueError(f"--points: {exc}") from None
+        big_l = 1.0 if args.big_l is None else args.big_l
+        mu = 1e-5 if args.mu is None else args.mu
+        rows = rate_grid(schemes, L=big_l, mu=mu, sweep=args.sweep,
                          points=points, eta=args.eta, m=args.m)
     write_rate_csv(rows, args.out)
     print(f"wrote {len(rows)} rate rows -> {args.out}")
@@ -271,7 +281,7 @@ def _cmd_bench(args) -> int:
         write_line_plot(out_dir / "bench.svg", series,
                         title="equal-budget comparison",
                         xlabel="sample passes",
-                        ylabel="squared gradient norm", logy=True)
+                        ylabel="squared gradient norm")
     for trace in traces:
         final = trace.final
         print(f"{trace.config_id}: grad_sq={final.grad_sq!r} after "

@@ -302,7 +302,7 @@ def _blocks(source: str):
         start = end
 
 
-def parse_libsvm(source: str, dim: int | None = None) -> Dataset:
+def parse_libsvm(source: str) -> Dataset:
     """Parse LIBSVM text: one row per line, "label idx:val idx:val ...".
 
     The label is +1 or 1 (stored as +1) or -1 or 0 (stored as -1). Indices
@@ -316,18 +316,16 @@ def parse_libsvm(source: str, dim: int | None = None) -> Dataset:
 
     Args:
         source: the file content.
-        dim: optional dimension override, e.g. to align train/test columns;
-            must be >= the largest index observed. Defaults to that maximum.
 
     Returns:
-        Dataset with 0-based column indices.
+        Dataset with 0-based column indices, whose dim is the largest index
+        observed (1 if every row is empty).
 
     Raises:
         LibsvmParseError: malformed token, index not positive or too large,
             non-finite value, non-increasing indices within a line, or
             unrecognized label, at the first bad line, whose 1-based number
-            the message names; or no rows, or a dim override below the
-            largest index.
+            the message names; or no rows.
     """
     blocks = []
     line_no = 1
@@ -342,13 +340,7 @@ def parse_libsvm(source: str, dim: int | None = None) -> Dataset:
     del blocks  # free the pieces before Dataset copies the whole arrays
     indptr = np.zeros(labels.size + 1, dtype=np.intp)
     np.cumsum(counts, out=indptr[1:])
-    # dim 1 if every row is empty
-    inferred = int(indices.max()) + 1 if indices.size else 1
-    if dim is None:
-        dim = inferred
-    elif dim < inferred:
-        raise LibsvmParseError(
-            f"dim override {dim} is smaller than observed dimension {inferred}")
+    dim = int(indices.max()) + 1 if indices.size else 1
     return Dataset(indptr, indices, values, labels, dim)
 
 

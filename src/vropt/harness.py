@@ -12,7 +12,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import math
-import numbers
 import os
 import tempfile
 import warnings
@@ -313,15 +312,6 @@ def _write_atomic(path: Path, record: np.ndarray) -> None:
         raise
 
 
-def _derived_seed(config: SolverConfig) -> int:
-    # seed ^ crc32(config_id): identical configs share a stream, same-seed
-    # configs with different ids do not. A seed that check_config rejects
-    # is kept, so that its error names the seed as given.
-    if not isinstance(config.seed, numbers.Integral) or config.seed < 0:
-        return config.seed
-    return config.seed ^ zlib.crc32(config.config_id.encode("utf-8"))
-
-
 def _ifo_budget(passes: float, n: int) -> int:
     """ceil(passes * n); ValueError when that is NaN, infinite or < 0."""
     budget = passes * n
@@ -335,8 +325,8 @@ def _ifo_budget(passes: float, n: int) -> int:
 def _runnables(problem: ErmProblem, configs: Sequence[SolverConfig],
                passes: float) -> list[SolverConfig]:
     budget = _ifo_budget(passes, problem.n)
-    return [replace(config, ifo_budget=budget, outer_loops=None,
-                    seed=_derived_seed(config)) for config in configs]
+    return [replace(config, ifo_budget=budget, outer_loops=None)
+            for config in configs]
 
 
 @contextlib.contextmanager
@@ -352,8 +342,9 @@ def check_experiment(problem: ErmProblem, configs: Sequence[SolverConfig],
                      passes: float) -> None:
     """Make every check run_experiment makes before a run's first outer
     loop, with the same errors: the budget, then check_config for each
-    config. The CLI calls this before it solves for the reference, so an
-    experiment that cannot start solves and caches no reference."""
+    config with its seed as given. The CLI calls this before it solves for
+    the reference, so an experiment that cannot start solves and caches no
+    reference."""
     for config in _runnables(problem, configs, passes):
         with _config_id_on_errors(config):
             check_config(problem, config)
@@ -373,9 +364,10 @@ def run_experiment(problem: ErmProblem, configs: Sequence[SolverConfig],
     check_experiment(problem, configs, passes)
     traces = []
     for config in _runnables(problem, configs, passes):
+        seed = config.seed ^ zlib.crc32(config.config_id.encode("utf-8"))
         with _config_id_on_errors(config):
-            traces.append(run(problem, config, f_star=f_star,
-                              evaluate=evaluate))
+            traces.append(run(problem, replace(config, seed=seed),
+                              f_star=f_star, evaluate=evaluate))
     return traces
 
 

@@ -31,8 +31,8 @@ class IfoCounter:
 
     __slots__ = ("count",)
 
-    def __init__(self, count: int = 0):
-        self.count = int(count)
+    def __init__(self):
+        self.count = 0
 
     def __repr__(self):
         return f"IfoCounter({self.count})"

@@ -227,7 +227,7 @@ def rate_grid(schemes: Sequence[str], L: float, mu: float,
         sweep: "m" (points are inner lengths, whole numbers; fixed eta
             required) or "eta" (points are step sizes; fixed m required).
         points: sweep values, in emission order.
-        eta, m: the non-swept coordinate.
+        eta, m: the non-swept coordinate; the swept one is refused.
 
     Returns:
         One GridRow per (scheme, point), grouped by scheme, undefined points
@@ -235,8 +235,9 @@ def rate_grid(schemes: Sequence[str], L: float, mu: float,
 
     Raises:
         ValueError: no scheme, an unknown scheme, empty sweep, a missing
-            fixed coordinate, a NaN or infinite point, an m point that is
-            not a whole number, or a point whose RateQuery is invalid.
+            fixed coordinate, the swept coordinate given as fixed, a NaN or
+            infinite point, an m point that is not a whole number, or a
+            point whose RateQuery is invalid.
     """
     points = list(points)
     if not points:
@@ -246,14 +247,13 @@ def rate_grid(schemes: Sequence[str], L: float, mu: float,
     for s in schemes:
         if s not in SCHEME_RATES:
             raise ValueError(f"unknown scheme {s!r}")
-    if sweep == "m":
-        if eta is None:
-            raise ValueError("sweep over m needs a fixed eta")
-    elif sweep == "eta":
-        if m is None:
-            raise ValueError("sweep over eta needs a fixed m")
-    else:
+    if sweep not in ("m", "eta"):
         raise ValueError(f"sweep must be 'm' or 'eta', got {sweep!r}")
+    fixed, swept, other = (eta, m, "eta") if sweep == "m" else (m, eta, "m")
+    if fixed is None:
+        raise ValueError(f"sweep over {sweep} needs a fixed {other}")
+    if swept is not None:
+        raise ValueError(f"sweep over {sweep} takes no fixed {sweep}")
     for x in points:
         if not -_INF < x < _INF:
             raise ValueError(f"{sweep} sweep point {x!r} is not finite")

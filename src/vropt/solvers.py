@@ -163,7 +163,7 @@ _EPS2 = float(np.finfo(np.float64).eps) ** 2
 
 def bb_step(prev: tuple[np.ndarray, np.ndarray],
             cur: tuple[np.ndarray, np.ndarray], theta_kappa: float,
-            constants: tuple[float, float] | None = None) -> float | None:
+            constants: tuple[float, float]) -> float | None:
     """Barzilai-Borwein outer step from the secant pair of two snapshots.
 
     prev and cur are (snapshot, full gradient) of the previous and the
@@ -172,8 +172,8 @@ def bb_step(prev: tuple[np.ndarray, np.ndarray],
     snapshots coincide to working precision, ||dx|| <= eps * ||x_cur||
     with eps the float64 machine epsilon (caller should reuse the previous
     step): such a displacement, and the sign of <dx, dg> with it, is the
-    rounding noise of a converged run, not curvature. When problem constants
-    (L, mu) are given, the result is asserted to lie inside
+    rounding noise of a converged run, not curvature. With the problem
+    constants (L, mu), the result is asserted to lie inside
     [1/(theta_kappa*L), 1/(theta_kappa*mu)], which strong convexity and
     smoothness guarantee.
 
@@ -193,14 +193,13 @@ def bb_step(prev: tuple[np.ndarray, np.ndarray],
             f"secant product <dx, dg> = {den} is not positive; "
             "strong convexity is violated (non-finite state or a bug)")
     eta = sq / (theta_kappa * den)
-    if constants is not None:
-        big_l, mu = constants
-        lo = 1.0 / (theta_kappa * big_l)
-        hi = 1.0 / (theta_kappa * mu)
-        tol = 1e-9
-        if not (lo * (1.0 - tol) <= eta <= hi * (1.0 + tol)):
-            raise AssertionError(
-                f"BB step {eta} outside guaranteed interval [{lo}, {hi}]")
+    big_l, mu = constants
+    lo = 1.0 / (theta_kappa * big_l)
+    hi = 1.0 / (theta_kappa * mu)
+    tol = 1e-9
+    if not (lo * (1.0 - tol) <= eta <= hi * (1.0 + tol)):
+        raise AssertionError(
+            f"BB step {eta} outside guaranteed interval [{lo}, {hi}]")
     return eta
 
 

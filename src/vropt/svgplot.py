@@ -29,10 +29,10 @@ def _fmt(v: float) -> str:
     return format(v, ".6g")
 
 
-def _keep(x: float, y: float, logx: bool, logy: bool) -> bool:
+def _keep(x: float, y: float, logx: bool) -> bool:
     if not (math.isfinite(x) and math.isfinite(y)):
         return False
-    return (x > 0 or not logx) and (y > 0 or not logy)
+    return (x > 0 or not logx) and y > 0
 
 
 def _ticks(lo: float, hi: float, log: bool) -> list[float]:
@@ -47,9 +47,9 @@ def _ticks(lo: float, hi: float, log: bool) -> list[float]:
 
 def write_line_plot(path: str | os.PathLike,
                     series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
-                    title: str = "", xlabel: str = "", ylabel: str = "",
-                    logx: bool = False, logy: bool = False) -> None:
-    """Write one SVG with a polyline per (label, xs, ys) series.
+                    title: str, xlabel: str, ylabel: str,
+                    logx: bool = False) -> None:
+    """Write one SVG with a polyline per (label, xs, ys) series; y is log.
 
     Non-finite points, and non-positive points on log axes, are dropped; a
     series' one polyline joins the points it keeps, so a dropped point
@@ -59,15 +59,14 @@ def write_line_plot(path: str | os.PathLike,
     for _, xs, ys in series:
         if len(xs) != len(ys):
             raise ValueError("series xs and ys differ in length")
-        pts.extend(p for p in zip(xs, ys) if _keep(p[0], p[1], logx, logy))
+        pts.extend(p for p in zip(xs, ys) if _keep(p[0], p[1], logx))
     if not pts:
         raise ValueError("no plottable points")
     xlo, xhi = min(p[0] for p in pts), max(p[0] for p in pts)
     ylo, yhi = min(p[1] for p in pts), max(p[1] for p in pts)
     if logx:
         xlo, xhi = math.log10(xlo), math.log10(xhi)
-    if logy:
-        ylo, yhi = math.log10(ylo), math.log10(yhi)
+    ylo, yhi = math.log10(ylo), math.log10(yhi)
     if xhi - xlo < 1e-12:
         xlo, xhi = xlo - 0.5, xhi + 0.5
     if yhi - ylo < 1e-12:
@@ -79,23 +78,20 @@ def write_line_plot(path: str | os.PathLike,
         return _LEFT + (x - xlo) / (xhi - xlo) * (_W - _LEFT - _RIGHT)
 
     def py(y: float) -> float:
-        if logy:
-            y = math.log10(y)
-        return _H - _BOTTOM - (y - ylo) / (yhi - ylo) * (_H - _TOP - _BOTTOM)
+        return (_H - _BOTTOM - (math.log10(y) - ylo) / (yhi - ylo)
+                * (_H - _TOP - _BOTTOM))
 
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" '
            f'height="{_H}" viewBox="0 0 {_W} {_H}">',
            f'<rect width="{_W}" height="{_H}" fill="white"/>',
            f'<rect x="{_LEFT}" y="{_TOP}" width="{_W - _LEFT - _RIGHT}" '
-           f'height="{_H - _TOP - _BOTTOM}" fill="none" stroke="#999"/>']
-    if title:
-        out.append(f'<text x="{_W / 2:.1f}" y="24" text-anchor="middle" '
-                   f'font-family="sans-serif" font-size="15">{_esc(title)}</text>')
+           f'height="{_H - _TOP - _BOTTOM}" fill="none" stroke="#999"/>',
+           f'<text x="{_W / 2:.1f}" y="24" text-anchor="middle" '
+           f'font-family="sans-serif" font-size="15">{_esc(title)}</text>']
 
     x_ticks = _ticks(10.0 ** xlo if logx else xlo,
                      10.0 ** xhi if logx else xhi, logx)
-    y_ticks = _ticks(10.0 ** ylo if logy else ylo,
-                     10.0 ** yhi if logy else yhi, logy)
+    y_ticks = _ticks(10.0 ** ylo, 10.0 ** yhi, True)
     for t in x_ticks:
         gx = px(t)
         out.append(f'<line x1="{gx:.1f}" y1="{_H - _BOTTOM}" x2="{gx:.1f}" '
@@ -109,20 +105,18 @@ def write_line_plot(path: str | os.PathLike,
                    f'y2="{gy:.1f}" stroke="#555"/>')
         out.append(f'<text x="{_LEFT - 8}" y="{gy + 4:.1f}" text-anchor="end" '
                    f'font-family="sans-serif" font-size="11">{_fmt(t)}</text>')
-    if xlabel:
-        out.append(f'<text x="{(_LEFT + _W - _RIGHT) / 2:.1f}" y="{_H - 14}" '
-                   f'text-anchor="middle" font-family="sans-serif" '
-                   f'font-size="13">{_esc(xlabel)}</text>')
-    if ylabel:
-        cy = (_TOP + _H - _BOTTOM) / 2
-        out.append(f'<text x="16" y="{cy:.1f}" text-anchor="middle" '
-                   f'font-family="sans-serif" font-size="13" '
-                   f'transform="rotate(-90 16 {cy:.1f})">{_esc(ylabel)}</text>')
+    cy = (_TOP + _H - _BOTTOM) / 2
+    out.append(f'<text x="{(_LEFT + _W - _RIGHT) / 2:.1f}" y="{_H - 14}" '
+               f'text-anchor="middle" font-family="sans-serif" '
+               f'font-size="13">{_esc(xlabel)}</text>')
+    out.append(f'<text x="16" y="{cy:.1f}" text-anchor="middle" '
+               f'font-family="sans-serif" font-size="13" '
+               f'transform="rotate(-90 16 {cy:.1f})">{_esc(ylabel)}</text>')
 
     for idx, (label, xs, ys) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
         coords = [f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys)
-                  if _keep(x, y, logx, logy)]
+                  if _keep(x, y, logx)]
         if coords:
             out.append(f'<polyline points="{" ".join(coords)}" fill="none" '
                        f'stroke="{color}" stroke-width="1.6"/>')

@@ -19,7 +19,7 @@ def isolated_cache(tmp_path, monkeypatch):
     return cache
 
 
-def line_loop_parse(source, dim=None):
+def line_loop_parse(source):
     """parse_libsvm as one Python loop over lines and tokens, as it was
     before it read blocks in bulk: the oracle for its results and its
     error messages."""
@@ -68,14 +68,8 @@ def line_loop_parse(source, dim=None):
         indptr.append(len(indices))
     if not labels:
         raise LibsvmParseError("no data rows found")
-    inferred = max(indices, default=0) + 1
-    if dim is None:
-        dim = inferred
-    elif dim < inferred:
-        raise LibsvmParseError(
-            f"dim override {dim} is smaller than observed dimension "
-            f"{inferred}")
-    return Dataset(indptr, indices, values, labels, dim)
+    return Dataset(indptr, indices, values, labels,
+                   max(indices, default=0) + 1)
 
 
 def line_loop_serialize(ds):

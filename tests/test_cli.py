@@ -91,6 +91,15 @@ def test_run_sgd_schedule_in_csv(tmp_path):
     assert all(p.m_s == trace.n for p in trace.points[1:])
 
 
+def test_run_seed_defaults_to_0(tmp_path):
+    data = gen_data(tmp_path)
+    given, default = tmp_path / "given.csv", tmp_path / "default.csv"
+    for out, seed in ((given, ["--seed", "0"]), (default, [])):
+        assert main(run_flags(data, out, "--algo", "sgd", "--passes", "2",
+                              "--no-reference", *seed)) == 0
+    assert default.read_bytes() == given.read_bytes()
+
+
 def test_run_bias_appends_a_constant_feature(tmp_path, capsys):
     data = gen_data(tmp_path)
     capsys.readouterr()  # drop gen's report
@@ -137,6 +146,10 @@ def test_run_bb_defaults_to_weighted(tmp_path):
 
 @pytest.mark.parametrize("flags,message", [
     (["--algo", "gd", "--m", "5"], "--algo gd takes none of: --m"),
+    # gd draws no random numbers
+    (["--algo", "gd", "--seed", "3"], "--algo gd takes none of: --seed"),
+    (["--algo", "gd", "--m", "5", "--seed", "0"],
+     "--algo gd takes none of: --m, --seed"),
     (["--algo", "sgd", "--step", "fixed"], "--algo sgd takes none of: --step"),
     (["--algo", "sgd", "--step", "fixed", "--c", "2"],
      "--algo sgd takes none of: --step, --c"),
@@ -410,6 +423,15 @@ def test_rates_custom_grid(tmp_path):
     assert {line.split(",")[0] for line in lines[1:]} == {"svrg_u", "sarah_l"}
 
 
+def test_rates_sweep_defaults_to_unit_l_and_mu_1e_5(tmp_path):
+    sweep = ["rates", "--schemes", "svrg_w,sarah_u", "--sweep", "m",
+             "--points", "1e5,1e6", "--eta", "0.1"]
+    given, default = tmp_path / "given.csv", tmp_path / "default.csv"
+    assert main([*sweep, "--L", "1", "--mu", "1e-5", "--out", str(given)]) == 0
+    assert main([*sweep, "--out", str(default)]) == 0
+    assert default.read_bytes() == given.read_bytes()
+
+
 def test_rates_weighted_recursive_at_huge_m(tmp_path):
     # mu*eta*(m-1) = 1e-9 takes the normalizer's series branch at m = 1e9
     out = tmp_path / "rates.csv"
@@ -437,6 +459,18 @@ def test_rates_weighted_recursive_at_huge_m(tmp_path):
       "1"], "--figure takes none of: --schemes, --sweep, --points"),
     (["--figure", "2", "--eta", "0.1", "--m", "10"],
      "--figure takes none of: --eta, --m"),
+    # a figure's constants are fixed too
+    (["--figure", "1a", "--L", "7"], "--figure takes none of: --L"),
+    (["--figure", "4b-analytic", "--mu", "3"], "--figure takes none of: --mu"),
+    (["--figure", "1a", "--mu", "3", "--L", "7"],
+     "--figure takes none of: --L, --mu"),
+    # a sweep's swept coordinate is not also its fixed one
+    (["--schemes", "svrg_u", "--sweep", "m", "--points", "10", "--eta", "0.1",
+      "--m", "5"], "sweep over m takes no fixed m"),
+    (["--schemes", "sarah_u", "--sweep", "eta", "--points", "0.1", "--m",
+      "50", "--eta", "0.3"], "sweep over eta takes no fixed eta"),
+    (["--schemes", "svrg_u", "--sweep", "m", "--points", "a,2", "--eta",
+      "0.1"], "--points: could not convert string to float: 'a'"),
 ])
 def test_rates_mode_refusals(tmp_path, capsys, flags, message):
     out = tmp_path / "r.csv"

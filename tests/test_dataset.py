@@ -164,13 +164,6 @@ def test_parse_empty_input_rejected():
         parse_libsvm("")
 
 
-def test_parse_dim_override():
-    ds = parse_libsvm("+1 1:1.0\n", dim=5)
-    assert ds.dim == 5
-    with pytest.raises(LibsvmParseError):
-        parse_libsvm("+1 4:1.0\n", dim=3)
-
-
 def test_serialize_round_trip():
     ds = generate_synthetic(40, 7, seed=11, separation=2.5)
     again = parse_libsvm(serialize_libsvm(ds))
@@ -395,12 +388,11 @@ def canonical_csr(draw, values=st.floats(allow_nan=False,
 def test_serialize_parse_is_identity(parts):
     ds = Dataset(*parts)
     text = serialize_libsvm(ds)
-    again = parse_libsvm(text, dim=ds.dim)
-    assert again == ds
+    # the text holds no dimension: parsing infers the largest column's
+    again = parse_libsvm(text)
+    assert again == Dataset(*parts[:4], max(parts[1], default=0) + 1)
     assert serialize_libsvm(again) == text
-    inferred = parse_libsvm(text)
-    assert inferred.dim == max(parts[1], default=0) + 1
-    assert np.array_equal(inferred.data, ds.data)
+    assert np.array_equal(again.data, ds.data)
 
 
 _GOOD_LABELS = ["+1", "1", "-1", "0"]
@@ -477,24 +469,23 @@ def libsvm_like_text(draw):
     return text
 
 
-def parse_outcome(parse, text, dim):
+def parse_outcome(parse, text):
     try:
-        return parse(text, dim=dim)
+        return parse(text)
     except LibsvmParseError as exc:
         return str(exc)
 
 
 @settings(max_examples=500, deadline=None)
-@given(text=libsvm_like_text(), block=st.sampled_from([1, 5, 24, 1 << 20]),
-       dim=st.none() | st.integers(1, 50))
-@example(text="+1 1:2:3 4\n", block=1 << 20, dim=None).via("two colons, then none")
-@example(text="+1 1:2 1\n3:4\n", block=1 << 20, dim=None).via("a stray label")
-@example(text="", block=1 << 20, dim=None).via("no rows")
-@example(text="\n \r\n", block=1, dim=None).via("only blank lines")
-def test_parse_matches_line_loop(text, block, dim):
-    want = parse_outcome(line_loop_parse, text, dim)
+@given(text=libsvm_like_text(), block=st.sampled_from([1, 5, 24, 1 << 20]))
+@example(text="+1 1:2:3 4\n", block=1 << 20).via("two colons, then none")
+@example(text="+1 1:2 1\n3:4\n", block=1 << 20).via("a stray label")
+@example(text="", block=1 << 20).via("no rows")
+@example(text="\n \r\n", block=1).via("only blank lines")
+def test_parse_matches_line_loop(text, block):
+    want = parse_outcome(line_loop_parse, text)
     with mock.patch.object(dataset, "_BLOCK_CHARS", block):
-        got = parse_outcome(parse_libsvm, text, dim)
+        got = parse_outcome(parse_libsvm, text)
     if isinstance(want, str):
         assert got == want
     else:
@@ -617,6 +608,36 @@ def test_normalize_rows_holds_no_copy_of_the_row_index():
         tracemalloc.stop()
     assert scaled.rows is ds.rows
     assert peak - kept <= 1.25 * 8 * nnz
+
+
+@pytest.fixture(scope="module")
+def fifty_k_entries():
+    ds = generate_synthetic(5000, 20, 1, 2.0)
+    assert ds.indices.size >= 5 * 10**4
+    return ds, serialize_libsvm(ds)
+
+
+# each stage's peak over what it keeps (the text, the dataset, the problem),
+# as measured on fifty_k_entries (50,158 entries)
+@pytest.mark.parametrize("stage,ratio", [
+    ("serialize_libsvm", 2.25), ("parse_libsvm", 2.02),
+    ("LogisticProblem", 2.12)])
+def test_stage_peak_stays_within_its_measured_ratio(fifty_k_entries, stage,
+                                                    ratio):
+    # tracemalloc peaks repeat exactly for fixed code and data, so each
+    # stage's bound is its ratio with 10% headroom, not a timing
+    ds, text = fifty_k_entries
+    work = {"serialize_libsvm": lambda: serialize_libsvm(ds),
+            "parse_libsvm": lambda: parse_libsvm(text),
+            "LogisticProblem": lambda: LogisticProblem(ds, 1e-3)}[stage]
+    tracemalloc.start()
+    try:
+        kept_object = work()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept_object is not None
+    assert peak <= 1.1 * ratio * kept
 
 
 # |a_ij|, |x_j| <= 1e3 keep every product and row sum far from overflow

@@ -272,9 +272,9 @@ def test_problem_key_tracks_content():
     assert len(problem_key(p1)) == 16
     assert set(problem_key(p1)) <= set("0123456789abcdef")
     # same rows, one with unused columns: different problems, different keys
-    text = "+1 1:1.0\n-1 2:2.0\n"
-    assert problem_key(LogisticProblem(parse_libsvm(text), 0.1)) != \
-        problem_key(LogisticProblem(parse_libsvm(text, dim=5), 0.1))
+    rows = ([0, 1, 2], [0, 1], [1.0, 2.0], [1, -1])
+    assert problem_key(LogisticProblem(Dataset(*rows, 2), 0.1)) != \
+        problem_key(LogisticProblem(Dataset(*rows, 5), 0.1))
 
 
 def test_problem_key_survives_libsvm_round_trip():

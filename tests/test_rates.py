@@ -365,6 +365,16 @@ def test_rate_grid_shapes_and_errors():
                       points=[10.0, point], eta=0.1)
 
 
+@pytest.mark.parametrize("sweep,points,fixed", [
+    ("m", [10], dict(eta=0.1, m=5)), ("eta", [0.1], dict(m=50, eta=0.3))])
+def test_rate_grid_refuses_the_swept_coordinate_as_fixed(sweep, points,
+                                                          fixed):
+    with pytest.raises(ValueError) as info:
+        rate_grid(["svrg_u"], L=1.0, mu=1e-3, sweep=sweep, points=points,
+                  **fixed)
+    assert str(info.value) == f"sweep over {sweep} takes no fixed {sweep}"
+
+
 def test_figure_ids_and_structure():
     assert set(FIGURE_IDS) == {"1a", "1b", "2", "4b-analytic"}
     rows_1a = figure_grid("1a")

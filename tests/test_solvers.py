@@ -258,9 +258,11 @@ def constant_curvature_pairs(h, x_a, x_b):
 
 def test_bb_step_constant_curvature():
     pairs = constant_curvature_pairs(1.0, [0.0, 0.0], [1.0, 2.0])
-    assert bb_step(*pairs, 4.0) == pytest.approx(0.25, rel=1e-15)
+    assert bb_step(*pairs, 4.0, constants=(1.0, 1.0)) == \
+        pytest.approx(0.25, rel=1e-15)
     pairs = constant_curvature_pairs(3.0, [1.0], [-2.0])
-    assert bb_step(*pairs, 2.0) == pytest.approx(1.0 / 6.0, rel=1e-15)
+    assert bb_step(*pairs, 2.0, constants=(3.0, 3.0)) == \
+        pytest.approx(1.0 / 6.0, rel=1e-15)
     # the identity-Hessian value sits exactly on the interval for L = mu = 1
     pairs = constant_curvature_pairs(1.0, [0.0], [5.0])
     assert bb_step(*pairs, 4.0, constants=(1.0, 1.0)) == pytest.approx(0.25)
@@ -268,7 +270,7 @@ def test_bb_step_constant_curvature():
 
 def test_bb_step_zero_displacement_returns_none():
     pairs = constant_curvature_pairs(2.0, [1.0, 1.0], [1.0, 1.0])
-    assert bb_step(*pairs, 4.0) is None
+    assert bb_step(*pairs, 4.0, constants=(2.0, 2.0)) is None
 
 
 def test_bb_step_one_ulp_displacement_returns_none():
@@ -298,7 +300,8 @@ def test_bb_step_errors():
     # the gradient decreased along the displacement: <dx, dg> < 0
     with pytest.raises(ValueError, match="secant"):
         bb_step((np.array([0.0]), np.array([1.0])),
-                (np.array([1.0]), np.array([0.5])), 4.0)
+                (np.array([1.0]), np.array([0.5])), 4.0,
+                constants=(1.0, 0.5))
 
 
 def test_bb_step_interval_assertion_fires():
