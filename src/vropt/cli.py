@@ -296,43 +296,50 @@ def _cmd_reference(args) -> int:
     return 0
 
 
-# name, help, the function that adds the command's arguments, and the
-# handler, in the order the top-level help lists them
-_COMMANDS = (
-    ("gen", "write a synthetic LIBSVM dataset", _add_gen_args, _cmd_gen),
-    ("run", "run one solver configuration", _add_run_args, _cmd_run),
-    ("rates", "write an analytic rate-grid CSV", _add_rates_args, _cmd_rates),
-    ("bench", "run the five-config comparison", _add_bench_args, _cmd_bench),
-    ("reference", "compute and cache the optimum", _add_reference_args,
-     _cmd_reference),
-)
+# name: (help, the function that adds the command's arguments, handler), in
+# the order the top-level help lists them
+_COMMANDS = {
+    "gen": ("write a synthetic LIBSVM dataset", _add_gen_args, _cmd_gen),
+    "run": ("run one solver configuration", _add_run_args, _cmd_run),
+    "rates": ("write an analytic rate-grid CSV", _add_rates_args, _cmd_rates),
+    "bench": ("run the five-config comparison", _add_bench_args, _cmd_bench),
+    "reference": ("compute and cache the optimum", _add_reference_args,
+                  _cmd_reference),
+}
 
 
 def _build_parser(command: str | None) -> argparse.ArgumentParser:
-    """The parser for one invocation. Every subcommand is registered with
-    its help, so the top-level usage, help and errors are the same for any
-    argv, but only `command`'s arguments are added: adding every command's
-    arguments made the parser cost about 2.7 times as much to build."""
+    """The parser for one invocation. For a command it is `vropt <command>`,
+    a parser with that command's arguments alone, so a start builds no
+    other command's arguments and no sub-parser layer. For None it is the
+    top-level parser: it registers every command's name and help and no
+    command's arguments, so it prints the top-level help and usage errors
+    (no command, an unknown command or option) but never parses an argv
+    successfully: its only option is -h, and a "--" reads as a command
+    name, which is no valid choice."""
+    if command is not None:
+        _, add_args, handler = _COMMANDS[command]
+        parser = argparse.ArgumentParser(prog=f"vropt {command}")
+        add_args(parser)
+        parser.set_defaults(func=handler)
+        return parser
     parser = argparse.ArgumentParser(
         prog="vropt",
         description="Variance-reduced solvers, averaging schemes, and "
                     "analytic rate grids.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, add_args, handler in _COMMANDS:
-        # a command that is not run never prints its own help
-        p = sub.add_parser(name, help=help_text, add_help=name == command)
-        if name == command:
-            add_args(p)
-            p.set_defaults(func=handler)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        sub.add_parser(name, help=help_text, add_help=False)
     return parser
 
 
 def main(argv=None) -> int:
+    """Run the command that argv[0] names with the rest of argv as its
+    arguments, and return the exit code. When argv[0] names no command,
+    the top-level parser prints its help or a usage error and exits."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    # the top-level parser has no option that takes a value, so the first
-    # token that is not an option is the one it reads as the subcommand
-    command = next((a for a in argv if not a.startswith("-")), None)
-    args = _build_parser(command).parse_args(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _build_parser(command).parse_args(argv[1:] if command else argv)
     try:
         return args.func(args)
     except DivergenceError as exc:

@@ -32,8 +32,12 @@ class LibsvmParseError(ValueError):
 _MAX_INDEX = int(np.iinfo(np.intp).max)  # largest 1-based index np.intp holds
 
 
-def _frozen(values, dtype) -> np.ndarray:
-    a = np.array(values, dtype=dtype)
+def _frozen(values, dtype, copy: bool) -> np.ndarray:
+    """values as a read-only 1-D array of dtype: a copy, or with copy False
+    values itself when it already is an aligned, contiguous array of
+    dtype."""
+    a = np.array(values, dtype=dtype) if copy \
+        else np.require(values, dtype, ("C", "A"))
     if a.ndim != 1:
         raise ValueError("dataset arrays must be 1-D")
     a.setflags(write=False)
@@ -54,9 +58,12 @@ class Dataset:
     """Immutable CSR collection of (row, label) pairs with precomputed row norms.
 
     Row i has the values data[indptr[i]:indptr[i+1]] at the 0-based columns
-    indices[indptr[i]:indptr[i+1]]. Every array is read-only: the
-    constructor copies its input, and normalize_rows shares every array but
-    data and row_sq_norms with the Dataset it scales.
+    indices[indptr[i]:indptr[i+1]]. Every array is read-only. The
+    constructor copies its input; parse_libsvm and a cached_dataset hit
+    hand over arrays they own, which are checked the same way and kept
+    without a copy (a cache hit's arrays are views of the entry's bytes);
+    normalize_rows shares every array but data and row_sq_norms with the
+    Dataset it scales.
 
     Attributes:
         indptr: np.intp array of row offsets, length n + 1.
@@ -76,10 +83,24 @@ class Dataset:
                  "row_sq_norms")
 
     def __init__(self, indptr, indices, data, labels, dim: int):
-        indptr = _frozen(indptr, np.intp)
-        indices = _frozen(indices, np.intp)
-        data = _frozen(data, np.float64)
-        lab = _frozen(labels, np.int8)
+        self._check_and_set(indptr, indices, data, labels, dim, copy=True)
+
+    @classmethod
+    def _adopt(cls, indptr, indices, data, labels, dim: int) -> Dataset:
+        """A Dataset that keeps the given arrays themselves, checked as the
+        constructor checks them and made read-only; an array that is not
+        aligned, contiguous and of its dtype is copied. The caller must own
+        the arrays and write to them no more."""
+        ds = object.__new__(cls)
+        ds._check_and_set(indptr, indices, data, labels, dim, copy=False)
+        return ds
+
+    def _check_and_set(self, indptr, indices, data, labels, dim,
+                       copy: bool) -> None:
+        indptr = _frozen(indptr, np.intp, copy)
+        indices = _frozen(indices, np.intp, copy)
+        data = _frozen(data, np.float64, copy)
+        lab = _frozen(labels, np.int8, copy)
         dim = int(dim)
         n = indptr.size - 1
         if n < 1:
@@ -337,11 +358,11 @@ def parse_libsvm(source: str) -> Dataset:
     if not sum(block[3].size for block in blocks):
         raise LibsvmParseError("no data rows found")
     counts, indices, values, labels = map(np.concatenate, zip(*blocks))
-    del blocks  # free the pieces before Dataset copies the whole arrays
+    del blocks  # free the pieces before Dataset builds the row index
     indptr = np.zeros(labels.size + 1, dtype=np.intp)
     np.cumsum(counts, out=indptr[1:])
     dim = int(indices.max()) + 1 if indices.size else 1
-    return Dataset(indptr, indices, values, labels, dim)
+    return Dataset._adopt(indptr, indices, values, labels, dim)
 
 
 # Rows are written in blocks of about this many stored entries, each block
@@ -394,15 +415,18 @@ def generate_synthetic(n: int, d: int, seed: int, separation: float) -> Dataset:
         n: number of rows, >= 2.
         d: feature dimension, >= 1.
         seed: RNG seed.
-        separation: distance between the two cluster centers.
+        separation: distance between the two cluster centers, finite.
 
     Raises:
-        ValueError: n < 2 (cannot place both labels) or d < 1.
+        ValueError: n < 2 (cannot place both labels), d < 1, or a
+            separation that is NaN or infinite.
     """
     if n < 2:
         raise ValueError(f"need n >= 2 to place both labels, got {n}")
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
+    if not math.isfinite(separation):
+        raise ValueError(f"separation must be finite, got {separation!r}")
     rng = np.random.default_rng(seed)
     direction = rng.standard_normal(d)
     direction /= np.linalg.norm(direction)

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
 import math
 import os
+import re
 import tempfile
-import warnings
 import zlib
 from collections import deque
 from dataclasses import dataclass, replace
@@ -178,28 +179,39 @@ def _record_crc(record: np.ndarray) -> int:
     return zlib.crc32(record.reshape(1).view(np.uint8)[:offset])
 
 
+# a rank-1 field as the header of an entry writes it: ('x_star', '<f8', (5,))
+_SUBARRAY = re.compile(r"\('(\w+)', '[^']*', \((\d+),\)\)")
+
+
 def _read_entry(path: Path, fields: tuple) -> np.ndarray | None:
-    """The 0-d record of an .npy cache entry; None when the file is absent
-    or unreadable, holds pickled objects or anything but a 0-d record, has
-    other field names, base dtypes or ranks than fields and crc32, or fails
-    its CRC. A cache file is input from outside the program, so every
-    failure to read it is a miss. The reader is np.load's own .npy reader,
-    which takes no other format, an .npz archive neither."""
+    """The 0-d record of an .npy cache entry, read in place: a read-only
+    view of the file's bytes, read at once. None when the file is absent
+    or unreadable; when its header is not byte for byte the one np.save
+    writes for a 0-d record of fields and crc32, each rank-1 field sized as
+    the header says (so another .npy version, field, dtype, shape or order,
+    pickled objects or an .npz archive are refused); when the file's
+    length is not that header's plus the record's; or when the record
+    fails its CRC. A cache file is input from outside the program, so
+    every failure to read it is a miss. Rebuilding the header costs less
+    than parsing it, which np.load does with ast.literal_eval."""
     try:
-        # on a damaged header numpy may warn, then raise ValueError,
-        # SyntaxError, TypeError or tokenize.TokenError
-        with open(path, "rb") as fh, warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            record = np.lib.format.read_array(fh, allow_pickle=False)
-    except Exception:
+        raw = path.read_bytes()
+    except OSError:
         return None
-    dtype = record.dtype
-    fields = fields + (_CRC_FIELD,)
-    if record.shape != () or dtype.names != tuple(f[0] for f in fields):
+    end = 10 + int.from_bytes(raw[8:10], "little")  # a version 1.0 header
+    sizes = dict(_SUBARRAY.findall(raw[10:end].decode("latin-1")))
+    try:
+        dtype = np.dtype([(name, base, (int(sizes[name]),) if ndim else ())
+                          for name, base, ndim in fields + (_CRC_FIELD,)])
+    except (KeyError, ValueError):  # a size missing, or past numpy's range
         return None
-    for name, base, ndim in fields:
-        if dtype[name].base != base or dtype[name].ndim != ndim:
-            return None
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(header, {
+        "descr": np.lib.format.dtype_to_descr(dtype),
+        "fortran_order": False, "shape": ()})
+    if raw[:end] != header.getvalue() or len(raw) != end + dtype.itemsize:
+        return None
+    record = np.frombuffer(raw, dtype, count=1, offset=end).reshape(())
     if _record_crc(record) != record["crc32"]:
         return None
     return record
@@ -285,8 +297,9 @@ def cached_dataset(raw: bytes, parse: Callable[[str], Dataset]) -> Dataset:
     entry = _read_entry(path, _DATASET_FIELDS)
     if entry is not None and str(entry["sha256"]) == digest:
         try:
-            return Dataset(entry["indptr"], entry["indices"], entry["data"],
-                           entry["labels"], int(entry["dim"]))
+            return Dataset._adopt(entry["indptr"], entry["indices"],
+                                  entry["data"], entry["labels"],
+                                  int(entry["dim"]))
         except ValueError:
             pass  # not canonical: parse again and replace it
     ds = parse(raw.decode("utf-8"))

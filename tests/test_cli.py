@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import os
 import re
 import subprocess
@@ -7,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import vropt.cli
 from vropt import (LogisticProblem, SolverConfig, add_bias_column,
@@ -43,6 +47,16 @@ def test_gen_invalid_size_exits_2(tmp_path, capsys):
     assert main(["gen", "--n", "1", "--d", "3",
                  "--out", str(tmp_path / "x.libsvm")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--sep=nan", "--sep=inf", "--sep=-inf"])
+def test_gen_nonfinite_separation_exits_2(tmp_path, capsys, flag):
+    out = tmp_path / "x.libsvm"
+    assert main(["gen", "--n", "3", "--d", "2", flag, "--out", str(out)]) == 2
+    value = float(flag.partition("=")[2])
+    assert capsys.readouterr().err == \
+        f"error: separation must be finite, got {value!r}\n"
+    assert not out.exists()
 
 
 def test_gen_unwritable_path_exits_1(tmp_path):
@@ -741,11 +755,14 @@ def test_entry_underflowing_when_scaled_exits_2(tmp_path, capsys):
     assert not list((tmp_path / "refcache").glob("ref-*"))
 
 
-# the bytes argparse printed before each command built only its own
-# arguments; argparse's layout differs between Python minor versions
+# the bytes argparse printed when every command was a sub-parser of one
+# parser, but for reference-extra, whose usage error is now the command's
+# own; argparse's layout differs between Python minor versions
 GOLDEN = Path(__file__).parent / "golden" / "cli"
 TEXT_CASES = {"help": ["--help"], "no-command": [], "bogus": ["bogus"],
-              "run-no-flags": ["run"]}
+              "run-no-flags": ["run"],
+              "reference-extra": ["reference", "--data", "d", "--mu", "1",
+                                  "extra"]}
 TEXT_CASES.update((f"{c}-help", [c, "--help"])
                   for c in ("gen", "run", "rates", "bench", "reference"))
 
@@ -760,6 +777,30 @@ def test_help_and_usage_errors_match_golden(name, monkeypatch, capsys):
     out = capsys.readouterr()
     got = f"exit {exc.value.code}\n--- stdout\n{out.out}--- stderr\n{out.err}"
     assert got == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
+def test_unknown_option_before_a_command_lists_every_remaining_token(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-x", "gen", "--n", "3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "vropt: error: unrecognized arguments: -x --n 3\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=st.lists(st.one_of(
+    st.sampled_from(["gen", "run", "rates", "bench", "reference", "--", "-",
+                     "-h", "--help", "--he", "-x", "--n", "3", "-1", "",
+                     "--data=d", "-hx"]),
+    st.text(max_size=4)), max_size=5))
+@example(argv=["--", "gen"]).via("-- before a command")
+def test_top_level_parser_never_parses(argv):
+    # main hands it only an argv whose first token names no command; it
+    # prints the top-level help or a usage error and exits, whatever follows
+    assume(not argv or argv[0] not in vropt.cli._COMMANDS)
+    with pytest.raises(SystemExit), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        vropt.cli._build_parser(None).parse_args(argv)
 
 
 def test_import_loads_no_scipy():

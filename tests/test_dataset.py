@@ -223,6 +223,10 @@ def test_synthetic_validation():
         generate_synthetic(1, 4, seed=0, separation=1.0)
     with pytest.raises(ValueError):
         generate_synthetic(10, 0, seed=0, separation=1.0)
+    for separation in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=r"^separation must be finite, "
+                           f"got {separation!r}$"):
+            generate_synthetic(10, 3, seed=0, separation=separation)
 
 
 def test_synthetic_is_separable_enough():
@@ -357,8 +361,43 @@ def test_arrays_are_read_only_copies():
     ([0, 1], [0, 1], [1.0], [1], 3),  # indices and values differ in length
 ])
 def test_dataset_rejects_malformed_layout(indptr, indices, data, labels, dim):
-    with pytest.raises(ValueError):
-        Dataset(indptr, indices, data, labels, dim)
+    assert_both_reject(indptr, indices, data, labels, dim)
+
+
+def assert_both_reject(*parts):
+    """The constructor and the adopting path refuse parts alike."""
+    messages = []
+    for build in (Dataset, Dataset._adopt):
+        with pytest.raises(ValueError) as info:
+            build(*parts)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+def test_adopt_keeps_what_it_can_and_copies_the_rest():
+    indptr = np.array([0, 2, 3], dtype=np.intp)
+    indices = np.array([0, 2, 1], dtype=np.intp)
+    data = np.array([1.0, -2.0, 3.0])
+    labels = np.array([1, -1], dtype=np.int8)
+    assert not np.shares_memory(Dataset(indptr, indices, data, labels,
+                                        3).data, data)
+    ds = Dataset._adopt(indptr, indices, data, labels, 3)
+    for given, kept in zip((indptr, indices, data, labels),
+                           (ds.indptr, ds.indices, ds.data, ds.labels)):
+        assert kept is given
+        assert not given.flags.writeable
+    misaligned = np.zeros(3 * 8 + 1, dtype=np.uint8)[1:].view(np.float64)
+    misaligned[:] = [1.0, -2.0, 3.0]
+    assert not misaligned.flags.aligned
+    for values in (np.array([1.0, -2.0, 3.0], dtype=np.float32),
+                   np.array([1.0, 0.5, -2.0, 0.5, 3.0])[::2], misaligned):
+        ds = Dataset._adopt(indptr, indices, values, labels, 3)
+        assert not np.shares_memory(ds.data, values)
+        assert values.flags.writeable  # the copy is frozen, not the input
+        assert ds.data.dtype == np.float64
+        assert ds.data.flags.aligned and ds.data.flags.c_contiguous
+        assert not ds.data.flags.writeable
+        assert ds.data.tolist() == [1.0, -2.0, 3.0]
 
 
 # ------------------------------------------------------------ properties
@@ -555,8 +594,7 @@ def test_non_canonical_arrays_rejected(parts, kind, data):
                                                    -math.inf]))
         else:
             indices[k] = -1 if kind == "below" else dim
-    with pytest.raises(ValueError):
-        Dataset(indptr, indices, values, labels, dim)
+    assert_both_reject(indptr, indices, values, labels, dim)
 
 
 @settings(max_examples=300, deadline=None)
@@ -617,17 +655,18 @@ def fifty_k_entries():
     return ds, serialize_libsvm(ds)
 
 
-# each stage's peak over what it keeps (the text, the dataset, the problem),
-# as measured on fifty_k_entries (50,158 entries)
+# each stage's peak over what it keeps (the dataset, the text, the dataset,
+# the problem), as measured on fifty_k_entries (50,158 entries)
 @pytest.mark.parametrize("stage,ratio", [
-    ("serialize_libsvm", 2.25), ("parse_libsvm", 2.02),
-    ("LogisticProblem", 2.12)])
+    ("generate_synthetic", 3.01), ("serialize_libsvm", 2.25),
+    ("parse_libsvm", 1.36), ("LogisticProblem", 2.12)])
 def test_stage_peak_stays_within_its_measured_ratio(fifty_k_entries, stage,
                                                     ratio):
     # tracemalloc peaks repeat exactly for fixed code and data, so each
     # stage's bound is its ratio with 10% headroom, not a timing
     ds, text = fifty_k_entries
-    work = {"serialize_libsvm": lambda: serialize_libsvm(ds),
+    work = {"generate_synthetic": lambda: generate_synthetic(5000, 20, 1, 2.0),
+            "serialize_libsvm": lambda: serialize_libsvm(ds),
             "parse_libsvm": lambda: parse_libsvm(text),
             "LogisticProblem": lambda: LogisticProblem(ds, 1e-3)}[stage]
     tracemalloc.start()

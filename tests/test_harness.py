@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import io
 import math
 import os
 import tempfile
@@ -646,6 +647,101 @@ def test_cache_entry_with_one_byte_overwritten(kind, offset, byte):
         assert path.read_bytes() == (good if calls else damaged)
         if pos >= header and damaged != good:
             assert calls  # the crc32 covers every byte of the record
+
+
+def resave(path, damage):
+    """Rewrite a cache entry with the same record in another form."""
+    record = np.load(path, allow_pickle=False)
+    good = path.read_bytes()
+    if damage == "version 2.0":
+        with open(path, "wb") as fh:
+            np.lib.format.write_array(fh, record, version=(2, 0))
+    elif damage == "field size":  # the first rank-1 field, one longer
+        end = len(good) - record.dtype.itemsize
+        name = next(n for n in record.dtype.names if record.dtype[n].ndim)
+        size = record.dtype[name].shape[0]
+        field = f"('{name}', '{record.dtype[name].base.str}', "
+        header = good[:end].replace(f"{field}({size},))".encode(),
+                                    f"{field}({size + 1},))".encode())
+        assert header != good[:end] and len(header) == end
+        path.write_bytes(header + good[end:])
+    elif damage == "trailing byte":
+        path.write_bytes(good + b"\0")
+    elif damage == "fortran order":
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(header, {
+            "descr": np.lib.format.dtype_to_descr(record.dtype),
+            "fortran_order": True, "shape": ()})
+        path.write_bytes(header.getvalue() + record.tobytes())
+    else:  # the fields as a pickled object
+        np.save(path, np.array(record.item(), dtype=object),
+                allow_pickle=True)
+    assert path.read_bytes() != good
+
+
+@pytest.mark.parametrize("kind", ["data", "ref"])
+@pytest.mark.parametrize("damage", ["version 2.0", "field size",
+                                    "trailing byte", "fortran order",
+                                    "pickled"])
+def test_entry_in_another_form_is_a_miss_rewritten(isolated_cache, kind,
+                                                    damage):
+    """Only the header np.save writes for the entry's record is read, and
+    only with the record's bytes after it: another .npy form of the same
+    record is a miss, rewritten with the bytes of a cold write."""
+    problem = make_logistic(12, 3, seed=53, kappa=8.0)
+    raw = serialize_libsvm(problem.dataset).encode()
+    calls = []
+    true_compute = vropt.harness.compute_reference
+
+    def counting(problem, tol=1e-10):
+        calls.append(tol)
+        return true_compute(problem, tol=tol)
+
+    def load():
+        if kind == "data":
+            ds = cached_dataset(raw, counting_parse(calls))
+            return [ds.indptr, ds.indices, ds.data, ds.labels, ds.dim]
+        with mock.patch.object(vropt.harness, "compute_reference", counting):
+            ref = cached_reference(problem)
+        return [ref.x_star, ref.f_star, ref.grad_norm]
+
+    want = [np.asarray(v).tobytes() for v in load()]
+    if kind == "data":
+        path, _ = dataset_entry(raw, isolated_cache)
+    else:
+        path = isolated_cache / f"ref-{problem_key(problem)}.npy"
+    cold = path.read_bytes()
+    resave(path, damage)
+    calls.clear()
+    assert [np.asarray(v).tobytes() for v in load()] == want
+    assert len(calls) == 1
+    assert path.read_bytes() == cold
+
+
+def test_a_hit_uses_the_entry_in_place(isolated_cache, monkeypatch):
+    problem = make_logistic(12, 3, seed=53, kappa=8.0)
+    raw = serialize_libsvm(problem.dataset).encode()
+    cached_dataset(raw, parse_libsvm)
+    cached_reference(problem)
+    records = []
+    read = vropt.harness._read_entry
+
+    def keep(path, fields):
+        records.append(read(path, fields))
+        return records[-1]
+
+    monkeypatch.setattr(vropt.harness, "_read_entry", keep)
+    monkeypatch.setattr(vropt.harness, "compute_reference", no_call)
+    ds = cached_dataset(raw, no_call)
+    ref = cached_reference(problem)
+    data_record, ref_record = records
+    for record in records:
+        assert not record.flags.writeable
+    for a in (ds.indptr, ds.indices, ds.data, ds.labels):
+        assert not a.flags.writeable
+        assert np.shares_memory(a, data_record)
+    assert not ref.x_star.flags.writeable
+    assert np.shares_memory(ref.x_star, ref_record)
 
 
 # ------------------------------------------------------ run_experiment

@@ -228,7 +228,7 @@ def test_scheme_table():
             assert run(problem, config).final.s == 1
             # --avg picks the scheme, and --step bb its default scaling
             args = parser.parse_args([
-                "run", "--data", "unread", "--mu", "1", "--algo", algo,
+                "--data", "unread", "--mu", "1", "--algo", algo,
                 "--step", "bb", "--avg", letter])
             built = vropt.cli._build_run_config(args, problem)
             assert built.averaging is scheme
