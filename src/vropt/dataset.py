@@ -59,11 +59,12 @@ class Dataset:
 
     Row i has the values data[indptr[i]:indptr[i+1]] at the 0-based columns
     indices[indptr[i]:indptr[i+1]]. Every array is read-only. The
-    constructor copies its input; parse_libsvm and a cached_dataset hit
-    hand over arrays they own, which are checked the same way and kept
-    without a copy (a cache hit's arrays are views of the entry's bytes);
-    normalize_rows shares every array but data and row_sq_norms with the
-    Dataset it scales.
+    constructor copies its input; parse_libsvm, generate_synthetic,
+    add_bias_column and a cached_dataset hit hand over arrays they own,
+    which are checked the same way and kept without a copy (a cache hit's
+    arrays are views of the entry's bytes; add_bias_column keeps the
+    labels of the Dataset it extends); normalize_rows shares every array
+    but data and row_sq_norms with the Dataset it scales.
 
     Attributes:
         indptr: np.intp array of row offsets, length n + 1.
@@ -440,7 +441,7 @@ def generate_synthetic(n: int, d: int, seed: int, separation: float) -> Dataset:
     rows, cols = np.nonzero(keep)
     indptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(keep.sum(axis=1), out=indptr[1:])
-    return Dataset(indptr, cols, dense[rows, cols], labels, d)
+    return Dataset._adopt(indptr, cols, dense[rows, cols], labels, d)
 
 
 def normalize_rows(ds: Dataset) -> Dataset:
@@ -475,6 +476,7 @@ def normalize_rows(ds: Dataset) -> Dataset:
 def add_bias_column(ds: Dataset) -> Dataset:
     """Append a constant-1 feature as the last column (dim grows by one)."""
     ends = ds.indptr[1:]
-    return Dataset(ds.indptr + np.arange(ds.n + 1),
-                   np.insert(ds.indices, ends, ds.dim),
-                   np.insert(ds.data, ends, 1.0), ds.labels, ds.dim + 1)
+    return Dataset._adopt(ds.indptr + np.arange(ds.n + 1),
+                          np.insert(ds.indices, ends, ds.dim),
+                          np.insert(ds.data, ends, 1.0), ds.labels,
+                          ds.dim + 1)

@@ -48,9 +48,9 @@ _CACHE_ENV = "VROPT_CACHE_DIR"
 
 @dataclass(frozen=True, eq=False)
 class ReferenceOptimum:
-    """Minimizer estimate used to plot optimality gaps."""
+    """The optimum's value f_star, which optimality gaps f(x) - f_star
+    subtract, and the gradient norm at the point that reached it."""
 
-    x_star: np.ndarray
     f_star: float
     grad_norm: float
 
@@ -74,9 +74,10 @@ def compute_reference(problem: ErmProblem, tol: float = 1e-10) -> ReferenceOptim
     trial whose value equals f up to rounding is taken when its gradient
     norm is smaller than at x, since f can no longer rank the two points.
     Each point is evaluated once, through value_and_grad, so its value and
-    gradient come from one margins pass and f_star is the value the solve
-    already holds. That oracle takes no counter, so the solve charges no
-    IFO and draws no random numbers.
+    gradient come from one margins pass; f_star and grad_norm are the
+    value and gradient norm the solve already holds at its last point,
+    which is not returned. That oracle takes no counter, so the solve
+    charges no IFO and draws no random numbers.
 
     Raises:
         ValueError: mu = 0 (the solve needs strong convexity), bad tol.
@@ -132,7 +133,7 @@ def compute_reference(problem: ErmProblem, tol: float = 1e-10) -> ReferenceOptim
             pairs.append((s, y, sy))
         x, f, g, gn = x_new, f_new, g_new, gn_new
         steps += 1
-    return ReferenceOptimum(x, f, gn)
+    return ReferenceOptimum(f, gn)
 
 
 def problem_key(problem: ErmProblem) -> str:
@@ -163,9 +164,8 @@ def _cache_path(name: str) -> Path:
 # subarray sized to the entry, then "crc32", the zlib.crc32 of every byte
 # of the record before it. One record takes one read, where np.load pays
 # about 0.1 ms for each array of an .npz archive.
-_REFERENCE_FIELDS = (("key", "<U16", 0), ("dim", "<i8", 0), ("tol", "<f8", 0),
-                     ("f_star", "<f8", 0), ("grad_norm", "<f8", 0),
-                     ("x_star", "<f8", 1))
+_REFERENCE_FIELDS = (("key", "<U16", 0), ("f_star", "<f8", 0),
+                     ("grad_norm", "<f8", 0))
 _DATASET_FIELDS = (("sha256", "<U64", 0), ("dim", "<i8", 0),
                    ("indptr", "<i8", 1), ("indices", "<i8", 1),
                    ("data", "<f8", 1), ("labels", "i1", 1))
@@ -179,7 +179,7 @@ def _record_crc(record: np.ndarray) -> int:
     return zlib.crc32(record.reshape(1).view(np.uint8)[:offset])
 
 
-# a rank-1 field as the header of an entry writes it: ('x_star', '<f8', (5,))
+# a rank-1 field as the header of an entry writes it: ('data', '<f8', (5,))
 _SUBARRAY = re.compile(r"\('(\w+)', '[^']*', \((\d+),\)\)")
 
 
@@ -221,10 +221,14 @@ def _write_entry(path: Path, fields: tuple, values: dict) -> None:
     """Write the values, cast to the fields' dtypes, as one .npy record
     with its crc32. A failed write is ignored: an unwritable cache costs
     the next start a parse or a solve, no more, so every command runs
-    without one."""
-    record = np.zeros((), [
-        (name, base, (len(values[name]),) if ndim else ())
-        for name, base, ndim in fields + (_CRC_FIELD,)])
+    without one. A record numpy cannot lay out (a rank-1 field of 2^31 or
+    more entries) is not written either."""
+    try:
+        record = np.zeros((), [
+            (name, base, (len(values[name]),) if ndim else ())
+            for name, base, ndim in fields + (_CRC_FIELD,)])
+    except ValueError:  # a subarray size must fit a C int
+        return
     for name, _, _ in fields:
         record[name] = values[name]
     record["crc32"] = _record_crc(record)
@@ -234,48 +238,33 @@ def _write_entry(path: Path, fields: tuple, values: dict) -> None:
         pass
 
 
-def _load_cached(path: Path, key: str, dim: int,
-                 tol: float) -> ReferenceOptimum | None:
-    """Read a cache entry; None when absent, unreadable, stale, or not
-    tight enough."""
-    entry = _read_entry(path, _REFERENCE_FIELDS)
-    if entry is None:
-        return None
-    x_star = entry["x_star"]
-    if str(entry["key"]) != key or int(entry["dim"]) != dim \
-            or x_star.size != dim:
-        return None
-    grad_norm = float(entry["grad_norm"])
-    if not grad_norm <= tol:
-        return None
-    return ReferenceOptimum(x_star, float(entry["f_star"]), grad_norm)
-
-
 def cached_reference(problem: ErmProblem,
                      tol: float = 1e-10) -> ReferenceOptimum:
     """compute_reference with a disk cache.
 
     The cache directory is $VROPT_CACHE_DIR, else ~/.cache/vropt, for every
     caller. Entries are NumPy .npy files named ref-<key>.npy, key =
-    problem_key(problem). Each holds one record: the key and dim it
-    belongs to, the tol it was solved for, f_star, grad_norm, x_star
-    (float64, so it reads back bit for bit) and a CRC-32 of all of these.
-    A cached solution is reused only when its CRC, key, dimension, and
+    problem_key(problem) (which hashes dim too). Each holds one record of
+    276 bytes whatever the dimension: the key it belongs to, f_star and
+    grad_norm (float64, so they read back bit for bit) and a CRC-32 of
+    these. A cached solution is reused only when its CRC, key and
     achieved gradient norm satisfy the current request; any other entry,
-    or one that cannot be read, is recomputed and replaced. The file is
-    written under a temporary name and renamed into place, so an
-    interrupted write leaves no partial file; a write that fails is
-    ignored.
+    one in another layout included, or one that cannot be read, is
+    recomputed and replaced. The file is written under a temporary name
+    and renamed into place, so an interrupted write leaves no partial
+    file; a write that fails is ignored.
     """
     key = problem_key(problem)
     path = _cache_path(f"ref-{key}")
-    hit = _load_cached(path, key, problem.d, tol)
-    if hit is not None:
-        return hit
+    entry = _read_entry(path, _REFERENCE_FIELDS)
+    # a NaN grad_norm is not tight enough either
+    if entry is not None and str(entry["key"]) == key \
+            and entry["grad_norm"] <= tol:
+        return ReferenceOptimum(float(entry["f_star"]),
+                                float(entry["grad_norm"]))
     ref = compute_reference(problem, tol=tol)
     _write_entry(path, _REFERENCE_FIELDS, {
-        "key": key, "dim": problem.d, "tol": tol, "f_star": ref.f_star,
-        "grad_norm": ref.grad_norm, "x_star": ref.x_star})
+        "key": key, "f_star": ref.f_star, "grad_norm": ref.grad_norm})
     return ref
 
 

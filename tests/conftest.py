@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from vropt import (AveragingScheme, Dataset, ErmProblem, LibsvmParseError,
-                   LogisticProblem, generate_synthetic, normalize_rows,
-                   sample_snapshot_index, weights)
+                   LogisticProblem, compute_reference, generate_synthetic,
+                   normalize_rows, sample_snapshot_index, weights)
 from vropt.averaging import decay_rate
 from vropt.solvers import _inner_steps
 
@@ -203,6 +203,32 @@ def ridge_minimizer(problem):
     a = dense_rows(problem)
     h = a.T @ a / problem.n + problem.mu * np.eye(problem.d)
     return np.linalg.solve(h, a.T @ problem.targets / problem.n)
+
+
+def solve_and_point(problem, tol=1e-10):
+    """compute_reference(problem, tol), and the last point its solve
+    evaluated: the point whose value and gradient norm it returns. The
+    solve evaluates only through value_and_grad, so the problem's is
+    wrapped to record each point."""
+    points = []
+    value_and_grad = problem.value_and_grad
+
+    def recording(x):
+        points.append(x.copy())
+        return value_and_grad(x)
+
+    problem.value_and_grad = recording
+    ref = compute_reference(problem, tol=tol)
+    return ref, points[-1]
+
+
+def assert_solved_at(problem, ref, x, tol=1e-10):
+    """x meets tol, and ref holds its gradient norm and value bit for bit."""
+    grad_norm = float(np.linalg.norm(problem.full_grad(x)))
+    assert grad_norm <= tol
+    assert ref.grad_norm == grad_norm
+    assert np.float64(ref.f_star).tobytes() == \
+        np.float64(problem.value(x)).tobytes()
 
 
 def component_value(problem, i, x):

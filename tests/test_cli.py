@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -683,6 +684,37 @@ def test_parent_era_npz_entries_ignored_and_untouched(tmp_path, capsys,
     assert len(list(cache.glob("data-*.npy"))) == 1
     assert len(list(cache.glob("ref-*.npy"))) == 1
     assert len(list(cache.iterdir())) == 4
+
+
+def test_parent_layout_ref_entry_is_solved_again_once(tmp_path, capsys,
+                                                     monkeypatch):
+    data = gen_data(tmp_path)
+    capsys.readouterr()
+    argv = command_argv("reference", data, tmp_path)
+    monkeypatch.setenv("VROPT_CACHE_DIR", str(tmp_path / "cold"))
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    (cold_entry,) = (tmp_path / "cold").glob("ref-*.npy")
+    # a ref entry in the layout that also held dim, tol and x_star, under
+    # the name it has now; it holds wrong values, so reading it would
+    # change the output
+    cache = tmp_path / "upgraded"
+    cache.mkdir()
+    ds = normalize_rows(parse_libsvm(Path(data).read_text(encoding="utf-8")))
+    key = problem_key(LogisticProblem(ds, 0.05))
+    record = np.zeros((), [("key", "<U16"), ("dim", "<i8"), ("tol", "<f8"),
+                           ("f_star", "<f8"), ("grad_norm", "<f8"),
+                           ("x_star", "<f8", (ds.dim,)), ("crc32", "<u4")])
+    record[["key", "dim", "tol", "f_star", "grad_norm"]] = (
+        key, ds.dim, 1e-10, -1.0, 0.0)
+    record["crc32"] = zlib.crc32(record.reshape(1).view(np.uint8)[:-4])
+    entry = cache / cold_entry.name
+    np.save(entry, record)
+    monkeypatch.setenv("VROPT_CACHE_DIR", str(cache))
+    for _ in ("miss", "hit"):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == cold
+        assert entry.read_bytes() == cold_entry.read_bytes()
 
 
 def test_edited_data_file_misses_cache(tmp_path, capsys, monkeypatch):
