@@ -160,6 +160,8 @@ def _build_run_config(args, problem: LogisticProblem) -> SolverConfig:
     if args.m is not None and args.m_kappa is not None:
         raise ValueError("give --m or --m-kappa, not both")
     m = args.m
+    if m is not None and m < 2:
+        raise ValueError(f"--m must be >= 2, got {m}")
     if args.m_kappa is not None:
         m_len = _positive("--m-kappa", args.m_kappa) * kappa
         if not math.isfinite(m_len):

@@ -181,16 +181,15 @@ _BLOCK_CHARS = 1 << 16
 _COLON, _SPACE, _ZERO = ord(":"), ord(" "), ord("0")
 
 
-def _parse_line(line: str, line_no: int, indices: list[int],
-                values: list[float]) -> int:
-    """Append one line's entries to the flat lists; returns its label.
+def _check_line(line: str, line_no: int) -> None:
+    """Raise the LibsvmParseError of the first check that one line fails,
+    if any; a blank line passes.
 
-    The one definition of the format and the only source of its errors:
-    parse_libsvm's bulk path accepts only what this accepts, and re-reads
-    a block through it when a bulk check fails."""
+    The one definition of the format's errors: parse_libsvm calls it only
+    on the lines of a block that _read_block turned down, for the error
+    message, so it builds nothing."""
     tokens = line.split()
-    label = _LABELS.get(tokens[0])
-    if label is None:
+    if tokens and tokens[0] not in _LABELS:
         raise LibsvmParseError(
             f"line {line_no}: unrecognized label {tokens[0]!r}")
     prev = 0  # file indices are 1-based, so 0 floors the increasing check
@@ -212,28 +211,9 @@ def _parse_line(line: str, line_no: int, indices: list[int],
             raise LibsvmParseError(
                 f"line {line_no}: index {idx} not increasing (after {prev})")
         prev = idx
-        if val == 0.0:  # zero entries are dropped to keep rows canonical
-            continue
-        if not math.isfinite(val):
+        if val != 0.0 and not math.isfinite(val):  # zeros are dropped
             raise LibsvmParseError(
                 f"line {line_no}: value {val_s!r} is not finite")
-        indices.append(idx - 1)
-        values.append(val)
-    return label
-
-
-def _line_block(lines: list[str], first_line_no: int):
-    """One block read line by line through _parse_line: (entries per row,
-    0-based indices, values, labels), or the first bad line's error."""
-    labels, ends, indices, values = [], [0], [], []
-    for line_no, line in enumerate(lines, start=first_line_no):
-        if line.strip():
-            labels.append(_parse_line(line, line_no, indices, values))
-            ends.append(len(indices))
-    return (np.diff(np.array(ends, dtype=np.intp)),
-            np.array(indices, dtype=np.intp),
-            np.array(values, dtype=np.float64),
-            np.array(labels, dtype=np.int8))
 
 
 def _digits(b: np.ndarray, starts: np.ndarray, ends: np.ndarray):
@@ -256,11 +236,10 @@ def _digits(b: np.ndarray, starts: np.ndarray, ends: np.ndarray):
     return out
 
 
-def _bulk_block(lines: list[str]):
-    """One block as _line_block reads it, from whole-block work, or None
-    when a check fails or an index is not plain ASCII digits. Then the
-    caller re-reads the block through _parse_line, so this path needs only
-    to accept nothing that _parse_line rejects."""
+def _read_block(lines: list[str]):
+    """One block of lines as (entries per row, 0-based indices, values,
+    labels), read by whole-block work, or None exactly when some line of
+    the block fails a check of _check_line. Blank lines are skipped."""
     heads, counts, entries = [], [], []
     for line in lines:
         tokens = line.split()
@@ -273,6 +252,9 @@ def _bulk_block(lines: list[str]):
     except KeyError:
         return None
     k = len(entries)
+    if not k:  # label-only rows, or blank lines alone
+        return (np.zeros(labels.size, np.intp), np.zeros(0, np.intp),
+                np.zeros(0), labels)
     bounds = np.zeros(len(heads) + 1, dtype=np.intp)  # row starts, then k
     np.cumsum(counts, out=bounds[1:])
     # Tokens hold no whitespace, so the joined text's k - 1 spaces are the
@@ -280,8 +262,7 @@ def _bulk_block(lines: list[str]):
     # alternate ":", " ", ..., ":": 2k - 1 of them, a colon at every even
     # place. (Bytes of a non-ASCII character are never either separator.)
     # An empty side is left to the conversions: an empty index reads as 0,
-    # which no index may be, and float("") fails. A block with no entries
-    # fails the count and is left to the line loop too.
+    # which no index may be, and float("") fails.
     joined = " ".join(entries)
     b = np.frombuffer(joined.encode("utf-8", "surrogatepass"), dtype=np.uint8)
     seps = np.flatnonzero((b == _COLON) | (b == _SPACE))
@@ -290,14 +271,13 @@ def _bulk_block(lines: list[str]):
         return None
     starts = np.zeros(k, dtype=np.intp)
     starts[1:] = seps[1::2] + 1
+    fields = joined.replace(":", " ").split(" ")  # index, value, index, ...
     idx = _digits(b, starts, colons)
-    if idx is None:
-        return None
     try:
-        data = np.fromiter(
-            map(float, joined.replace(":", " ").split(" ")[1::2]),
-            dtype=np.float64, count=k)
-    except ValueError:
+        if idx is None:  # signed, with "_", other digits, or long: as int()
+            idx = np.fromiter(map(int, fields[::2]), dtype=np.intp, count=k)
+        data = np.fromiter(map(float, fields[1::2]), np.float64, count=k)
+    except (ValueError, OverflowError):  # OverflowError: past np.intp
         return None
     # a non-finite value is nonzero, so every value must be finite
     if idx.min() < 1 or not np.all(np.isfinite(data)):
@@ -328,13 +308,15 @@ def parse_libsvm(source: str) -> Dataset:
     """Parse LIBSVM text: one row per line, "label idx:val idx:val ...".
 
     The label is +1 or 1 (stored as +1) or -1 or 0 (stored as -1). Indices
-    are 1-based integers, at most the largest np.intp, strictly increasing
-    within a line; values are floats, and entries whose value is zero are
-    dropped (their indices still count for the increasing check). Tokens
-    are separated by any whitespace, lines by any str.splitlines break, and
-    blank lines are skipped. The text is read in blocks of lines, with
-    numpy checks over each block; a block that fails one is re-read line by
-    line, so the error is the one the first bad line gives.
+    are 1-based integers as Python's int reads them (a sign, underscores
+    and any decimal digits included), at most the largest np.intp, strictly
+    increasing within a line; values are what float reads, and entries
+    whose value is zero are dropped (their indices still count for the
+    increasing check). A row may hold a label alone. Tokens are separated
+    by any whitespace, lines by any str.splitlines break, and blank lines
+    are skipped. The text is read in blocks of lines by _read_block; only a
+    block that holds a bad line is checked line by line, by _check_line,
+    for the error the first bad line gives.
 
     Args:
         source: the file content.
@@ -352,9 +334,13 @@ def parse_libsvm(source: str) -> Dataset:
     blocks = []
     line_no = 1
     for lines in _blocks(source):
-        block = _bulk_block(lines)
-        blocks.append(block if block is not None
-                      else _line_block(lines, line_no))
+        block = _read_block(lines)
+        if block is None:
+            for j, line in enumerate(lines, start=line_no):
+                _check_line(line, j)
+            raise AssertionError(
+                f"the block from line {line_no} was refused, but no line fails")
+        blocks.append(block)
         line_no += len(lines)
     if not sum(block[3].size for block in blocks):
         raise LibsvmParseError("no data rows found")
@@ -415,12 +401,12 @@ def generate_synthetic(n: int, d: int, seed: int, separation: float) -> Dataset:
     Args:
         n: number of rows, >= 2.
         d: feature dimension, >= 1.
-        seed: RNG seed.
+        seed: RNG seed, >= 0.
         separation: distance between the two cluster centers, finite.
 
     Raises:
-        ValueError: n < 2 (cannot place both labels), d < 1, or a
-            separation that is NaN or infinite.
+        ValueError: n < 2 (cannot place both labels), d < 1, a
+            separation that is NaN or infinite, or a negative seed.
     """
     if n < 2:
         raise ValueError(f"need n >= 2 to place both labels, got {n}")
@@ -428,6 +414,8 @@ def generate_synthetic(n: int, d: int, seed: int, separation: float) -> Dataset:
         raise ValueError(f"need d >= 1, got {d}")
     if not math.isfinite(separation):
         raise ValueError(f"separation must be finite, got {separation!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     direction = rng.standard_normal(d)
     direction /= np.linalg.norm(direction)

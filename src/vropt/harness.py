@@ -62,6 +62,11 @@ _FLAT_RTOL = 1e-14  # trial values this close to f differ by rounding only
 _MAX_ITERATIONS = 10_000
 
 
+def _check_tol(tol: float) -> None:
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+
+
 def compute_reference(problem: ErmProblem, tol: float = 1e-10) -> ReferenceOptimum:
     """Solve the problem to high accuracy with deterministic full gradients.
 
@@ -80,13 +85,13 @@ def compute_reference(problem: ErmProblem, tol: float = 1e-10) -> ReferenceOptim
     charges no IFO and draws no random numbers.
 
     Raises:
-        ValueError: mu = 0 (the solve needs strong convexity), bad tol.
+        ValueError: mu = 0 (the solve needs strong convexity), or a tol
+            that is not positive and finite.
         RuntimeError: 10,000 iterations pass before tol, or no
             decrease is found: the direction is not a descent direction
             (lost to rounding), or every trial down to t = 2^-41 fails.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     if not problem.mu > 0:
         raise ValueError("reference solver needs mu > 0")
     pairs = deque(maxlen=_LBFGS_PAIRS)  # (s, y, s.y), oldest first
@@ -252,8 +257,11 @@ def cached_reference(problem: ErmProblem,
     one in another layout included, or one that cannot be read, is
     recomputed and replaced. The file is written under a temporary name
     and renamed into place, so an interrupted write leaves no partial
-    file; a write that fails is ignored.
+    file; a write that fails is ignored. A tol that is not positive and
+    finite raises ValueError before the cache is read: any entry, or f(0),
+    would meet an infinite one.
     """
+    _check_tol(tol)
     key = problem_key(problem)
     path = _cache_path(f"ref-{key}")
     entry = _read_entry(path, _REFERENCE_FIELDS)

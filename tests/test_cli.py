@@ -60,6 +60,14 @@ def test_gen_nonfinite_separation_exits_2(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+def test_gen_negative_seed_exits_2(tmp_path, capsys):
+    out = tmp_path / "x.libsvm"
+    assert main(["gen", "--n", "3", "--d", "2", "--seed", "-1",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 def test_gen_unwritable_path_exits_1(tmp_path):
     assert main(["gen", "--n", "5", "--d", "2",
                  "--out", str(tmp_path / "missing-dir" / "x.libsvm")]) == 1
@@ -272,6 +280,11 @@ def test_run_flag_rejection(tmp_path, capsys, flags, message):
       "12345678901234567890"],
      "error: config 'svrg': inner length 12345678901234567890 is too large: "
      "the snapshot pmf holds m_s + 1 floats, at most 1152921504606846975"),
+    # a fixed inner length too short for a snapshot and one inner step,
+    # named as typed
+    (["--algo", "svrg", "--step", "fixed", "--eta-over-L", "0.1", "--m",
+      "1"],
+     "error: --m must be >= 2, got 1"),
     # a seed numpy would reject, and a config id that is not one CSV cell
     (["--algo", "sarah", "--step", "bb", "--seed", "-1"],
      "error: config 'sarah': seed must be >= 0, got -1"),
@@ -598,6 +611,26 @@ def test_reference_below_float_resolution_exits_1(tmp_path, capsys,
                         r"cap with gradient norm \S+ > tol 1\.000e-200\n",
                         captured.err)
     assert not list(cache.glob("ref-*"))
+
+
+@pytest.mark.parametrize("start", ["cold", "warm"])
+def test_reference_infinite_tol_exits_2(tmp_path, capsys, monkeypatch, start):
+    # any gradient norm meets an infinite tol: cold, f(0) would be taken
+    # for the optimum, and warm, any cached entry
+    data = gen_data(tmp_path)
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("VROPT_CACHE_DIR", str(cache))
+    flags = ["reference", "--data", data, "--mu", "0.05", "--normalize"]
+    if start == "warm":
+        assert main(flags) == 0
+    entries = {p.name: p.read_bytes() for p in cache.glob("ref-*")}
+    capsys.readouterr()
+    assert main(flags + ["--tol", "inf"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: tol must be positive and finite, got inf\n"
+    assert {p.name: p.read_bytes() for p in cache.glob("ref-*")} == entries
+    assert len(entries) == (start == "warm")
 
 
 # -------------------------------------------------------- dataset cache

@@ -116,47 +116,71 @@ def test_rows_on_block_boundaries(monkeypatch):
         assert_same_dataset(parse_libsvm(text), want)
 
 
-def test_error_in_a_later_block_names_its_line(monkeypatch):
-    reread = []
-    line_block = dataset._line_block
+@pytest.fixture
+def checked_lines(monkeypatch):
+    """The line numbers parse_libsvm hands to _check_line, in order."""
+    seen = []
+    check = dataset._check_line
 
-    def spy(lines, first_line_no):
-        reread.append(first_line_no)
-        return line_block(lines, first_line_no)
+    def spy(line, line_no):
+        seen.append(line_no)
+        return check(line, line_no)
 
-    monkeypatch.setattr(dataset, "_line_block", spy)
+    monkeypatch.setattr(dataset, "_check_line", spy)
+    return seen
+
+
+def test_error_in_a_later_block_names_its_line(monkeypatch, checked_lines):
     monkeypatch.setattr(dataset, "_BLOCK_CHARS", 16)
     text = "+1 1:1 2:2\n-1 2:2 3:3\n\n+1 1:1 1:2\n-1 1:1\n"
     with pytest.raises(LibsvmParseError) as exc:
         parse_libsvm(text)
     assert str(exc.value) == "line 4: index 1 not increasing (after 1)"
-    # only the block holding the bad line was read line by line
-    assert reread == [3]
+    # only the block holding the bad line (lines 3 to 5) was checked line
+    # by line, up to the bad line
+    assert [len(lines) for lines in dataset._blocks(text)] == [2, 3]
+    assert checked_lines == [3, 4]
 
 
-def test_plain_text_takes_the_bulk_path(monkeypatch):
-    def fail(lines, first_line_no):
-        raise AssertionError("re-read line by line")
-
+def test_plain_text_takes_the_bulk_path(monkeypatch, checked_lines):
     ds = generate_synthetic(60, 7, seed=3, separation=2.0)
     text = serialize_libsvm(ds)
-    monkeypatch.setattr(dataset, "_line_block", fail)
     monkeypatch.setattr(dataset, "_BLOCK_CHARS", 256)
     assert len(list(dataset._blocks(text))) > 2
     assert_same_dataset(parse_libsvm(text), ds)
+    assert checked_lines == []
+
+
+def test_a_refused_block_with_no_bad_line_is_an_error(monkeypatch):
+    monkeypatch.setattr(dataset, "_read_block", lambda lines: None)
+    with pytest.raises(AssertionError, match="block from line 1 was refused"):
+        parse_libsvm("+1 1:1\n")
 
 
 @pytest.mark.parametrize("text", [
-    # indices the bulk path leaves to the line loop
+    # indices that int() reads but that are not plain ASCII digits
     "+1 +3:1\n",  # signed
     "+1 1_0:2\n",  # with an underscore
     "-1 \u0663:2\n",  # a non-ASCII decimal digit
     "+1 1000000000000000000:1\n",  # 19 digits that np.intp holds
-    # values that float() reads, in the bulk path too
+    "+1 2:1 009223372036854775807:1\n",  # the largest np.intp, zero-padded
+    # values that float() reads
     "+1 1:\u0663 2:1_0 3:+3 4:-0.0\n",
 ])
-def test_odd_number_forms_match_the_line_loop(text):
+def test_odd_number_forms_match_the_line_loop(text, checked_lines):
     assert_same_dataset(parse_libsvm(text), line_loop_parse(text))
+    assert checked_lines == []
+
+
+def test_label_only_rows_take_the_bulk_path(monkeypatch, checked_lines):
+    alone = "+1\n-1\n0\n\n1\n"
+    assert_same_dataset(parse_libsvm(alone), line_loop_parse(alone))
+    # the same rows as one block between blocks with entries
+    text = "+1 1:1 2:2\n-1 2:2 3:3\n" + alone + "+1 1:1 4:2\n"
+    monkeypatch.setattr(dataset, "_BLOCK_CHARS", 11)
+    assert list(dataset._blocks(text))[2] == alone.splitlines()
+    assert_same_dataset(parse_libsvm(text), line_loop_parse(text))
+    assert checked_lines == []
 
 
 def test_parse_empty_input_rejected():
@@ -227,6 +251,8 @@ def test_synthetic_validation():
         with pytest.raises(ValueError, match=r"^separation must be finite, "
                            f"got {separation!r}$"):
             generate_synthetic(10, 3, seed=0, separation=separation)
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        generate_synthetic(10, 3, seed=-1, separation=1.0)
 
 
 def test_synthetic_is_separable_enough():

@@ -50,10 +50,15 @@ def test_reference_logistic_meets_tolerance():
 
 def test_reference_validation():
     problem = make_logistic(10, 3, seed=42, kappa=5.0)
-    with pytest.raises(ValueError):
-        compute_reference(problem, tol=0.0)
-    with pytest.raises(ValueError):
-        compute_reference(problem, tol=-1e-8)
+    for tol in (0.0, -1e-8, math.inf, math.nan):
+        message = f"^tol must be positive and finite, got {tol}$"
+        with pytest.raises(ValueError, match=message):
+            compute_reference(problem, tol=tol)
+        # refused before the cache is read, so a cached entry that any
+        # gradient norm satisfies is no answer either
+        with mock.patch.object(vropt.harness, "_read_entry", no_call), \
+                pytest.raises(ValueError, match=message):
+            cached_reference(problem, tol=tol)
     for mu_free in (make_ridge(8, 9000, seed=0, mu=0.0),
                     make_ridge(8, 3, mu=0.0)):
         with pytest.raises(ValueError, match="mu"):
@@ -603,19 +608,20 @@ def test_cache_entries_round_trip_exactly(case, f_star, grad_norm):
 @settings(max_examples=200, deadline=None)
 @given(kind=st.sampled_from(["data", "ref"]), offset=st.integers(-4000, 4000),
        byte=st.integers(0, 255))
-@example(kind="data", offset=0, byte=0).via("magic string")
-@example(kind="ref", offset=8, byte=0xff).via("header length")
-@example(kind="data", offset=123, byte=0).via("header string left open")
-@example(kind="data", offset=33, byte=44).via("header syntax")
-@example(kind="ref", offset=97, byte=66).via("header descr of bytes")
-@example(kind="data", offset=77, byte=76).via("header warns, then reads")
-@example(kind="ref", offset=23, byte=92).via("header escape warns")
+@example(kind="data", offset="magic string", byte=0)
+@example(kind="ref", offset="header length", byte=0xff)
+@example(kind="data", offset="header string left open", byte=0)
+@example(kind="data", offset="header syntax", byte=44)
+@example(kind="ref", offset="header key of bytes", byte=66)
+@example(kind="data", offset="header warns, then reads", byte=76)
+@example(kind="ref", offset="header escape warns", byte=92)
 @example(kind="ref", offset=-1, byte=0).via("crc32")
 @example(kind="data", offset=-5, byte=0xfe).via("last label")
 def test_cache_entry_with_one_byte_overwritten(kind, offset, byte):
     """Any one byte of either entry overwritten: a miss that is recomputed
     and rewritten, or a hit with bit-identical arrays; never an error or a
-    warning."""
+    warning. An offset is a place in the entry, or in an @example the name
+    of a header byte (see header_offset)."""
     problem = make_logistic(12, 3, seed=53, kappa=8.0)
     raw = serialize_libsvm(problem.dataset).encode()
     calls = []
@@ -645,7 +651,8 @@ def test_cache_entry_with_one_byte_overwritten(kind, offset, byte):
             path = cache / f"ref-{problem_key(problem)}.npy"
         good = path.read_bytes()
         header = len(good) - np.load(path, allow_pickle=False).dtype.itemsize
-        pos = offset % len(good)
+        pos = offset % len(good) if isinstance(offset, int) \
+            else header_offset(good, offset)
         damaged = good[:pos] + bytes([byte]) + good[pos + 1:]
         path.write_bytes(damaged)
         calls.clear()
@@ -657,6 +664,37 @@ def test_cache_entry_with_one_byte_overwritten(kind, offset, byte):
         assert path.read_bytes() == (good if calls else damaged)
         if pos >= header and damaged != good:
             assert calls  # the crc32 covers every byte of the record
+
+
+def header_offset(good, name):
+    """The offset of the header byte that name describes in the .npy entry
+    good, found from the header's text so that it moves with the record's
+    layout; the byte there is checked to be the one described."""
+    start = good.index(b"{")  # the header's dict, after the fixed prefix
+    end = good.index(b"\n", start)  # the newline that ends the header
+    spots = {
+        # what the byte is, as (text it lies in, its place in that text,
+        # the bytes it may be)
+        "magic string": (b"\x93NUMPY", 0, b"\x93"),
+        # the low byte of the 2-byte length of the rest of the header
+        "header length": (b"{", -2, bytes([(end + 1 - start) % 256])),
+        # the quote that closes the first key
+        "header string left open": (b"{'descr'", 7, b"'"),
+        # the colon after the first key: a comma there breaks the syntax
+        "header syntax": (b"{'descr':", 8, b":"),
+        # the space before 'fortran_order': a B there makes it bytes
+        "header key of bytes": (b" 'fortran_order'", 0, b" "),
+        # the last digit of the first subarray shape: an L after a digit
+        # is a Python 2 long, which numpy reads with a warning
+        "header warns, then reads": (b",)", -1, b"0123456789"),
+        # the first letter of the first field name: a backslash before k
+        # is an invalid escape, which Python warns of
+        "header escape warns": (b"[('", 3, b"k"),
+    }
+    text, place, allowed = spots[name]
+    pos = good.index(text, 0, end) + place
+    assert good[pos:pos + 1] in allowed, (name, good[pos:pos + 1])
+    return pos
 
 
 def resave(path, damage):
