@@ -129,10 +129,18 @@ def _cmd_gen(args) -> int:
 
 
 def _positive(flag: str, value: float) -> float:
-    """A step or length flag's value as typed, or ValueError naming it."""
+    """A float flag's value as typed, or ValueError naming it."""
     if not (value > 0 and math.isfinite(value)):
         raise ValueError(f"{flag} must be positive and finite, got {value!r}")
     return value
+
+
+def _inner_length(m: int) -> int:
+    """--m's value as typed, or ValueError naming it: an inner loop holds
+    a snapshot and at least one step."""
+    if m < 2:
+        raise ValueError(f"--m must be >= 2, got {m}")
+    return m
 
 
 def _build_run_config(args, problem: LogisticProblem) -> SolverConfig:
@@ -159,9 +167,7 @@ def _build_run_config(args, problem: LogisticProblem) -> SolverConfig:
 
     if args.m is not None and args.m_kappa is not None:
         raise ValueError("give --m or --m-kappa, not both")
-    m = args.m
-    if m is not None and m < 2:
-        raise ValueError(f"--m must be >= 2, got {m}")
+    m = None if args.m is None else _inner_length(args.m)
     if args.m_kappa is not None:
         m_len = _positive("--m-kappa", args.m_kappa) * kappa
         if not math.isfinite(m_len):
@@ -205,10 +211,11 @@ def _run_configs(problem: LogisticProblem, configs: list[SolverConfig],
                  passes: float, claim_output: Callable[[], None],
                  reference: bool = True) -> list[Trace]:
     """The work of run and bench, ordered so that what can fail cheaply
-    fails before anything is solved or cached: check the budget and every
-    config, claim the output place, solve or read the reference (unless
-    reference is False), then run the configs."""
-    check_experiment(problem, configs, passes)
+    fails before anything is solved or cached: check --passes as typed
+    (a budget of none would write traces with no charged point), the
+    budget and every config, claim the output place, solve or read the
+    reference (unless reference is False), then run the configs."""
+    check_experiment(problem, configs, _positive("--passes", passes))
     claim_output()
     f_star = cached_reference(problem).f_star if reference else None
     return run_experiment(problem, configs, passes, f_star)
@@ -255,10 +262,12 @@ def _cmd_rates(args) -> int:
             points = [float(v) for v in args.points.split(",") if v.strip()]
         except ValueError as exc:
             raise ValueError(f"--points: {exc}") from None
-        big_l = 1.0 if args.big_l is None else args.big_l
-        mu = 1e-5 if args.mu is None else args.mu
+        big_l = 1.0 if args.big_l is None else _positive("--L", args.big_l)
+        mu = 1e-5 if args.mu is None else _positive("--mu", args.mu)
+        eta = None if args.eta is None else _positive("--eta", args.eta)
+        m = None if args.m is None else _inner_length(args.m)
         rows = rate_grid(schemes, L=big_l, mu=mu, sweep=args.sweep,
-                         points=points, eta=args.eta, m=args.m)
+                         points=points, eta=eta, m=m)
     write_rate_csv(rows, args.out)
     print(f"wrote {len(rows)} rate rows -> {args.out}")
     return 0

@@ -29,7 +29,9 @@ class LibsvmParseError(ValueError):
     """Malformed LIBSVM input; the message carries the 1-based line number."""
 
 
-_MAX_INDEX = int(np.iinfo(np.intp).max)  # largest 1-based index np.intp holds
+# The largest 1-based index: the dim it gives must leave a float64 vector
+# of dim entries a byte size np.intp holds, or numpy refuses to make one.
+_MAX_INDEX = int(np.iinfo(np.intp).max) // 8
 
 
 def _frozen(values, dtype, copy: bool) -> np.ndarray:
@@ -272,10 +274,12 @@ def _read_block(lines: list[str]):
     starts = np.zeros(k, dtype=np.intp)
     starts[1:] = seps[1::2] + 1
     fields = joined.replace(":", " ").split(" ")  # index, value, index, ...
-    idx = _digits(b, starts, colons)
+    idx = _digits(b, starts, colons)  # 18 digits stay below _MAX_INDEX
     try:
         if idx is None:  # signed, with "_", other digits, or long: as int()
             idx = np.fromiter(map(int, fields[::2]), dtype=np.intp, count=k)
+            if idx.max() > _MAX_INDEX:
+                return None
         data = np.fromiter(map(float, fields[1::2]), np.float64, count=k)
     except (ValueError, OverflowError):  # OverflowError: past np.intp
         return None
@@ -309,14 +313,16 @@ def parse_libsvm(source: str) -> Dataset:
 
     The label is +1 or 1 (stored as +1) or -1 or 0 (stored as -1). Indices
     are 1-based integers as Python's int reads them (a sign, underscores
-    and any decimal digits included), at most the largest np.intp, strictly
-    increasing within a line; values are what float reads, and entries
-    whose value is zero are dropped (their indices still count for the
-    increasing check). A row may hold a label alone. Tokens are separated
-    by any whitespace, lines by any str.splitlines break, and blank lines
-    are skipped. The text is read in blocks of lines by _read_block; only a
-    block that holds a bad line is checked line by line, by _check_line,
-    for the error the first bad line gives.
+    and any decimal digits included), at most np.iinfo(np.intp).max // 8
+    (2**60 - 1 on 64-bit platforms, so numpy can size a float64 vector of
+    dim entries), strictly increasing within a line; values are what
+    float reads, and entries whose value is zero are dropped (their
+    indices still count for the increasing check). A row may hold a label
+    alone. Tokens are separated by any whitespace, lines by any
+    str.splitlines break, and blank lines are skipped. The text is read in
+    blocks of lines by _read_block; only a block that holds a bad line is
+    checked line by line, by _check_line, for the error the first bad
+    line gives.
 
     Args:
         source: the file content.

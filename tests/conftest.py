@@ -50,7 +50,9 @@ def line_loop_parse(source):
             if idx < 1:
                 raise LibsvmParseError(
                     f"line {line_no}: index {idx} is not positive")
-            if idx > np.iinfo(np.intp).max:
+            # a float64 vector of dim entries must have a byte size
+            # np.intp holds
+            if idx > np.iinfo(np.intp).max // 8:
                 raise LibsvmParseError(
                     f"line {line_no}: index {idx} is too large")
             if idx <= prev:

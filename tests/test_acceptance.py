@@ -352,17 +352,25 @@ def test_criterion_10_cli_determinism(capsys, tmp_path):
         sub.mkdir()
         invoke(["gen", "--n", "40", "--d", "4", "--seed", "5",
                 "--out", str(sub / "data.libsvm")])
+        # about 20,000 entries: the writer formats more than one block
+        invoke(["gen", "--n", "2000", "--d", "20", "--seed", "3",
+                "--out", str(sub / "blocks.libsvm")])
         if attempt == "first":
             data.write_bytes((sub / "data.libsvm").read_bytes())
+        # the first start solves the reference and caches it, the second
+        # reads it back
+        (sub / "reference.txt").write_text(invoke(
+            ["reference", "--data", str(data), "--mu", "0.02",
+             "--normalize"]).stdout, encoding="utf-8")
         invoke(["run", "--data", str(data), "--mu", "0.02", "--normalize",
                 "--algo", "sarah", "--step", "bb", "--passes", "10",
                 "--out", str(sub / "trace.csv")])
         invoke(["rates", "--figure", "2", "--out", str(sub / "rates.csv")])
         invoke(["bench", "--data", str(data), "--mu", "0.02", "--normalize",
                 "--passes", "4", "--out-dir", str(sub / "bench"), "--plot"])
-    names = ["data.libsvm", "trace.csv", "rates.csv",
-             "bench/comparison.csv", "bench/sgd.csv", "bench/svrg_u.csv",
-             "bench/sarah_u.csv", "bench/bb_svrg_w.csv",
+    names = ["data.libsvm", "blocks.libsvm", "reference.txt", "trace.csv",
+             "rates.csv", "bench/comparison.csv", "bench/sgd.csv",
+             "bench/svrg_u.csv", "bench/sarah_u.csv", "bench/bb_svrg_w.csv",
              "bench/bb_sarah_w.csv", "bench/bench.svg"]
     same = []
     for name in names:
@@ -373,5 +381,5 @@ def test_criterion_10_cli_determinism(capsys, tmp_path):
     elapsed = time.time() - start
     ok = all(same)
     report(capsys, 10, ok,
-           f"{len(checked)} output files from repeated gen/run/rates/bench "
-           f"invocations are byte-identical ({elapsed:.1f}s)")
+           f"{len(checked)} outputs from repeated gen/reference/run/rates/"
+           f"bench invocations are byte-identical ({elapsed:.1f}s)")

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import json
 import os
 import re
 import subprocess
@@ -237,10 +238,11 @@ def test_run_flag_rejection(tmp_path, capsys, flags, message):
     # finite as typed, but the length it scales to is not
     (["--algo", "svrg", "--step", "fixed", "--eta-over-L", "0.1",
       "--m-kappa", "1e308"], "error: --m-kappa * kappa = inf is not finite"),
+    # so is --passes
     (["--algo", "sgd", "--passes", "inf"],
-     "error: passes * n must be finite and >= 0, got inf * 30"),
+     "error: --passes must be positive and finite, got inf"),
     (["--algo", "sgd", "--passes", "nan"],
-     "error: passes * n must be finite and >= 0, got nan * 30"),
+     "error: --passes must be positive and finite, got nan"),
     # a NaN mu, named as such, not as a non-finite L
     (["--algo", "sgd", "--mu", "nan"],
      "error: mu must be finite and >= 0, got nan"),
@@ -294,6 +296,10 @@ def test_run_flag_rejection(tmp_path, capsys, flags, message):
      "error: config 'a\\nb': name 'a\\nb' contains a line break"),
     (["--algo", "sgd", "--name", "a\u2028"],
      "error: config 'a\\u2028': name 'a\\u2028' contains a line break"),
+    # no budget at all: its traces would hold no charged point, which
+    # load_trace_csv cannot read back
+    (["--algo", "sgd", "--passes", "0"],
+     "error: --passes must be positive and finite, got 0.0"),
 ])
 def test_run_non_finite_input_exits_2(tmp_path, capsys, flags, message):
     data = gen_data(tmp_path)
@@ -336,12 +342,13 @@ def test_run_failed_allocation_exits_1(tmp_path, capsys):
 def test_bench_non_finite_passes_exits_2(tmp_path, capsys):
     data = gen_data(tmp_path)
     out_dir = tmp_path / "bench"
-    assert main(["bench", "--data", data, "--mu", "0.05", "--normalize",
-                 "--passes", "inf", "--out-dir", str(out_dir)]) == 2
-    assert capsys.readouterr().err == \
-        "error: passes * n must be finite and >= 0, got inf * 30\n"
-    assert not out_dir.exists()
-    assert not list((tmp_path / "refcache").glob("ref-*"))
+    for passes, shown in [("inf", "inf"), ("0", "0.0")]:
+        assert main(["bench", "--data", data, "--mu", "0.05", "--normalize",
+                     "--passes", passes, "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: --passes must be positive and finite, got {shown}\n"
+        assert not out_dir.exists()
+        assert not list((tmp_path / "refcache").glob("ref-*"))
 
 
 def test_bench_negative_seed_exits_2(tmp_path, capsys):
@@ -499,6 +506,9 @@ def test_rates_weighted_recursive_at_huge_m(tmp_path):
       "50", "--eta", "0.3"], "sweep over eta takes no fixed eta"),
     (["--schemes", "svrg_u", "--sweep", "m", "--points", "a,2", "--eta",
       "0.1"], "--points: could not convert string to float: 'a'"),
+    # a scheme list with no scheme in it
+    (["--schemes", ",", "--sweep", "m", "--points", "10", "--eta", "0.1"],
+     "no schemes to evaluate"),
 ])
 def test_rates_mode_refusals(tmp_path, capsys, flags, message):
     out = tmp_path / "r.csv"
@@ -518,13 +528,18 @@ def test_rates_flag_errors(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags,message", [
-    (["--L", "nan"], "error: L must be finite, got nan"),
-    (["--L", "inf"], "error: L must be finite, got inf"),
-    (["--mu", "nan"], "error: mu must be finite, got nan"),
-    (["--eta", "inf"], "error: eta must be positive and finite, got inf"),
+    # each flag's value is checked as typed, before the flags are combined
+    (["--L", "nan"], "error: --L must be positive and finite, got nan"),
+    (["--L", "inf"], "error: --L must be positive and finite, got inf"),
+    (["--mu", "nan"], "error: --mu must be positive and finite, got nan"),
+    (["--eta", "inf"], "error: --eta must be positive and finite, got inf"),
     (["--points", "1e400"], "error: m sweep point inf is not finite"),
     (["--points", "nan"], "error: m sweep point nan is not finite"),
     (["--points", "10,-inf"], "error: m sweep point -inf is not finite"),
+    # as typed, so before rate_grid refuses a fixed m beside --sweep m
+    (["--m", "1"], "error: --m must be >= 2, got 1"),
+    (["--points", "2.4,2.5,3.5,1e3"],
+     "error: m sweep point 2.4 is not a whole number"),
 ])
 def test_rates_non_finite_input_exits_2(tmp_path, capsys, flags, message):
     # the later of two equal flags wins, so each case overrides one value
@@ -569,6 +584,14 @@ def test_bench_writes_expected_files(tmp_path):
         ["sgd", "svrg_u", "sarah_u", "bb_svrg_w", "bb_sarah_w"]
     svg = (out_dir / "bench.svg").read_text(encoding="utf-8")
     assert svg.startswith("<svg") and "sample passes" in svg
+    # the least budget an accepted --passes gives, one IFO, still charges
+    # each config one outer loop, so every CSV reads back
+    tiny = tmp_path / "tiny"
+    assert main(["bench", "--data", data, "--mu", "0.05", "--normalize",
+                 "--passes", "1e-300", "--out-dir", str(tiny)]) == 0
+    for path in tiny.iterdir():
+        traces = load_trace_csv(path.read_text(encoding="utf-8"))
+        assert all(t.final.ifo_total > 0 for t in traces)
 
 
 def test_bench_reruns_byte_identical(tmp_path):
@@ -786,8 +809,10 @@ def test_run_without_reference_needs_no_writable_cache(tmp_path,
 
 @pytest.mark.parametrize("content", [b"+1 1:0.5\n-1 2:x\n",
                                      b"+1 1:0.5\n-1 2:\xff\n",
-                                     b"+1 1:nan\n", b"+1 1:inf\n"],
-                         ids=["parse-error", "non-utf8", "nan", "inf"])
+                                     b"+1 1:nan\n", b"+1 1:inf\n",
+                                     b"+1 1152921504606846976:1\n-1 1:1\n"],
+                         ids=["parse-error", "non-utf8", "nan", "inf",
+                              "index-too-large"])
 def test_bad_data_exits_2_and_caches_nothing(tmp_path, capsys, content):
     data = tmp_path / "bad.libsvm"
     data.write_bytes(content)
@@ -868,17 +893,40 @@ def test_top_level_parser_never_parses(argv):
         vropt.cli._build_parser(None).parse_args(argv)
 
 
-def test_import_loads_no_scipy():
-    # numpy is the only runtime dependency; scipy is a test-only oracle
+def test_import_loads_no_scipy(tmp_path):
+    # numpy is the only runtime dependency: a fresh process imports vropt,
+    # runs every command, and loads no module of the test extra (scipy is
+    # a test-only oracle)
     src = str(Path(vropt.cli.__file__).resolve().parents[1])
-    code = ("import sys, vropt, vropt.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))")
-    proc = subprocess.run([sys.executable, "-c", code],
+    data = str(tmp_path / "data.libsvm")
+    problem = ["--data", data, "--mu", "0.05", "--normalize", "--passes", "2"]
+    commands = [
+        ["gen", "--n", "30", "--d", "4", "--seed", "1", "--out", data],
+        ["reference", *problem[:5]],  # cold
+        ["reference", *problem[:5]],  # warm
+        *[["run", *problem, "--algo", *algo, "--out",
+           str(tmp_path / f"{algo[0]}.csv")]
+          for algo in (["sgd"], ["svrg", "--step", "bb"],
+                       ["sarah", "--step", "bb"])],
+        ["rates", "--figure", "1a", "--out", str(tmp_path / "figure.csv")],
+        ["rates", "--schemes", "svrg_u,sarah_w", "--sweep", "m", "--points",
+         "10,20", "--eta", "0.1", "--out", str(tmp_path / "sweep.csv")],
+        ["bench", *problem, "--plot", "--out-dir", str(tmp_path / "bench")],
+    ]
+    code = ("import contextlib, io, json, sys\n"
+            "import vropt, vropt.cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert vropt.cli.main(argv) == 0, argv\n"
+            "extra = {'scipy', 'mpmath', 'hypothesis', 'pytest'}\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.partition('.')[0] in extra))\n")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout == "[]\n"
+    assert (tmp_path / "bench" / "bench.svg").is_file()
 
 
 # ------------------------------------------------------- installed entry

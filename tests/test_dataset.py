@@ -72,6 +72,10 @@ def test_parse_errors_carry_line_numbers(bad, line):
     ("-1 2:1\n+1 0:1\n", "line 2: index 0 is not positive"),
     ("-1 1:1\r\n+1 2:1 9223372036854775808:1\n",
      "line 2: index 9223372036854775808 is too large"),
+    # np.intp holds it, but a float64 vector of that many entries is past
+    # numpy's size limit
+    ("+1 1152921504606846976:1\n-1 1:1\n",
+     "line 1: index 1152921504606846976 is too large"),
     ("+1 1:1 2:0 2:1\n", "line 1: index 2 not increasing (after 2)"),
     ("+1 1:0\n\x85+1 1:1e400\n", "line 3: value '1e400' is not finite"),
 ])
@@ -162,8 +166,8 @@ def test_a_refused_block_with_no_bad_line_is_an_error(monkeypatch):
     "+1 +3:1\n",  # signed
     "+1 1_0:2\n",  # with an underscore
     "-1 \u0663:2\n",  # a non-ASCII decimal digit
-    "+1 1000000000000000000:1\n",  # 19 digits that np.intp holds
-    "+1 2:1 009223372036854775807:1\n",  # the largest np.intp, zero-padded
+    "+1 1000000000000000000:1\n",  # 19 digits, below the largest index
+    "+1 2:1 001152921504606846975:1\n",  # the largest index, zero-padded
     # values that float() reads
     "+1 1:\u0663 2:1_0 3:+3 4:-0.0\n",
 ])
@@ -476,7 +480,8 @@ _ODD_VALUES = ["0", "0.0", "-0.0", "1e-400", "nan", "-nan", "inf", "-inf",
                "1e400", "-1e400", "1_0", "+3", ".5", "5.", "1e3", "\u0663",
                "abc", "0x1", "1:2"]
 _ODD_INDICES = ["0", "-1", "-0", "a", "1e1", "1.0", "\ud800",
-                str(2**63 - 1), str(2**63), "1" + "0" * 18, "9" * 20]
+                str(2**60 - 1), str(2**60), str(2**63 - 1), str(2**63),
+                "1" + "0" * 18, "9" * 20]
 _BROKEN = [":3", "3:", "1:2:3", "3", "::", ":", "1::2", "a:b", "1:\ud800"]
 _ARABIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
                                       "\u0665\u0666\u0667\u0668\u0669")
@@ -486,7 +491,8 @@ _ARABIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
 def index_text(draw, i):
     """The index i as int() reads it: mostly plain digits, sometimes signed,
     zero-padded, with an underscore or in other decimal digits, and now and
-    then a token int() rejects or that np.intp cannot hold."""
+    then an odd token: one int() rejects, the largest index, or one past
+    it."""
     s = str(i)
     form = draw(st.sampled_from(range(30)))
     if form == 0:
