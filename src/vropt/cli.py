@@ -16,6 +16,8 @@ import sys
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from .averaging import SCHEMES
 from .dataset import (add_bias_column, generate_synthetic, normalize_rows,
                       parse_libsvm, write_libsvm)
@@ -118,7 +120,15 @@ def _load_problem(args) -> LogisticProblem:
         ds = normalize_rows(ds)
     if args.bias:
         ds = add_bias_column(ds)
-    return LogisticProblem(ds, args.mu)
+    problem = LogisticProblem(ds, args.mu)
+    # the first d-vector of every command that loads a problem, so that a
+    # dimension no machine can hold is refused naming the file
+    try:
+        np.empty(problem.d)
+    except MemoryError:
+        raise MemoryError(f"--data {args.data}: no memory for a vector of "
+                          f"dimension {problem.d}") from None
+    return problem
 
 
 def _cmd_gen(args) -> int:
@@ -212,10 +222,15 @@ def _run_configs(problem: LogisticProblem, configs: list[SolverConfig],
                  reference: bool = True) -> list[Trace]:
     """The work of run and bench, ordered so that what can fail cheaply
     fails before anything is solved or cached: check --passes as typed
-    (a budget of none would write traces with no charged point), the
-    budget and every config, claim the output place, solve or read the
-    reference (unless reference is False), then run the configs."""
-    check_experiment(problem, configs, _positive("--passes", passes))
+    (a budget of none would write traces with no charged point) and the
+    budget passes * n it makes, every config, claim the output place,
+    solve or read the reference (unless reference is False), then run the
+    configs."""
+    if not math.isfinite(_positive("--passes", passes) * problem.n):
+        raise ValueError(f"--passes {passes!r} makes an IFO budget of "
+                         f"{passes!r} * {problem.n} rows, which is not "
+                         "finite")
+    check_experiment(problem, configs, passes)
     claim_output()
     f_star = cached_reference(problem).f_star if reference else None
     return run_experiment(problem, configs, passes, f_star)

@@ -112,9 +112,9 @@ class Dataset:
             raise ValueError(f"dim must be >= 1, got {dim}")
         if lab.size != n:
             raise ValueError(f"{n} rows but {lab.size} labels")
-        if not np.all(np.isin(lab, (-1, 1))):
-            bad = lab[~np.isin(lab, (-1, 1))][0]
-            raise ValueError(f"labels must be -1 or +1, got {bad}")
+        bad = (lab != 1) & (lab != -1)
+        if bad.any():
+            raise ValueError(f"labels must be -1 or +1, got {lab[bad][0]}")
         nnz = indices.size
         if data.size != nnz:
             raise ValueError(f"{nnz} indices but {data.size} values")

@@ -20,10 +20,11 @@ dense terms in a lazily scaled form (svrg: x = a*z + b*h; sarah:
 eta*v = sigma*w, x = y - tau*w), so a step touches only the picked row's
 columns: O(nnz(a_i)) work while still being charged 2 IFO. The scalars are
 folded back into the vectors when a or sigma leaves a safe range, after an
-exact finiteness check, and at loop end. Every step, in the kernel and in
-SGD, ends with a finiteness check, so a DivergenceError names the first step
-whose iterate left the floats: SGD tests x.x, and the kernel tests a scalar
-bound on max|x_j|, in O(nnz), and x.x exactly once that bound reaches 1e100.
+exact finiteness check, and at loop end. A DivergenceError names the first
+step whose iterate left the floats. Every kernel step ends with a scalar
+bound on max|x_j|, in O(nnz), and tests x.x exactly once that bound reaches
+1e100. SGD tests x.x once per epoch, at its end; an epoch that fails is run
+again from its start, on the same picks, testing x.x after every step.
 """
 
 from __future__ import annotations
@@ -229,6 +230,22 @@ def _picks(rng: np.random.Generator, n: int, steps: int):
         k = min(steps, _DRAW_BLOCK)
         yield from rng.integers(n, size=k).tolist()
         steps -= k
+
+
+def _sgd_epoch(problem: ErmProblem, x: np.ndarray, eta: float,
+               rng: np.random.Generator, counter: IfoCounter | None,
+               config_id: str | None = None, checked: bool = False) -> None:
+    """n SGD steps x <- x - eta * grad f_i(x) on x in place, one pick per
+    step. With checked, every step ends with an exact x.x test, and the
+    first non-finite iterate raises DivergenceError naming its step."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, i in enumerate(_picks(rng, problem.n, problem.n), start=1):
+            # in place: x -= eta * g's bits, one d-vector fewer
+            g = problem.grad_component(i, x, counter)
+            g *= eta
+            x -= g
+            if checked and not math.isfinite(x.dot(x)):
+                raise _diverged(x, k, config_id)
 
 
 # Above this bound on max|x_j| the kernel materializes x and checks x.x
@@ -466,7 +483,12 @@ def run(problem: ErmProblem, config: SolverConfig, f_star: float | None = None,
     ceil(c/(mu*eta_s))), draws the snapshot index, runs the inner loop, and
     records a TracePoint. GD takes one full-gradient step per loop with
     eta = 1/L; SGD runs one epoch of n single-sample steps per loop with the
-    decaying step 0.05/(L*(epoch+1)).
+    decaying step 0.05/(L*(epoch+1)). SGD tests x.x at the end of each
+    epoch; when it is not finite, the epoch is run again from its start,
+    with the generator state saved there, testing every step, so
+    DivergenceError.steps counts the steps of that epoch up to the first
+    non-finite iterate. An epoch whose x.x overflows and comes back into
+    range before its end therefore completes.
 
     Evaluation (gap needs f_star; grad_sq always) reads the snapshot without
     charging IFO or consuming RNG draws, so evaluate=False changes nothing
@@ -521,14 +543,16 @@ def run(problem: ErmProblem, config: SolverConfig, f_star: float | None = None,
             continue
         if config.algorithm == "sgd":
             eta_s = 0.05 / (big_l * s)  # epoch index n_e = s - 1
+            start, state = x.copy(), rng.bit_generator.state
+            _sgd_epoch(problem, x, eta_s, rng, counter)
             with np.errstate(over="ignore", invalid="ignore"):
-                for k, i in enumerate(_picks(rng, n, n), start=1):
-                    # in place: x -= eta_s * g's bits, one d-vector fewer
-                    g = problem.grad_component(i, x, counter)
-                    g *= eta_s
-                    x -= g
-                    if not math.isfinite(x.dot(x)):
-                        raise _diverged(x, k, cid)
+                finite = math.isfinite(x.dot(x))
+            if not finite:
+                # the same picks and arithmetic again, testing every step,
+                # to name the first non-finite iterate; this always raises
+                rng.bit_generator.state = state
+                _sgd_epoch(problem, start, eta_s, rng, None, cid,
+                           checked=True)
             record(s, eta_s, n, n)
             continue
 

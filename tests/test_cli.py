@@ -300,6 +300,10 @@ def test_run_flag_rejection(tmp_path, capsys, flags, message):
     # load_trace_csv cannot read back
     (["--algo", "sgd", "--passes", "0"],
      "error: --passes must be positive and finite, got 0.0"),
+    # finite as typed, but the budget passes * n it makes is not
+    (["--algo", "sgd", "--passes", "1e308"],
+     "error: --passes 1e+308 makes an IFO budget of 1e+308 * 30 rows, "
+     "which is not finite"),
 ])
 def test_run_non_finite_input_exits_2(tmp_path, capsys, flags, message):
     data = gen_data(tmp_path)
@@ -339,14 +343,42 @@ def test_run_failed_allocation_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["reference"],
+    ["run", "--algo", "sgd", "--no-reference", "--out", "t.csv"],
+    ["run", "--algo", "sgd", "--out", "t.csv"],
+    ["bench", "--out-dir", "bench"],
+])
+def test_dimension_past_any_vector_exits_1(tmp_path, capsys, monkeypatch,
+                                           command):
+    # the largest index the parser accepts makes a dimension whose vectors
+    # are 8 EiB, which no machine allocates
+    monkeypatch.chdir(tmp_path)
+    Path("big.svm").write_text("+1 1152921504606846975:1\n-1 1:1\n")
+    name, *flags = command
+    assert main([name, "--data", "big.svm", "--mu", "0.05", *flags]) == 1
+    assert capsys.readouterr().err == (
+        "error: --data big.svm: no memory for a vector of dimension "
+        "1152921504606846975\n")
+    assert not list(tmp_path.glob("*.csv")) and not Path("bench").exists()
+    # refused before the reference solve; the parse of the valid file is
+    # cached all the same
+    cache = tmp_path / "refcache"
+    assert not list(cache.glob("ref-*"))
+    assert len(list(cache.glob("data-*"))) == 1
+
+
 def test_bench_non_finite_passes_exits_2(tmp_path, capsys):
     data = gen_data(tmp_path)
     out_dir = tmp_path / "bench"
-    for passes, shown in [("inf", "inf"), ("0", "0.0")]:
+    for passes, message in [
+            ("inf", "--passes must be positive and finite, got inf"),
+            ("0", "--passes must be positive and finite, got 0.0"),
+            ("1e308", "--passes 1e+308 makes an IFO budget of 1e+308 * 30 "
+                      "rows, which is not finite")]:
         assert main(["bench", "--data", data, "--mu", "0.05", "--normalize",
                      "--passes", passes, "--out-dir", str(out_dir)]) == 2
-        assert capsys.readouterr().err == \
-            f"error: --passes must be positive and finite, got {shown}\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out_dir.exists()
         assert not list((tmp_path / "refcache").glob("ref-*"))
 

@@ -400,6 +400,12 @@ def test_dataset_rejects_malformed_layout(indptr, indices, data, labels, dim):
     assert_both_reject(indptr, indices, data, labels, dim)
 
 
+@pytest.mark.parametrize("build", [Dataset, Dataset._adopt])
+def test_dataset_names_its_first_bad_label(build):
+    with pytest.raises(ValueError, match=r"^labels must be -1 or \+1, got 0$"):
+        build([0, 1, 2, 3], [0, 0, 0], [1.0, 1.0, 1.0], [-1, 0, 2], 3)
+
+
 def assert_both_reject(*parts):
     """The constructor and the adopting path refuse parts alike."""
     messages = []

@@ -306,32 +306,42 @@ def test_gd_divergence_steps_match_full_grad_loop():
 
 
 def oracle_sgd_divergence(problem, seed, epochs):
-    """(epoch, step within it) of SGD's first non-finite iterate, stepping
-    through grad_component with one scalar draw per step; None when every
-    iterate stays finite."""
+    """(epoch, step within it, iterate norm) at SGD's first non-finite
+    iterate, stepping through grad_component with one scalar draw per step;
+    None when every iterate stays finite."""
     rng = np.random.default_rng(seed)
     x = np.zeros(problem.d)
     for epoch in range(1, epochs + 1):
         eta = 0.05 / (problem.smoothness * epoch)
         for k in range(1, problem.n + 1):
-            x = x - eta * problem.grad_component(int(rng.integers(problem.n)),
-                                                 x)
+            with np.errstate(over="ignore", invalid="ignore"):
+                x = x - eta * problem.grad_component(
+                    int(rng.integers(problem.n)), x)
             if not finite(x):
-                return epoch, k
+                with np.errstate(over="ignore", invalid="ignore"):
+                    return epoch, k, float(np.linalg.norm(x))
     return None
 
 
-@pytest.mark.parametrize("shrink,epoch", [(1e12, 1), (1e7, 2)])
+@pytest.mark.parametrize("shrink,epoch", [
+    (1e12, 1), (1e7, 2),
+    # three finite epochs first: the replay of the fourth must restart from
+    # that epoch's own generator state to stop at the same step
+    (1e5, 4),
+])
 def test_sgd_divergence_steps_match_grad_component_loop(shrink, epoch):
     # DivergenceError.steps counts SGD's steps from the start of the epoch,
     # as it counts the kernel's from the start of the inner loop
     problem = LooseRidge(shrink)
     expected = oracle_sgd_divergence(problem, seed=3, epochs=5)
     assert expected is not None and expected[0] == epoch
+    assert 1 < expected[1] < problem.n
     with pytest.raises(DivergenceError) as info:
         run(problem, SolverConfig("sgd", outer_loops=5, seed=3),
             evaluate=False)
     assert info.value.steps == expected[1]
+    norm = info.value.iterate_norm
+    assert norm == expected[2] or (math.isnan(norm) and math.isnan(expected[2]))
 
 
 def test_divergence_raises_no_numpy_warning():
