@@ -219,13 +219,15 @@ def _build_run_config(args, problem: LogisticProblem) -> SolverConfig:
 
 def _run_configs(problem: LogisticProblem, configs: list[SolverConfig],
                  passes: float, claim_output: Callable[[], None],
-                 reference: bool = True) -> list[Trace]:
+                 reference: bool = True,
+                 length_flag: str | None = None) -> list[Trace]:
     """The work of run and bench, ordered so that what can fail cheaply
     fails before anything is solved or cached: check --passes as typed
     (a budget of none would write traces with no charged point) and the
     budget passes * n it makes, every config, claim the output place,
     solve or read the reference (unless reference is False), then run the
-    configs."""
+    configs. A run's MemoryError (a snapshot pmf's: every d-vector fits)
+    names length_flag, the flag that set the inner length, when given."""
     if not math.isfinite(_positive("--passes", passes) * problem.n):
         raise ValueError(f"--passes {passes!r} makes an IFO budget of "
                          f"{passes!r} * {problem.n} rows, which is not "
@@ -233,7 +235,13 @@ def _run_configs(problem: LogisticProblem, configs: list[SolverConfig],
     check_experiment(problem, configs, passes)
     claim_output()
     f_star = cached_reference(problem).f_star if reference else None
-    return run_experiment(problem, configs, passes, f_star)
+    try:
+        return run_experiment(problem, configs, passes, f_star)
+    except MemoryError as exc:
+        if length_flag is None:
+            raise
+        raise MemoryError(f"{exc}, an inner length set by {length_flag}") \
+            from None
 
 
 def _cmd_run(args) -> int:
@@ -250,8 +258,12 @@ def _cmd_run(args) -> int:
             raise FileNotFoundError(
                 f"--out {args.out}: no directory {str(out.parent)!r}")
 
+    if isinstance(config.inner, FixedLength):
+        length_flag = "--m" if args.m is not None else "--m-kappa"
+    else:  # gd and sgd build no snapshot pmf
+        length_flag = "--c" if config.inner is not None else None
     trace, = _run_configs(problem, [config], args.passes, claim_output,
-                          reference=not args.no_reference)
+                          not args.no_reference, length_flag)
     write_trace_csv([trace], args.out)
     final = trace.final
     print(f"{trace.config_id}: {final.s} outer loops, "

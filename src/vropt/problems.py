@@ -10,7 +10,7 @@ is L2-regularized logistic regression on a sparse Dataset. Component
 gradients optionally charge a caller-owned IfoCounter: one unit per
 component gradient, n units per full gradient. Evaluation code passes no
 counter, so measurement never pollutes the work accounting. The solvers'
-fused inner loop reads the CSR rows, loss_deriv and max_abs_entry directly.
+fused inner loop reads the CSR rows and loss_deriv directly.
 """
 
 from __future__ import annotations
@@ -96,8 +96,6 @@ class ErmProblem(abc.ABC):
         self.indptr = indptr.tolist()
         self.indices, self.data, self._rows = indices, data, rows
         self.targets = targets
-        # max |a_ij|, which bounds how far one sparse step moves any entry
-        self.max_abs_entry = float(np.abs(data).max(initial=0.0))
 
     @property
     def smoothness(self) -> float:

@@ -19,12 +19,14 @@ derivative instead of calling grad_component, and keeps each estimator's
 dense terms in a lazily scaled form (svrg: x = a*z + b*h; sarah:
 eta*v = sigma*w, x = y - tau*w), so a step touches only the picked row's
 columns: O(nnz(a_i)) work while still being charged 2 IFO. The scalars are
-folded back into the vectors when a or sigma leaves a safe range, after an
-exact finiteness check, and at loop end. A DivergenceError names the first
-step whose iterate left the floats. Every kernel step ends with a scalar
-bound on max|x_j|, in O(nnz), and tests x.x exactly once that bound reaches
-1e100. SGD tests x.x once per epoch, at its end; an epoch that fails is run
-again from its start, on the same picks, testing x.x after every step.
+folded back into the vectors when a or sigma leaves a safe range, and at
+loop end.
+
+One divergence rule holds for every stochastic loop, an inner loop or an
+SGD epoch: its steps test nothing, and run() tests x.x of its end iterate
+once. A loop that fails is run again from the generator state saved
+before it, on the same picks and bits, testing x.x after every step, so
+DivergenceError.steps counts its steps up to the first non-finite iterate.
 """
 
 from __future__ import annotations
@@ -210,13 +212,11 @@ def _diverged(x: np.ndarray, steps: int,
         return DivergenceError(float(np.linalg.norm(x)), steps, config_id)
 
 
-def _check_finite(x: np.ndarray, steps: int, config_id: str | None) -> None:
+def _finite(x: np.ndarray) -> bool:
     # any inf or NaN component makes x.x non-finite, and so does an overflow
     # of ||x||^2, which already makes every regularized objective non-finite
     with np.errstate(over="ignore", invalid="ignore"):
-        finite = math.isfinite(x.dot(x))
-    if not finite:
-        raise _diverged(x, steps, config_id)
+        return math.isfinite(x.dot(x))
 
 
 _DRAW_BLOCK = 4096
@@ -232,25 +232,39 @@ def _picks(rng: np.random.Generator, n: int, steps: int):
         steps -= k
 
 
-def _sgd_epoch(problem: ErmProblem, x: np.ndarray, eta: float,
-               rng: np.random.Generator, counter: IfoCounter | None,
-               config_id: str | None = None, checked: bool = False) -> None:
-    """n SGD steps x <- x - eta * grad f_i(x) on x in place, one pick per
-    step. With checked, every step ends with an exact x.x test, and the
+def _sgd_epoch(problem: ErmProblem, x0: np.ndarray, eta: float,
+               rng: np.random.Generator, counter: IfoCounter,
+               config_id: str | None = None,
+               checked: bool = False) -> np.ndarray:
+    """n SGD steps x <- x - eta * grad f_i(x) from x0, one pick per step;
+    returns the end iterate and leaves x0 untouched. With checked, the
     first non-finite iterate raises DivergenceError naming its step."""
+    x = x0.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         for k, i in enumerate(_picks(rng, problem.n, problem.n), start=1):
             # in place: x -= eta * g's bits, one d-vector fewer
             g = problem.grad_component(i, x, counter)
             g *= eta
             x -= g
-            if checked and not math.isfinite(x.dot(x)):
+            if checked and not _finite(x):
                 raise _diverged(x, k, config_id)
+    return x
 
 
-# Above this bound on max|x_j| the kernel materializes x and checks x.x
-# exactly; below it x.x <= d * 1e200 is finite for any d < 1e108.
-_EXACT_LIMIT = 1e100
+def _tested_loop(config_id: str, rng: np.random.Generator,
+                 counter: IfoCounter, loop, *args) -> np.ndarray:
+    """The end iterate of loop(*args, rng, counter), an inner loop or an SGD
+    epoch, under the module's divergence rule; a replay charges nothing."""
+    state = rng.bit_generator.state
+    x = loop(*args, rng, counter)
+    if not _finite(x):
+        rng.bit_generator.state = state
+        loop(*args, rng, IfoCounter(), config_id, checked=True)
+        raise AssertionError(f"config {config_id!r}: a loop that ended "
+                             "non-finite stayed finite when replayed")
+    return x
+
+
 # The lazy scale (a for svrg, sigma for sarah) is folded into the vectors
 # once it leaves this range. The lower end bounds by how much sarah's
 # cancellation in y - tau*w can amplify rounding, and also keeps a zero
@@ -258,22 +272,19 @@ _EXACT_LIMIT = 1e100
 _SCALE_LO, _SCALE_HI = 1e-3, 1e3
 
 
-def _fold(u: np.ndarray, v: np.ndarray, a: float, b: float, sig: float,
-          ub: float, vb: float) -> tuple[float, float]:
+def _fold(u: np.ndarray, v: np.ndarray, a: float, b: float, sig: float):
     """Fold the scalars of x = a*u + b*v into u, and sarah's displacement
-    scale sig into v, in place, so that afterwards a = sig = 1 and b = 0.
-    ub and vb bound max|u_j| and max|v_j|; returns the bounds after the
-    fold."""
+    scale sig into v, in place, so that afterwards a = sig = 1 and b = 0."""
     u *= a
     u += b * v
     v *= sig
-    return abs(a) * ub + abs(b) * vb, abs(sig) * vb
 
 
 def _inner_steps(problem: ErmProblem, algorithm: str, x0: np.ndarray,
                  g: np.ndarray, eta: float, upto: int,
                  rng: np.random.Generator, counter: IfoCounter,
-                 config_id: str | None = None) -> np.ndarray:
+                 config_id: str | None = None,
+                 checked: bool = False) -> np.ndarray:
     """Run one inner loop from snapshot x0 (full gradient g) to iterate
     x_upto and return it; x0 and g are left untouched.
 
@@ -298,19 +309,16 @@ def _inner_steps(problem: ErmProblem, algorithm: str, x0: np.ndarray,
 
     Both forms are written x = a*u + b*v (svrg: u = z, v = h; sarah: a = 1,
     u = y, v = w, b = -tau). The scalars are folded back into the vectors,
-    an O(d) pass, whenever a or sigma leaves [_SCALE_LO, _SCALE_HI], after
-    every exact check below, and once at loop end.
-
-    Every stochastic step is charged 2 IFO (two component gradients) and is
-    followed by a finiteness check in O(nnz): the kernel keeps upper bounds
-    on max|u_j| and max|v_j|, grown by |coef|*max|a_ij| per step, and so
-    one on max|x_j|. While that stays below _EXACT_LIMIT, x.x is finite;
-    once it reaches the limit the kernel materializes x and tests
-    isfinite(x.x) exactly. DivergenceError.steps therefore counts the
-    steps up to and including the first non-finite iterate.
+    an O(d) pass, whenever a or sigma leaves [_SCALE_LO, _SCALE_HI], and
+    once at loop end. Every stochastic step is charged 2 IFO (two
+    component gradients). Unchecked, no step is tested, and a non-finite
+    margin reaches loss_deriv. With checked, each step (sarah's x_1 as
+    step 1) forms a*u + b*v into a temporary, never folding, so it keeps
+    the unchecked bits, and raises DivergenceError at the first iterate
+    whose x.x is not finite.
     """
     indptr, indices, data = problem.indptr, problem.indices, problem.data
-    deriv, amax = problem.loss_deriv, problem.max_abs_entry
+    deriv = problem.loss_deriv
     s = 1.0 - eta * problem.mu
     svrg = algorithm == "svrg"
     if upto == 0:
@@ -322,15 +330,11 @@ def _inner_steps(problem: ErmProblem, algorithm: str, x0: np.ndarray,
             c0 = problem.loss_derivs(x0).tolist()
             u, v = x0.copy(), g - problem.mu * x0
             ah = problem.margins(v).tolist()
-            ub = math.sqrt(u.dot(u))
         else:
             first = 2
             u, v = x0 - eta * g, eta * g  # x_1 and eta*v_0
-            sq = u.dot(u)
-            if not math.isfinite(sq):
+            if checked and not _finite(u):
                 raise _diverged(u, 1, config_id)
-            ub = math.sqrt(sq)
-        vb = math.sqrt(v.dot(v))
         for done, i in enumerate(_picks(rng, problem.n, upto - first + 1),
                                  start=first):
             counter.count += 2
@@ -343,12 +347,10 @@ def _inner_steps(problem: ErmProblem, algorithm: str, x0: np.ndarray,
                 a *= s
                 b = s * b - eta
                 if not _SCALE_LO <= abs(a) <= _SCALE_HI:
-                    ub, vb = _fold(u, v, a, b, sig, ub, vb)
+                    _fold(u, v, a, b, sig)
                     a, b = 1.0, 0.0
                     uc = u[cols]
-                coef /= a
-                u[cols] = uc + coef * vals
-                ub += abs(coef) * amax
+                u[cols] = uc + (coef / a) * vals
             else:
                 vc = v[cols]
                 tv = float(vals.dot(vc))
@@ -356,24 +358,16 @@ def _inner_steps(problem: ErmProblem, algorithm: str, x0: np.ndarray,
                 coef = eta * (deriv(i, t) - deriv(i, t + sig * tv))
                 sig *= s
                 if not _SCALE_LO <= abs(sig) <= _SCALE_HI:
-                    ub, vb = _fold(u, v, a, b, sig, ub, vb)
+                    _fold(u, v, a, b, sig)
                     b, sig = 0.0, 1.0
                     uc, vc = u[cols], v[cols]
                 coef /= sig
                 v[cols] = vc + coef * vals
-                vb += abs(coef) * amax
-                coef *= -b  # y += tau*D
-                u[cols] = uc + coef * vals
-                ub += abs(coef) * amax
+                u[cols] = uc + (-b * coef) * vals  # y += tau*D
                 b -= sig
-            if not abs(a) * ub + abs(b) * vb < _EXACT_LIMIT:
-                _, vb = _fold(u, v, a, b, sig, ub, vb)
-                a, b, sig = 1.0, 0.0, 1.0
-                sq = u.dot(u)
-                if not math.isfinite(sq):
-                    raise _diverged(u, done, config_id)
-                ub = math.sqrt(sq)
-        _fold(u, v, a, b, sig, ub, vb)
+            if checked and not _finite(x := a * u + b * v):
+                raise _diverged(x, done, config_id)
+        _fold(u, v, a, b, sig)
     return u
 
 
@@ -483,12 +477,9 @@ def run(problem: ErmProblem, config: SolverConfig, f_star: float | None = None,
     ceil(c/(mu*eta_s))), draws the snapshot index, runs the inner loop, and
     records a TracePoint. GD takes one full-gradient step per loop with
     eta = 1/L; SGD runs one epoch of n single-sample steps per loop with the
-    decaying step 0.05/(L*(epoch+1)). SGD tests x.x at the end of each
-    epoch; when it is not finite, the epoch is run again from its start,
-    with the generator state saved there, testing every step, so
-    DivergenceError.steps counts the steps of that epoch up to the first
-    non-finite iterate. An epoch whose x.x overflows and comes back into
-    range before its end therefore completes.
+    decaying step 0.05/(L*(epoch+1)). Each inner loop and epoch follows the
+    module's divergence rule, so one whose x.x overflows and comes back
+    into range before its end completes.
 
     Evaluation (gap needs f_star; grad_sq always) reads the snapshot without
     charging IFO or consuming RNG draws, so evaluate=False changes nothing
@@ -498,6 +489,7 @@ def run(problem: ErmProblem, config: SolverConfig, f_star: float | None = None,
         ConfigError: contradictory configuration for this problem (see
             check_config for the checks made before the first loop).
         DivergenceError: non-finite iterate, annotated with the config id.
+        MemoryError: a loop's snapshot pmf, naming the config, loop and m_s.
     """
     eta0 = check_config(problem, config)
     big_l, mu, _ = problem.constants()
@@ -538,28 +530,21 @@ def run(problem: ErmProblem, config: SolverConfig, f_star: float | None = None,
         if config.algorithm == "gd":
             eta_s = 1.0 / big_l
             x = x - eta_s * problem.full_grad(x, counter)
-            _check_finite(x, s, cid)
+            if not _finite(x):
+                raise _diverged(x, s, cid)
             record(s, eta_s, 1, 1)
             continue
         if config.algorithm == "sgd":
             eta_s = 0.05 / (big_l * s)  # epoch index n_e = s - 1
-            start, state = x.copy(), rng.bit_generator.state
-            _sgd_epoch(problem, x, eta_s, rng, counter)
-            with np.errstate(over="ignore", invalid="ignore"):
-                finite = math.isfinite(x.dot(x))
-            if not finite:
-                # the same picks and arithmetic again, testing every step,
-                # to name the first non-finite iterate; this always raises
-                rng.bit_generator.state = state
-                _sgd_epoch(problem, start, eta_s, rng, None, cid,
-                           checked=True)
+            x = _tested_loop(cid, rng, counter, _sgd_epoch, problem, x, eta_s)
             record(s, eta_s, n, n)
             continue
 
         # variance-reduced path: snapshot gradient first, since the BB
         # secant for loop s uses grad f at the two latest snapshots
         g = problem.full_grad(x, counter)
-        _check_finite(g, s, cid)
+        if not _finite(g):
+            raise _diverged(g, s, cid)
         if isinstance(config.step, FixedStep) or s <= 2:
             eta_s = eta0
         else:
@@ -569,10 +554,14 @@ def run(problem: ErmProblem, config: SolverConfig, f_star: float | None = None,
                 eta_s = eta_prev
         x_prev, g_prev, eta_prev = x, g, eta_s
         m_s = _inner_length(config.inner, mu, eta_s)
-        snap = sample_snapshot_index(
-            weights(config.averaging, m_s, mu, eta_s), rng)
-        x = _inner_steps(problem, config.algorithm, x, g, eta_s, snap,
-                         rng, counter, cid)
+        try:
+            pmf = weights(config.averaging, m_s, mu, eta_s)
+        except MemoryError:
+            raise MemoryError(f"config {cid!r}, outer loop {s}: no memory for "
+                              f"the snapshot pmf of m_s = {m_s}") from None
+        snap = sample_snapshot_index(pmf, rng)
+        x = _tested_loop(cid, rng, counter, _inner_steps, problem,
+                         config.algorithm, x, g, eta_s, snap)
         record(s, eta_s, m_s, snap)
     return Trace(cid, n, tuple(points))
 

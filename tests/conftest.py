@@ -248,11 +248,25 @@ class ScriptedRng:
     """Stand-in generator that replays a fixed draw sequence, used to pin
     solver paths in enumeration tests. random() feeds the snapshot-index
     draw; integers() feeds the per-step component picks, one per call or
-    `size` of them as an array, like numpy's Generator."""
+    `size` of them as an array, like numpy's Generator. Its bit_generator's
+    state is a copy of both queues, and setting it restores them, as run()
+    does to replay a loop."""
 
     def __init__(self, uniform=(), ints=()):
         self.uniform = list(uniform)
         self.ints = list(ints)
+
+    @property
+    def bit_generator(self):
+        return self
+
+    @property
+    def state(self):
+        return list(self.uniform), list(self.ints)
+
+    @state.setter
+    def state(self, saved):
+        self.uniform, self.ints = (list(queue) for queue in saved)
 
     def random(self):
         return self.uniform.pop(0)

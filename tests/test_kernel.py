@@ -141,9 +141,9 @@ def counted_folds(monkeypatch):
     calls = []
     fold = solvers._fold
 
-    def counting(u, v, a, b, sig, ub, vb):
+    def counting(u, v, a, b, sig):
         calls.append((a, b, sig))
-        return fold(u, v, a, b, sig, ub, vb)
+        fold(u, v, a, b, sig)
 
     monkeypatch.setattr(solvers, "_fold", counting)
     return calls
@@ -187,18 +187,15 @@ def test_scale_fold_matches_grad_component_loop(monkeypatch, algorithm, eta):
 
 @pytest.mark.parametrize("algorithm", ["svrg", "sarah"])
 @pytest.mark.parametrize("which", [0, 2, 4, 5])
-def test_exact_check_on_a_large_finite_iterate(monkeypatch, algorithm,
-                                               which):
-    # ||x|| ~ 1e102 keeps the bound past _EXACT_LIMIT at every step, so each
-    # step materializes x, finds x.x finite, and folds
+def test_large_finite_iterate_matches_grad_component_loop(algorithm, which):
+    # ||x|| ~ 1e101: x.x ~ 1e202 is still finite, so the loop runs to its
+    # end and the lazy form keeps the oracle's iterate at this scale
     problem = PROBLEMS[which]
     picks = np.random.default_rng(which).integers(problem.n,
                                                   size=10).tolist()
     x0 = 1e101 * np.random.default_rng(100).standard_normal(problem.d)
     eta = 0.5 / problem.smoothness
-    folds = counted_folds(monkeypatch)
     assert kernel_against_oracle(problem, algorithm, x0, eta, picks) <= 1e-10
-    assert len(folds) == len(picks) + 1  # one per step, one at loop end
 
 
 def oracle_run_divergence(problem, config):
@@ -342,6 +339,66 @@ def test_sgd_divergence_steps_match_grad_component_loop(shrink, epoch):
     assert info.value.steps == expected[1]
     norm = info.value.iterate_norm
     assert norm == expected[2] or (math.isnan(norm) and math.isnan(expected[2]))
+
+
+def replay_configs(algorithm, eta_over_l):
+    """(problem, config) of the divergence tests above: a small step stays
+    finite, a large one (sgd: a reported L 1e5 below the true one)
+    diverges."""
+    if algorithm == "sgd":
+        problem = LooseRidge(1e5 if eta_over_l > 1.0 else 1.0)
+        return problem, SolverConfig("sgd", outer_loops=5, seed=3)
+    problem = make_logistic(20, 4, seed=27, kappa=2.0)
+    return problem, SolverConfig(
+        algorithm, step=FixedStep(eta_over_l / problem.smoothness),
+        inner=FixedLength(50), averaging=U, outer_loops=5, seed=1)
+
+
+def recorded_loops(monkeypatch, algorithm, first_pass=None):
+    """Record (generator state, checked) at each call of the loop run()
+    takes for algorithm; first_pass, when given, replaces the loop's
+    unchecked calls."""
+    name = "_sgd_epoch" if algorithm == "sgd" else "_inner_steps"
+    loop = getattr(solvers, name)
+    calls = []
+
+    def recording(*args, checked=False):
+        rng = next(a for a in args if isinstance(a, np.random.Generator))
+        calls.append((rng.bit_generator.state, checked))
+        if first_pass is not None and not checked:
+            return first_pass(loop(*args))
+        return loop(*args, checked=checked)
+
+    monkeypatch.setattr(solvers, name, recording)
+    return calls
+
+
+@pytest.mark.parametrize("algorithm", ["sgd", "svrg", "sarah"])
+def test_only_a_failing_loop_is_replayed(monkeypatch, algorithm):
+    problem, config = replay_configs(algorithm, 0.1)
+    calls = recorded_loops(monkeypatch, algorithm)
+    run(problem, config, evaluate=False)
+    assert [checked for _, checked in calls] == [False] * 5
+
+    problem, config = replay_configs(algorithm, 50.0)
+    calls = recorded_loops(monkeypatch, algorithm)
+    with pytest.raises(DivergenceError):
+        run(problem, config, evaluate=False)
+    # one replay, checked, from the state its failing loop started at
+    assert [checked for _, checked in calls] == \
+        [False] * (len(calls) - 1) + [True]
+    assert calls[-1][0] == calls[-2][0]
+
+
+@pytest.mark.parametrize("algorithm", ["sgd", "svrg", "sarah"])
+def test_a_replay_that_stays_finite_is_a_bug(monkeypatch, algorithm):
+    # a first pass that ends non-finite while its replay does not cannot
+    # fall through to the evaluation's check, which names the outer loop
+    problem, config = replay_configs(algorithm, 0.1)
+    recorded_loops(monkeypatch, algorithm,
+                   first_pass=lambda x: np.full_like(x, np.inf))
+    with pytest.raises(AssertionError, match="stayed finite when replayed"):
+        run(problem, config)
 
 
 def test_divergence_raises_no_numpy_warning():
