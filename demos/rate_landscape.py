@@ -55,5 +55,5 @@ for scheme in ("sarah_w", "sarah_u"):
                    [r.value for r in rows]))
 write_line_plot(out_dir / "rate_landscape.svg", series,
                 title="contraction bounds vs inner-loop length",
-                xlabel="m / kappa", ylabel="lambda", logx=True)
+                xlabel="m / kappa", ylabel="lambda")
 print(f"wrote {out_dir / 'rate_landscape.svg'}")

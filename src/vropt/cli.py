@@ -27,7 +27,8 @@ from .harness import (bench_configs, cached_dataset, cached_reference,
 from .problems import LogisticProblem
 from .rates import FIGURE_IDS, figure_grid, rate_grid
 from .solvers import (AdaptiveLength, BarzilaiBorweinStep, DivergenceError,
-                      FixedLength, FixedStep, SolverConfig)
+                      FixedLength, FixedStep, SolverConfig, at_least_two,
+                      inner_length, positive)
 from .svgplot import write_line_plot
 from .trace import Trace
 
@@ -138,36 +139,33 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _positive(flag: str, value: float) -> float:
-    """A float flag's value as typed, or ValueError naming it."""
-    if not (value > 0 and math.isfinite(value)):
-        raise ValueError(f"{flag} must be positive and finite, got {value!r}")
-    return value
+def _refuse_unread(mode: str, flags: list[tuple[str, object]]) -> None:
+    """ValueError naming each of the (flag, value) pairs that is set."""
+    given = [flag for flag, value in flags if value is not None]
+    if given:
+        raise ValueError(f"{mode} takes none of: {', '.join(given)}")
 
 
-def _inner_length(m: int) -> int:
-    """--m's value as typed, or ValueError naming it: an inner loop holds
-    a snapshot and at least one step."""
-    if m < 2:
-        raise ValueError(f"--m must be >= 2, got {m}")
-    return m
+def _kappa(problem: LogisticProblem) -> float:
+    """kappa = L/mu, or ValueError naming --mu when it overflows."""
+    if not math.isfinite(problem.kappa):
+        raise ValueError(f"--mu {problem.mu!r} makes kappa = L/mu = "
+                         f"{problem.kappa}, which is not finite")
+    return problem.kappa
 
 
 def _build_run_config(args, problem: LogisticProblem) -> SolverConfig:
     """Translate run flags into a SolverConfig, or raise ValueError."""
-    big_l, _, kappa = problem.constants()
+    big_l = problem.smoothness
     name = args.name or args.algo
     if args.algo in ("gd", "sgd"):
-        off = [flag for flag, v in [
+        _refuse_unread(f"--algo {args.algo}", [
             ("--avg", args.avg), ("--step", args.step),
             ("--eta-over-L", args.eta_over_l), ("--eta0-over-L", args.eta0_over_l),
             ("--theta-kappa", args.theta_kappa), ("--c", args.c),
-            ("--m", args.m), ("--m-kappa", args.m_kappa)] if v is not None]
-        if args.algo == "gd" and args.seed is not None:
-            off.append("--seed")  # gd draws no random numbers
-        if off:
-            raise ValueError(f"--algo {args.algo} takes none of: "
-                             f"{', '.join(off)}")
+            ("--m", args.m), ("--m-kappa", args.m_kappa),
+            # gd draws no random numbers
+            ("--seed", args.seed if args.algo == "gd" else None)])
         return SolverConfig(args.algo, seed=args.seed or 0, name=name)
 
     if args.step is None:
@@ -177,34 +175,30 @@ def _build_run_config(args, problem: LogisticProblem) -> SolverConfig:
 
     if args.m is not None and args.m_kappa is not None:
         raise ValueError("give --m or --m-kappa, not both")
-    m = None if args.m is None else _inner_length(args.m)
+    m = None if args.m is None else at_least_two("--m", args.m)
     if args.m_kappa is not None:
-        m_len = _positive("--m-kappa", args.m_kappa) * kappa
-        if not math.isfinite(m_len):
-            raise ValueError(f"--m-kappa * kappa = {m_len} is not finite")
-        m = max(2, math.ceil(m_len))
+        m = inner_length(positive("--m-kappa", args.m_kappa) * _kappa(problem),
+                         "--m-kappa * kappa =")
 
     if args.step == "fixed":
-        bad = [flag for flag, v in [
+        _refuse_unread("--step fixed", [
             ("--eta0-over-L", args.eta0_over_l),
-            ("--theta-kappa", args.theta_kappa), ("--c", args.c)]
-            if v is not None]
-        if bad:
-            raise ValueError(f"--step fixed takes none of: {', '.join(bad)}")
+            ("--theta-kappa", args.theta_kappa), ("--c", args.c)])
         if args.eta_over_l is None:
             raise ValueError("--step fixed needs --eta-over-L")
         if m is None:
             raise ValueError("--step fixed needs --m or --m-kappa")
-        step = FixedStep(_positive("--eta-over-L", args.eta_over_l) / big_l)
+        step = FixedStep(positive("--eta-over-L", args.eta_over_l) / big_l)
         inner = FixedLength(m)
     else:
         if args.eta_over_l is not None:
             raise ValueError("--step bb takes --eta0-over-L, not --eta-over-L")
         if args.theta_kappa is not None:
-            theta_over_kappa = _positive("--theta-kappa", args.theta_kappa)
+            theta_over_kappa = positive("--theta-kappa", args.theta_kappa)
         eta0 = None if args.eta0_over_l is None \
-            else _positive("--eta0-over-L", args.eta0_over_l) / big_l
-        step = BarzilaiBorweinStep(theta_over_kappa * kappa, eta0=eta0)
+            else positive("--eta0-over-L", args.eta0_over_l) / big_l
+        step = BarzilaiBorweinStep(theta_over_kappa * _kappa(problem),
+                                   eta0=eta0)
         if m is not None:
             if args.c is not None:
                 raise ValueError(
@@ -212,7 +206,7 @@ def _build_run_config(args, problem: LogisticProblem) -> SolverConfig:
             inner = FixedLength(m)
         else:
             inner = AdaptiveLength(
-                1.0 if args.c is None else _positive("--c", args.c))
+                1.0 if args.c is None else positive("--c", args.c))
     return SolverConfig(args.algo, step=step, inner=inner,
                         averaging=averaging, seed=args.seed or 0, name=name)
 
@@ -228,7 +222,7 @@ def _run_configs(problem: LogisticProblem, configs: list[SolverConfig],
     solve or read the reference (unless reference is False), then run the
     configs. A run's MemoryError (a snapshot pmf's: every d-vector fits)
     names length_flag, the flag that set the inner length, when given."""
-    if not math.isfinite(_positive("--passes", passes) * problem.n):
+    if not math.isfinite(positive("--passes", passes) * problem.n):
         raise ValueError(f"--passes {passes!r} makes an IFO budget of "
                          f"{passes!r} * {problem.n} rows, which is not "
                          "finite")
@@ -276,9 +270,7 @@ def _cmd_rates(args) -> int:
              ("--points", args.points), ("--L", args.big_l), ("--mu", args.mu),
              ("--eta", args.eta), ("--m", args.m)]
     if args.figure:
-        given = [flag for flag, v in sweep if v is not None]
-        if given:
-            raise ValueError(f"--figure takes none of: {', '.join(given)}")
+        _refuse_unread("--figure", sweep)
         rows = figure_grid(args.figure)
     else:
         missing = [flag for flag, v in sweep[:3] if not v]
@@ -289,10 +281,10 @@ def _cmd_rates(args) -> int:
             points = [float(v) for v in args.points.split(",") if v.strip()]
         except ValueError as exc:
             raise ValueError(f"--points: {exc}") from None
-        big_l = 1.0 if args.big_l is None else _positive("--L", args.big_l)
-        mu = 1e-5 if args.mu is None else _positive("--mu", args.mu)
-        eta = None if args.eta is None else _positive("--eta", args.eta)
-        m = None if args.m is None else _inner_length(args.m)
+        big_l = 1.0 if args.big_l is None else positive("--L", args.big_l)
+        mu = 1e-5 if args.mu is None else positive("--mu", args.mu)
+        eta = None if args.eta is None else positive("--eta", args.eta)
+        m = None if args.m is None else at_least_two("--m", args.m)
         rows = rate_grid(schemes, L=big_l, mu=mu, sweep=args.sweep,
                          points=points, eta=eta, m=m)
     write_rate_csv(rows, args.out)
@@ -302,6 +294,7 @@ def _cmd_rates(args) -> int:
 
 def _cmd_bench(args) -> int:
     problem = _load_problem(args)
+    _kappa(problem)
     out_dir = Path(args.out_dir)
     traces = _run_configs(
         problem, bench_configs(problem, seed=args.seed), args.passes,

@@ -29,9 +29,9 @@ class LibsvmParseError(ValueError):
     """Malformed LIBSVM input; the message carries the 1-based line number."""
 
 
-# The largest 1-based index: the dim it gives must leave a float64 vector
-# of dim entries a byte size np.intp holds, or numpy refuses to make one.
-_MAX_INDEX = int(np.iinfo(np.intp).max) // 8
+# The most float64 entries one array can hold (numpy sizes no array past
+# np.intp's largest byte count), and so the largest 1-based index.
+MAX_FLOATS = int(np.iinfo(np.intp).max) // 8
 
 
 def _frozen(values, dtype, copy: bool) -> np.ndarray:
@@ -207,7 +207,7 @@ def _check_line(line: str, line_no: int) -> None:
                 f"line {line_no}: malformed token {tok!r}") from None
         if idx < 1:
             raise LibsvmParseError(f"line {line_no}: index {idx} is not positive")
-        if idx > _MAX_INDEX:
+        if idx > MAX_FLOATS:
             raise LibsvmParseError(f"line {line_no}: index {idx} is too large")
         if idx <= prev:
             raise LibsvmParseError(
@@ -274,11 +274,11 @@ def _read_block(lines: list[str]):
     starts = np.zeros(k, dtype=np.intp)
     starts[1:] = seps[1::2] + 1
     fields = joined.replace(":", " ").split(" ")  # index, value, index, ...
-    idx = _digits(b, starts, colons)  # 18 digits stay below _MAX_INDEX
+    idx = _digits(b, starts, colons)  # 18 digits stay below MAX_FLOATS
     try:
         if idx is None:  # signed, with "_", other digits, or long: as int()
             idx = np.fromiter(map(int, fields[::2]), dtype=np.intp, count=k)
-            if idx.max() > _MAX_INDEX:
+            if idx.max() > MAX_FLOATS:
                 return None
         data = np.fromiter(map(float, fields[1::2]), np.float64, count=k)
     except (ValueError, OverflowError):  # OverflowError: past np.intp

@@ -31,7 +31,8 @@ from .problems import ErmProblem
 from .dataset import Dataset, serialize_libsvm  # noqa: F401
 from .rates import GridRow
 from .solvers import (AdaptiveLength, BarzilaiBorweinStep, ConfigError,
-                      FixedLength, FixedStep, SolverConfig, check_config, run)
+                      FixedLength, FixedStep, SolverConfig, check_config,
+                      inner_length, positive, run)
 from .trace import Trace, TracePoint, config_id_flaw
 
 __all__ = [
@@ -62,11 +63,6 @@ _FLAT_RTOL = 1e-14  # trial values this close to f differ by rounding only
 _MAX_ITERATIONS = 10_000
 
 
-def _check_tol(tol: float) -> None:
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-
-
 def compute_reference(problem: ErmProblem, tol: float = 1e-10) -> ReferenceOptimum:
     """Solve the problem to high accuracy with deterministic full gradients.
 
@@ -91,7 +87,7 @@ def compute_reference(problem: ErmProblem, tol: float = 1e-10) -> ReferenceOptim
             decrease is found: the direction is not a descent direction
             (lost to rounding), or every trial down to t = 2^-41 fails.
     """
-    _check_tol(tol)
+    positive("tol", tol)
     if not problem.mu > 0:
         raise ValueError("reference solver needs mu > 0")
     pairs = deque(maxlen=_LBFGS_PAIRS)  # (s, y, s.y), oldest first
@@ -261,7 +257,7 @@ def cached_reference(problem: ErmProblem,
     finite raises ValueError before the cache is read: any entry, or f(0),
     would meet an infinite one.
     """
-    _check_tol(tol)
+    positive("tol", tol)
     key = problem_key(problem)
     path = _cache_path(f"ref-{key}")
     entry = _read_entry(path, _REFERENCE_FIELDS)
@@ -384,9 +380,10 @@ def run_experiment(problem: ErmProblem, configs: Sequence[SolverConfig],
 def bench_configs(problem: ErmProblem, seed: int = 0) -> list[SolverConfig]:
     """The five-solver comparison lineup run by the bench command: SGD, both
     fixed-step uniform-averaging baselines, and both tune-free secant-step
-    tail-weighted solvers."""
+    tail-weighted solvers. Raises ConfigError when the fixed-step
+    baselines' inner length 5 * kappa is not finite or too large."""
     big_l, _, kappa = problem.constants()
-    m5 = max(2, math.ceil(5.0 * kappa))
+    m5 = inner_length(5.0 * kappa, "inner length 5 * kappa =")
     tuned = [(algo, pairs["w"]) for algo, pairs in SCHEMES.items()]
     return [
         SolverConfig("sgd", seed=seed, name="sgd"),

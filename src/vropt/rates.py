@@ -29,6 +29,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .averaging import SCHEMES
+from .solvers import inner_length
 
 __all__ = [
     "RateQuery", "GridRow",
@@ -325,8 +326,7 @@ def figure_grid(figure: str) -> list[GridRow]:
             _, theta_over_kappa, scheme = SCHEMES["sarah"][letter]
             theta, fn = theta_over_kappa * kappa, SCHEME_RATES[scheme]
             for eta in _log_grid(1.0 / (theta * big_l), 1.0 / (theta * mu), 25):
-                m = max(2, math.ceil(1.0 / (mu * eta)))
-                q = RateQuery(eta, m, big_l, mu)
+                q = RateQuery(eta, inner_length(1.0 / (mu * eta)), big_l, mu)
                 rows.append(GridRow(scheme, eta, fn(q)))
         return rows
     raise ValueError(f"unknown figure {figure!r}; expected one of {FIGURE_IDS}")

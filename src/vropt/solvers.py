@@ -39,6 +39,7 @@ import numpy as np
 
 from .averaging import (SCHEMES, AveragingScheme, decay_rate,
                         sample_snapshot_index, weights)
+from .dataset import MAX_FLOATS
 from .problems import ErmProblem, IfoCounter
 from .trace import Trace, TracePoint, config_id_flaw
 
@@ -54,21 +55,47 @@ class ConfigError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """Iterates became non-finite; carries the last norm and the step count."""
+    """Iterates became non-finite; carries the last norm and the step count,
+    or the outer loop when what names a snapshot gradient or evaluation."""
 
-    def __init__(self, iterate_norm: float, steps: int, config_id: str | None = None):
+    def __init__(self, iterate_norm: float, steps: int,
+                 config_id: str | None = None, what: str | None = None):
         self.iterate_norm = iterate_norm
         self.steps = steps
         self.config_id = config_id
         where = f" in config {config_id!r}" if config_id else ""
-        super().__init__(
-            f"divergence{where}: iterate norm {iterate_norm} after {steps} steps")
+        what = what or f"iterate norm {iterate_norm} after {steps} steps"
+        super().__init__(f"divergence{where}: {what}")
 
 
-def _check_positive(name: str, value: float) -> None:
+def positive(name: str, value: float) -> float:
+    """value, or ConfigError naming it unless it is positive and finite."""
     # a chained comparison is False for NaN, so this also rejects it
     if not 0.0 < value < math.inf:
         raise ConfigError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
+def at_least_two(name: str, m: int) -> int:
+    """m, or ConfigError naming it when it is below 2: an inner loop holds
+    a snapshot and at least one step."""
+    if m < 2:
+        raise ConfigError(f"{name} must be >= 2, got {m}")
+    return m
+
+
+def inner_length(x: float, rule: str = "inner length") -> int:
+    """The inner length max(2, ceil(x)), or ConfigError naming "<rule> <x>"
+    when x is not finite or when a snapshot pmf of m + 1 floats fits no
+    array."""
+    # a chained comparison is False for NaN; an int past the floats is finite
+    if not -math.inf < x < math.inf:
+        raise ConfigError(f"{rule} {x} is not finite")
+    m = max(2, math.ceil(x))
+    if m + 1 > MAX_FLOATS:
+        raise ConfigError(f"{rule} {x} is too large: the snapshot pmf holds "
+                          f"m_s + 1 floats, at most {MAX_FLOATS}")
+    return m
 
 
 def _check_integer(name: str, value) -> None:
@@ -89,7 +116,7 @@ class FixedStep:
     eta: float
 
     def __post_init__(self):
-        _check_positive("step size", self.eta)
+        positive("step size", self.eta)
 
 
 @dataclass(frozen=True)
@@ -108,9 +135,9 @@ class BarzilaiBorweinStep:
     eta0: float | None = None
 
     def __post_init__(self):
-        _check_positive("theta_kappa", self.theta_kappa)
+        positive("theta_kappa", self.theta_kappa)
         if self.eta0 is not None:
-            _check_positive("eta0", self.eta0)
+            positive("eta0", self.eta0)
 
 
 @dataclass(frozen=True)
@@ -119,8 +146,7 @@ class FixedLength:
 
     def __post_init__(self):
         _check_integer("inner length", self.m)
-        if self.m < 2:
-            raise ConfigError(f"inner length must be >= 2, got {self.m}")
+        at_least_two("inner length", self.m)
 
 
 @dataclass(frozen=True)
@@ -130,7 +156,7 @@ class AdaptiveLength:
     c: float = 1.0
 
     def __post_init__(self):
-        _check_positive("c", self.c)
+        positive("c", self.c)
 
 
 StepRule = FixedStep | BarzilaiBorweinStep
@@ -206,10 +232,11 @@ def bb_step(prev: tuple[np.ndarray, np.ndarray],
     return eta
 
 
-def _diverged(x: np.ndarray, steps: int,
-              config_id: str | None) -> DivergenceError:
+def _diverged(x: np.ndarray, steps: int, config_id: str | None,
+              what: str | None = None) -> DivergenceError:
     with np.errstate(over="ignore", invalid="ignore"):
-        return DivergenceError(float(np.linalg.norm(x)), steps, config_id)
+        return DivergenceError(float(np.linalg.norm(x)), steps, config_id,
+                               what)
 
 
 def _finite(x: np.ndarray) -> bool:
@@ -414,31 +441,17 @@ def _resolve_eta0(step: BarzilaiBorweinStep, inner: InnerLengthRule,
         else (big_l, "L")
     eta0 = 1.0 / (step.theta_kappa * bound)
     # a tiny or huge theta_kappa overflows the quotient or its divisor
-    _check_positive(f"eta0 = 1/(theta_kappa*{name})", eta0)
-    return eta0
-
-
-# the snapshot pmf of a loop of length m holds m + 1 floats of 8 bytes,
-# and numpy sizes no array past np.intp's largest byte count
-_MAX_PMF = int(np.iinfo(np.intp).max) // 8
+    return positive(f"eta0 = 1/(theta_kappa*{name})", eta0)
 
 
 def _inner_length(inner: InnerLengthRule, mu: float, eta: float) -> int:
     """m_s for a loop with step eta: fixed, or max(2, ceil(c/(mu*eta)))."""
     if isinstance(inner, FixedLength):
-        m, rule = inner.m, f"inner length {inner.m}"
-    else:
-        # a tiny eta overflows the quotient, or underflows mu*eta
-        den = mu * eta
-        m_len = inner.c / den if den > 0 else math.inf
-        rule = f"adaptive inner length c/(mu*eta_s) = {m_len}"
-        if not math.isfinite(m_len):
-            raise ConfigError(f"{rule} is not finite")
-        m = max(2, math.ceil(m_len))
-    if m + 1 > _MAX_PMF:
-        raise ConfigError(f"{rule} is too large: the snapshot pmf holds "
-                          f"m_s + 1 floats, at most {_MAX_PMF}")
-    return m
+        return inner_length(inner.m)
+    # a tiny eta overflows the quotient, or underflows mu*eta
+    den = mu * eta
+    return inner_length(inner.c / den if den > 0 else math.inf,
+                        "adaptive inner length c/(mu*eta_s) =")
 
 
 def check_config(problem: ErmProblem, config: SolverConfig) -> float | None:
@@ -488,7 +501,8 @@ def run(problem: ErmProblem, config: SolverConfig, f_star: float | None = None,
     Raises:
         ConfigError: contradictory configuration for this problem (see
             check_config for the checks made before the first loop).
-        DivergenceError: non-finite iterate, annotated with the config id.
+        DivergenceError: non-finite iterate, snapshot gradient or
+            evaluation, annotated with the config id.
         MemoryError: a loop's snapshot pmf, naming the config, loop and m_s.
     """
     eta0 = check_config(problem, config)
@@ -511,7 +525,8 @@ def run(problem: ErmProblem, config: SolverConfig, f_star: float | None = None,
                 grad_sq = float(g_eval @ g_eval)
             if not math.isfinite(grad_sq) or \
                     (f_star is not None and not math.isfinite(value)):
-                raise _diverged(x, s, cid)
+                raise _diverged(x, s, cid, f"evaluation at outer loop {s} is "
+                                f"not finite: f = {value}, grad_sq = {grad_sq}")
             if f_star is not None:
                 gap = value - f_star
         points.append(TracePoint(s, eta_s, m_s, snap, counter.count, gap, grad_sq))
@@ -544,7 +559,8 @@ def run(problem: ErmProblem, config: SolverConfig, f_star: float | None = None,
         # secant for loop s uses grad f at the two latest snapshots
         g = problem.full_grad(x, counter)
         if not _finite(g):
-            raise _diverged(g, s, cid)
+            raise _diverged(g, s, cid, f"snapshot gradient at outer loop {s} "
+                            "is not finite")
         if isinstance(config.step, FixedStep) or s <= 2:
             eta_s = eta0
         else:

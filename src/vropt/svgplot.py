@@ -2,7 +2,8 @@
 
 CSV files are the real output contract of this package; these plots exist so
 a benchmark run can be eyeballed without any plotting stack. Only what the
-figures need is implemented: polylines, log axes, decade ticks, a legend.
+figures need is implemented: polylines, a linear x axis, a log y axis with
+decade ticks, a legend.
 """
 
 from __future__ import annotations
@@ -29,10 +30,8 @@ def _fmt(v: float) -> str:
     return format(v, ".6g")
 
 
-def _keep(x: float, y: float, logx: bool) -> bool:
-    if not (math.isfinite(x) and math.isfinite(y)):
-        return False
-    return (x > 0 or not logx) and y > 0
+def _keep(x: float, y: float) -> bool:
+    return math.isfinite(x) and math.isfinite(y) and y > 0
 
 
 def _ticks(lo: float, hi: float, log: bool) -> list[float]:
@@ -47,11 +46,10 @@ def _ticks(lo: float, hi: float, log: bool) -> list[float]:
 
 def write_line_plot(path: str | os.PathLike,
                     series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
-                    title: str, xlabel: str, ylabel: str,
-                    logx: bool = False) -> None:
+                    title: str, xlabel: str, ylabel: str) -> None:
     """Write one SVG with a polyline per (label, xs, ys) series; y is log.
 
-    Non-finite points, and non-positive points on log axes, are dropped; a
+    Non-finite points, and points with y <= 0, are dropped; a
     series' one polyline joins the points it keeps, so a dropped point
     leaves no gap in its line. Raises ValueError when nothing is plottable.
     """
@@ -59,13 +57,11 @@ def write_line_plot(path: str | os.PathLike,
     for _, xs, ys in series:
         if len(xs) != len(ys):
             raise ValueError("series xs and ys differ in length")
-        pts.extend(p for p in zip(xs, ys) if _keep(p[0], p[1], logx))
+        pts.extend(p for p in zip(xs, ys) if _keep(*p))
     if not pts:
         raise ValueError("no plottable points")
     xlo, xhi = min(p[0] for p in pts), max(p[0] for p in pts)
     ylo, yhi = min(p[1] for p in pts), max(p[1] for p in pts)
-    if logx:
-        xlo, xhi = math.log10(xlo), math.log10(xhi)
     ylo, yhi = math.log10(ylo), math.log10(yhi)
     if xhi - xlo < 1e-12:
         xlo, xhi = xlo - 0.5, xhi + 0.5
@@ -73,8 +69,6 @@ def write_line_plot(path: str | os.PathLike,
         ylo, yhi = ylo - 0.5, yhi + 0.5
 
     def px(x: float) -> float:
-        if logx:
-            x = math.log10(x)
         return _LEFT + (x - xlo) / (xhi - xlo) * (_W - _LEFT - _RIGHT)
 
     def py(y: float) -> float:
@@ -89,8 +83,7 @@ def write_line_plot(path: str | os.PathLike,
            f'<text x="{_W / 2:.1f}" y="24" text-anchor="middle" '
            f'font-family="sans-serif" font-size="15">{_esc(title)}</text>']
 
-    x_ticks = _ticks(10.0 ** xlo if logx else xlo,
-                     10.0 ** xhi if logx else xhi, logx)
+    x_ticks = _ticks(xlo, xhi, False)
     y_ticks = _ticks(10.0 ** ylo, 10.0 ** yhi, True)
     for t in x_ticks:
         gx = px(t)
@@ -116,7 +109,7 @@ def write_line_plot(path: str | os.PathLike,
     for idx, (label, xs, ys) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
         coords = [f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys)
-                  if _keep(x, y, logx)]
+                  if _keep(x, y)]
         if coords:
             out.append(f'<polyline points="{" ".join(coords)}" fill="none" '
                        f'stroke="{color}" stroke-width="1.6"/>')

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -15,10 +16,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import vropt.cli
-from vropt import (LogisticProblem, SolverConfig, add_bias_column,
-                   compute_reference, format_trace_csv, load_trace_csv,
-                   normalize_rows, parse_libsvm, problem_key, run_experiment)
+from vropt import (AdaptiveLength, AveragingScheme, BarzilaiBorweinStep,
+                   FixedLength, FixedStep, LogisticProblem, SolverConfig,
+                   add_bias_column, bench_configs, cached_reference,
+                   compute_reference, format_trace_csv, generate_synthetic,
+                   load_trace_csv, normalize_rows, parse_libsvm, problem_key,
+                   run_experiment)
 from vropt.cli import main
+from vropt.solvers import check_config
 
 
 def gen_data(tmp_path, n=30, d=4, seed=1, sep=3.0):
@@ -320,10 +325,9 @@ def test_run_m_kappa_past_any_pmf_exits_2(tmp_path, capsys):
     out = tmp_path / "t.csv"
     assert main(run_flags(data, out, "--algo", "svrg", "--step", "fixed",
                           "--eta-over-L", "0.1", "--m-kappa", "1e300")) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: config 'svrg': inner length 6")
-    assert err.endswith(" is too large: the snapshot pmf holds m_s + 1 "
-                        "floats, at most 1152921504606846975\n")
+    assert capsys.readouterr().err == (
+        "error: --m-kappa * kappa = 6.000000000000002e+300 is too large: the "
+        "snapshot pmf holds m_s + 1 floats, at most 1152921504606846975\n")
     assert not out.exists()
     assert not list((tmp_path / "refcache").glob("ref-*"))
 
@@ -387,6 +391,151 @@ def test_dimension_past_any_vector_exits_1(tmp_path, capsys, monkeypatch,
     cache = tmp_path / "refcache"
     assert not list(cache.glob("ref-*"))
     assert len(list(cache.glob("data-*"))) == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["bench", "--passes", "1", "--out-dir", "b"],
+    ["run", "--algo", "sarah", "--step", "bb", "--out", "t.csv"],
+    ["run", "--algo", "sarah", "--step", "fixed", "--eta-over-L", "0.1",
+     "--m-kappa", "1", "--out", "t.csv"],
+])
+def test_kappa_past_the_floats_exits_2(tmp_path, capsys, monkeypatch,
+                                       command):
+    # L/mu overflows at mu = 5e-324; every command that reads kappa
+    # refuses --mu before the reference solve
+    data = gen_data(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(["reference", "--data", data, "--mu", "0.05"]) == 0
+    capsys.readouterr()
+    name, *flags = command
+    assert main([name, "--data", data, "--mu", "5e-324", "--normalize",
+                 *flags]) == 2
+    assert capsys.readouterr().err == (
+        "error: --mu 5e-324 makes kappa = L/mu = inf, which is not finite\n")
+    assert not list(tmp_path.glob("*.csv")) and not Path("b").exists()
+    assert len(list((tmp_path / "refcache").glob("ref-*"))) == 1
+
+
+@pytest.mark.parametrize("flags", [
+    ["--algo", "gd"], ["--algo", "sgd"],
+    ["--algo", "svrg", "--step", "fixed", "--eta-over-L", "0.1", "--m", "5"],
+])
+def test_runs_that_never_read_kappa_ignore_its_overflow(tmp_path, flags):
+    data = gen_data(tmp_path)
+    out = tmp_path / "t.csv"
+    assert main(["run", "--data", data, "--mu", "5e-324", "--normalize",
+                 "--passes", "2", "--no-reference", "--out", str(out),
+                 *flags]) == 0
+    assert out.exists()
+
+
+def _tiny_problem(mu):
+    """The problem `gen_data` and `--normalize` make, with this mu."""
+    return LogisticProblem(normalize_rows(generate_synthetic(30, 4, 1, 3.0)),
+                           mu)
+
+
+_PMF_BOUND = ("the snapshot pmf holds m_s + 1 floats, at most "
+              "1152921504606846975")
+
+
+def _check_first(config):
+    return check_config(_tiny_problem(0.05), config)
+
+
+# Each refusal rule has one definition; this table pins its full message
+# at every place that used to write the rule out for itself. A row is a
+# run/rates/bench/reference argv (with {data} and {out}), which must exit
+# 2 with the message, or a library call, which must raise it.
+@pytest.mark.parametrize("call,message", [
+    # positive and finite
+    (lambda: FixedStep(-1.0), "step size must be positive and finite, got -1.0"),
+    (lambda: BarzilaiBorweinStep(math.nan),
+     "theta_kappa must be positive and finite, got nan"),
+    (lambda: BarzilaiBorweinStep(4.0, eta0=math.inf),
+     "eta0 must be positive and finite, got inf"),
+    (lambda: AdaptiveLength(0.0), "c must be positive and finite, got 0.0"),
+    (lambda: compute_reference(_tiny_problem(0.05), tol=math.nan),
+     "tol must be positive and finite, got nan"),
+    (lambda: cached_reference(_tiny_problem(0.05), tol=0.0),
+     "tol must be positive and finite, got 0.0"),
+    (["run", "--algo", "svrg", "--step", "fixed", "--eta-over-L", "-1",
+      "--m", "5"], "--eta-over-L must be positive and finite, got -1.0"),
+    (["run", "--algo", "sgd", "--passes", "0"],
+     "--passes must be positive and finite, got 0.0"),
+    (["rates", "--schemes", "svrg_u", "--sweep", "m", "--points", "10",
+      "--eta", "0.1", "--L", "nan"], "--L must be positive and finite, got nan"),
+    (["reference", "--tol", "inf"], "tol must be positive and finite, got inf"),
+    # at least 2, for a fixed length
+    (lambda: FixedLength(1), "inner length must be >= 2, got 1"),
+    (["run", "--algo", "svrg", "--step", "fixed", "--eta-over-L", "0.1",
+      "--m", "1"], "--m must be >= 2, got 1"),
+    (["rates", "--schemes", "svrg_u", "--sweep", "eta", "--points", "0.1",
+      "--m", "1"], "--m must be >= 2, got 1"),
+    # the inner length max(2, ceil(x)) of a real x
+    (lambda: _check_first(SolverConfig(
+        "sarah", step=BarzilaiBorweinStep(1.0, eta0=1e-320),
+        inner=AdaptiveLength(), averaging=AveragingScheme.UNIFORM,
+        outer_loops=1)),
+     "adaptive inner length c/(mu*eta_s) = inf is not finite"),
+    (lambda: _check_first(SolverConfig(
+        "sarah", step=FixedStep(0.1), inner=FixedLength(1 << 60),
+        averaging=AveragingScheme.UNIFORM, outer_loops=1)),
+     f"inner length {1 << 60} is too large: {_PMF_BOUND}"),
+    (["run", "--algo", "sarah", "--step", "bb", "--eta0-over-L", "1e-320",
+      "--no-reference"],
+     "config 'sarah': adaptive inner length c/(mu*eta_s) = inf is not finite"),
+    (["run", "--algo", "svrg", "--step", "fixed", "--eta-over-L", "0.1",
+      "--m-kappa", "1e308"], "--m-kappa * kappa = inf is not finite"),
+    (["run", "--algo", "svrg", "--step", "fixed", "--eta-over-L", "0.1",
+      "--m-kappa", "1e300"],
+     f"--m-kappa * kappa = 6.000000000000002e+300 is too large: {_PMF_BOUND}"),
+    (lambda: bench_configs(_tiny_problem(5e-324)),
+     "inner length 5 * kappa = inf is not finite"),
+    (lambda: bench_configs(_tiny_problem(1e-300)),
+     "inner length 5 * kappa = 1.2500000000000002e+300 is too large: "
+     f"{_PMF_BOUND}"),
+    (["bench", "--mu", "1e-300"],
+     "inner length 5 * kappa = 1.2500000000000002e+300 is too large: "
+     f"{_PMF_BOUND}"),
+    # the most float64 entries one array holds, as the largest index too
+    (lambda: parse_libsvm("+1 1152921504606846976:1\n"),
+     "line 1: index 1152921504606846976 is too large"),
+    # a flag the chosen mode does not read
+    (["run", "--algo", "gd", "--m", "5", "--seed", "0"],
+     "--algo gd takes none of: --m, --seed"),
+    (["run", "--algo", "sgd", "--step", "fixed", "--c", "2"],
+     "--algo sgd takes none of: --step, --c"),
+    (["run", "--algo", "svrg", "--step", "fixed", "--eta-over-L", "0.2",
+      "--m", "40", "--theta-kappa", "4", "--c", "2"],
+     "--step fixed takes none of: --theta-kappa, --c"),
+    (["rates", "--figure", "1a", "--mu", "3", "--L", "7"],
+     "--figure takes none of: --L, --mu"),
+    # a kappa = L/mu past the floats, where a command reads it
+    (["run", "--mu", "5e-324", "--algo", "sarah", "--step", "bb"],
+     "--mu 5e-324 makes kappa = L/mu = inf, which is not finite"),
+    (["bench", "--mu", "5e-324"],
+     "--mu 5e-324 makes kappa = L/mu = inf, which is not finite"),
+], ids=lambda v: "library" if callable(v) else v[0] if isinstance(v, list)
+   else None)
+def test_each_refusal_rule_at_each_home(tmp_path, capsys, call, message):
+    if callable(call):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+        return
+    name, *flags = call
+    argv = [name, *flags]
+    if name != "rates":
+        argv += ["--data", gen_data(tmp_path), "--normalize"]
+        if "--mu" not in flags:
+            argv += ["--mu", "0.05"]
+    argv += {"run": ["--out", str(tmp_path / "t.csv")],
+             "rates": ["--out", str(tmp_path / "t.csv")],
+             "bench": ["--passes", "1", "--out-dir", str(tmp_path / "b")],
+             "reference": []}[name]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_bench_non_finite_passes_exits_2(tmp_path, capsys):

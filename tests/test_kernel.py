@@ -251,24 +251,60 @@ def test_divergence_steps_match_grad_component_loop(kind, algorithm,
     assert info.value.steps == expected
 
 
+@pytest.mark.parametrize("loop", [1, 3])
 @pytest.mark.parametrize("algorithm", ["svrg", "sarah"])
-def test_divergence_in_snapshot_gradient(algorithm):
-    # a snapshot gradient with an inf entry: loop 1 stops at it, before
-    # any inner step
+def test_divergence_in_snapshot_gradient(algorithm, loop):
+    # a snapshot gradient with an inf entry: loop `loop` stops at it,
+    # before any of its inner steps, and is named as an outer loop
     problem = make_logistic(20, 4, seed=27, kappa=2.0)
     full_grad = problem.full_grad
+    calls = []
 
     def overflowing(x, counter=None):
         g = full_grad(x, counter)
-        g[0] = np.inf
+        calls.append(None)
+        if len(calls) == loop:
+            g[0] = np.inf
         return g
 
     problem.full_grad = overflowing
     config = SolverConfig(algorithm, step=FixedStep(0.1),
-                          inner=FixedLength(5), averaging=U, outer_loops=3)
+                          inner=FixedLength(50), averaging=U, outer_loops=5)
     with pytest.raises(DivergenceError) as info:
         run(problem, config, evaluate=False)
-    assert info.value.steps == 1
+    assert info.value.steps == loop
+    assert info.value.iterate_norm == math.inf
+    assert str(info.value) == (f"divergence in config {algorithm!r}: snapshot "
+                               f"gradient at outer loop {loop} is not finite")
+
+
+@pytest.mark.parametrize("algorithm", ["gd", "sgd", "svrg", "sarah"])
+def test_divergence_in_evaluation(algorithm):
+    # the evaluation after outer loop 3 (the 4th, counting the start's)
+    # returns an inf gradient; it is named with the loop, not as steps
+    problem = make_logistic(20, 4, seed=27, kappa=2.0)
+    value_and_grad = problem.value_and_grad
+    calls = []
+
+    def overflowing(x):
+        value, g = value_and_grad(x)
+        calls.append((float(np.linalg.norm(x)), value))
+        if len(calls) == 4:
+            g = np.full_like(g, np.inf)
+        return value, g
+
+    problem.value_and_grad = overflowing
+    rules = {} if algorithm in ("gd", "sgd") else dict(
+        step=FixedStep(0.1), inner=FixedLength(50), averaging=U)
+    config = SolverConfig(algorithm, outer_loops=5, **rules)
+    with pytest.raises(DivergenceError) as info:
+        run(problem, config)
+    norm, value = calls[-1]
+    assert len(calls) == 4 and math.isfinite(value)
+    assert (info.value.steps, info.value.iterate_norm) == (3, norm)
+    assert str(info.value) == (
+        f"divergence in config {algorithm!r}: evaluation at outer loop 3 is "
+        f"not finite: f = {value}, grad_sq = inf")
 
 
 class LooseRidge(RidgeProblem):
