@@ -26,9 +26,9 @@ from .harness import (bench_configs, cached_dataset, cached_reference,
                       write_trace_csv)
 from .problems import LogisticProblem
 from .rates import FIGURE_IDS, figure_grid, rate_grid
-from .solvers import (AdaptiveLength, BarzilaiBorweinStep, DivergenceError,
-                      FixedLength, FixedStep, SolverConfig, at_least_two,
-                      inner_length, positive)
+from .solvers import (AdaptiveLength, BarzilaiBorweinStep, ConfigError,
+                      DivergenceError, FixedLength, FixedStep, SolverConfig,
+                      at_least_two, inner_length, positive)
 from .svgplot import write_line_plot
 from .trace import Trace
 
@@ -295,9 +295,13 @@ def _cmd_rates(args) -> int:
 def _cmd_bench(args) -> int:
     problem = _load_problem(args)
     _kappa(problem)
+    try:
+        configs = bench_configs(problem, seed=args.seed)
+    except ConfigError as exc:  # the baselines' inner length 5 * kappa
+        raise ConfigError(f"--mu {problem.mu!r}: {exc}") from None
     out_dir = Path(args.out_dir)
     traces = _run_configs(
-        problem, bench_configs(problem, seed=args.seed), args.passes,
+        problem, configs, args.passes,
         lambda: out_dir.mkdir(parents=True, exist_ok=True))
     for trace in traces:
         write_trace_csv([trace], out_dir / f"{trace.config_id}.csv")

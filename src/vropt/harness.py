@@ -477,13 +477,24 @@ def load_trace_csv(text: str) -> list[Trace]:
 
 def format_rate_csv(rows: Iterable[GridRow]) -> str:
     """Render rate-grid rows; undefined points keep an empty lambda cell and
-    defined=false so plots can show gaps instead of fake values."""
+    defined=false so plots can show gaps instead of fake values.
+
+    A sweep repeats each x once per scheme, so each distinct float x is
+    formatted once per call. Zeros are formatted every time: 0.0 and -0.0
+    are one key but print apart."""
     lines = [RATE_HEADER]
+    cells: dict[float, str] = {}
     for scheme, x, value in rows:
-        if value is None:
-            lines.append(f"{scheme},{x!r},,false")
+        if type(x) is float and x:
+            cell = cells.get(x)
+            if cell is None:
+                cell = cells[x] = repr(x)
         else:
-            lines.append(f"{scheme},{x!r},{value!r},true")
+            cell = repr(x)
+        if value is None:
+            lines.append(f"{scheme},{cell},,false")
+        else:
+            lines.append(f"{scheme},{cell},{value!r},true")
     return "\n".join(lines) + "\n"
 
 

@@ -5,14 +5,19 @@ comparison figures.
 Each calculator returns the contraction factor of its tracked metric (function
 gap for the corrected-gradient solver, squared gradient norm for the recursive
 one) or None where the formula's preconditions fail; callers render such
-points as gaps, never as silent NaNs. The formulas are upper bounds: measured
-contraction may be much smaller, never meaningfully larger.
+points as gaps, never as silent NaNs. A bound whose float evaluation
+overflows, or divides by a zero that underflow or rounding made, is refused
+with a ValueError naming the scheme, eta and m: a calculator never returns
+inf. The formulas are upper bounds: measured contraction may be much smaller,
+never meaningfully larger.
 
 A RateQuery is a named tuple (eta, m, L, mu) that checks its fields when it
 is made: eta, m, L and mu must be finite, eta > 0, m >= 2 and L >= mu > 0,
 else ValueError names the field. A rate grid validates its sweep once, makes
 one query per sweep point, evaluates every scheme on it and returns GridRow
-named tuples (scheme, x, value).
+named tuples (scheme, x, value). The figures' log-spaced grids come from
+math alone: 10 ** (a + i*step) through the C library's pow, so their bytes
+do not depend on which SIMD kernels an array library picks for the CPU.
 
 Powers (1-delta)^m are evaluated as exp(m*log1p(-delta)), each one once per
 call; the weighted-recursive normalizer switches to its binomial series in
@@ -25,8 +30,6 @@ from __future__ import annotations
 
 import math
 from typing import Callable, Iterable, NamedTuple, Sequence
-
-import numpy as np
 
 from .averaging import SCHEMES
 from .solvers import inner_length
@@ -92,6 +95,11 @@ def _one_minus_pow1m(delta: float, exponent: float) -> float:
     return -math.expm1(exponent * math.log1p(-delta))
 
 
+def _overflow(scheme: str, q: RateQuery) -> ValueError:
+    return ValueError(f"the {scheme} bound at eta={q.eta!r}, m={q.m} "
+                      "overflows in floats")
+
+
 def rate_svrg_weighted(q: RateQuery) -> float | None:
     """Tail-weighted averaging rate for the corrected-gradient solver.
 
@@ -109,12 +117,19 @@ def rate_svrg_weighted(q: RateQuery) -> float | None:
     # both powers from one log1p, each formed as _pow1m and
     # _one_minus_pow1m form it
     log1m = math.log1p(-d)
-    tail = (m - 1) * log1m
-    prefactor = 1.0 / -math.expm1(tail)
-    bracket = (math.exp(m * log1m) / den
-               + 2.0 * mu * L * eta ** 2 * math.exp(tail) / den
-               + 2.0 * eta * L / den)
-    return prefactor * bracket
+    try:
+        tail = (m - 1) * log1m
+        prefactor = 1.0 / -math.expm1(tail)
+        bracket = (math.exp(m * log1m) / den
+                   + 2.0 * mu * L * eta ** 2 * math.exp(tail) / den
+                   + 2.0 * eta * L / den)
+        value = prefactor * bracket
+    except (ZeroDivisionError, OverflowError):
+        # 1 - (1-d)^(m-1) underflowed to 0, or eta**2 or m is past the floats
+        value = _INF
+    if -_INF < value < _INF:
+        return value
+    raise _overflow("svrg_w", q)
 
 
 def rate_svrg_uniform(q: RateQuery) -> float | None:
@@ -124,7 +139,14 @@ def rate_svrg_uniform(q: RateQuery) -> float | None:
     if eta >= 1.0 / (2.0 * L):
         return None
     den = 1.0 - 2.0 * eta * L
-    return 1.0 / (mu * eta * den * m) + 2.0 * eta * L / den
+    try:
+        value = 1.0 / (mu * eta * den * m) + 2.0 * eta * L / den
+    except (ZeroDivisionError, OverflowError):
+        # the divisor underflowed to 0, or m is past the floats
+        value = _INF
+    if -_INF < value < _INF:
+        return value
+    raise _overflow("svrg_u", q)
 
 
 def _sarah_weighted_normalizer(d: float, m: int) -> float:
@@ -153,24 +175,31 @@ def rate_sarah_weighted(q: RateQuery) -> float | None:
              + (1-delta)^m/(c*delta) + eta*L*(m-1)/(c*(2-eta*L))
              + (2-2*eta*L)/(2-eta*L) * (1+kappa)/(2*c*eta*L)
 
-    Undefined for eta >= 1/L, L == mu, or a non-positive normalizer.
+    Undefined for eta >= 1/L or L == mu.
     """
     eta, m, L, mu = q
     if eta >= 1.0 / L or L == mu:
         return None
     d = mu * eta
-    c = _sarah_weighted_normalizer(d, m)
-    if not c > 0.0:
-        return None
     kappa = L / mu
     r = 2.0 * eta * L / (1.0 + kappa)
     etal = eta * L
-    decay = _pow1m(d, m)
-    term1 = (decay - _pow1m(r, m)) * (L + mu) / (c * (L - mu))
-    term2 = decay / (c * d)
-    term3 = etal * (m - 1) / (c * (2.0 - etal))
-    term4 = (2.0 - 2.0 * etal) / (2.0 - etal) * (1.0 + kappa) / (2.0 * c * etal)
-    return term1 + term2 + term3 + term4
+    try:
+        # c > 0 for every d in (0, 1); it is 0 only when d underflowed
+        c = _sarah_weighted_normalizer(d, m)
+        decay = _pow1m(d, m)
+        term1 = (decay - _pow1m(r, m)) * (L + mu) / (c * (L - mu))
+        term2 = decay / (c * d)
+        term3 = etal * (m - 1) / (c * (2.0 - etal))
+        term4 = ((2.0 - 2.0 * etal) / (2.0 - etal) * (1.0 + kappa)
+                 / (2.0 * c * etal))
+        value = term1 + term2 + term3 + term4
+    except (ZeroDivisionError, OverflowError):
+        # a divisor underflowed to 0, or m is past the floats
+        value = _INF
+    if -_INF < value < _INF:
+        return value
+    raise _overflow("sarah_w", q)
 
 
 def rate_sarah_uniform(q: RateQuery) -> float | None:
@@ -179,7 +208,14 @@ def rate_sarah_uniform(q: RateQuery) -> float | None:
     eta, m, L, mu = q
     if eta >= 2.0 / L:
         return None
-    return 1.0 / (mu * eta * m) + eta * L / (2.0 - eta * L)
+    try:
+        value = 1.0 / (mu * eta * m) + eta * L / (2.0 - eta * L)
+    except (ZeroDivisionError, OverflowError):
+        # the divisor underflowed to 0, or m is past the floats
+        value = _INF
+    if -_INF < value < _INF:
+        return value
+    raise _overflow("sarah_u", q)
 
 
 def rate_sarah_last(q: RateQuery) -> float | None:
@@ -191,9 +227,16 @@ def rate_sarah_last(q: RateQuery) -> float | None:
         return None
     etal = eta * L
     r = 2.0 * etal / (1.0 + L / mu)
-    # r = 1 only at mu = L with eta at the boundary; the power is then 0
-    decay = 0.0 if r >= 1.0 else _pow1m(r, m)
-    return 2.0 * etal / (2.0 - etal) + 2.0 * (1.0 + etal) * decay
+    try:
+        # r = 1 only at mu = L with eta at the boundary; the power is then 0
+        decay = 0.0 if r >= 1.0 else _pow1m(r, m)
+        value = 2.0 * etal / (2.0 - etal) + 2.0 * (1.0 + etal) * decay
+    except (ZeroDivisionError, OverflowError):
+        # eta*L rounded to 2 at the domain's edge, or m is past the floats
+        value = _INF
+    if -_INF < value < _INF:
+        return value
+    raise _overflow("sarah_l", q)
 
 
 SCHEME_RATES: dict[str, Callable[[RateQuery], float | None]] = {
@@ -215,6 +258,11 @@ class GridRow(NamedTuple):
     @property
     def defined(self) -> bool:
         return self.value is not None
+
+
+# a grid builds its rows with tuple.__new__: the fields are known good, and
+# it skips the Python-level __new__ the named tuple defines
+_new_row = tuple.__new__
 
 
 def rate_grid(schemes: Sequence[str], L: float, mu: float,
@@ -268,7 +316,8 @@ def rate_grid(schemes: Sequence[str], L: float, mu: float,
     rows: list[GridRow] = []
     for scheme in schemes:
         fn = SCHEME_RATES[scheme]
-        rows += [GridRow(scheme, x, fn(q)) for x, q in zip(xs, queries)]
+        rows += [_new_row(GridRow, (scheme, x, fn(q)))
+                 for x, q in zip(xs, queries)]
     return rows
 
 
@@ -298,7 +347,11 @@ _FIG1B_M_OVER_KAPPA = (1, 1.5, 2, 3, 5, 7, 10, 15, 20, 30, 50, 70, 100)
 
 
 def _log_grid(lo: float, hi: float, count: int) -> list[float]:
-    return [float(v) for v in np.logspace(math.log10(lo), math.log10(hi), count)]
+    """count points log-spaced over [lo, hi]: 10 ** (a + i*step) with
+    a = log10(lo), the last point exactly 10 ** log10(hi)."""
+    a, b = math.log10(lo), math.log10(hi)
+    step = (b - a) / (count - 1)
+    return [10.0 ** (i * step + a) for i in range(count - 1)] + [10.0 ** b]
 
 
 def figure_grid(figure: str) -> list[GridRow]:
@@ -327,6 +380,6 @@ def figure_grid(figure: str) -> list[GridRow]:
             theta, fn = theta_over_kappa * kappa, SCHEME_RATES[scheme]
             for eta in _log_grid(1.0 / (theta * big_l), 1.0 / (theta * mu), 25):
                 q = RateQuery(eta, inner_length(1.0 / (mu * eta)), big_l, mu)
-                rows.append(GridRow(scheme, eta, fn(q)))
+                rows.append(_new_row(GridRow, (scheme, eta, fn(q))))
         return rows
     raise ValueError(f"unknown figure {figure!r}; expected one of {FIGURE_IDS}")

@@ -89,6 +89,19 @@ def line_loop_serialize(ds):
     return "\n".join(out) + "\n"
 
 
+def row_loop_rate_csv(rows):
+    """format_rate_csv as one f-string per row, each x formatted where it
+    stands, as it was before it formatted each distinct x once: the oracle
+    for its bytes."""
+    lines = ["scheme,x,lambda,defined"]
+    for scheme, x, value in rows:
+        if value is None:
+            lines.append(f"{scheme},{x!r},,false")
+        else:
+            lines.append(f"{scheme},{x!r},{value!r},true")
+    return "\n".join(lines) + "\n"
+
+
 def whole_array_weights(scheme, m, mu=None, eta=None):
     """weights as it was before it filled its result in place, building
     the powers, the raw terms and their quotient as arrays of their own:

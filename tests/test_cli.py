@@ -416,6 +416,24 @@ def test_kappa_past_the_floats_exits_2(tmp_path, capsys, monkeypatch,
     assert len(list((tmp_path / "refcache").glob("ref-*"))) == 1
 
 
+def test_bench_baseline_length_past_any_pmf_exits_2(tmp_path, capsys,
+                                                    monkeypatch):
+    # kappa = 2.5e299 is finite, but the baselines' inner length 5 * kappa
+    # is past any snapshot pmf: refused naming --mu, before the reference
+    data = gen_data(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(["reference", "--data", data, "--mu", "0.05"]) == 0
+    capsys.readouterr()
+    assert main(["bench", "--data", data, "--mu", "1e-300", "--normalize",
+                 "--passes", "1", "--out-dir", "b"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --mu 1e-300: inner length 5 * kappa = 1.2500000000000002e+300 "
+        "is too large: the snapshot pmf holds m_s + 1 floats, at most "
+        "1152921504606846975\n")
+    assert not Path("b").exists()
+    assert len(list((tmp_path / "refcache").glob("ref-*"))) == 1
+
+
 @pytest.mark.parametrize("flags", [
     ["--algo", "gd"], ["--algo", "sgd"],
     ["--algo", "svrg", "--step", "fixed", "--eta-over-L", "0.1", "--m", "5"],
@@ -496,8 +514,8 @@ def _check_first(config):
      "inner length 5 * kappa = 1.2500000000000002e+300 is too large: "
      f"{_PMF_BOUND}"),
     (["bench", "--mu", "1e-300"],
-     "inner length 5 * kappa = 1.2500000000000002e+300 is too large: "
-     f"{_PMF_BOUND}"),
+     "--mu 1e-300: inner length 5 * kappa = 1.2500000000000002e+300 is too "
+     f"large: {_PMF_BOUND}"),
     # the most float64 entries one array holds, as the largest index too
     (lambda: parse_libsvm("+1 1152921504606846976:1\n"),
      "line 1: index 1152921504606846976 is too large"),
@@ -754,8 +772,30 @@ def test_rates_non_finite_input_exits_2(tmp_path, capsys, flags, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags,message", [
+    # 1/(mu*eta*(1-2*eta*L)*m), about 1/1e-309, is past the largest float
+    (["--schemes", "svrg_u,sarah_u,svrg_w", "--sweep", "eta", "--points",
+      "1e-305", "--m", "10"], "the svrg_u bound at eta=1e-305, m=10"),
+    (["--schemes", "sarah_u,svrg_w", "--sweep", "eta", "--points",
+      "0.1,1e-305", "--m", "10"], "the sarah_u bound at eta=1e-305, m=10"),
+    # c*mu*eta underflows to 0
+    (["--schemes", "sarah_w", "--sweep", "m", "--points", "10", "--eta",
+      "1e-300"], "the sarah_w bound at eta=1e-300, m=10"),
+])
+def test_rates_bound_past_the_floats_exits_2(tmp_path, capsys, flags,
+                                             message):
+    # refused, never written as inf nor mapped to an undefined point
+    out = tmp_path / "r.csv"
+    assert main(["rates", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {message} overflows in floats\n")
+    assert not out.exists()
+
+
 # each CSV was written, for the same argv, by the rates module as it was
-# before queries and rows became named tuples; the bytes must not change
+# before queries and rows became named tuples, figure-2 and 4b-analytic
+# with numpy's AVX512 kernels turned off (their grids then came from
+# np.logspace); the bytes must not change
 RATE_GOLDEN = Path(__file__).parent / "golden" / "rates"
 RATE_CASES = {f"figure-{f}": ["--figure", f]
               for f in ("1a", "1b", "2", "4b-analytic")}
@@ -769,6 +809,36 @@ def test_rates_csv_matches_golden(tmp_path, name):
     out = tmp_path / "rates.csv"
     assert main(["rates", *RATE_CASES[name], "--out", str(out)]) == 0
     assert out.read_bytes() == (RATE_GOLDEN / f"{name}.csv").read_bytes()
+
+
+# numpy's dispatch groups with AVX512 kernels, by the names of numpy 1.x
+# and 2.x; numpy warns about a name its build does not dispatch, and
+# ignores it
+_AVX512_GROUPS = ("X86_V4 AVX512F AVX512CD AVX512_KNL AVX512_KNM AVX512_SKX "
+                  "AVX512_CLX AVX512_CNL AVX512_ICL AVX512_SPR AVX512_FP16")
+
+
+def test_figure_csvs_do_not_depend_on_numpys_simd_dispatch(tmp_path):
+    # the figure grids come from math alone, so a process whose numpy may
+    # not use AVX512 writes the goldens' bytes too; on a CPU without
+    # AVX512 this repeats the golden test
+    src = str(Path(vropt.cli.__file__).resolve().parents[1])
+    figures = [f for f in RATE_CASES if f.startswith("figure-")]
+    code = ("import sys, vropt.cli\n"
+            "out, figures = sys.argv[1], sys.argv[2:]\n"
+            "for name in figures:\n"
+            "    argv = ['rates', '--figure', name.removeprefix('figure-'),\n"
+            "            '--out', f'{out}/{name}.csv']\n"
+            "    assert vropt.cli.main(argv) == 0, argv\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path), *figures],
+        env=dict(os.environ, PYTHONPATH=src,
+                 NPY_DISABLE_CPU_FEATURES=_AVX512_GROUPS),
+        capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    for name in figures:
+        assert (tmp_path / f"{name}.csv").read_bytes() == \
+            (RATE_GOLDEN / f"{name}.csv").read_bytes(), name
 
 
 # --------------------------------------------------------------- bench

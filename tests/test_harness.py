@@ -18,15 +18,16 @@ from scipy.special import expit
 
 import vropt.harness
 from conftest import (RidgeProblem, assert_solved_at, make_logistic,
-                      make_ridge, ridge_minimizer, solve_and_point)
-from vropt import (AveragingScheme, ConfigError, Dataset, FixedLength,
-                   FixedStep, GridRow, LogisticProblem, RATE_HEADER,
-                   SolverConfig, TRACE_HEADER, Trace, TracePoint,
+                      make_ridge, ridge_minimizer, row_loop_rate_csv,
+                      solve_and_point)
+from vropt import (AveragingScheme, ConfigError, Dataset, FIGURE_IDS,
+                   FixedLength, FixedStep, GridRow, LogisticProblem,
+                   RATE_HEADER, SolverConfig, TRACE_HEADER, Trace, TracePoint,
                    bench_configs, cached_dataset, cached_reference,
-                   compute_reference, format_rate_csv, format_trace_csv,
-                   generate_synthetic, load_trace_csv, normalize_rows,
-                   parse_libsvm, problem_key, run_experiment,
-                   serialize_libsvm, write_trace_csv)
+                   compute_reference, figure_grid, format_rate_csv,
+                   format_trace_csv, generate_synthetic, load_trace_csv,
+                   normalize_rows, parse_libsvm, problem_key, rate_grid,
+                   run_experiment, serialize_libsvm, write_trace_csv)
 from vropt.harness import ReferenceOptimum, check_experiment
 
 
@@ -978,3 +979,48 @@ def test_rate_csv_golden_bytes():
     )
     assert format_rate_csv(rows) == expected
     assert RATE_HEADER == "scheme,x,lambda,defined"
+
+
+_NAN = math.nan
+
+
+@pytest.mark.parametrize("rows", [
+    # an eta sweep repeats each x once per scheme, a point given twice too
+    rate_grid(["svrg_u", "sarah_u", "sarah_l"], L=1.0, mu=1e-3, sweep="eta",
+              points=[0.1, 0.2, 0.1, 1.5], m=50),
+    [row for figure in FIGURE_IDS for row in figure_grid(figure)],
+    # 0.0 and -0.0 are one key but print apart, in either order
+    [GridRow("svrg_u", 0.0, 1.0), GridRow("sarah_u", -0.0, 2.0),
+     GridRow("svrg_u", -0.0, None), GridRow("sarah_u", 0.0, 0.5)],
+    # nan is no key's equal, one nan object or many
+    [GridRow("svrg_u", _NAN, 1.0), GridRow("sarah_u", _NAN, None),
+     GridRow("svrg_u", float("nan"), 0.5), GridRow("sarah_u", -_NAN, 0.5)],
+    [GridRow("svrg_u", math.inf, 1.0), GridRow("sarah_u", -math.inf, None),
+     GridRow("svrg_u", math.inf, _NAN), GridRow("sarah_u", 1e308, math.inf)],
+    # None values only
+    [GridRow("sarah_w", 0.5, None), GridRow("sarah_u", 0.5, None)],
+    # x that equal a float but print otherwise
+    [GridRow("svrg_u", 5.0, 1.0), GridRow("svrg_u", 5, 1.0),
+     GridRow("svrg_u", True, 1.0), GridRow("svrg_u", 1.0, 1.0),
+     GridRow("svrg_u", np.float64(0.1), 1.0), GridRow("svrg_u", 0.1, 1.0)],
+    [],
+], ids=["repeated-x", "figures", "signed-zeros", "nans", "infinities",
+        "undefined", "non-float-x", "empty"])
+def test_rate_csv_matches_the_row_loop(rows):
+    assert format_rate_csv(rows) == row_loop_rate_csv(rows)
+
+
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.builds(
+    GridRow,
+    scheme=st.sampled_from(["svrg_w", "sarah_u", "sarah_l"]),
+    # a small pool makes repeats likely, 2 and 2.0 equal keys too
+    x=st.one_of(st.sampled_from([0.0, -0.0, 0.1, 1e-3, _NAN, math.inf, 2,
+                                 2.0]), _ANY_FLOAT, st.integers()),
+    value=st.one_of(st.none(), _ANY_FLOAT)), max_size=40))
+def test_rate_csv_matches_the_row_loop_for_any_rows(rows):
+    assert format_rate_csv(rows) == row_loop_rate_csv(rows)
+    assert format_rate_csv(iter(rows)) == row_loop_rate_csv(rows)

@@ -1,9 +1,10 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
@@ -139,18 +140,65 @@ def test_sarah_weighted_series_memory_does_not_grow_with_m():
     assert peak < 2 ** 20
 
 
-@settings(max_examples=400, deadline=None)
+# where each formula is undefined: a None anywhere else would be a
+# numerical failure passed off as a domain edge
+_UNDEFINED = {
+    "svrg_w": lambda eta, L, mu: eta >= 1.0 / (2.0 * L),
+    "svrg_u": lambda eta, L, mu: eta >= 1.0 / (2.0 * L),
+    "sarah_w": lambda eta, L, mu: eta >= 1.0 / L or L == mu,
+    "sarah_u": lambda eta, L, mu: eta >= 2.0 / L,
+    "sarah_l": lambda eta, L, mu: eta > 2.0 / (mu + L),
+}
+
+
+def overflow_message(scheme, eta, m):
+    return f"the {scheme} bound at eta={eta!r}, m={m} overflows in floats"
+
+
+@settings(max_examples=1000, deadline=None)
 @given(scheme=st.sampled_from(sorted(SCHEME_RATES)),
-       log_l=st.floats(-3.0, 3.0),
-       log_kappa=st.floats(0.0, 12.0),
-       log_eta_l=st.floats(-8.0, math.log10(3.0)),
-       m=st.integers(2, 10 ** 12))
-def test_rates_are_finite_or_undefined(scheme, log_l, log_kappa, log_eta_l, m):
-    L = 10.0 ** log_l
-    q = RateQuery(eta=10.0 ** log_eta_l / L, m=m, L=L,
-                  mu=L / 10.0 ** log_kappa)
-    value = SCHEME_RATES[scheme](q)
-    assert value is None or (type(value) is float and math.isfinite(value))
+       log_mu=st.floats(-300.0, 300.0),
+       log_kappa=st.floats(0.0, 40.0),
+       eta=st.one_of(st.floats(5e-324, 2.2250738585072014e-308),  # subnormal
+                     st.floats(-323.0, 300.0).map(lambda e: 10.0 ** e)),
+       # past 2**1024 an m is no float
+       m=st.one_of(st.integers(2, 10 ** 12), st.integers(2, 2 ** 1100)))
+@example("svrg_u", -5.0, 5.0, 1e-305, 10)  # inf at the parent
+@example("sarah_w", -5.0, 5.0, 1e-300, 10)  # ZeroDivisionError at the parent
+@example("svrg_w", -5.0, 5.0, 5e-324, 10)  # mu*eta underflows to 0
+def test_rates_are_finite_or_undefined(scheme, log_mu, log_kappa, eta, m):
+    # the whole RateQuery domain: every calculator returns None where its
+    # formula is undefined, else a finite float, or refuses a bound whose
+    # float evaluation overflows
+    mu = 10.0 ** log_mu
+    L = min(mu * 10.0 ** log_kappa, sys.float_info.max)
+    q = RateQuery(eta, m, L, mu)
+    try:
+        value = SCHEME_RATES[scheme](q)
+    except ValueError as exc:
+        assert str(exc) == overflow_message(scheme, eta, m)
+        return
+    if value is None:
+        assert _UNDEFINED[scheme](eta, L, mu)
+    else:
+        assert type(value) is float and math.isfinite(value)
+
+
+@pytest.mark.parametrize("scheme,q", [
+    # mu*eta = 1e-5 * 5e-324 underflows to 0, which these bounds divide by
+    ("svrg_w", RateQuery(5e-324, 10)),
+    ("svrg_u", RateQuery(5e-324, 10)),
+    ("sarah_u", RateQuery(5e-324, 10)),
+    # c*mu*eta underflows to 0
+    ("sarah_w", RateQuery(1e-300, 10)),
+    # at the domain's edge eta = 2/(mu + L), eta*L rounds to 2 once
+    # kappa passes 1e16
+    ("sarah_l", RateQuery(2.0, 10, 1.0, 1e-20)),
+], ids=["svrg_w", "svrg_u", "sarah_u", "sarah_w", "sarah_l"])
+def test_a_bound_past_the_floats_is_refused(scheme, q):
+    with pytest.raises(ValueError) as info:
+        SCHEME_RATES[scheme](q)
+    assert str(info.value) == overflow_message(scheme, q.eta, q.m)
 
 
 def test_hand_frozen_values():
