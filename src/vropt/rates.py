@@ -12,12 +12,13 @@ inf. The formulas are upper bounds: measured contraction may be much smaller,
 never meaningfully larger.
 
 A RateQuery is a named tuple (eta, m, L, mu) that checks its fields when it
-is made: eta, m, L and mu must be finite, eta > 0, m >= 2 and L >= mu > 0,
-else ValueError names the field. A rate grid validates its sweep once, makes
-one query per sweep point, evaluates every scheme on it and returns GridRow
-named tuples (scheme, x, value). The figures' log-spaced grids come from
-math alone: 10 ** (a + i*step) through the C library's pow, so their bytes
-do not depend on which SIMD kernels an array library picks for the CPU.
+is made: eta, L and mu must be finite, eta > 0, L >= mu > 0, and m an
+integer from 2 to the largest float, else ValueError names the field. A rate
+grid validates its sweep once, makes one query per sweep point, evaluates
+every scheme on it and returns GridRow named tuples (scheme, x, value) of
+Python numbers. The figures' log-spaced grids come from math alone:
+10 ** (a + i*step) through the C library's pow, so their bytes do not depend
+on which SIMD kernels an array library picks for the CPU.
 
 Powers (1-delta)^m are evaluated as exp(m*log1p(-delta)), each one once per
 call; the weighted-recursive normalizer switches to its binomial series in
@@ -28,7 +29,11 @@ takes O(1) time and memory whatever m is.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
+import operator
+import sys
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .averaging import SCHEMES
@@ -42,6 +47,7 @@ __all__ = [
 ]
 
 _INF = math.inf
+_FLOAT_MAX = sys.float_info.max
 
 
 class _RateQueryFields(NamedTuple):
@@ -52,11 +58,13 @@ class _RateQueryFields(NamedTuple):
 
 
 class RateQuery(_RateQueryFields):
-    """One rate evaluation point. kappa is always derived as L/mu.
+    """One rate evaluation point. kappa is always derived as L/mu; m is
+    held as a Python int, a numpy integer included.
 
     Raises:
-        ValueError: a field is NaN or infinite, eta <= 0, m < 2, or the
-            constants fail L >= mu > 0.
+        ValueError: eta, L or mu is NaN or infinite, eta <= 0, m is no
+            integer, m < 2, m is past the largest float, or the constants
+            fail L >= mu > 0.
     """
 
     __slots__ = ()
@@ -65,13 +73,20 @@ class RateQuery(_RateQueryFields):
         # chained comparisons are False for NaN, so each test also rejects it
         if not 0.0 < eta < _INF:
             raise ValueError(f"eta must be positive and finite, got {eta!r}")
-        if not 2 <= m < _INF:
-            raise ValueError(f"m must be finite and >= 2, got {m!r}")
-        if not -_INF < L < _INF:
-            raise ValueError(f"L must be finite, got {L!r}")
-        if not -_INF < mu < _INF:
-            raise ValueError(f"mu must be finite, got {mu!r}")
-        if not 0.0 < mu <= L:
+        if type(m) is not int:
+            try:
+                m = operator.index(m)
+            except TypeError:
+                raise ValueError(f"m must be an integer, got {m!r}") from None
+        if not 2 <= m <= _FLOAT_MAX:
+            raise ValueError(f"m must be finite and >= 2, got {m!r}" if m < 2
+                             else "m must be at most the largest float, got "
+                             f"an integer of {m.bit_length()} bits")
+        if not 0.0 < mu <= L < _INF:  # else name what fails, L first
+            if not -_INF < L < _INF:
+                raise ValueError(f"L must be finite, got {L!r}")
+            if not -_INF < mu < _INF:
+                raise ValueError(f"mu must be finite, got {mu!r}")
             raise ValueError(f"need L >= mu > 0, got L={L!r}, mu={mu!r}")
         return tuple.__new__(cls, (eta, m, L, mu))
 
@@ -95,11 +110,27 @@ def _one_minus_pow1m(delta: float, exponent: float) -> float:
     return -math.expm1(exponent * math.log1p(-delta))
 
 
-def _overflow(scheme: str, q: RateQuery) -> ValueError:
-    return ValueError(f"the {scheme} bound at eta={q.eta!r}, m={q.m} "
-                      "overflows in floats")
+def _bound(scheme: str):
+    """Give a rate formula the one overflow refusal. The formula returns None
+    outside its domain, else its bound; a bound that leaves the floats (a
+    divisor that underflow or rounding made 0, a power past the floats) is
+    refused with a ValueError naming the scheme, eta and m."""
+    def wrap(formula: Callable[[RateQuery], float | None]):
+        @functools.wraps(formula)
+        def rate(q: RateQuery) -> float | None:
+            try:
+                value = formula(q)
+            except (ZeroDivisionError, OverflowError):
+                value = _INF
+            if value is None or -_INF < value < _INF:
+                return value
+            raise ValueError(f"the {scheme} bound at eta={q.eta!r}, "
+                             f"m={q.m} overflows in floats")
+        return rate
+    return wrap
 
 
+@_bound("svrg_w")
 def rate_svrg_weighted(q: RateQuery) -> float | None:
     """Tail-weighted averaging rate for the corrected-gradient solver.
 
@@ -112,26 +143,17 @@ def rate_svrg_weighted(q: RateQuery) -> float | None:
     eta, m, L, mu = q
     if eta >= 1.0 / (2.0 * L):
         return None
-    d = mu * eta
     den = 1.0 - 2.0 * eta * L
-    # both powers from one log1p, each formed as _pow1m and
-    # _one_minus_pow1m form it
-    log1m = math.log1p(-d)
-    try:
-        tail = (m - 1) * log1m
-        prefactor = 1.0 / -math.expm1(tail)
-        bracket = (math.exp(m * log1m) / den
-                   + 2.0 * mu * L * eta ** 2 * math.exp(tail) / den
-                   + 2.0 * eta * L / den)
-        value = prefactor * bracket
-    except (ZeroDivisionError, OverflowError):
-        # 1 - (1-d)^(m-1) underflowed to 0, or eta**2 or m is past the floats
-        value = _INF
-    if -_INF < value < _INF:
-        return value
-    raise _overflow("svrg_w", q)
+    # both powers from one log1p, as _pow1m and _one_minus_pow1m form them
+    log1m = math.log1p(-mu * eta)
+    tail = (m - 1) * log1m
+    return (1.0 / -math.expm1(tail)
+            * (math.exp(m * log1m) / den
+               + 2.0 * mu * L * eta ** 2 * math.exp(tail) / den
+               + 2.0 * eta * L / den))
 
 
+@_bound("svrg_u")
 def rate_svrg_uniform(q: RateQuery) -> float | None:
     """Uniform-averaging rate: 1/(mu*eta*(1-2*eta*L)*m) + 2*eta*L/(1-2*eta*L).
     Undefined for eta >= 1/(2L)."""
@@ -139,14 +161,7 @@ def rate_svrg_uniform(q: RateQuery) -> float | None:
     if eta >= 1.0 / (2.0 * L):
         return None
     den = 1.0 - 2.0 * eta * L
-    try:
-        value = 1.0 / (mu * eta * den * m) + 2.0 * eta * L / den
-    except (ZeroDivisionError, OverflowError):
-        # the divisor underflowed to 0, or m is past the floats
-        value = _INF
-    if -_INF < value < _INF:
-        return value
-    raise _overflow("svrg_u", q)
+    return 1.0 / (mu * eta * den * m) + 2.0 * eta * L / den
 
 
 def _sarah_weighted_normalizer(d: float, m: int) -> float:
@@ -167,6 +182,7 @@ def _sarah_weighted_normalizer(d: float, m: int) -> float:
     return (m - 1) - (1.0 - d) * _one_minus_pow1m(d, m - 1) / d
 
 
+@_bound("sarah_w")
 def rate_sarah_weighted(q: RateQuery) -> float | None:
     """Tail-weighted averaging rate for the recursive-estimator solver
     (delta = mu*eta, c the weight normalizer):
@@ -184,59 +200,40 @@ def rate_sarah_weighted(q: RateQuery) -> float | None:
     kappa = L / mu
     r = 2.0 * eta * L / (1.0 + kappa)
     etal = eta * L
-    try:
-        # c > 0 for every d in (0, 1); it is 0 only when d underflowed
-        c = _sarah_weighted_normalizer(d, m)
-        decay = _pow1m(d, m)
-        term1 = (decay - _pow1m(r, m)) * (L + mu) / (c * (L - mu))
-        term2 = decay / (c * d)
-        term3 = etal * (m - 1) / (c * (2.0 - etal))
-        term4 = ((2.0 - 2.0 * etal) / (2.0 - etal) * (1.0 + kappa)
-                 / (2.0 * c * etal))
-        value = term1 + term2 + term3 + term4
-    except (ZeroDivisionError, OverflowError):
-        # a divisor underflowed to 0, or m is past the floats
-        value = _INF
-    if -_INF < value < _INF:
-        return value
-    raise _overflow("sarah_w", q)
+    # c > 0 for every d in (0, 1); it is 0 only when d underflowed
+    c = _sarah_weighted_normalizer(d, m)
+    decay = _pow1m(d, m)
+    return ((decay - _pow1m(r, m)) * (L + mu) / (c * (L - mu))
+            + decay / (c * d)
+            + etal * (m - 1) / (c * (2.0 - etal))
+            + (2.0 - 2.0 * etal) / (2.0 - etal) * (1.0 + kappa)
+            / (2.0 * c * etal))
 
 
+@_bound("sarah_u")
 def rate_sarah_uniform(q: RateQuery) -> float | None:
     """Uniform-averaging rate: 1/(mu*eta*m) + eta*L/(2-eta*L).
     Undefined for eta >= 2/L."""
     eta, m, L, mu = q
     if eta >= 2.0 / L:
         return None
-    try:
-        value = 1.0 / (mu * eta * m) + eta * L / (2.0 - eta * L)
-    except (ZeroDivisionError, OverflowError):
-        # the divisor underflowed to 0, or m is past the floats
-        value = _INF
-    if -_INF < value < _INF:
-        return value
-    raise _overflow("sarah_u", q)
+    return 1.0 / (mu * eta * m) + eta * L / (2.0 - eta * L)
 
 
+@_bound("sarah_l")
 def rate_sarah_last(q: RateQuery) -> float | None:
     """Last-iterate rate: 2*eta*L/(2-eta*L) + 2*(1+eta*L)*(1-2*eta*L/(1+kappa))^m.
     Defined for eta <= 2/(mu+L), the step range where the estimator-norm
-    decay factor stays a contraction."""
+    decay factor stays a contraction; eta*L rounds to 2 at that edge once
+    kappa passes about 1e16."""
     eta, m, L, mu = q
     if eta > 2.0 / (mu + L):
         return None
     etal = eta * L
     r = 2.0 * etal / (1.0 + L / mu)
-    try:
-        # r = 1 only at mu = L with eta at the boundary; the power is then 0
-        decay = 0.0 if r >= 1.0 else _pow1m(r, m)
-        value = 2.0 * etal / (2.0 - etal) + 2.0 * (1.0 + etal) * decay
-    except (ZeroDivisionError, OverflowError):
-        # eta*L rounded to 2 at the domain's edge, or m is past the floats
-        value = _INF
-    if -_INF < value < _INF:
-        return value
-    raise _overflow("sarah_l", q)
+    # r = 1 only at mu = L with eta at the boundary; the power is then 0
+    decay = 0.0 if r >= 1.0 else _pow1m(r, m)
+    return 2.0 * etal / (2.0 - etal) + 2.0 * (1.0 + etal) * decay
 
 
 SCHEME_RATES: dict[str, Callable[[RateQuery], float | None]] = {
@@ -279,8 +276,8 @@ def rate_grid(schemes: Sequence[str], L: float, mu: float,
         eta, m: the non-swept coordinate; the swept one is refused.
 
     Returns:
-        One GridRow per (scheme, point), grouped by scheme, undefined points
-        marked explicitly.
+        One GridRow per (scheme, point), grouped by scheme, its x and value
+        Python floats, undefined points marked explicitly (value None).
 
     Raises:
         ValueError: no scheme, an unknown scheme, empty sweep, a missing
@@ -308,17 +305,18 @@ def rate_grid(schemes: Sequence[str], L: float, mu: float,
             raise ValueError(f"{sweep} sweep point {x!r} is not finite")
         if sweep == "m" and int(x) != x:
             raise ValueError(f"m sweep point {x!r} is not a whole number")
+    # one conversion per grid, or a numpy scalar L, mu or eta makes every
+    # value one; a str, which float() would parse, is left for RateQuery
+    L, mu, eta = [float(v) if type(v) is not float
+                  and isinstance(v, numbers.Real) else v for v in (L, mu, eta)]
+    xs = [float(x) for x in points]
     if sweep == "m":
         queries = [RateQuery(eta, int(x), L, mu) for x in points]
     else:
-        queries = [RateQuery(float(x), m, L, mu) for x in points]
-    xs = [float(x) for x in points]
-    rows: list[GridRow] = []
-    for scheme in schemes:
-        fn = SCHEME_RATES[scheme]
-        rows += [_new_row(GridRow, (scheme, x, fn(q)))
-                 for x, q in zip(xs, queries)]
-    return rows
+        queries = [RateQuery(x, m, L, mu) for x in xs]
+    fns = [(scheme, SCHEME_RATES[scheme]) for scheme in schemes]
+    return [_new_row(GridRow, (scheme, x, fn(q)))
+            for scheme, fn in fns for x, q in zip(xs, queries)]
 
 
 # Canonical figure grids (L = 1, mu = 1e-5 => kappa = 1e5 unless noted).

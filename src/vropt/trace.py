@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["TracePoint", "Trace", "config_id_flaw"]
 
@@ -33,7 +33,7 @@ class Trace:
 
     config_id: str
     n: int  # component count, for sample-pass conversion
-    points: tuple[TracePoint, ...] = field(default_factory=tuple)
+    points: tuple[TracePoint, ...]
 
     def sample_passes(self, point: TracePoint) -> float:
         return point.ifo_total / self.n

@@ -792,6 +792,18 @@ def test_rates_bound_past_the_floats_exits_2(tmp_path, capsys, flags,
     assert not out.exists()
 
 
+def test_rates_m_past_the_floats_exits_2(tmp_path, capsys):
+    # once accepted by the query and then refused by every calculator
+    out = tmp_path / "r.csv"
+    m = "1" + "0" * 400
+    assert main(["rates", "--schemes", "svrg_u", "--sweep", "eta", "--points",
+                 "0.1", "--m", m, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: m must be at most the largest float, got an integer of "
+        f"{int(m).bit_length()} bits\n")
+    assert not out.exists()
+
+
 # each CSV was written, for the same argv, by the rates module as it was
 # before queries and rows became named tuples, figure-2 and 4b-analytic
 # with numpy's AVX512 kernels turned off (their grids then came from

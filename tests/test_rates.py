@@ -8,9 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+import vropt.rates
 from vropt import (FIGURE_IDS, GridRow, RateQuery, figure_grid, rate_grid,
                    rate_sarah_last, rate_sarah_uniform, rate_sarah_weighted,
                    rate_svrg_uniform, rate_svrg_weighted)
+from vropt.harness import format_rate_csv
 from vropt.rates import SCHEME_RATES
 
 mp.dps = 50
@@ -61,6 +63,12 @@ ORACLES = {"svrg_w": mp_svrg_w, "svrg_u": mp_svrg_u, "sarah_w": mp_sarah_w,
 FNS = {"svrg_w": rate_svrg_weighted, "svrg_u": rate_svrg_uniform,
        "sarah_w": rate_sarah_weighted, "sarah_u": rate_sarah_uniform,
        "sarah_l": rate_sarah_last}
+
+
+def test_calculators_keep_their_names_and_docstrings():
+    for key, fn in SCHEME_RATES.items():
+        assert fn is FNS[key] is getattr(vropt.rates, fn.__name__)
+        assert fn.__doc__ == fn.__wrapped__.__doc__ and "rate" in fn.__doc__
 
 
 def assert_matches_oracle(scheme, eta, m, L, mu, rel=1e-10):
@@ -161,11 +169,13 @@ def overflow_message(scheme, eta, m):
        log_kappa=st.floats(0.0, 40.0),
        eta=st.one_of(st.floats(5e-324, 2.2250738585072014e-308),  # subnormal
                      st.floats(-323.0, 300.0).map(lambda e: 10.0 ** e)),
-       # past 2**1024 an m is no float
-       m=st.one_of(st.integers(2, 10 ** 12), st.integers(2, 2 ** 1100)))
-@example("svrg_u", -5.0, 5.0, 1e-305, 10)  # inf at the parent
-@example("sarah_w", -5.0, 5.0, 1e-300, 10)  # ZeroDivisionError at the parent
+       # a larger m is refused by RateQuery (test_an_m_past_the_floats...)
+       m=st.one_of(st.integers(2, 10 ** 12),
+                   st.integers(2, int(sys.float_info.max))))
+@example("svrg_u", -5.0, 5.0, 1e-305, 10)  # once returned inf
+@example("sarah_w", -5.0, 5.0, 1e-300, 10)  # once raised ZeroDivisionError
 @example("svrg_w", -5.0, 5.0, 5e-324, 10)  # mu*eta underflows to 0
+@example("sarah_w", -5.0, 5.0, 1e-3, int(sys.float_info.max))
 def test_rates_are_finite_or_undefined(scheme, log_mu, log_kappa, eta, m):
     # the whole RateQuery domain: every calculator returns None where its
     # formula is undefined, else a finite float, or refuses a bound whose
@@ -182,6 +192,39 @@ def test_rates_are_finite_or_undefined(scheme, log_mu, log_kappa, eta, m):
         assert _UNDEFINED[scheme](eta, L, mu)
     else:
         assert type(value) is float and math.isfinite(value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(int(sys.float_info.max) + 1, 2 ** 1100))
+def test_an_m_past_the_floats_is_refused_by_the_query(m):
+    with pytest.raises(ValueError) as info:
+        RateQuery(0.1, m)
+    assert str(info.value) == ("m must be at most the largest float, got an "
+                               f"integer of {m.bit_length()} bits")
+
+
+@pytest.mark.parametrize("m", [10.0, 10.5, 1e-10, 1e300, "10",
+                               np.float64(10.0), None])
+def test_rate_query_refuses_an_m_that_is_no_integer(m):
+    # a float m once crashed rate_sarah_weighted's series (range(1, m)) and
+    # gave the other calculators a rate for a fractional loop length
+    with pytest.raises(ValueError) as info:
+        RateQuery(1e-10, m)
+    assert str(info.value) == f"m must be an integer, got {m!r}"
+
+
+@pytest.mark.parametrize("m", [np.int64(10), np.uint8(10)])
+def test_rate_query_takes_an_integer_m_as_an_int(m):
+    q = RateQuery(1e-10, m)
+    assert type(q.m) is int and q.m == 10
+    assert rate_sarah_weighted(q) == rate_sarah_weighted(RateQuery(1e-10, 10))
+
+
+def test_rate_query_names_m_below_two():
+    for m in (1, np.int64(1), False, -2 ** 1100):
+        with pytest.raises(ValueError) as info:
+            RateQuery(0.1, m)
+        assert str(info.value) == f"m must be finite and >= 2, got {int(m)!r}"
 
 
 @pytest.mark.parametrize("scheme,q", [
@@ -421,6 +464,49 @@ def test_rate_grid_refuses_the_swept_coordinate_as_fixed(sweep, points,
         rate_grid(["svrg_u"], L=1.0, mu=1e-3, sweep=sweep, points=points,
                   **fixed)
     assert str(info.value) == f"sweep over {sweep} takes no fixed {sweep}"
+
+
+@pytest.mark.parametrize("numpy_args,python_args", [
+    # once written as svrg_u,0.1,np.float64(1250.2499999999998),true
+    (dict(sweep="eta", points=[0.1, 0.2], m=np.int64(1000)),
+     dict(sweep="eta", points=[0.1, 0.2], m=1000)),
+    # once written as sarah_u,100.0,np.float64(40.142857142857146),true
+    (dict(sweep="m", points=[100.0, 1000.0], eta=np.float64(0.25)),
+     dict(sweep="m", points=[100.0, 1000.0], eta=0.25)),
+    (dict(sweep="m", points=[np.int64(100), np.float32(1000.0)], eta=0.25,
+          L=np.float32(2.0), mu=np.float64(1e-3)),
+     dict(sweep="m", points=[100.0, 1000.0], eta=0.25, L=2.0, mu=1e-3)),
+])
+def test_rate_rows_hold_python_numbers(numpy_args, python_args):
+    schemes = ["svrg_u", "sarah_w", "sarah_u"]
+    numpy_args = dict(dict(L=1.0, mu=1e-5), **numpy_args)
+    python_args = dict(dict(L=1.0, mu=1e-5), **python_args)
+    rows = rate_grid(schemes, **numpy_args)
+    assert all(type(r.x) is float for r in rows)
+    assert all(r.value is None or type(r.value) is float for r in rows)
+    assert any(r.defined for r in rows)
+    assert format_rate_csv(rows) == format_rate_csv(
+        rate_grid(schemes, **python_args))
+
+
+def test_figure_rows_hold_python_numbers():
+    for figure in FIGURE_IDS:
+        for r in figure_grid(figure):
+            assert type(r.x) is float
+            assert r.value is None or type(r.value) is float
+
+
+@pytest.mark.parametrize("args", [
+    dict(sweep="m", points=[10.0], eta="0.1"),
+    dict(sweep="eta", points=[0.1], m="10"),
+    dict(sweep="eta", points=[0.1], m=10, L="1.0"),
+    dict(sweep="eta", points=[0.1], m=10, mu="1e-3"),
+    dict(sweep="eta", points=["0.1"], m=10),
+])
+def test_rate_grid_takes_no_string_for_a_number(args):
+    args = dict(dict(L=1.0, mu=1e-3), **args)
+    with pytest.raises((TypeError, ValueError)):
+        rate_grid(["svrg_u"], **args)
 
 
 def test_figure_ids_and_structure():
