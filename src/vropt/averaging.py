@@ -24,8 +24,7 @@ import enum
 
 import numpy as np
 
-__all__ = ["AveragingScheme", "SCHEMES", "decay_rate", "weights",
-           "sample_snapshot_index"]
+__all__ = ["AveragingScheme", "weights", "sample_snapshot_index"]
 
 # entries of the pmf whose running sums the sampler holds at once
 _CHUNK = 1 << 14
@@ -114,7 +113,7 @@ def weights(scheme: AveragingScheme, m: int, mu: float | None = None,
                     f"degenerate weighted normalizer c = {c} at m = {m}, "
                     f"mu*eta = {delta}; m is too small for these constants")
             np.divide(head, c, out=head)
-        else:  # pragma: no cover - enum is closed
+        else:
             raise ValueError(f"unknown scheme {scheme}")
     p.setflags(write=False)
     return p

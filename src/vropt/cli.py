@@ -25,10 +25,10 @@ from .harness import (bench_configs, cached_dataset, cached_reference,
                       check_experiment, run_experiment, write_rate_csv,
                       write_trace_csv)
 from .problems import LogisticProblem
-from .rates import FIGURE_IDS, figure_grid, rate_grid
-from .solvers import (AdaptiveLength, BarzilaiBorweinStep, ConfigError,
-                      DivergenceError, FixedLength, FixedStep, SolverConfig,
-                      at_least_two, inner_length, positive)
+from .rates import FIGURE_IDS, SCHEME_RATES, figure_grid, rate_grid
+from .solvers import (ALGORITHMS, AdaptiveLength, BarzilaiBorweinStep,
+                      ConfigError, DivergenceError, FixedLength, FixedStep,
+                      SolverConfig, at_least_two, inner_length, positive)
 from .svgplot import write_line_plot
 from .trace import Trace
 
@@ -54,8 +54,7 @@ def _add_problem_args(p: argparse.ArgumentParser) -> None:
 
 def _add_run_args(run_p: argparse.ArgumentParser) -> None:
     _add_problem_args(run_p)
-    run_p.add_argument("--algo", required=True,
-                       choices=["gd", "sgd", "svrg", "sarah"])
+    run_p.add_argument("--algo", required=True, choices=ALGORITHMS)
     run_p.add_argument("--avg", choices=list(SCHEMES["svrg"]),
                        help="averaging: uniform, tail-weighted, or last "
                             "iterate (default: w with --step bb, else u)")
@@ -88,7 +87,7 @@ def _add_rates_args(rates_p: argparse.ArgumentParser) -> None:
                          help="canonical figure grid (else the grid is built "
                               "from the sweep flags below)")
     rates_p.add_argument("--schemes",
-                         help="comma list: svrg_w,svrg_u,sarah_w,sarah_u,sarah_l")
+                         help=f"comma list: {','.join(SCHEME_RATES)}")
     rates_p.add_argument("--L", type=float, dest="big_l",
                          help="smoothness for a sweep (default 1)")
     rates_p.add_argument("--mu", type=float,
@@ -158,7 +157,7 @@ def _build_run_config(args, problem: LogisticProblem) -> SolverConfig:
     """Translate run flags into a SolverConfig, or raise ValueError."""
     big_l = problem.smoothness
     name = args.name or args.algo
-    if args.algo in ("gd", "sgd"):
+    if args.algo not in SCHEMES:  # gd and sgd
         _refuse_unread(f"--algo {args.algo}", [
             ("--avg", args.avg), ("--step", args.step),
             ("--eta-over-L", args.eta_over_l), ("--eta0-over-L", args.eta0_over_l),

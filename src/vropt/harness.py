@@ -38,7 +38,7 @@ from .trace import Trace, TracePoint, config_id_flaw
 __all__ = [
     "ReferenceOptimum", "compute_reference", "cached_reference",
     "cached_dataset", "problem_key",
-    "check_experiment", "run_experiment", "bench_configs",
+    "run_experiment", "bench_configs",
     "TRACE_HEADER", "RATE_HEADER",
     "format_trace_csv", "write_trace_csv", "load_trace_csv",
     "format_rate_csv", "write_rate_csv",
@@ -318,23 +318,6 @@ def _write_atomic(path: Path, record: np.ndarray) -> None:
         raise
 
 
-def _ifo_budget(passes: float, n: int) -> int:
-    """ceil(passes * n); ValueError when that is NaN, infinite or < 0."""
-    budget = passes * n
-    # a chained comparison is False for NaN, so this also rejects it
-    if not 0 <= budget < math.inf:
-        raise ValueError(f"passes * n must be finite and >= 0, got "
-                         f"{passes!r} * {n}")
-    return math.ceil(budget)
-
-
-def _runnables(problem: ErmProblem, configs: Sequence[SolverConfig],
-               passes: float) -> list[SolverConfig]:
-    budget = _ifo_budget(passes, problem.n)
-    return [replace(config, ifo_budget=budget, outer_loops=None)
-            for config in configs]
-
-
 @contextlib.contextmanager
 def _config_id_on_errors(config: SolverConfig):
     """Re-raise any ValueError as a ConfigError that names the config."""
@@ -345,15 +328,29 @@ def _config_id_on_errors(config: SolverConfig):
 
 
 def check_experiment(problem: ErmProblem, configs: Sequence[SolverConfig],
-                     passes: float) -> None:
-    """Make every check run_experiment makes before a run's first outer
-    loop, with the same errors: the budget, then check_config for each
-    config with its seed as given. The CLI calls this before it solves for
-    the reference, so an experiment that cannot start solves and caches no
+                     passes: float) -> list[SolverConfig]:
+    """The configs run_experiment runs, after every check it makes before a
+    run's first outer loop: a ValueError when passes * n is NaN, infinite
+    or < 0, else each config gets the IFO budget ceil(passes * n) and no
+    outer-loop limit, passes check_config with its seed as given (a
+    ConfigError naming the config id) and then gets the seed
+    seed ^ crc32(config_id). The CLI calls this before it solves for the
+    reference, so an experiment that cannot start solves and caches no
     reference."""
-    for config in _runnables(problem, configs, passes):
+    budget = passes * problem.n
+    # a chained comparison is False for NaN, so this also rejects it
+    if not 0 <= budget < math.inf:
+        raise ValueError(f"passes * n must be finite and >= 0, got "
+                         f"{passes!r} * {problem.n}")
+    runnables = []
+    for config in configs:
+        config = replace(config, ifo_budget=math.ceil(budget),
+                         outer_loops=None)
         with _config_id_on_errors(config):
             check_config(problem, config)
+        seed = config.seed ^ zlib.crc32(config.config_id.encode("utf-8"))
+        runnables.append(replace(config, seed=seed))
+    return runnables
 
 
 def run_experiment(problem: ErmProblem, configs: Sequence[SolverConfig],
@@ -363,17 +360,16 @@ def run_experiment(problem: ErmProblem, configs: Sequence[SolverConfig],
 
     Each run draws from its own generator seeded with seed ^ crc32(config_id),
     so identical configs produce identical traces and renamed copies do not.
-    Every config is checked (check_experiment) before the first one runs.
-    Every ValueError from a config's check or run, decay_rate's included,
-    is re-raised as a ConfigError that names the config id.
+    Every config is checked, and the runs derived, by check_experiment
+    before the first one runs. Every ValueError from a config's check or
+    run, decay_rate's included, is re-raised as a ConfigError that names
+    the config id.
     """
-    check_experiment(problem, configs, passes)
     traces = []
-    for config in _runnables(problem, configs, passes):
-        seed = config.seed ^ zlib.crc32(config.config_id.encode("utf-8"))
+    for config in check_experiment(problem, configs, passes):
         with _config_id_on_errors(config):
-            traces.append(run(problem, replace(config, seed=seed),
-                              f_star=f_star, evaluate=evaluate))
+            traces.append(run(problem, config, f_star=f_star,
+                              evaluate=evaluate))
     return traces
 
 

@@ -12,11 +12,12 @@ inf. The formulas are upper bounds: measured contraction may be much smaller,
 never meaningfully larger.
 
 A RateQuery is a named tuple (eta, m, L, mu) that checks its fields when it
-is made: eta, L and mu must be finite, eta > 0, L >= mu > 0, and m an
-integer from 2 to the largest float, else ValueError names the field. A rate
-grid validates its sweep once, makes one query per sweep point, evaluates
-every scheme on it and returns GridRow named tuples (scheme, x, value) of
-Python numbers. The figures' log-spaced grids come from math alone:
+is made: eta, L and mu must be real numbers, held as Python floats, that are
+finite, with eta > 0 and L >= mu > 0, and m an integer from 2 to the largest
+float, else ValueError names the field. A rate grid validates its sweep
+once, makes one query per sweep point, evaluates every scheme on it and
+returns GridRow named tuples (scheme, x, value) of Python numbers. The
+figures' log-spaced grids come from math alone:
 10 ** (a + i*step) through the C library's pow, so their bytes do not depend
 on which SIMD kernels an array library picks for the CPU.
 
@@ -43,7 +44,7 @@ __all__ = [
     "RateQuery", "GridRow",
     "rate_svrg_weighted", "rate_svrg_uniform",
     "rate_sarah_weighted", "rate_sarah_uniform", "rate_sarah_last",
-    "SCHEME_RATES", "rate_grid", "figure_grid", "FIGURE_IDS",
+    "rate_grid", "figure_grid", "FIGURE_IDS",
 ]
 
 _INF = math.inf
@@ -57,19 +58,33 @@ class _RateQueryFields(NamedTuple):
     mu: float = 1e-5
 
 
+def _real(name: str, value):
+    """value as a Python float when it is a real number (an int or a numpy
+    scalar included), else as given, for RateQuery to refuse. ValueError
+    names the field of an int past the largest float."""
+    if isinstance(value, int) and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        raise ValueError(f"{name} must be at most the largest float in "
+                         f"magnitude, got an integer of {value.bit_length()} "
+                         "bits")
+    return float(value) if isinstance(value, numbers.Real) else value
+
+
 class RateQuery(_RateQueryFields):
-    """One rate evaluation point. kappa is always derived as L/mu; m is
-    held as a Python int, a numpy integer included.
+    """One rate evaluation point. kappa is always derived as L/mu; eta, L
+    and mu are held as Python floats and m as a Python int, numpy scalars
+    included.
 
     Raises:
-        ValueError: eta, L or mu is NaN or infinite, eta <= 0, m is no
-            integer, m < 2, m is past the largest float, or the constants
-            fail L >= mu > 0.
+        ValueError: eta, L or mu is NaN, infinite or an int past the
+            largest float, eta <= 0, m is no integer, m < 2, m is past the
+            largest float, or the constants fail L >= mu > 0.
     """
 
     __slots__ = ()
 
     def __new__(cls, eta: float, m: int, L: float = 1.0, mu: float = 1e-5):
+        if not type(eta) is type(L) is type(mu) is float:
+            eta, L, mu = _real("eta", eta), _real("L", L), _real("mu", mu)
         # chained comparisons are False for NaN, so each test also rejects it
         if not 0.0 < eta < _INF:
             raise ValueError(f"eta must be positive and finite, got {eta!r}")
@@ -110,11 +125,16 @@ def _one_minus_pow1m(delta: float, exponent: float) -> float:
     return -math.expm1(exponent * math.log1p(-delta))
 
 
+# scheme key -> its calculator, in the order the calculators are defined
+SCHEME_RATES: dict[str, Callable[[RateQuery], float | None]] = {}
+
+
 def _bound(scheme: str):
-    """Give a rate formula the one overflow refusal. The formula returns None
-    outside its domain, else its bound; a bound that leaves the floats (a
-    divisor that underflow or rounding made 0, a power past the floats) is
-    refused with a ValueError naming the scheme, eta and m."""
+    """Give a rate formula the one overflow refusal, and file the wrapped
+    formula in SCHEME_RATES under scheme. The formula returns None outside
+    its domain, else its bound; a bound that leaves the floats (a divisor
+    that underflow or rounding made 0, a power past the floats) is refused
+    with a ValueError naming the scheme, eta and m."""
     def wrap(formula: Callable[[RateQuery], float | None]):
         @functools.wraps(formula)
         def rate(q: RateQuery) -> float | None:
@@ -126,6 +146,7 @@ def _bound(scheme: str):
                 return value
             raise ValueError(f"the {scheme} bound at eta={q.eta!r}, "
                              f"m={q.m} overflows in floats")
+        SCHEME_RATES[scheme] = rate
         return rate
     return wrap
 
@@ -236,15 +257,6 @@ def rate_sarah_last(q: RateQuery) -> float | None:
     return 2.0 * etal / (2.0 - etal) + 2.0 * (1.0 + etal) * decay
 
 
-SCHEME_RATES: dict[str, Callable[[RateQuery], float | None]] = {
-    "svrg_w": rate_svrg_weighted,
-    "svrg_u": rate_svrg_uniform,
-    "sarah_w": rate_sarah_weighted,
-    "sarah_u": rate_sarah_uniform,
-    "sarah_l": rate_sarah_last,
-}
-
-
 class GridRow(NamedTuple):
     """One (scheme, sweep point) rate evaluation; value None = undefined."""
 
@@ -305,15 +317,12 @@ def rate_grid(schemes: Sequence[str], L: float, mu: float,
             raise ValueError(f"{sweep} sweep point {x!r} is not finite")
         if sweep == "m" and int(x) != x:
             raise ValueError(f"m sweep point {x!r} is not a whole number")
-    # one conversion per grid, or a numpy scalar L, mu or eta makes every
-    # value one; a str, which float() would parse, is left for RateQuery
-    L, mu, eta = [float(v) if type(v) is not float
-                  and isinstance(v, numbers.Real) else v for v in (L, mu, eta)]
-    xs = [float(x) for x in points]
     if sweep == "m":
         queries = [RateQuery(eta, int(x), L, mu) for x in points]
+        xs = [float(x) for x in points]
     else:
-        queries = [RateQuery(x, m, L, mu) for x in xs]
+        queries = [RateQuery(x, m, L, mu) for x in points]
+        xs = [q.eta for q in queries]
     fns = [(scheme, SCHEME_RATES[scheme]) for scheme in schemes]
     return [_new_row(GridRow, (scheme, x, fn(q)))
             for scheme, fn in fns for x, q in zip(xs, queries)]

@@ -46,8 +46,11 @@ from .trace import Trace, TracePoint, config_id_flaw
 __all__ = [
     "FixedStep", "BarzilaiBorweinStep", "FixedLength", "AdaptiveLength",
     "SolverConfig", "ConfigError", "DivergenceError", "bb_step", "run",
-    "check_config",
 ]
+
+# gd and sgd have their step rules built in; the variance-reduced solvers
+# are the estimators that SCHEMES pairs with averaging schemes
+ALGORITHMS = ("gd", "sgd", *SCHEMES)
 
 
 class ConfigError(ValueError):
@@ -173,7 +176,7 @@ class SolverConfig:
     step rules built in and reject step/inner/averaging settings.
     """
 
-    algorithm: str  # "gd" | "sgd" | "svrg" | "sarah"
+    algorithm: str  # one of ALGORITHMS
     step: StepRule | None = None
     inner: InnerLengthRule | None = None
     averaging: AveragingScheme | None = None
@@ -399,7 +402,7 @@ def _inner_steps(problem: ErmProblem, algorithm: str, x0: np.ndarray,
 
 
 def _validate(problem: ErmProblem, config: SolverConfig) -> None:
-    if config.algorithm not in ("gd", "sgd", "svrg", "sarah"):
+    if config.algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm {config.algorithm!r}")
     flaw = config_id_flaw(config.config_id)
     if flaw:
@@ -410,7 +413,7 @@ def _validate(problem: ErmProblem, config: SolverConfig) -> None:
     for field_name in ("outer_loops", "ifo_budget"):
         if getattr(config, field_name) is not None:
             _check_count(field_name, getattr(config, field_name))
-    if config.algorithm in ("gd", "sgd"):
+    if config.algorithm not in SCHEMES:  # gd and sgd
         for field_name in ("step", "inner", "averaging"):
             if getattr(config, field_name) is not None:
                 raise ConfigError(
@@ -468,7 +471,7 @@ def check_config(problem: ErmProblem, config: SolverConfig) -> float | None:
         ValueError: a weighted scheme with mu*eta0 outside (0, 1).
     """
     _validate(problem, config)
-    if config.algorithm in ("gd", "sgd"):
+    if config.algorithm not in SCHEMES:  # gd and sgd
         return None
     big_l, mu, _ = problem.constants()
     if isinstance(config.step, FixedStep):

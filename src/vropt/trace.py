@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["TracePoint", "Trace", "config_id_flaw"]
+__all__ = ["TracePoint", "Trace"]
 
 
 @dataclass(frozen=True)

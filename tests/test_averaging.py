@@ -288,6 +288,9 @@ def test_weights_validation():
         weights(W_SVRG, 4, mu=1.0, eta=1.0)  # mu*eta >= 1
     with pytest.raises(ValueError):
         weights(W_SARAH, 4, mu=2.0, eta=0.5)
+    # a scheme's value is no scheme
+    with pytest.raises(ValueError, match=r"^unknown scheme uniform$"):
+        weights("uniform", 5, 0.1, 0.1)
 
 
 def test_sampler_rejects_invalid_pmf():

@@ -346,6 +346,25 @@ def test_run_failed_allocation_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_bench_failed_allocation_names_no_flag(tmp_path, capsys,
+                                              monkeypatch):
+    # no flag sets bench's inner lengths, so a pmf's MemoryError exits 1
+    # with run()'s text alone
+    data = gen_data(tmp_path)
+
+    def no_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(vropt.solvers, "weights", no_memory)
+    out_dir = tmp_path / "bench"
+    assert main(["bench", "--data", data, "--mu", "0.05", "--normalize",
+                 "--passes", "1", "--out-dir", str(out_dir)]) == 1
+    assert re.fullmatch(r"error: config 'svrg_u', outer loop 1: no memory "
+                        r"for the snapshot pmf of m_s = \d+\n",
+                        capsys.readouterr().err)
+    assert not list(out_dir.iterdir())
+
+
 @pytest.mark.parametrize("flags,name,m_s,flag", [
     (["--algo", "svrg", "--step", "bb", "--c", "4e16"], "svrg",
      960000000000000000, "--c"),

@@ -400,6 +400,23 @@ def test_dataset_rejects_malformed_layout(indptr, indices, data, labels, dim):
     assert_both_reject(indptr, indices, data, labels, dim)
 
 
+@pytest.mark.parametrize("field", range(4))
+def test_dataset_arrays_must_be_1d(field):
+    parts = [[0, 1], [0], [1.0], [1]]
+    parts[field] = [parts[field]]  # the same entries as a 1-row matrix
+    for build in (Dataset, Dataset._adopt):
+        with pytest.raises(ValueError, match=r"^dataset arrays must be 1-D$"):
+            build(*parts, 3)
+
+
+def test_dataset_equality_and_repr():
+    parts = ([0, 1, 2], [0, 2], [1.0, -2.0], [1, -1])
+    ds = Dataset(*parts, 3)
+    assert ds == Dataset(*parts, 3) and ds != Dataset(*parts, 4)
+    assert ds.__eq__(parts) is NotImplemented and ds != parts
+    assert repr(ds) == "Dataset(n=2, dim=3)"
+
+
 @pytest.mark.parametrize("build", [Dataset, Dataset._adopt])
 def test_dataset_names_its_first_bad_label(build):
     with pytest.raises(ValueError, match=r"^labels must be -1 or \+1, got 0$"):

@@ -6,6 +6,7 @@ import os
 import tempfile
 import warnings
 import zlib
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -27,7 +28,7 @@ from vropt import (AveragingScheme, ConfigError, Dataset, FIGURE_IDS,
                    compute_reference, figure_grid, format_rate_csv,
                    format_trace_csv, generate_synthetic, load_trace_csv,
                    normalize_rows, parse_libsvm, problem_key, rate_grid,
-                   run_experiment, serialize_libsvm, write_trace_csv)
+                   run, run_experiment, serialize_libsvm, write_trace_csv)
 from vropt.harness import ReferenceOptimum, check_experiment
 
 
@@ -829,6 +830,26 @@ def test_run_experiment_budget_semantics():
     for passes in (-1.0, math.inf, math.nan, 1e308):
         with pytest.raises(ValueError, match="passes \\* n must be finite"):
             run_experiment(problem, configs, passes=passes)
+
+
+@pytest.mark.parametrize("passes", [0.0, 2.55])
+def test_check_experiment_returns_the_runs_run_experiment_runs(passes):
+    problem = make_logistic(30, 4, seed=53, kappa=10.0)
+    # an outer-loop limit the experiment's budget replaces
+    configs = [replace(c, outer_loops=1)
+               for c in bench_configs(problem, seed=11)]
+    runs = check_experiment(problem, configs, passes)
+    budget = math.ceil(passes * problem.n)
+    assert budget == {0.0: 0, 2.55: 77}[passes]
+    assert runs == [replace(c, ifo_budget=budget, outer_loops=None,
+                            seed=11 ^ zlib.crc32(c.config_id.encode("utf-8")))
+                    for c in configs]
+    assert configs[0].outer_loops == 1  # the given configs are left as made
+    f_star = compute_reference(problem).f_star
+    traces = run_experiment(problem, configs, passes, f_star)
+    assert len(traces) == len(runs)
+    for trace, config in zip(traces, runs):
+        assert trace == run(problem, config, f_star)
 
 
 @pytest.mark.parametrize("passes", [3.0, 5.5])

@@ -87,6 +87,7 @@ def test_ifo_accounting():
     assert counter.count == 1 + problem.n
     problem.value(x)  # evaluation never charges
     assert counter.count == 1 + problem.n
+    assert repr(counter) == f"IfoCounter({1 + problem.n})"
 
 
 @settings(max_examples=60, deadline=None)

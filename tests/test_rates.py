@@ -66,6 +66,9 @@ FNS = {"svrg_w": rate_svrg_weighted, "svrg_u": rate_svrg_uniform,
 
 
 def test_calculators_keep_their_names_and_docstrings():
+    # each calculator is filed under its key as it is defined: the keys in
+    # definition order, each mapped to the public (wrapped) function
+    assert list(SCHEME_RATES.items()) == list(FNS.items())
     for key, fn in SCHEME_RATES.items():
         assert fn is FNS[key] is getattr(vropt.rates, fn.__name__)
         assert fn.__doc__ == fn.__wrapped__.__doc__ and "rate" in fn.__doc__
@@ -330,6 +333,57 @@ def test_rate_query_rejects_non_finite_fields(field, bad):
     with pytest.raises(ValueError, match=rf"\b{field}\b") as info:
         RateQuery(**fields)
     assert repr(bad) in str(info.value)
+
+
+_PAST_THE_FLOATS = ("must be at most the largest float in magnitude, got an "
+                    "integer of 1329 bits")
+
+
+@pytest.mark.parametrize("field", ["eta", "L", "mu"])
+@pytest.mark.parametrize("big", [10 ** 400, -10 ** 400])
+def test_rate_query_refuses_an_int_past_the_floats(field, big):
+    fields = dict(eta=0.1, m=10, L=1.0, mu=1e-5)
+    fields[field] = big
+    with pytest.raises(ValueError) as info:
+        RateQuery(**fields)
+    assert str(info.value) == f"{field} {_PAST_THE_FLOATS}"
+
+
+def test_an_int_past_the_floats_is_refused_before_any_bound():
+    # once refused as the svrg_u bound's overflow, a None, and a bare
+    # OverflowError from rate_grid's own conversion
+    repros = [
+        ("L", lambda: rate_svrg_uniform(RateQuery(0.1, 10, 10 ** 400, 1e-5))),
+        ("eta", lambda: rate_sarah_last(RateQuery(10 ** 400, 10, 1.0, 1e-5))),
+        ("L", lambda: rate_grid(["svrg_u"], 10 ** 400, 1e-5, "eta", [0.1],
+                                m=10)),
+        ("eta", lambda: rate_grid(["svrg_u"], 1.0, 1e-5, "eta", [10 ** 400],
+                                  m=10)),
+    ]
+    for field, call in repros:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == f"{field} {_PAST_THE_FLOATS}"
+
+
+@pytest.mark.parametrize("value", [2, np.float32(2.0), np.int64(2),
+                                   np.float64(2.0), True])
+@pytest.mark.parametrize("field", ["eta", "L", "mu"])
+def test_rate_query_holds_a_real_number_as_a_float(field, value):
+    fields = dict(eta=0.1, m=10, L=4.0, mu=1e-5)
+    fields[field] = value
+    q = RateQuery(**fields)
+    assert all(type(v) is float for v in (q.eta, q.L, q.mu))
+    assert getattr(q, field) == float(value)
+    assert q == RateQuery(**dict(fields, **{field: float(value)}))
+
+
+@pytest.mark.parametrize("field", ["eta", "L", "mu"])
+def test_rate_query_refuses_a_str(field):
+    fields = dict(eta=0.1, m=10, L=1.0, mu=1e-5)
+    fields[field] = "0.5"
+    with pytest.raises(TypeError):
+        RateQuery(**fields)
 
 
 def test_rate_query_and_grid_row_are_validated_named_tuples():

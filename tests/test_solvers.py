@@ -15,7 +15,7 @@ from vropt import (AdaptiveLength, AveragingScheme, BarzilaiBorweinStep,
 import vropt.cli
 from vropt.averaging import SCHEMES
 from vropt.rates import SCHEME_RATES
-from vropt.solvers import check_config
+from vropt.solvers import ALGORITHMS, check_config
 
 U = AveragingScheme.UNIFORM
 
@@ -246,6 +246,18 @@ def test_scheme_table():
     # belongs to exactly one pair
     assert sorted(k for k in rate_keys if k is not None) == \
         sorted(SCHEME_RATES)
+
+
+def test_algorithms_are_the_builtin_rules_then_the_estimators():
+    assert ALGORITHMS == ("gd", "sgd", *SCHEMES) == ("gd", "sgd", "svrg",
+                                                     "sarah")
+    # the CLI offers exactly these, and run() refuses any other name
+    run_parser = vropt.cli._build_parser("run")
+    algo, = [a for a in run_parser._actions if a.dest == "algo"]
+    assert tuple(algo.choices) == ALGORITHMS
+    problem = make_logistic(10, 4, seed=0, kappa=20.0)
+    with pytest.raises(ConfigError, match=r"^unknown algorithm 'saga'$"):
+        run(problem, SolverConfig("saga", outer_loops=1))
 
 
 # ---------------------------------------------------------------- bb_step
