@@ -74,10 +74,13 @@ def weights(scheme: AveragingScheme, m: int, mu: float | None = None,
             weighted schemes (their decay factor is 1 - mu*eta).
 
     Raises:
-        ValueError: m < 2; or a weighted scheme with mu*eta outside (0, 1);
-            or a degenerate WEIGHTED_SARAH normalizer (m too small for the
-            given mu*eta).
+        ValueError: scheme is not an AveragingScheme (its value included);
+            m < 2; or a weighted scheme with mu*eta outside (0, 1); or a
+            degenerate WEIGHTED_SARAH normalizer (m too small for the given
+            mu*eta).
     """
+    if not isinstance(scheme, AveragingScheme):
+        raise ValueError(f"unknown scheme {scheme}")
     if m < 2:
         raise ValueError(f"inner length m must be >= 2, got {m}")
     p = np.zeros(m + 1)
@@ -102,7 +105,7 @@ def weights(scheme: AveragingScheme, m: int, mu: float | None = None,
             _powers(rev[1:], 1.0 - delta)
             q = float(tail.sum())  # equals (1-(1-delta)^(m-1))/delta exactly
             np.divide(tail, q, out=tail)
-        elif scheme is AveragingScheme.WEIGHTED_SARAH:
+        else:  # WEIGHTED_SARAH
             # p_k ~ 1-(1-delta)^(m-k-1), k = 0..m-2; exponent runs m-1..1
             head = p[:m - 1]
             _powers(head[::-1], 1.0 - delta)
@@ -113,8 +116,6 @@ def weights(scheme: AveragingScheme, m: int, mu: float | None = None,
                     f"degenerate weighted normalizer c = {c} at m = {m}, "
                     f"mu*eta = {delta}; m is too small for these constants")
             np.divide(head, c, out=head)
-        else:
-            raise ValueError(f"unknown scheme {scheme}")
     p.setflags(write=False)
     return p
 

@@ -38,14 +38,6 @@ class IfoCounter:
         return f"IfoCounter({self.count})"
 
 
-def _sigmoid(t: float) -> float:
-    # branch on sign so exp never sees a large positive argument
-    if t >= 0.0:
-        return 1.0 / (1.0 + math.exp(-t))
-    e = math.exp(t)
-    return e / (1.0 + e)
-
-
 # stored entries per pass of _accumulate: few enough that its temporaries
 # stay in cache, enough that its Python loop costs nothing
 _CHUNK = 1 << 14
@@ -205,8 +197,14 @@ class LogisticProblem(ErmProblem):
                          float(np.max(dataset.row_sq_norms) / 4.0 + mu))
 
     def loss_deriv(self, i: int, t: float) -> float:
+        # -b * sigmoid(-b*t), branching on the sign of -b*t so that exp
+        # never sees a large positive argument
         b = self._b[i]
-        return -b * _sigmoid(-b * t)
+        u = -b * t
+        if u >= 0.0:
+            return -b * (1.0 / (1.0 + math.exp(-u)))
+        e = math.exp(u)
+        return -b * (e / (1.0 + e))
 
     def _losses(self, t: np.ndarray) -> np.ndarray:
         return np.logaddexp(0.0, -self.targets * t)

@@ -59,14 +59,18 @@ class _RateQueryFields(NamedTuple):
 
 
 def _real(name: str, value):
-    """value as a Python float when it is a real number (an int or a numpy
-    scalar included), else as given, for RateQuery to refuse. ValueError
-    names the field of an int past the largest float."""
-    if isinstance(value, int) and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+    """value as a Python float when it is a real number (an int, a Fraction
+    or a numpy scalar included), else as given, for RateQuery to refuse.
+    ValueError names the field of a real number past the largest float."""
+    if not isinstance(value, numbers.Real):
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        got = (f"an integer of {value.bit_length()} bits"
+               if isinstance(value, int) else f"a {type(value).__name__}")
         raise ValueError(f"{name} must be at most the largest float in "
-                         f"magnitude, got an integer of {value.bit_length()} "
-                         "bits")
-    return float(value) if isinstance(value, numbers.Real) else value
+                         f"magnitude, got {got}") from None
 
 
 class RateQuery(_RateQueryFields):
@@ -75,9 +79,10 @@ class RateQuery(_RateQueryFields):
     included.
 
     Raises:
-        ValueError: eta, L or mu is NaN, infinite or an int past the
-            largest float, eta <= 0, m is no integer, m < 2, m is past the
-            largest float, or the constants fail L >= mu > 0.
+        ValueError: eta, L or mu is NaN, infinite or a real number (an
+            int, a Fraction) past the largest float, eta <= 0, m is no
+            integer, m < 2, m is past the largest float, or the constants
+            fail L >= mu > 0.
     """
 
     __slots__ = ()
@@ -165,12 +170,15 @@ def rate_svrg_weighted(q: RateQuery) -> float | None:
     if eta >= 1.0 / (2.0 * L):
         return None
     den = 1.0 - 2.0 * eta * L
+    d, etal = mu * eta, eta * L
     # both powers from one log1p, as _pow1m and _one_minus_pow1m form them
-    log1m = math.log1p(-mu * eta)
+    log1m = math.log1p(-d)
     tail = (m - 1) * log1m
+    # mu*L*eta^2 as the product of d and eta*L, each below 1 in the
+    # formula's domain, so no intermediate leaves the floats first
     return (1.0 / -math.expm1(tail)
             * (math.exp(m * log1m) / den
-               + 2.0 * mu * L * eta ** 2 * math.exp(tail) / den
+               + 2.0 * d * etal * math.exp(tail) / den
                + 2.0 * eta * L / den))
 
 
@@ -192,8 +200,10 @@ def _sarah_weighted_normalizer(d: float, m: int) -> float:
         # the closed form cancels catastrophically here; expanding each
         # (1-d)^j binomially and summing over j gives the alternating series
         # c = sum_{r>=1} (-1)^(r+1) C(m, r+1) d^r, whose terms shrink by
-        # d*(m-r-1)/(r+2) < 1e-3 per step, so a few reach full precision
-        c, term = 0.0, m * (m - 1) / 2 * d
+        # d*(m-r-1)/(r+2) < 1e-3 per step, so a few reach full precision;
+        # the first, m*(m-1)*d/2, takes d in first, so that no product
+        # leaves the floats at any m a query holds
+        c, term = 0.0, m * d * (m - 1) / 2
         for r in range(1, m):
             if c + term == c:
                 break

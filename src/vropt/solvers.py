@@ -14,13 +14,16 @@ draw per step. Identical config + seed therefore reproduces the iterate
 sequence bit for bit.
 
 One kernel, _inner_steps, runs every corrected (svrg) and recursive (sarah)
-inner loop of run(). It works on the problem's CSR rows and scalar loss
-derivative instead of calling grad_component, and keeps each estimator's
-dense terms in a lazily scaled form (svrg: x = a*z + b*h; sarah:
-eta*v = sigma*w, x = y - tau*w), so a step touches only the picked row's
-columns: O(nnz(a_i)) work while still being charged 2 IFO. The scalars are
-folded back into the vectors when a or sigma leaves a safe range, and at
-loop end.
+inner loop of run(), each estimator in its own loop. It works on the
+problem's CSR rows and scalar loss derivative instead of calling
+grad_component, and keeps each estimator's dense terms in a lazily scaled
+form (svrg: x = a*z + b*h; sarah: eta*v = sigma*w, x = y - tau*w, with y
+and w packed as the real and imaginary parts of one complex vector), so a
+step touches only the picked row's columns: O(nnz(a_i)) work, and for
+sarah one gather, one dot and one scatter. A loop of k steps is charged
+2k IFO once, before it runs. The scalars are folded back into the vectors
+when a or sigma leaves a safe range, and the end iterate is formed from
+them at loop end.
 
 One divergence rule holds for every stochastic loop, an inner loop or an
 SGD epoch: its steps test nothing, and run() tests x.x of its end iterate
@@ -304,7 +307,8 @@ _SCALE_LO, _SCALE_HI = 1e-3, 1e3
 
 def _fold(u: np.ndarray, v: np.ndarray, a: float, b: float, sig: float):
     """Fold the scalars of x = a*u + b*v into u, and sarah's displacement
-    scale sig into v, in place, so that afterwards a = sig = 1 and b = 0."""
+    scale sig into v, in place, so that afterwards a = sig = 1 and b = 0.
+    u and v may be strided views, sarah's real and imaginary parts."""
     u *= a
     u += b * v
     v *= sig
@@ -322,83 +326,101 @@ def _inner_steps(problem: ErmProblem, algorithm: str, x0: np.ndarray,
     estimators' dense terms are affine with scalar coefficients, so the
     kernel keeps them as scalars (the just-in-time update of sparse SAG,
     Schmidt, Le Roux and Bach, Math. Prog. 2017, section 4) and a step
-    touches only the picked row's columns:
+    touches only the picked row's columns. Each estimator runs its own
+    loop:
 
     * svrg: x_{k+1} = s*x_k - eta*h - eta*(phi_i'(a_i.x_k) - c0_i)*a_i with
-      h = g - mu*x0 and c0 = phi'(A x0). The kernel keeps x = a*z + b*h,
+      h = g - mu*x0 and c0 = phi'(A x0). The loop keeps x = a*z + b*h,
       so with A h computed once per loop (uncharged, like c0) the margin
       is a*(a_i.z) + b*(A h)_i, and a step does a <- s*a, b <- s*b - eta,
       z[cols] -= (eta*delta/a)*vals.
     * sarah: eta*v_k = s*eta*v_{k-1} + eta*dphi*a_i with
       dphi = phi_i'(a_i.x_k) - phi_i'(a_i.x_{k-1}), and x_{k+1} =
-      x_k - eta*v_k. The kernel keeps eta*v = sigma*w and x = y - tau*w;
-      both margins come from the row's entries of y and w, and a step does
-      sigma <- s*sigma, w[cols] += D, y[cols] += tau*D, tau += sigma with
-      D = (eta*dphi/sigma)*vals. x_1 = x0 - eta*g is the free deterministic
-      step, so upto >= 1 runs upto-1 recursive steps.
+      x_k - eta*v_k. The loop keeps eta*v = sigma*w and x = y - tau*w,
+      with y and w the real and imaginary parts of one complex vector
+      y + i*w, so a step gathers the row's entries of both at once, takes
+      both margins from one complex dot, and scatters both updates at
+      once: sigma <- s*sigma, y + i*w += (tau + i)*D, tau += sigma with
+      D = (eta*dphi/sigma)*vals. x_1 = x0 - eta*g is the free
+      deterministic step, so upto >= 1 runs upto-1 recursive steps.
 
     Both forms are written x = a*u + b*v (svrg: u = z, v = h; sarah: a = 1,
     u = y, v = w, b = -tau). The scalars are folded back into the vectors,
     an O(d) pass, whenever a or sigma leaves [_SCALE_LO, _SCALE_HI], and
-    once at loop end. Every stochastic step is charged 2 IFO (two
-    component gradients). Unchecked, no step is tested, and a non-finite
-    margin reaches loss_deriv. With checked, each step (sarah's x_1 as
-    step 1) forms a*u + b*v into a temporary, never folding, so it keeps
-    the unchecked bits, and raises DivergenceError at the first iterate
-    whose x.x is not finite.
+    the end iterate is a*u + b*v with the last scalars. Every stochastic
+    step costs 2 IFO (two component gradients), charged once for the
+    whole loop before it runs. Unchecked, no step is tested, and a
+    non-finite margin reaches loss_deriv. With checked, each step
+    (sarah's x_1 as step 1) forms a*u + b*v into a temporary, never
+    folding, so it keeps the unchecked bits, and raises DivergenceError
+    at the first iterate whose x.x is not finite.
     """
+    if upto == 0:
+        return x0.copy()
     indptr, indices, data = problem.indptr, problem.indices, problem.data
     deriv = problem.loss_deriv
     s = 1.0 - eta * problem.mu
     svrg = algorithm == "svrg"
-    if upto == 0:
-        return x0.copy()
-    a, b, sig = 1.0, 0.0, 1.0
+    steps = upto if svrg else upto - 1
+    counter.count += 2 * steps
+    picks = _picks(rng, problem.n, steps)
     with np.errstate(over="ignore", invalid="ignore"):
         if svrg:
-            first = 1
             c0 = problem.loss_derivs(x0).tolist()
             u, v = x0.copy(), g - problem.mu * x0
             ah = problem.margins(v).tolist()
-        else:
-            first = 2
-            u, v = x0 - eta * g, eta * g  # x_1 and eta*v_0
-            if checked and not _finite(u):
-                raise _diverged(u, 1, config_id)
-        for done, i in enumerate(_picks(rng, problem.n, upto - first + 1),
-                                 start=first):
-            counter.count += 2
-            lo, hi = indptr[i], indptr[i + 1]
-            cols, vals = indices[lo:hi], data[lo:hi]
-            uc = u[cols]
-            if svrg:
+            a, b = 1.0, 0.0
+            for done, i in enumerate(picks, start=1):
+                lo, hi = indptr[i], indptr[i + 1]
+                cols, vals = indices[lo:hi], data[lo:hi]
+                uc = u[cols]
                 t = a * float(vals.dot(uc)) + b * ah[i]
                 coef = -eta * (deriv(i, t) - c0[i])
                 a *= s
                 b = s * b - eta
                 if not _SCALE_LO <= abs(a) <= _SCALE_HI:
-                    _fold(u, v, a, b, sig)
+                    _fold(u, v, a, b, 1.0)
                     a, b = 1.0, 0.0
                     uc = u[cols]
-                u[cols] = uc + (coef / a) * vals
-            else:
-                vc = v[cols]
-                tv = float(vals.dot(vc))
-                t = float(vals.dot(uc)) + b * tv
-                coef = eta * (deriv(i, t) - deriv(i, t + sig * tv))
-                sig *= s
-                if not _SCALE_LO <= abs(sig) <= _SCALE_HI:
-                    _fold(u, v, a, b, sig)
-                    b, sig = 0.0, 1.0
-                    uc, vc = u[cols], v[cols]
-                coef /= sig
-                v[cols] = vc + coef * vals
-                u[cols] = uc + (-b * coef) * vals  # y += tau*D
-                b -= sig
-            if checked and not _finite(x := a * u + b * v):
+                uc += (coef / a) * vals
+                u[cols] = uc
+                if checked and not _finite(x := a * u + b * v):
+                    raise _diverged(x, done, config_id)
+            _fold(u, v, a, b, 1.0)
+            return u
+        z = np.empty(problem.d, np.complex128)
+        y, w = z.real, z.imag
+        np.multiply(eta, g, out=w)  # eta*v_0
+        np.subtract(x0, w, out=y)  # x_1
+        if checked and not _finite(y):
+            raise _diverged(y, 1, config_id)
+        b, sig = 0.0, 1.0
+        for done, i in enumerate(picks, start=2):
+            lo, hi = indptr[i], indptr[i + 1]
+            # the row cast once, so that neither the dot nor the update
+            # casts it again
+            cols, row = indices[lo:hi], data[lo:hi].astype(np.complex128)
+            zc = z[cols]
+            tz = complex(row.dot(zc))  # a_i.y + i*a_i.w
+            tv = tz.imag
+            t = tz.real + b * tv
+            coef = eta * (deriv(i, t) - deriv(i, t + sig * tv))
+            sig *= s
+            if not _SCALE_LO <= abs(sig) <= _SCALE_HI:
+                _fold(y, w, 1.0, b, sig)
+                b, sig = 0.0, 1.0
+                zc = z[cols]
+            coef /= sig
+            # y += tau*D and w += D in one scatter
+            row *= complex(-b * coef, coef)
+            row += zc
+            z[cols] = row
+            b -= sig
+            if checked and not _finite(x := y + b * w):
                 raise _diverged(x, done, config_id)
-        _fold(u, v, a, b, sig)
-    return u
+        x = b * w
+        x += y
+    return x
 
 
 def _validate(problem: ErmProblem, config: SolverConfig) -> None:

@@ -293,6 +293,15 @@ def test_weights_validation():
         weights("uniform", 5, 0.1, 0.1)
 
 
+@pytest.mark.parametrize("scheme", ["uniform", "weighted_svrg", None, 3])
+@pytest.mark.parametrize("args", [(), (0.1, 0.1)])
+def test_weights_refuses_what_is_no_scheme_by_name(scheme, args):
+    # once an AttributeError from the "needs mu and eta" message
+    with pytest.raises(ValueError) as info:
+        weights(scheme, 5, *args)
+    assert str(info.value) == f"unknown scheme {scheme}"
+
+
 def test_sampler_rejects_invalid_pmf():
     for bad, message in [([0.5, 0.4], "sum to"), ([1.5, -0.5], "nonnegative"),
                          ([0.5, np.nan], "sum to"), ([], "nonempty"),

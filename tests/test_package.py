@@ -1,7 +1,10 @@
-"""The package API is the union of its modules' __all__ lists."""
+"""The package API is the union of its modules' __all__ lists, and every
+name the benchmark's tracer patches exists."""
 import importlib
+import importlib.util
 import subprocess
 import sys
+from pathlib import Path
 
 import vropt
 
@@ -38,3 +41,16 @@ def test_shared_helpers_stay_out_of_the_package_api():
     for module, name in MODULE_PATH_ONLY:
         assert hasattr(importlib.import_module(f"vropt.{module}"), name)
         assert name not in vropt.__all__ and not hasattr(vropt, name)
+
+
+def test_every_name_the_benchmark_traces_resolves():
+    # perfbench/tracing.py patches these names on vropt's modules and
+    # problem instances; one that is renamed or deleted stops the benchmark
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, attr, _ in tracing._SPANNED + tracing._LEAVES:
+        assert callable(getattr(module, attr, None)), (module.__name__, attr)
+    for method in tracing._PROBLEM_METHODS:
+        assert callable(getattr(vropt.LogisticProblem, method, None)), method

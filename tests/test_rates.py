@@ -1,6 +1,7 @@
 import math
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -366,8 +367,36 @@ def test_an_int_past_the_floats_is_refused_before_any_bound():
         assert str(info.value) == f"{field} {_PAST_THE_FLOATS}"
 
 
+@pytest.mark.parametrize("field", ["eta", "L", "mu"])
+@pytest.mark.parametrize("big", [Fraction(10 ** 400), -Fraction(10 ** 401, 3)])
+def test_rate_query_refuses_a_fraction_past_the_floats(field, big):
+    # once a bare OverflowError from the float() conversion
+    fields = dict(eta=0.1, m=10, L=1.0, mu=1e-5)
+    fields[field] = big
+    with pytest.raises(ValueError) as info:
+        RateQuery(**fields)
+    assert str(info.value) == (f"{field} must be at most the largest float "
+                               "in magnitude, got a Fraction")
+
+
+@pytest.mark.parametrize("scheme,eta,m,L,mu", [
+    # once refused because eta ** 2 overflowed, with mu*L below the floats
+    ("svrg_w", 1e200, 10, 1e-300, 1e-300),
+    # once refused because the series' first term m*(m-1)/2 left the floats
+    ("sarah_w", 1e-300, 2 * 10 ** 154, 1.0, 1e-5),
+    ("sarah_w", 1e-300, 10 ** 200, 1.0, 1e-5),
+    ("sarah_w", 1e-6, 10 ** 300, 1.0, 1e-300),
+], ids=["svrg_w-eta-1e200", "sarah_w-m-2e154", "sarah_w-m-1e200",
+        "sarah_w-m-1e300"])
+def test_a_finite_bound_with_extreme_fields_matches_oracle(scheme, eta, m, L,
+                                                          mu):
+    # the closed form cancels some 210 digits at these fields
+    with mp.workdps(400):
+        assert_matches_oracle(scheme, eta, m, L, mu)
+
+
 @pytest.mark.parametrize("value", [2, np.float32(2.0), np.int64(2),
-                                   np.float64(2.0), True])
+                                   np.float64(2.0), True, Fraction(2)])
 @pytest.mark.parametrize("field", ["eta", "L", "mu"])
 def test_rate_query_holds_a_real_number_as_a_float(field, value):
     fields = dict(eta=0.1, m=10, L=4.0, mu=1e-5)
