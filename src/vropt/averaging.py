@@ -21,6 +21,7 @@ of `_CHUNK` entries at a time.
 from __future__ import annotations
 
 import enum
+import operator
 
 import numpy as np
 
@@ -75,12 +76,17 @@ def weights(scheme: AveragingScheme, m: int, mu: float | None = None,
 
     Raises:
         ValueError: scheme is not an AveragingScheme (its value included);
-            m < 2; or a weighted scheme with mu*eta outside (0, 1); or a
-            degenerate WEIGHTED_SARAH normalizer (m too small for the given
-            mu*eta).
+            m is no integer or m < 2; or a weighted scheme with mu*eta
+            outside (0, 1); or a degenerate WEIGHTED_SARAH normalizer (m
+            too small for the given mu*eta).
     """
     if not isinstance(scheme, AveragingScheme):
         raise ValueError(f"unknown scheme {scheme}")
+    try:
+        m = operator.index(m)
+    except TypeError:
+        raise ValueError(f"inner length m must be an integer, got {m!r}") \
+            from None
     if m < 2:
         raise ValueError(f"inner length m must be >= 2, got {m}")
     p = np.zeros(m + 1)

@@ -348,7 +348,7 @@ def check_experiment(problem: ErmProblem, configs: Sequence[SolverConfig],
                          outer_loops=None)
         with _config_id_on_errors(config):
             check_config(problem, config)
-        seed = config.seed ^ zlib.crc32(config.config_id.encode("utf-8"))
+        seed = int(config.seed) ^ zlib.crc32(config.config_id.encode("utf-8"))
         runnables.append(replace(config, seed=seed))
     return runnables
 
@@ -406,8 +406,8 @@ RATE_HEADER = "scheme,x,lambda,defined"
 def _cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, float):  # numpy's float64 reprs as np.float64(...)
+        return float.__repr__(value)
     return str(value)
 
 
@@ -426,7 +426,7 @@ def format_trace_csv(traces: Sequence[Trace]) -> str:
             lines.append(",".join([
                 trace.config_id, str(p.s), _cell(p.eta_s), _cell(p.m_s),
                 _cell(p.snapshot_index), str(p.ifo_total),
-                repr(p.ifo_total / trace.n), _cell(p.gap), _cell(p.grad_sq),
+                _cell(p.ifo_total / trace.n), _cell(p.gap), _cell(p.grad_sq),
             ]))
     return "\n".join(lines) + "\n"
 

@@ -12,14 +12,14 @@ inf. The formulas are upper bounds: measured contraction may be much smaller,
 never meaningfully larger.
 
 A RateQuery is a named tuple (eta, m, L, mu) that checks its fields when it
-is made: eta, L and mu must be real numbers, held as Python floats, that are
-finite, with eta > 0 and L >= mu > 0, and m an integer from 2 to the largest
-float, else ValueError names the field. A rate grid validates its sweep
-once, makes one query per sweep point, evaluates every scheme on it and
-returns GridRow named tuples (scheme, x, value) of Python numbers. The
-figures' log-spaced grids come from math alone:
-10 ** (a + i*step) through the C library's pow, so their bytes do not depend
-on which SIMD kernels an array library picks for the CPU.
+is made, by the rules solvers.real and solvers.integer: eta, L and mu must
+be real numbers, held as Python floats, that are finite, with eta > 0 and
+L >= mu > 0, and m an integer from 2 to the largest float, else ValueError
+names the field. A rate grid validates its sweep once, makes one query per
+sweep point, evaluates every scheme on it and returns GridRow named tuples
+(scheme, x, value) of Python numbers. The figures' log-spaced grids come
+from math alone: 10 ** (a + i*step) through the C library's pow, so their
+bytes do not depend on the SIMD kernels an array library picks per CPU.
 
 Powers (1-delta)^m are evaluated as exp(m*log1p(-delta)), each one once per
 call; the weighted-recursive normalizer switches to its binomial series in
@@ -32,13 +32,11 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
-import operator
 import sys
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .averaging import SCHEMES
-from .solvers import inner_length
+from .solvers import inner_length, integer, real
 
 __all__ = [
     "RateQuery", "GridRow",
@@ -58,29 +56,14 @@ class _RateQueryFields(NamedTuple):
     mu: float = 1e-5
 
 
-def _real(name: str, value):
-    """value as a Python float when it is a real number (an int, a Fraction
-    or a numpy scalar included), else as given, for RateQuery to refuse.
-    ValueError names the field of a real number past the largest float."""
-    if not isinstance(value, numbers.Real):
-        return value
-    try:
-        return float(value)
-    except OverflowError:
-        got = (f"an integer of {value.bit_length()} bits"
-               if isinstance(value, int) else f"a {type(value).__name__}")
-        raise ValueError(f"{name} must be at most the largest float in "
-                         f"magnitude, got {got}") from None
-
-
 class RateQuery(_RateQueryFields):
     """One rate evaluation point. kappa is always derived as L/mu; eta, L
     and mu are held as Python floats and m as a Python int, numpy scalars
     included.
 
     Raises:
-        ValueError: eta, L or mu is NaN, infinite or a real number (an
-            int, a Fraction) past the largest float, eta <= 0, m is no
+        ValueError: eta, L or mu is no real number (a str, a Decimal), is
+            NaN, infinite or past the largest float, eta <= 0, m is no
             integer, m < 2, m is past the largest float, or the constants
             fail L >= mu > 0.
     """
@@ -89,15 +72,11 @@ class RateQuery(_RateQueryFields):
 
     def __new__(cls, eta: float, m: int, L: float = 1.0, mu: float = 1e-5):
         if not type(eta) is type(L) is type(mu) is float:
-            eta, L, mu = _real("eta", eta), _real("L", L), _real("mu", mu)
+            eta, L, mu = real("eta", eta), real("L", L), real("mu", mu)
         # chained comparisons are False for NaN, so each test also rejects it
         if not 0.0 < eta < _INF:
             raise ValueError(f"eta must be positive and finite, got {eta!r}")
-        if type(m) is not int:
-            try:
-                m = operator.index(m)
-            except TypeError:
-                raise ValueError(f"m must be an integer, got {m!r}") from None
+        m = m if type(m) is int else integer("m", m)
         if not 2 <= m <= _FLOAT_MAX:
             raise ValueError(f"m must be finite and >= 2, got {m!r}" if m < 2
                              else "m must be at most the largest float, got "

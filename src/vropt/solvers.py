@@ -35,6 +35,7 @@ DivergenceError.steps counts its steps up to the first non-finite iterate.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -57,7 +58,7 @@ ALGORITHMS = ("gd", "sgd", *SCHEMES)
 
 
 class ConfigError(ValueError):
-    """Contradictory or incomplete solver configuration."""
+    """A solver configuration or a number that a check refuses."""
 
 
 class DivergenceError(RuntimeError):
@@ -74,8 +75,33 @@ class DivergenceError(RuntimeError):
         super().__init__(f"divergence{where}: {what}")
 
 
+def real(name: str, value) -> float:
+    """value as a Python float when it is a real number (an int, a bool, a
+    Fraction, a numpy scalar), else ConfigError naming it: a non-real (a str,
+    a Decimal, a complex, None) or a real number past the largest float."""
+    if not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        got = (f"an integer of {value.bit_length()} bits"
+               if isinstance(value, int) else f"a {type(value).__name__}")
+        raise ConfigError(f"{name} must be at most the largest float in "
+                          f"magnitude, got {got}") from None
+
+
+def integer(name: str, value) -> int:
+    """value as a Python int when it is an integer (a bool or a numpy
+    integer included), else ConfigError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+
+
 def positive(name: str, value: float) -> float:
-    """value, or ConfigError naming it unless it is positive and finite."""
+    """real(name, value), refused by name unless positive and finite."""
+    value = real(name, value)
     # a chained comparison is False for NaN, so this also rejects it
     if not 0.0 < value < math.inf:
         raise ConfigError(f"{name} must be positive and finite, got {value}")
@@ -104,25 +130,12 @@ def inner_length(x: float, rule: str = "inner length") -> int:
     return m
 
 
-def _check_integer(name: str, value) -> None:
-    try:
-        operator.index(value)
-    except TypeError:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _check_count(name: str, value) -> None:
-    _check_integer(name, value)
-    if value < 0:
-        raise ConfigError(f"{name} must be >= 0, got {value}")
-
-
 @dataclass(frozen=True)
 class FixedStep:
     eta: float
 
     def __post_init__(self):
-        positive("step size", self.eta)
+        object.__setattr__(self, "eta", positive("step size", self.eta))
 
 
 @dataclass(frozen=True)
@@ -141,9 +154,10 @@ class BarzilaiBorweinStep:
     eta0: float | None = None
 
     def __post_init__(self):
-        positive("theta_kappa", self.theta_kappa)
+        object.__setattr__(self, "theta_kappa",
+                           positive("theta_kappa", self.theta_kappa))
         if self.eta0 is not None:
-            positive("eta0", self.eta0)
+            object.__setattr__(self, "eta0", positive("eta0", self.eta0))
 
 
 @dataclass(frozen=True)
@@ -151,8 +165,8 @@ class FixedLength:
     m: int
 
     def __post_init__(self):
-        _check_integer("inner length", self.m)
-        at_least_two("inner length", self.m)
+        m = integer("inner length", self.m)
+        object.__setattr__(self, "m", at_least_two("inner length", m))
 
 
 @dataclass(frozen=True)
@@ -162,7 +176,7 @@ class AdaptiveLength:
     c: float = 1.0
 
     def __post_init__(self):
-        positive("c", self.c)
+        object.__setattr__(self, "c", positive("c", self.c))
 
 
 StepRule = FixedStep | BarzilaiBorweinStep
@@ -429,12 +443,14 @@ def _validate(problem: ErmProblem, config: SolverConfig) -> None:
     flaw = config_id_flaw(config.config_id)
     if flaw:
         raise ConfigError(f"name {config.config_id!r} contains {flaw}")
-    _check_count("seed", config.seed)
+    if integer("seed", config.seed) < 0:
+        raise ConfigError(f"seed must be >= 0, got {config.seed}")
     if config.outer_loops is None and config.ifo_budget is None:
         raise ConfigError("set outer_loops, ifo_budget, or both")
     for field_name in ("outer_loops", "ifo_budget"):
-        if getattr(config, field_name) is not None:
-            _check_count(field_name, getattr(config, field_name))
+        value = getattr(config, field_name)
+        if value is not None and integer(field_name, value) < 0:
+            raise ConfigError(f"{field_name} must be >= 0, got {value}")
     if config.algorithm not in SCHEMES:  # gd and sgd
         for field_name in ("step", "inner", "averaging"):
             if getattr(config, field_name) is not None:
@@ -496,10 +512,8 @@ def check_config(problem: ErmProblem, config: SolverConfig) -> float | None:
     if config.algorithm not in SCHEMES:  # gd and sgd
         return None
     big_l, mu, _ = problem.constants()
-    if isinstance(config.step, FixedStep):
-        eta0 = config.step.eta
-    else:
-        eta0 = _resolve_eta0(config.step, config.inner, big_l, mu)
+    eta0 = config.step.eta if isinstance(config.step, FixedStep) \
+        else _resolve_eta0(config.step, config.inner, big_l, mu)
     _inner_length(config.inner, mu, eta0)
     if config.averaging is SCHEMES[config.algorithm]["w"][0]:  # weighted
         decay_rate(mu, eta0)
@@ -524,13 +538,14 @@ def run(problem: ErmProblem, config: SolverConfig, f_star: float | None = None,
     about the iterate sequence.
 
     Raises:
-        ConfigError: contradictory configuration for this problem (see
-            check_config for the checks made before the first loop).
+        ConfigError: a configuration that check_config refuses, or an
+            f_star that real refuses.
         DivergenceError: non-finite iterate, snapshot gradient or
             evaluation, annotated with the config id.
         MemoryError: a loop's snapshot pmf, naming the config, loop and m_s.
     """
     eta0 = check_config(problem, config)
+    f_star = None if f_star is None else real("f_star", f_star)
     big_l, mu, _ = problem.constants()
     n = problem.n
     cid = config.config_id

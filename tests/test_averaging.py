@@ -302,6 +302,21 @@ def test_weights_refuses_what_is_no_scheme_by_name(scheme, args):
     assert str(info.value) == f"unknown scheme {scheme}"
 
 
+@pytest.mark.parametrize("m", [5.0, 5.5, "5", np.float64(5.0)])
+def test_weights_refuses_an_m_that_is_no_integer_by_name(m):
+    # once numpy's TypeError from np.zeros(m + 1), naming neither m nor
+    # weights
+    with pytest.raises(ValueError) as info:
+        weights(AveragingScheme.UNIFORM, m)
+    assert str(info.value) == f"inner length m must be an integer, got {m!r}"
+
+
+@pytest.mark.parametrize("scheme", list(AveragingScheme))
+def test_weights_take_a_numpy_integer_m_as_its_int(scheme):
+    pmf = weights(scheme, np.int64(5), mu=0.1, eta=0.5)
+    assert pmf.tobytes() == weights(scheme, 5, mu=0.1, eta=0.5).tobytes()
+
+
 def test_sampler_rejects_invalid_pmf():
     for bad, message in [([0.5, 0.4], "sum to"), ([1.5, -0.5], "nonnegative"),
                          ([0.5, np.nan], "sum to"), ([], "nonempty"),

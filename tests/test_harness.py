@@ -895,6 +895,17 @@ def test_run_experiment_names_the_config_in_every_value_error():
             run_experiment(problem, [SolverConfig("sgd")], 1.0)
 
 
+@pytest.mark.parametrize("seed", [np.uint8(5), np.int8(5), np.int64(5)])
+def test_an_experiment_derives_its_seeds_from_a_numpy_seeds_int(seed):
+    # a narrow numpy seed once overflowed in seed ^ crc32(config_id)
+    problem = make_logistic(10, 3, seed=54, kappa=8.0)
+    configs = [SolverConfig("sgd", seed=seed, name="s")]
+    assert check_experiment(problem, configs, 1.0) == check_experiment(
+        problem, [replace(configs[0], seed=5)], 1.0)
+    assert run_experiment(problem, configs, 1.0) == run_experiment(
+        problem, [replace(configs[0], seed=5)], 1.0)
+
+
 @pytest.mark.parametrize("seed,message", [
     (-1, "seed must be >= 0, got -1"),
     (np.int64(-7), "seed must be >= 0, got -7"),
@@ -952,6 +963,20 @@ def test_trace_csv_golden_bytes():
         "t1,1,0.125,4,3,10,2.5,0.25,\n"
     )
     assert format_trace_csv(golden_traces()) == expected
+
+
+def test_trace_csv_writes_numpy_numbers_as_python_ones():
+    # numpy 2 reprs a float64 as np.float64(...), a cell no reader parses
+    f, i = np.float64, np.int64
+    traces = [Trace("t1", i(4), (
+        TracePoint(s=0, eta_s=None, m_s=None, snapshot_index=None,
+                   ifo_total=i(0), gap=f(1.0), grad_sq=f(0.5)),
+        TracePoint(s=1, eta_s=f(0.125), m_s=i(4), snapshot_index=i(3),
+                   ifo_total=i(10), gap=f(0.25), grad_sq=None),
+    ))]
+    text = format_trace_csv(traces)
+    assert text == format_trace_csv(golden_traces())
+    assert load_trace_csv(text) == golden_traces()
 
 
 def test_trace_csv_round_trip_exact():

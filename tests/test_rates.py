@@ -411,8 +411,9 @@ def test_rate_query_holds_a_real_number_as_a_float(field, value):
 def test_rate_query_refuses_a_str(field):
     fields = dict(eta=0.1, m=10, L=1.0, mu=1e-5)
     fields[field] = "0.5"
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError) as info:
         RateQuery(**fields)
+    assert str(info.value) == f"{field} must be a real number, got '0.5'"
 
 
 def test_rate_query_and_grid_row_are_validated_named_tuples():

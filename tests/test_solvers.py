@@ -1,6 +1,9 @@
 import itertools
 import math
+import numbers
 from dataclasses import replace
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,8 +12,10 @@ from conftest import (RidgeProblem, ScriptedRng, inner_loop, make_logistic,
                       make_ridge, ridge_minimizer)
 from vropt import (AdaptiveLength, AveragingScheme, BarzilaiBorweinStep,
                    ConfigError, DivergenceError, FixedLength, FixedStep,
-                   IfoCounter, LogisticProblem, SolverConfig, bb_step, bench_configs, cached_reference,
-                   compute_reference, generate_synthetic, normalize_rows,
+                   IfoCounter, LogisticProblem, RateQuery, SolverConfig,
+                   bb_step, bench_configs, cached_reference,
+                   compute_reference, format_rate_csv, format_trace_csv,
+                   generate_synthetic, load_trace_csv, normalize_rows,
                    run, run_experiment)
 import vropt.cli
 from vropt.averaging import SCHEMES
@@ -115,6 +120,88 @@ def test_rule_dataclass_validation():
     with pytest.raises(ConfigError, match="inner length must be an integer"):
         FixedLength(10.0)
     assert FixedLength(np.int64(10)).m == 10
+
+
+def _trace_csv(algorithm="svrg", step=FixedStep(0.3), inner=FixedLength(10),
+               averaging=U, seed=0, f_star=None):
+    problem = make_logistic(40, 5, seed=38, kappa=20.0)
+    config = SolverConfig(algorithm, step=step, inner=inner,
+                          averaging=averaging, outer_loops=4, seed=seed)
+    return format_trace_csv([run(problem, config, f_star=f_star)])
+
+
+def _rate_csv(**fields):
+    q = RateQuery(**dict(dict(eta=0.1, m=10, L=4.0, mu=1e-3), **fields))
+    return format_rate_csv([(scheme, q.eta, rate(q))
+                            for scheme, rate in SCHEME_RATES.items()])
+
+
+# every number a caller passes to a solver rule, run() or a rate query:
+# field -> (the name a refusal gives, "real" or "integer", a value it
+# takes, the CSV text of a use of the field with a given value)
+_NUMBER_FIELDS = {
+    "FixedStep.eta": ("step size", "real", 0.3,
+                      lambda v: _trace_csv(step=FixedStep(v))),
+    "BarzilaiBorweinStep.theta_kappa": (
+        "theta_kappa", "real", 20.0,
+        lambda v: _trace_csv("sarah", step=BarzilaiBorweinStep(v))),
+    "BarzilaiBorweinStep.eta0": (
+        "eta0", "real", 0.5,
+        lambda v: _trace_csv("sarah", step=BarzilaiBorweinStep(20.0, v))),
+    "AdaptiveLength.c": (
+        "c", "real", 1.5,
+        lambda v: _trace_csv("sarah", step=BarzilaiBorweinStep(20.0),
+                             inner=AdaptiveLength(v),
+                             averaging=AveragingScheme.WEIGHTED_SARAH)),
+    "run.f_star": ("f_star", "real", 0.25, lambda v: _trace_csv(f_star=v)),
+    "RateQuery.eta": ("eta", "real", 0.1, lambda v: _rate_csv(eta=v)),
+    "RateQuery.L": ("L", "real", 4.0, lambda v: _rate_csv(L=v)),
+    "RateQuery.mu": ("mu", "real", 1e-3, lambda v: _rate_csv(mu=v)),
+    "FixedLength.m": ("inner length", "integer", 10,
+                      lambda v: _trace_csv(inner=FixedLength(v))),
+    "SolverConfig.seed": ("seed", "integer", 7,
+                          lambda v: _trace_csv(seed=v)),
+}
+
+
+def _number_rows():
+    for field, (_, kind, value, _) in _NUMBER_FIELDS.items():
+        if kind == "integer":
+            yield field, np.int64(value)
+            continue
+        yield from ((field, given) for given in (
+            np.float64(value), np.float32(value), Fraction(str(value)), 1,
+            True, Decimal("0.1"), "0.1", 1j))
+        # eta0=None and f_star=None mean "not given"; elsewhere None is bad
+        if field not in ("BarzilaiBorweinStep.eta0", "run.f_star"):
+            yield field, None
+
+
+_NUMBER_ROWS = list(_number_rows())
+
+
+@pytest.mark.parametrize("field,given", _NUMBER_ROWS, ids=[
+    f"{field}-{type(given).__name__}" for field, given in _NUMBER_ROWS])
+def test_each_number_a_caller_passes_is_held_as_a_python_number(field,
+                                                                given):
+    # numpy scalars, Fractions and bools were once held as given: a
+    # np.float64 step wrote np.float64(...) cells no reader parses, and a
+    # np.float32 one ran the lazy recurrences in float32
+    name, kind, _, use = _NUMBER_FIELDS[field]
+    if not isinstance(given, numbers.Real):
+        with pytest.raises(ValueError) as info:
+            use(given)
+        assert str(info.value) == f"{name} must be a real number, got " \
+            f"{given!r}"
+        return
+    text = use(given)
+    assert text == use(float(given) if kind == "real" else int(given))
+    if field.startswith("RateQuery"):
+        for row in text.splitlines()[1:]:  # x and lambda parse
+            for cell in row.split(",")[1:3]:
+                assert cell == "" or math.isfinite(float(cell))
+    else:
+        assert format_trace_csv(load_trace_csv(text)) == text
 
 
 def test_bb_derived_quantities_must_be_finite():
