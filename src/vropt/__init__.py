@@ -12,11 +12,12 @@ from .dataset import *
 from .harness import *
 from .problems import *
 from .rates import *
+from .rules import *
 from .solvers import *
 from .trace import *
 
 __version__ = "0.1.0"
 
 __all__ = (averaging.__all__ + dataset.__all__ + harness.__all__
-           + problems.__all__ + rates.__all__ + solvers.__all__
-           + trace.__all__ + ["__version__"])
+           + problems.__all__ + rates.__all__ + rules.__all__
+           + solvers.__all__ + trace.__all__ + ["__version__"])

@@ -21,9 +21,10 @@ of `_CHUNK` entries at a time.
 from __future__ import annotations
 
 import enum
-import operator
 
 import numpy as np
+
+from .rules import integer, real
 
 __all__ = ["AveragingScheme", "weights", "sample_snapshot_index"]
 
@@ -76,19 +77,13 @@ def weights(scheme: AveragingScheme, m: int, mu: float | None = None,
 
     Raises:
         ValueError: scheme is not an AveragingScheme (its value included);
-            m is no integer or m < 2; or a weighted scheme with mu*eta
-            outside (0, 1); or a degenerate WEIGHTED_SARAH normalizer (m
-            too small for the given mu*eta).
+            m is no integer or m < 2, or a weighted scheme's mu or eta no
+            real number (a ConfigError); mu*eta outside (0, 1); or a
+            degenerate WEIGHTED_SARAH normalizer (m too small).
     """
     if not isinstance(scheme, AveragingScheme):
         raise ValueError(f"unknown scheme {scheme}")
-    try:
-        m = operator.index(m)
-    except TypeError:
-        raise ValueError(f"inner length m must be an integer, got {m!r}") \
-            from None
-    if m < 2:
-        raise ValueError(f"inner length m must be >= 2, got {m}")
+    m = integer("inner length m", m, least=2)
     p = np.zeros(m + 1)
     if scheme is AveragingScheme.UNIFORM:
         p[:m] = 1.0 / m
@@ -99,7 +94,7 @@ def weights(scheme: AveragingScheme, m: int, mu: float | None = None,
     else:
         if mu is None or eta is None:
             raise ValueError(f"{scheme.name} weights need mu and eta")
-        delta = decay_rate(mu, eta)
+        delta = decay_rate(real("mu", mu), real("eta", eta))
         # the powers of 1-delta are accumulated in place on a reversed view
         # of the support, by iterative multiplication, so the normalizers
         # below, computed as sums, stay consistent with the terms

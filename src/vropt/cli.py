@@ -26,9 +26,10 @@ from .harness import (bench_configs, cached_dataset, cached_reference,
                       write_trace_csv)
 from .problems import LogisticProblem
 from .rates import FIGURE_IDS, SCHEME_RATES, figure_grid, rate_grid
+from .rules import ConfigError, integer, nonnegative, positive
 from .solvers import (ALGORITHMS, AdaptiveLength, BarzilaiBorweinStep,
-                      ConfigError, DivergenceError, FixedLength, FixedStep,
-                      SolverConfig, at_least_two, inner_length, positive)
+                      DivergenceError, FixedLength, FixedStep, SolverConfig,
+                      inner_length)
 from .svgplot import write_line_plot
 from .trace import Trace
 
@@ -115,6 +116,7 @@ def _add_reference_args(ref: argparse.ArgumentParser) -> None:
 
 
 def _load_problem(args) -> LogisticProblem:
+    nonnegative("--mu", args.mu)  # named as a flag, before --data is read
     ds = cached_dataset(Path(args.data).read_bytes(), parse_libsvm)
     if args.normalize:
         ds = normalize_rows(ds)
@@ -174,7 +176,7 @@ def _build_run_config(args, problem: LogisticProblem) -> SolverConfig:
 
     if args.m is not None and args.m_kappa is not None:
         raise ValueError("give --m or --m-kappa, not both")
-    m = None if args.m is None else at_least_two("--m", args.m)
+    m = None if args.m is None else integer("--m", args.m, least=2)
     if args.m_kappa is not None:
         m = inner_length(positive("--m-kappa", args.m_kappa) * _kappa(problem),
                          "--m-kappa * kappa =")
@@ -283,7 +285,7 @@ def _cmd_rates(args) -> int:
         big_l = 1.0 if args.big_l is None else positive("--L", args.big_l)
         mu = 1e-5 if args.mu is None else positive("--mu", args.mu)
         eta = None if args.eta is None else positive("--eta", args.eta)
-        m = None if args.m is None else at_least_two("--m", args.m)
+        m = None if args.m is None else integer("--m", args.m, least=2)
         rows = rate_grid(schemes, L=big_l, mu=mu, sweep=args.sweep,
                          points=points, eta=eta, m=m)
     write_rate_csv(rows, args.out)

@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 
+from .rules import integer, real
+
 __all__ = [
     "Dataset",
     "LibsvmParseError",
@@ -74,7 +76,7 @@ class Dataset:
             each row and inside [0, dim).
         data: float64 array of the stored values, all finite and nonzero.
         labels: int8 array of -1/+1, length n.
-        dim: feature dimension shared by every row.
+        dim: feature dimension shared by every row, a Python int >= 1.
         rows: np.intp array, the row of each stored entry, length nnz.
         row_sq_norms: float64 array, per row the sum of its stored values'
             rounded squares, added one at a time in storage order from 0.0
@@ -104,12 +106,10 @@ class Dataset:
         indices = _frozen(indices, np.intp, copy)
         data = _frozen(data, np.float64, copy)
         lab = _frozen(labels, np.int8, copy)
-        dim = int(dim)
+        dim = integer("dim", dim, least=1)
         n = indptr.size - 1
         if n < 1:
             raise ValueError("dataset needs at least one row")
-        if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
         if lab.size != n:
             raise ValueError(f"{n} rows but {lab.size} labels")
         bad = (lab != 1) & (lab != -1)
@@ -412,16 +412,14 @@ def generate_synthetic(n: int, d: int, seed: int, separation: float) -> Dataset:
 
     Raises:
         ValueError: n < 2 (cannot place both labels), d < 1, a
-            separation that is NaN or infinite, or a negative seed.
+            separation that is NaN or infinite, a negative seed, or (a
+            ConfigError) an argument of the wrong kind of number.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2 to place both labels, got {n}")
-    if d < 1:
-        raise ValueError(f"need d >= 1, got {d}")
+    n, d = integer("n", n, least=2), integer("d", d, least=1)
+    separation = real("separation", separation)
     if not math.isfinite(separation):
         raise ValueError(f"separation must be finite, got {separation!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    seed = integer("seed", seed, least=0)
     rng = np.random.default_rng(seed)
     direction = rng.standard_normal(d)
     direction /= np.linalg.norm(direction)

@@ -30,9 +30,10 @@ from .problems import ErmProblem
 # vropt.harness.serialize_libsvm
 from .dataset import Dataset, serialize_libsvm  # noqa: F401
 from .rates import GridRow
-from .solvers import (AdaptiveLength, BarzilaiBorweinStep, ConfigError,
-                      FixedLength, FixedStep, SolverConfig, check_config,
-                      inner_length, positive, run)
+from .rules import ConfigError, integer, nonnegative, positive, real
+from .solvers import (AdaptiveLength, BarzilaiBorweinStep, FixedLength,
+                      FixedStep, SolverConfig, check_config, inner_length,
+                      run)
 from .trace import Trace, TracePoint, config_id_flaw
 
 __all__ = [
@@ -330,18 +331,14 @@ def _config_id_on_errors(config: SolverConfig):
 def check_experiment(problem: ErmProblem, configs: Sequence[SolverConfig],
                      passes: float) -> list[SolverConfig]:
     """The configs run_experiment runs, after every check it makes before a
-    run's first outer loop: a ValueError when passes * n is NaN, infinite
-    or < 0, else each config gets the IFO budget ceil(passes * n) and no
-    outer-loop limit, passes check_config with its seed as given (a
-    ConfigError naming the config id) and then gets the seed
-    seed ^ crc32(config_id). The CLI calls this before it solves for the
-    reference, so an experiment that cannot start solves and caches no
-    reference."""
-    budget = passes * problem.n
-    # a chained comparison is False for NaN, so this also rejects it
-    if not 0 <= budget < math.inf:
-        raise ValueError(f"passes * n must be finite and >= 0, got "
-                         f"{passes!r} * {problem.n}")
+    run's first outer loop: a ConfigError unless passes is a real number
+    and passes * n is finite and >= 0, else each config gets the IFO
+    budget ceil(passes * n) and no outer-loop limit, passes check_config
+    with its seed as given (a ConfigError naming the config id) and then
+    gets the seed seed ^ crc32(config_id). The CLI calls this before it
+    solves for the reference, so an experiment that cannot start solves
+    and caches no reference."""
+    budget = nonnegative("passes * n", real("passes", passes) * problem.n)
     runnables = []
     for config in configs:
         config = replace(config, ifo_budget=math.ceil(budget),
@@ -376,8 +373,9 @@ def run_experiment(problem: ErmProblem, configs: Sequence[SolverConfig],
 def bench_configs(problem: ErmProblem, seed: int = 0) -> list[SolverConfig]:
     """The five-solver comparison lineup run by the bench command: SGD, both
     fixed-step uniform-averaging baselines, and both tune-free secant-step
-    tail-weighted solvers. Raises ConfigError when the fixed-step
-    baselines' inner length 5 * kappa is not finite or too large."""
+    tail-weighted solvers. Raises ConfigError for a seed that is no integer
+    or a baselines' inner length 5 * kappa that is not finite or too big."""
+    seed = integer("seed", seed)
     big_l, _, kappa = problem.constants()
     m5 = inner_length(5.0 * kappa, "inner length 5 * kappa =")
     tuned = [(algo, pairs["w"]) for algo, pairs in SCHEMES.items()]

@@ -4,13 +4,14 @@ strong-convexity constants.
 Every problem is a linear model over CSR rows, f_i(x) = phi_i(<a_i, x>) +
 (mu/2)||x||^2. ErmProblem holds the rows a_i (indptr, indices, data), the
 per-component targets and mu, and implements every oracle once; a subclass
-supplies only L, phi_i' for one component (loss_deriv), and phi_i and phi_i'
-for all margins t = A x at once (_losses, _derivs). The instance vropt ships
-is L2-regularized logistic regression on a sparse Dataset. Component
-gradients optionally charge a caller-owned IfoCounter: one unit per
-component gradient, n units per full gradient. Evaluation code passes no
-counter, so measurement never pollutes the work accounting. The solvers'
-fused inner loop reads the CSR rows and loss_deriv directly.
+supplies only its share of L (a bound on phi_i'' * ||a_i||^2, to which L
+adds mu), phi_i' for one component (loss_deriv), and phi_i and phi_i' for
+all margins t = A x at once (_losses, _derivs). The instance vropt ships is
+L2-regularized logistic regression on a sparse Dataset. Component gradients
+optionally charge a caller-owned IfoCounter: one unit per component
+gradient, n units per full gradient. Evaluation code passes no counter, so
+measurement never pollutes the work accounting. The solvers' fused inner
+loop reads the CSR rows and loss_deriv directly.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import math
 import numpy as np
 
 from .dataset import Dataset
+from .rules import nonnegative
 
 __all__ = ["IfoCounter", "ErmProblem", "LogisticProblem"]
 
@@ -66,25 +68,22 @@ class ErmProblem(abc.ABC):
     indptr is a Python list so that slicing it costs no numpy scalar, and
     indices are np.intp, the index type numpy gathers and scatters fastest.
     rows gives the row of each stored entry; the all-component products sum
-    over it. Every array is used in place, not copied.
+    over it. Every array is used in place, not copied. L = curvature + mu.
     """
 
     kind: str  # short tag naming the loss in cache keys
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray,
                  data: np.ndarray, rows: np.ndarray, d: int,
-                 targets: np.ndarray, mu: float, smoothness: float):
-        # a chained comparison is False for NaN, so this also rejects it
-        if not 0 <= mu < math.inf:
-            raise ValueError(f"mu must be finite and >= 0, got {mu}")
-        if not math.isfinite(smoothness):
-            raise ValueError(f"smoothness L = {smoothness} is not finite "
+                 targets: np.ndarray, mu: float, curvature: float):
+        self.mu = nonnegative("mu", mu)
+        self._L = curvature + self.mu
+        if not math.isfinite(self._L):
+            raise ValueError(f"smoothness L = {self._L} is not finite "
                              "(a squared row norm or mu is past the float "
                              "range)")
         self.n = len(indptr) - 1
         self.d = int(d)
-        self.mu = float(mu)
-        self._L = smoothness
         self.indptr = indptr.tolist()
         self.indices, self.data, self._rows = indices, data, rows
         self.targets = targets
@@ -184,7 +183,7 @@ class LogisticProblem(ErmProblem):
 
     Args:
         dataset: rows and labels.
-        mu: regularization weight, >= 0 (solvers additionally require > 0).
+        mu: regularization weight, finite and >= 0 (solvers need > 0).
     """
 
     kind = "logistic"
@@ -194,7 +193,7 @@ class LogisticProblem(ErmProblem):
         self._b = dataset.labels.astype(np.float64).tolist()
         super().__init__(dataset.indptr, dataset.indices, dataset.data,
                          dataset.rows, dataset.dim, dataset.labels, mu,
-                         float(np.max(dataset.row_sq_norms) / 4.0 + mu))
+                         float(np.max(dataset.row_sq_norms) / 4.0))
 
     def loss_deriv(self, i: int, t: float) -> float:
         # -b * sigmoid(-b*t), branching on the sign of -b*t so that exp

@@ -12,10 +12,10 @@ inf. The formulas are upper bounds: measured contraction may be much smaller,
 never meaningfully larger.
 
 A RateQuery is a named tuple (eta, m, L, mu) that checks its fields when it
-is made, by the rules solvers.real and solvers.integer: eta, L and mu must
-be real numbers, held as Python floats, that are finite, with eta > 0 and
-L >= mu > 0, and m an integer from 2 to the largest float, else ValueError
-names the field. A rate grid validates its sweep once, makes one query per
+is made, by the number rule (rules.real, rules.integer): eta, L and mu must
+be real numbers, held as Python floats, that are finite, with eta > 0
+and L >= mu > 0, and m an integer from 2 to the largest float, else
+ValueError names the field. A rate grid validates its sweep once, makes one query per
 sweep point, evaluates every scheme on it and returns GridRow named tuples
 (scheme, x, value) of Python numbers. The figures' log-spaced grids come
 from math alone: 10 ** (a + i*step) through the C library's pow, so their
@@ -36,7 +36,8 @@ import sys
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .averaging import SCHEMES
-from .solvers import inner_length, integer, real
+from .rules import integer, real
+from .solvers import inner_length
 
 __all__ = [
     "RateQuery", "GridRow",
@@ -281,19 +282,19 @@ def rate_grid(schemes: Sequence[str], L: float, mu: float,
         Python floats, undefined points marked explicitly (value None).
 
     Raises:
-        ValueError: no scheme, an unknown scheme, empty sweep, a missing
-            fixed coordinate, the swept coordinate given as fixed, a NaN or
-            infinite point, an m point that is not a whole number, or a
-            point whose RateQuery is invalid.
+        ValueError: no scheme, an unknown or repeated scheme, empty
+            sweep, a missing fixed coordinate, the swept coordinate given
+            as fixed, a point that is no real number (a ConfigError), a
+            NaN or infinite point, an m point that is not a whole number,
+            or a point whose RateQuery is invalid.
     """
-    points = list(points)
-    if not points:
-        raise ValueError("empty sweep")
     if not schemes:
         raise ValueError("no schemes to evaluate")
     for s in schemes:
         if s not in SCHEME_RATES:
             raise ValueError(f"unknown scheme {s!r}")
+        if schemes.count(s) > 1:
+            raise ValueError(f"scheme {s!r} is given more than once")
     if sweep not in ("m", "eta"):
         raise ValueError(f"sweep must be 'm' or 'eta', got {sweep!r}")
     fixed, swept, other = (eta, m, "eta") if sweep == "m" else (m, eta, "m")
@@ -301,20 +302,19 @@ def rate_grid(schemes: Sequence[str], L: float, mu: float,
         raise ValueError(f"sweep over {sweep} needs a fixed {other}")
     if swept is not None:
         raise ValueError(f"sweep over {sweep} takes no fixed {sweep}")
+    points = [x if type(x) is float else real(sweep, x) for x in points]
+    if not points:
+        raise ValueError("empty sweep")
     for x in points:
         if not -_INF < x < _INF:
             raise ValueError(f"{sweep} sweep point {x!r} is not finite")
         if sweep == "m" and int(x) != x:
             raise ValueError(f"m sweep point {x!r} is not a whole number")
-    if sweep == "m":
-        queries = [RateQuery(eta, int(x), L, mu) for x in points]
-        xs = [float(x) for x in points]
-    else:
-        queries = [RateQuery(x, m, L, mu) for x in points]
-        xs = [q.eta for q in queries]
+    queries = [RateQuery(eta, int(x), L, mu) if sweep == "m"
+               else RateQuery(x, m, L, mu) for x in points]
     fns = [(scheme, SCHEME_RATES[scheme]) for scheme in schemes]
     return [_new_row(GridRow, (scheme, x, fn(q)))
-            for scheme, fn in fns for x, q in zip(xs, queries)]
+            for scheme, fn in fns for x, q in zip(points, queries)]
 
 
 # Canonical figure grids (L = 1, mu = 1e-5 => kappa = 1e5 unless noted).

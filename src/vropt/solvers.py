@@ -35,8 +35,6 @@ DivergenceError.steps counts its steps up to the first non-finite iterate.
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,20 +43,17 @@ from .averaging import (SCHEMES, AveragingScheme, decay_rate,
                         sample_snapshot_index, weights)
 from .dataset import MAX_FLOATS
 from .problems import ErmProblem, IfoCounter
+from .rules import ConfigError, integer, positive, real
 from .trace import Trace, TracePoint, config_id_flaw
 
 __all__ = [
     "FixedStep", "BarzilaiBorweinStep", "FixedLength", "AdaptiveLength",
-    "SolverConfig", "ConfigError", "DivergenceError", "bb_step", "run",
+    "SolverConfig", "DivergenceError", "bb_step", "run",
 ]
 
 # gd and sgd have their step rules built in; the variance-reduced solvers
 # are the estimators that SCHEMES pairs with averaging schemes
 ALGORITHMS = ("gd", "sgd", *SCHEMES)
-
-
-class ConfigError(ValueError):
-    """A solver configuration or a number that a check refuses."""
 
 
 class DivergenceError(RuntimeError):
@@ -73,47 +68,6 @@ class DivergenceError(RuntimeError):
         where = f" in config {config_id!r}" if config_id else ""
         what = what or f"iterate norm {iterate_norm} after {steps} steps"
         super().__init__(f"divergence{where}: {what}")
-
-
-def real(name: str, value) -> float:
-    """value as a Python float when it is a real number (an int, a bool, a
-    Fraction, a numpy scalar), else ConfigError naming it: a non-real (a str,
-    a Decimal, a complex, None) or a real number past the largest float."""
-    if not isinstance(value, numbers.Real):
-        raise ConfigError(f"{name} must be a real number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        got = (f"an integer of {value.bit_length()} bits"
-               if isinstance(value, int) else f"a {type(value).__name__}")
-        raise ConfigError(f"{name} must be at most the largest float in "
-                          f"magnitude, got {got}") from None
-
-
-def integer(name: str, value) -> int:
-    """value as a Python int when it is an integer (a bool or a numpy
-    integer included), else ConfigError naming it."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
-
-
-def positive(name: str, value: float) -> float:
-    """real(name, value), refused by name unless positive and finite."""
-    value = real(name, value)
-    # a chained comparison is False for NaN, so this also rejects it
-    if not 0.0 < value < math.inf:
-        raise ConfigError(f"{name} must be positive and finite, got {value}")
-    return value
-
-
-def at_least_two(name: str, m: int) -> int:
-    """m, or ConfigError naming it when it is below 2: an inner loop holds
-    a snapshot and at least one step."""
-    if m < 2:
-        raise ConfigError(f"{name} must be >= 2, got {m}")
-    return m
 
 
 def inner_length(x: float, rule: str = "inner length") -> int:
@@ -165,8 +119,7 @@ class FixedLength:
     m: int
 
     def __post_init__(self):
-        m = integer("inner length", self.m)
-        object.__setattr__(self, "m", at_least_two("inner length", m))
+        object.__setattr__(self, "m", integer("inner length", self.m, least=2))
 
 
 @dataclass(frozen=True)
@@ -443,14 +396,12 @@ def _validate(problem: ErmProblem, config: SolverConfig) -> None:
     flaw = config_id_flaw(config.config_id)
     if flaw:
         raise ConfigError(f"name {config.config_id!r} contains {flaw}")
-    if integer("seed", config.seed) < 0:
-        raise ConfigError(f"seed must be >= 0, got {config.seed}")
+    integer("seed", config.seed, least=0)
     if config.outer_loops is None and config.ifo_budget is None:
         raise ConfigError("set outer_loops, ifo_budget, or both")
     for field_name in ("outer_loops", "ifo_budget"):
-        value = getattr(config, field_name)
-        if value is not None and integer(field_name, value) < 0:
-            raise ConfigError(f"{field_name} must be >= 0, got {value}")
+        if getattr(config, field_name) is not None:
+            integer(field_name, getattr(config, field_name), least=0)
     if config.algorithm not in SCHEMES:  # gd and sgd
         for field_name in ("step", "inner", "averaging"):
             if getattr(config, field_name) is not None:

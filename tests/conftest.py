@@ -186,7 +186,7 @@ class RidgeProblem(ErmProblem):
         self._y = targets.tolist()
         super().__init__(indptr, cols, rows[row_of, cols], row_of,
                          rows.shape[1], targets, mu,
-                         float(np.max(np.einsum("ij,ij->i", rows, rows)) + mu))
+                         float(np.max(np.einsum("ij,ij->i", rows, rows))))
 
     def loss_deriv(self, i, t):
         return t - self._y[i]

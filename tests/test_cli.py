@@ -247,9 +247,9 @@ def test_run_flag_rejection(tmp_path, capsys, flags, message):
      "error: --passes must be positive and finite, got inf"),
     (["--algo", "sgd", "--passes", "nan"],
      "error: --passes must be positive and finite, got nan"),
-    # a NaN mu, named as such, not as a non-finite L
+    # a NaN mu, named by its flag, not as a non-finite L
     (["--algo", "sgd", "--mu", "nan"],
-     "error: mu must be finite and >= 0, got nan"),
+     "error: --mu must be finite and >= 0, got nan"),
     # finite flags whose derived eta0 or inner length leaves the floats
     (["--algo", "sarah", "--step", "bb", "--theta-kappa", "1e-320",
       "--no-reference"],
@@ -503,6 +503,11 @@ def _check_first(config):
     (["rates", "--schemes", "svrg_u", "--sweep", "m", "--points", "10",
       "--eta", "0.1", "--L", "nan"], "--L must be positive and finite, got nan"),
     (["reference", "--tol", "inf"], "tol must be positive and finite, got inf"),
+    # finite and >= 0, for mu
+    (lambda: _tiny_problem(-1.0), "mu must be finite and >= 0, got -1.0"),
+    (["run", "--algo", "sgd", "--mu", "-1"],
+     "--mu must be finite and >= 0, got -1.0"),
+    (["reference", "--mu", "nan"], "--mu must be finite and >= 0, got nan"),
     # at least 2, for a fixed length
     (lambda: FixedLength(1), "inner length must be >= 2, got 1"),
     (["run", "--algo", "svrg", "--step", "fixed", "--eta-over-L", "0.1",
@@ -573,6 +578,18 @@ def test_each_refusal_rule_at_each_home(tmp_path, capsys, call, message):
              "reference": []}[name]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["run", "reference", "bench"])
+def test_mu_is_refused_by_its_flag_before_the_data_is_read(tmp_path, capsys,
+                                                           command):
+    # once "mu must be ...", from the problem built after --data was read
+    argv = [command, "--data", str(tmp_path / "missing.svm"), "--mu", "-1",
+            *{"run": ["--algo", "sgd"], "reference": [],
+              "bench": ["--out-dir", str(tmp_path / "b")]}[command]]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == \
+        "error: --mu must be finite and >= 0, got -1.0\n"
 
 
 def test_bench_non_finite_passes_exits_2(tmp_path, capsys):
@@ -779,6 +796,9 @@ def test_rates_flag_errors(tmp_path, capsys):
     (["--m", "1"], "error: --m must be >= 2, got 1"),
     (["--points", "2.4,2.5,3.5,1e3"],
      "error: m sweep point 2.4 is not a whole number"),
+    # a repeated scheme once wrote each of its rows twice
+    (["--schemes", "svrg_u,svrg_u"],
+     "error: scheme 'svrg_u' is given more than once"),
 ])
 def test_rates_non_finite_input_exits_2(tmp_path, capsys, flags, message):
     # the later of two equal flags wins, so each case overrides one value

@@ -235,6 +235,14 @@ def test_write_then_parse(tmp_path):
     assert parse_libsvm(path.read_text()) == ds
 
 
+@pytest.mark.parametrize("dim", [2.9, "5"])
+def test_dataset_refuses_a_dim_that_is_no_integer_by_name(dim):
+    # int(dim) once kept 2 for 2.9 and 5 for "5"
+    with pytest.raises(ValueError) as info:
+        Dataset([0, 1], [0], [1.0], [1], dim=dim)
+    assert str(info.value) == f"dim must be an integer, got {dim!r}"
+
+
 def test_synthetic_shapes_and_determinism():
     a = generate_synthetic(31, 6, seed=9, separation=2.0)
     b = generate_synthetic(31, 6, seed=9, separation=2.0)

@@ -1,5 +1,6 @@
-"""The package API is the union of its modules' __all__ lists, and every
-name the benchmark's tracer patches exists."""
+"""The package API is the union of its modules' __all__ lists, every name
+the benchmark's tracer patches exists, and the number rule has one home."""
+import ast
 import importlib
 import importlib.util
 import subprocess
@@ -8,16 +9,19 @@ from pathlib import Path
 
 import vropt
 
-MODULES = ["averaging", "dataset", "harness", "problems", "rates", "solvers",
-           "trace"]
+MODULES = ["averaging", "dataset", "harness", "problems", "rates", "rules",
+           "solvers", "trace"]
 
 # helpers the modules share, imported by module path and not part of the
 # package API
 MODULE_PATH_ONLY = [("averaging", "SCHEMES"), ("averaging", "decay_rate"),
                     ("harness", "check_experiment"), ("rates", "SCHEME_RATES"),
+                    ("rules", "real"), ("rules", "integer"),
+                    ("rules", "positive"), ("rules", "nonnegative"),
                     ("solvers", "ALGORITHMS"), ("solvers", "check_config"),
-                    ("solvers", "positive"),
-                    ("trace", "config_id_flaw")]
+                    ("solvers", "positive"), ("trace", "config_id_flaw")]
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "vropt"
 
 
 def test_package_api_is_the_union_of_the_module_lists():
@@ -54,3 +58,40 @@ def test_every_name_the_benchmark_traces_resolves():
         assert callable(getattr(module, attr, None)), (module.__name__, attr)
     for method in tracing._PROBLEM_METHODS:
         assert callable(getattr(vropt.LogisticProblem, method, None)), method
+
+
+def test_the_error_a_rule_raises_is_one_object_everywhere():
+    from vropt import rules, solvers
+    assert vropt.ConfigError is solvers.ConfigError is rules.ConfigError
+
+
+# the two spellings of "is this a number" that the rule module owns
+_RULE_NAMES = {("operator", "index"), ("numbers", "Real")}
+
+
+def _rule_uses(tree: ast.AST) -> list[str]:
+    """Each operator.index or numbers.Real that tree names, as an
+    attribute or imported by name."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and \
+                isinstance(node.value, ast.Name) and \
+                (node.value.id, node.attr) in _RULE_NAMES:
+            found.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
+        if isinstance(node, ast.ImportFrom):
+            found += [f"line {node.lineno}: from {node.module} import "
+                      f"{alias.name}" for alias in node.names
+                      if (node.module, alias.name) in _RULE_NAMES]
+    return found
+
+
+def test_the_number_rule_has_one_home():
+    # every module reads a caller's number through vropt.rules; a second
+    # conversion of its own is the drift this guards against
+    assert _rule_uses(ast.parse((SRC / "rules.py").read_text()))
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "rules.py":
+            assert not _rule_uses(ast.parse(path.read_text())), path.name
+    assert _rule_uses(ast.parse("from numbers import Real\nimport operator\n"
+                                "operator.index(3)\n")) == [
+        "line 1: from numbers import Real", "line 3: operator.index"]

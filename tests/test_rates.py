@@ -462,7 +462,7 @@ def reference_grid(schemes, L, mu, sweep, points, eta=None, m=None):
 
 @settings(max_examples=300, deadline=None)
 @given(schemes=st.lists(st.sampled_from(sorted(SCHEME_RATES)), min_size=1,
-                        max_size=6),
+                        max_size=5, unique=True),
        sweep=st.sampled_from(["m", "eta"]),
        log_l=st.floats(-3.0, 3.0),
        log_kappa=st.floats(0.0, 12.0),
@@ -538,6 +538,15 @@ def test_rate_grid_shapes_and_errors():
                                              "not a whole number"):
             rate_grid(["sarah_u"], L=1.0, mu=1e-3, sweep="m",
                       points=[10.0, point], eta=0.1)
+
+
+@pytest.mark.parametrize("schemes", [["svrg_u", "svrg_u"],
+                                     ("sarah_w", "svrg_u", "sarah_w")])
+def test_rate_grid_refuses_a_repeated_scheme_by_name(schemes):
+    # a repeated scheme once gave each of its rows twice
+    with pytest.raises(ValueError) as info:
+        rate_grid(schemes, L=1.0, mu=1e-3, sweep="m", points=[10], eta=0.1)
+    assert str(info.value) == f"scheme {schemes[0]!r} is given more than once"
 
 
 @pytest.mark.parametrize("sweep,points,fixed", [
